@@ -1,59 +1,14 @@
-"""Compute backend selection.
+"""Name of the compute path behind :mod:`cpalign.kernels`.
 
-The hot loops in :mod:`cpalign.kernels` exist twice: once as plain Python
-loops compiled with numba's ``@njit``, and once as vectorized numpy code.
-Which pair is used by the library is decided once, at import time, from the
-``CPALIGN_BACKEND`` environment variable:
-
-``auto``   use numba when it imports, fall back to numpy otherwise (default)
-``numba``  require numba, raise if it is unavailable
-``numpy``  force the pure-numpy path even when numba is installed
-
-Both implementations stay importable regardless of the flag so they can be
-benchmarked against each other (see ``cpalign bench --kernels``).
+There is one path: vectorized numpy (float64, BLAS for the GEMMs),
+specialised by input shape inside each kernel. :data:`ACTIVE` names it so
+reports and benchmark records can state which path produced their numbers.
 """
 
 from __future__ import annotations
 
-import os
-
-ENV_VAR = "CPALIGN_BACKEND"
-_CHOICES = ("auto", "numba", "numpy")
-
-
-def requested_backend() -> str:
-    """Return the validated value of the backend env var."""
-    value = os.environ.get(ENV_VAR, "auto").strip().lower()
-    if value not in _CHOICES:
-        raise ValueError(
-            f"{ENV_VAR}={value!r} is not a valid backend; choose one of {_CHOICES}"
-        )
-    return value
-
-
-def _import_numba():
-    try:
-        from numba import njit  # noqa: F401
-    except ImportError:
-        return None
-    return njit
-
-
-_requested = requested_backend()
-_njit = None
-if _requested in ("auto", "numba"):
-    _njit = _import_numba()
-    if _njit is None and _requested == "numba":
-        raise ImportError(
-            f"{ENV_VAR}=numba but numba could not be imported; "
-            "install numba or set the flag to 'auto' or 'numpy'"
-        )
-
-#: resolved backend actually in use ("numba" or "numpy")
-ACTIVE = "numba" if _njit is not None else "numpy"
-
-#: numba's njit decorator, or None when running pure numpy
-njit = _njit
+#: the kernel path in use; always "numpy"
+ACTIVE = "numpy"
 
 
 def active_backend() -> str:

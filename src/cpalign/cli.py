@@ -104,7 +104,7 @@ def _cmd_run(args) -> int:
     scenario, bev, render, opts, _ = _load_setup(args)
     weights = _resolve_weights(args, opts)
     if args.save_weights:
-        save_weights(args.save_weights, weights)
+        save_weights(weights, args.save_weights)
     t = args.t if args.t is not None else \
         (scenario.n_frames - 1) * scenario.frame_interval
     report = run_pipeline(scenario, t, args.tau_ms / 1000.0, opts, weights,
@@ -144,30 +144,36 @@ def _cmd_sweep(args) -> int:
 
 
 def _bench_kernels(repeats: int) -> dict:
+    """Median ms per call of each kernel, one case per conv dispatch class."""
     from . import kernels
 
     rng = np.random.default_rng(0)
-    x = rng.normal(size=(32, 66, 66))          # pre-padded input
-    w = rng.normal(size=(64, 32, 3, 3))
+    cloud = rng.normal(size=(2000, 3))
     f = rng.normal(size=(32, 64, 64))
     sx = rng.uniform(0, 63, size=(64, 64))
     sy = rng.uniform(0, 63, size=(64, 64))
+
+    def conv(cin, cout, k, groups, size):
+        x = rng.normal(size=(cin, size + k - 1, size + k - 1))  # pre-padded
+        w = rng.normal(size=(cout, cin // groups, k, k))
+        return lambda: kernels.conv2d_core(x, w, 1, groups)
+
+    cases = {
+        "conv2d.depthwise": conv(64, 64, 3, 64, 64),
+        "conv2d.pointwise": conv(128, 64, 1, 4, 64),
+        "conv2d.im2col": conv(32, 64, 3, 1, 64),
+        "bilinear_gather": lambda: kernels.bilinear_gather(f, sx, sy),
+        "fps_order": lambda: kernels.fps_order(cloud, 1000),
+    }
     out = {}
-    for name, impls in kernels.IMPLEMENTATIONS.items():
-        if impls is None:
-            out[name] = None
-            continue
-        impls["conv2d"](x, w, 1, 1)            # warmup covers jit compilation
-        impls["bilinear"](f, sx, sy)
-        t0 = time.perf_counter()
+    for name, call in cases.items():
+        call()
+        times = []
         for _ in range(repeats):
-            impls["conv2d"](x, w, 1, 1)
-        t1 = time.perf_counter()
-        for _ in range(repeats):
-            impls["bilinear"](f, sx, sy)
-        t2 = time.perf_counter()
-        out[name] = {"conv2d_ms": (t1 - t0) / repeats * 1e3,
-                     "bilinear_ms": (t2 - t1) / repeats * 1e3}
+            t0 = time.perf_counter()
+            call()
+            times.append(time.perf_counter() - t0)
+        out[f"{name}_ms"] = float(np.median(times)) * 1e3
     return out
 
 
@@ -254,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--width", type=int, default=128)
     p_bench.add_argument("--window", type=int, default=16)
     p_bench.add_argument("--kernels", action="store_true",
-                         help="time both kernel implementations")
+                         help="time each kernel, one case per conv dispatch class")
     p_bench.add_argument("--repeats", type=int, default=5)
     p_bench.add_argument("--out")
     p_bench.set_defaults(fn=_cmd_bench)

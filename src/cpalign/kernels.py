@@ -1,200 +1,106 @@
-"""Hot numeric kernels with twin implementations.
+"""Hot numeric kernels: one numpy path, specialised by shape.
 
-Every kernel here exists in two functionally equivalent forms:
+The public names (``conv2d_core``, ``tconv2d_core``, ``bilinear_gather``,
+``fps_order``, ``pillar_stats``) are the only entry points; callers reach
+them as attributes of this module. Each body is written for the shapes the
+pipeline sends it:
 
-* ``*_loops``: straight-line nested loops, compiled with numba ``@njit``
-  when the active backend is ``numba``;
-* ``*_numpy``: vectorized numpy, used when numba is unavailable or the
-  ``CPALIGN_BACKEND`` env var forces the fallback.
+* :func:`conv2d_core` routes on the weight geometry. Depthwise convs
+  (one input channel per group, one output per group) run as a per-tap
+  shift-add over cache-sized channel blocks; 1x1 convs are one ``matmul``
+  with the groups as the batch dimension; every other geometry (dense
+  kxk, strided, channel-multiplier grouped) is one im2col GEMM batched
+  over the groups. No path loops over groups in Python.
+* :func:`fps_order` runs the greedy max-min loop on three contiguous
+  coordinate columns with preallocated buffers. The three squared terms
+  are summed in the same order as a row reduction, so picks are exact.
+* :func:`bilinear_gather` reads the four corners with flat ``take``
+  indices and accumulates them in place.
 
-The module-level names (``conv2d_core``, ``tconv2d_core``,
-``bilinear_gather``, ``fps_order``, ``pillar_stats``) dispatch to the
-selected backend. Both variants stay importable via :data:`IMPLEMENTATIONS`
-so the benchmark can time them side by side. Results agree to floating
-point accumulation order (same values within ~1e-12 relative; integer
-outputs match exactly).
-
-All float work is float64. Callers are expected to pass C-contiguous
-arrays; the thin public wrappers enforce that.
+All float work is float64. Results match the straight loop-nest
+definitions in ``tests/`` to float64 accumulation order (~1e-12 relative);
+``fps_order`` and ``pillar_stats`` counts match exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from . import backend
+#: Channels per block of the depthwise shift-add: one block's input taps,
+#: accumulator and product buffer stay in cache at 48x48 maps.
+DEPTHWISE_BLOCK = 32
+
+
+def _f64(a):
+    return np.ascontiguousarray(a, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
-# loop bodies (numba-compatible plain functions)
+# convolution
 # ---------------------------------------------------------------------------
 
-def _conv2d_loops(xpad, w, stride, groups):
+def _taps(xpad, kh, kw, stride, ho, wo):
+    """Yield ``(ky, kx, view)``: the input each kernel tap reads, (C, ho, wo)."""
+    for ky in range(kh):
+        for kx in range(kw):
+            yield ky, kx, xpad[:, ky:ky + stride * (ho - 1) + 1:stride,
+                               kx:kx + stride * (wo - 1) + 1:stride]
+
+
+def _conv_depthwise(xpad, w, stride, ho, wo):
+    c, _, kh, kw = w.shape
+    wt = w.reshape(c, kh, kw)
+    out = np.empty((c, ho, wo))
+    tmp = np.empty((min(c, DEPTHWISE_BLOCK), ho, wo))
+    for c0 in range(0, c, DEPTHWISE_BLOCK):
+        c1 = min(c0 + DEPTHWISE_BLOCK, c)
+        acc, buf = out[c0:c1], tmp[:c1 - c0]
+        for ky, kx, view in _taps(xpad[c0:c1], kh, kw, stride, ho, wo):
+            wk = wt[c0:c1, ky, kx, None, None]
+            if ky == 0 and kx == 0:
+                np.multiply(view, wk, out=acc)
+            else:
+                np.multiply(view, wk, out=buf)
+                acc += buf
+    return out
+
+
+def _conv_pointwise(xpad, w, stride, groups):
+    cout, cing = w.shape[:2]
+    x = xpad[:, ::stride, ::stride] if stride > 1 else xpad
+    ho, wo = x.shape[1:]
+    cols = np.ascontiguousarray(x).reshape(groups, cing, ho * wo)
+    out = np.matmul(w.reshape(groups, cout // groups, cing), cols)
+    return out.reshape(cout, ho, wo)
+
+
+def _conv_im2col(xpad, w, stride, groups, ho, wo):
+    cout, cing, kh, kw = w.shape
+    cols = np.empty((groups, cing, kh, kw, ho, wo))
+    for ky, kx, view in _taps(xpad, kh, kw, stride, ho, wo):
+        cols[:, :, ky, kx] = view.reshape(groups, cing, ho, wo)
+    out = np.matmul(w.reshape(groups, cout // groups, cing * kh * kw),
+                    cols.reshape(groups, cing * kh * kw, ho * wo))
+    return out.reshape(cout, ho, wo)
+
+
+def conv2d_core(xpad: np.ndarray, w: np.ndarray, stride: int, groups: int) -> np.ndarray:
+    """Valid cross-correlation over a pre-padded (C, H, W) input."""
+    xpad, w = _f64(xpad), _f64(w)
     cout, cing, kh, kw = w.shape
     ho = (xpad.shape[1] - kh) // stride + 1
     wo = (xpad.shape[2] - kw) // stride + 1
-    out = np.zeros((cout, ho, wo))
-    og = cout // groups
-    for oc in range(cout):
-        ic0 = (oc // og) * cing
-        for icl in range(cing):
-            ic = ic0 + icl
-            for ky in range(kh):
-                for kx in range(kw):
-                    wv = w[oc, icl, ky, kx]
-                    if wv == 0.0:
-                        continue
-                    for oy in range(ho):
-                        iy = oy * stride + ky
-                        for ox in range(wo):
-                            out[oc, oy, ox] += wv * xpad[ic, iy, ox * stride + kx]
-    return out
+    if cing == 1 and cout == groups:
+        return _conv_depthwise(xpad, w, stride, ho, wo)
+    if kh == kw == 1:
+        return _conv_pointwise(xpad, w, stride, groups)
+    return _conv_im2col(xpad, w, stride, groups, ho, wo)
 
 
-def _tconv2d_loops(t, w, stride, groups, hz, wz):
-    cout, cing, kh, kw = w.shape
-    cin = cing * groups
-    zpad = np.zeros((cin, hz, wz))
-    og = cout // groups
-    ht = t.shape[1]
-    wt = t.shape[2]
-    for oc in range(cout):
-        ic0 = (oc // og) * cing
-        for icl in range(cing):
-            ic = ic0 + icl
-            for ky in range(kh):
-                for kx in range(kw):
-                    wv = w[oc, icl, ky, kx]
-                    if wv == 0.0:
-                        continue
-                    for ty in range(ht):
-                        zy = ty * stride + ky
-                        for tx in range(wt):
-                            zpad[ic, zy, tx * stride + kx] += wv * t[oc, ty, tx]
-    return zpad
-
-
-def _bilinear_gather_loops(f, sx, sy):
-    c, h, w = f.shape
-    out = np.zeros((c, h, w))
-    for y in range(h):
-        for x in range(w):
-            gx = sx[y, x]
-            gy = sy[y, x]
-            x0 = int(np.floor(gx))
-            y0 = int(np.floor(gy))
-            fx = gx - x0
-            fy = gy - y0
-            x1 = x0 + 1
-            y1 = y0 + 1
-            w00 = (1.0 - fx) * (1.0 - fy)
-            w01 = fx * (1.0 - fy)
-            w10 = (1.0 - fx) * fy
-            w11 = fx * fy
-            for ch in range(c):
-                acc = 0.0
-                if 0 <= x0 < w and 0 <= y0 < h:
-                    acc += w00 * f[ch, y0, x0]
-                if 0 <= x1 < w and 0 <= y0 < h:
-                    acc += w01 * f[ch, y0, x1]
-                if 0 <= x0 < w and 0 <= y1 < h:
-                    acc += w10 * f[ch, y1, x0]
-                if 0 <= x1 < w and 0 <= y1 < h:
-                    acc += w11 * f[ch, y1, x1]
-                out[ch, y, x] = acc
-    return out
-
-
-def _fps_loops(xyz, k):
-    n = xyz.shape[0]
-    picks = np.empty(k, dtype=np.int64)
-    if k == 0:
-        return picks
-    cx = 0.0
-    cy = 0.0
-    cz = 0.0
-    for i in range(n):
-        cx += xyz[i, 0]
-        cy += xyz[i, 1]
-        cz += xyz[i, 2]
-    cx /= n
-    cy /= n
-    cz /= n
-    best = 0
-    bestd = -1.0
-    for i in range(n):
-        dx = xyz[i, 0] - cx
-        dy = xyz[i, 1] - cy
-        dz = xyz[i, 2] - cz
-        d = dx * dx + dy * dy + dz * dz
-        if d > bestd:
-            bestd = d
-            best = i
-    picks[0] = best
-    mind = np.full(n, np.inf)
-    for j in range(1, k):
-        last = picks[j - 1]
-        lx = xyz[last, 0]
-        ly = xyz[last, 1]
-        lz = xyz[last, 2]
-        best = 0
-        bestd = -1.0
-        for i in range(n):
-            dx = xyz[i, 0] - lx
-            dy = xyz[i, 1] - ly
-            dz = xyz[i, 2] - lz
-            d = dx * dx + dy * dy + dz * dz
-            if d < mind[i]:
-                mind[i] = d
-            if mind[i] > bestd:
-                bestd = mind[i]
-                best = i
-        picks[j] = best
-    return picks
-
-
-def _pillar_loops(rows, cols, z, inten, off, h, w):
-    count = np.zeros((h, w))
-    zsum = np.zeros((h, w))
-    zmax = np.full((h, w), -np.inf)
-    zmin = np.full((h, w), np.inf)
-    isum = np.zeros((h, w))
-    osum = np.zeros((h, w))
-    for i in range(rows.shape[0]):
-        r = rows[i]
-        c = cols[i]
-        count[r, c] += 1.0
-        zsum[r, c] += z[i]
-        if z[i] > zmax[r, c]:
-            zmax[r, c] = z[i]
-        if z[i] < zmin[r, c]:
-            zmin[r, c] = z[i]
-        isum[r, c] += inten[i]
-        osum[r, c] += off[i]
-    return count, zsum, zmax, zmin, isum, osum
-
-
-# ---------------------------------------------------------------------------
-# vectorized numpy fallbacks
-# ---------------------------------------------------------------------------
-
-def _conv2d_numpy(xpad, w, stride, groups):
-    cout, cing, kh, kw = w.shape
-    win = sliding_window_view(xpad, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    og = cout // groups
-    ho, wo = win.shape[1], win.shape[2]
-    out = np.empty((cout, ho, wo))
-    for g in range(groups):
-        xg = win[g * cing:(g + 1) * cing]
-        wg = w[g * og:(g + 1) * og]
-        out[g * og:(g + 1) * og] = np.einsum(
-            "ihwkl,oikl->ohw", xg, wg, optimize=True
-        )
-    return out
-
-
-def _tconv2d_numpy(t, w, stride, groups, hz, wz):
+def tconv2d_core(t: np.ndarray, w: np.ndarray, stride: int, groups: int,
+                 hz: int, wz: int) -> np.ndarray:
+    """Scatter adjoint of :func:`conv2d_core` into a (Cin, hz, wz) canvas."""
+    t, w = _f64(t), _f64(w)
     cout, cing, kh, kw = w.shape
     cin = cing * groups
     zpad = np.zeros((cin, hz, wz))
@@ -213,13 +119,21 @@ def _tconv2d_numpy(t, w, stride, groups, hz, wz):
     return zpad
 
 
-def _bilinear_gather_numpy(f, sx, sy):
+# ---------------------------------------------------------------------------
+# resampling and point sampling
+# ---------------------------------------------------------------------------
+
+def bilinear_gather(f: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
+    """Sample f (C, H, W) at continuous coords (sx, sy); outside reads as 0."""
+    f, sx, sy = _f64(f), _f64(sx), _f64(sy)
     c, h, w = f.shape
+    flat = f.reshape(c, h * w)
     x0 = np.floor(sx).astype(np.int64)
     y0 = np.floor(sy).astype(np.int64)
     fx = sx - x0
     fy = sy - y0
-    out = np.zeros((c, h, w))
+    out = np.zeros((c, h * w))
+    tmp = np.empty((c, h * w))
     for dy in (0, 1):
         for dx in (0, 1):
             xi = x0 + dx
@@ -227,30 +141,60 @@ def _bilinear_gather_numpy(f, sx, sy):
             wx = fx if dx else 1.0 - fx
             wy = fy if dy else 1.0 - fy
             valid = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-            xc = np.clip(xi, 0, w - 1)
-            yc = np.clip(yi, 0, h - 1)
-            wgt = np.where(valid, wx * wy, 0.0)
-            out += wgt[None] * f[:, yc, xc]
-    return out
+            idx = np.clip(yi, 0, h - 1) * w + np.clip(xi, 0, w - 1)
+            # indices are already in range; "clip" lets take write into tmp
+            # without the bounds-check buffer that "raise" uses with out=
+            np.take(flat, idx.ravel(), axis=1, out=tmp, mode="clip")
+            tmp *= np.where(valid, wx * wy, 0.0).ravel()
+            out += tmp
+    return out.reshape(c, h, w)
 
 
-def _fps_numpy(xyz, k):
+def fps_order(xyz: np.ndarray, k: int) -> np.ndarray:
+    """Greedy max-min farthest point sampling; returns indices in pick order.
+
+    Seeded at the point farthest from the centroid; ties resolved to the
+    lowest index at every step.
+    """
+    xyz = _f64(xyz)
     n = xyz.shape[0]
     picks = np.empty(k, dtype=np.int64)
     if k == 0:
         return picks
     centroid = xyz.sum(axis=0) / n
-    d = ((xyz - centroid) ** 2).sum(axis=1)
-    picks[0] = int(np.argmax(d))
+    p = int(np.argmax(((xyz - centroid) ** 2).sum(axis=1)))
+    picks[0] = p
+    x, y, z = xyz.T.copy()
+    coords = xyz.tolist()
     mind = np.full(n, np.inf)
+    d = np.empty(n)
+    t = np.empty(n)
+    # at ~1000 points a pick is a dozen ufunc calls, so call overhead sets
+    # the pace: bind them locally and pass out= positionally
+    sub, mul, add, minimum = np.subtract, np.multiply, np.add, np.minimum
     for j in range(1, k):
-        dlast = ((xyz - xyz[picks[j - 1]]) ** 2).sum(axis=1)
-        np.minimum(mind, dlast, out=mind)
-        picks[j] = int(np.argmax(mind))
+        px, py, pz = coords[p]
+        # (dx^2 + dy^2) + dz^2, the order a row sum over (n, 3) uses
+        sub(x, px, d)
+        mul(d, d, d)
+        sub(y, py, t)
+        mul(t, t, t)
+        add(d, t, d)
+        sub(z, pz, t)
+        mul(t, t, t)
+        add(d, t, d)
+        minimum(mind, d, out=mind)
+        p = mind.argmax()
+        picks[j] = p
     return picks
 
 
-def _pillar_numpy(rows, cols, z, inten, off, h, w):
+def pillar_stats(rows: np.ndarray, cols: np.ndarray, z: np.ndarray,
+                 inten: np.ndarray, off: np.ndarray, h: int, w: int):
+    """Per-cell accumulators (count, z sum, z max, z min, intensity sum, offset sum)."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    cols = np.ascontiguousarray(cols, dtype=np.int64)
+    z, inten, off = _f64(z), _f64(inten), _f64(off)
     flat = rows * w + cols
     hw = h * w
     count = np.bincount(flat, minlength=hw).astype(np.float64)
@@ -263,69 +207,3 @@ def _pillar_numpy(rows, cols, z, inten, off, h, w):
     np.minimum.at(zmin, flat, z)
     return (count.reshape(h, w), zsum.reshape(h, w), zmax.reshape(h, w),
             zmin.reshape(h, w), isum.reshape(h, w), osum.reshape(h, w))
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-NUMPY_IMPLS = {
-    "conv2d": _conv2d_numpy,
-    "tconv2d": _tconv2d_numpy,
-    "bilinear": _bilinear_gather_numpy,
-    "fps": _fps_numpy,
-    "pillar": _pillar_numpy,
-}
-
-if backend.njit is not None:
-    _jit = backend.njit(cache=True)
-    NUMBA_IMPLS = {
-        "conv2d": _jit(_conv2d_loops),
-        "tconv2d": _jit(_tconv2d_loops),
-        "bilinear": _jit(_bilinear_gather_loops),
-        "fps": _jit(_fps_loops),
-        "pillar": _jit(_pillar_loops),
-    }
-else:
-    NUMBA_IMPLS = None
-
-IMPLEMENTATIONS = {"numpy": NUMPY_IMPLS, "numba": NUMBA_IMPLS}
-
-_active = NUMBA_IMPLS if backend.ACTIVE == "numba" else NUMPY_IMPLS
-
-
-def _f64(a):
-    return np.ascontiguousarray(a, dtype=np.float64)
-
-
-def conv2d_core(xpad: np.ndarray, w: np.ndarray, stride: int, groups: int) -> np.ndarray:
-    """Valid cross-correlation over a pre-padded (C, H, W) input."""
-    return _active["conv2d"](_f64(xpad), _f64(w), stride, groups)
-
-
-def tconv2d_core(t: np.ndarray, w: np.ndarray, stride: int, groups: int,
-                 hz: int, wz: int) -> np.ndarray:
-    """Scatter adjoint of :func:`conv2d_core` into a (Cin, hz, wz) canvas."""
-    return _active["tconv2d"](_f64(t), _f64(w), stride, groups, hz, wz)
-
-
-def bilinear_gather(f: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
-    """Sample f (C, H, W) at continuous coords (sx, sy); outside reads as 0."""
-    return _active["bilinear"](_f64(f), _f64(sx), _f64(sy))
-
-
-def fps_order(xyz: np.ndarray, k: int) -> np.ndarray:
-    """Greedy max-min farthest point sampling; returns indices in pick order.
-
-    Seeded at the point farthest from the centroid; ties resolved to the
-    lowest index at every step.
-    """
-    return _active["fps"](_f64(xyz), k)
-
-
-def pillar_stats(rows: np.ndarray, cols: np.ndarray, z: np.ndarray,
-                 inten: np.ndarray, off: np.ndarray, h: int, w: int):
-    """Per-cell accumulators (count, z sum, z max, z min, intensity sum, offset sum)."""
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    cols = np.ascontiguousarray(cols, dtype=np.int64)
-    return _active["pillar"](rows, cols, _f64(z), _f64(inten), _f64(off), h, w)

@@ -35,14 +35,19 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function.
+
+    With ``e = exp(-|x|)`` this is ``1 / (1 + e)`` for ``x >= 0`` and
+    ``e / (1 + e)`` below zero, so exp never overflows and large negative
+    inputs keep their tiny (subnormal) results instead of rounding to 0.
+    ``minimum(x, -x)`` stands in for ``-|x|`` because it passes a NaN
+    through with its sign unchanged.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.minimum(x, -x))
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    return np.divide(out, e, out=out)
 
 
 def softplus(x: np.ndarray) -> np.ndarray:

@@ -481,6 +481,13 @@ def test_cli_bench_json(tmp_path, capsys):
     data = json.loads(out.read_text())
     assert data["global_ops"]["mul"] == 6356992
     assert data["blockwise_ops"]["mul"] == 11571712
+    assert data["active_backend"] == "numpy" and "kernel_timings" not in data
+    assert main(["bench", "--kernels", "--repeats", "1", "--out", str(out)]) == 0
+    timings = json.loads(out.read_text())["kernel_timings"]
+    assert set(timings) == {"conv2d.depthwise_ms", "conv2d.pointwise_ms",
+                            "conv2d.im2col_ms", "bilinear_gather_ms",
+                            "fps_order_ms"}
+    assert all(v > 0 for v in timings.values())
 
 
 def test_cli_run_writes_report(tmp_path, capsys):
@@ -493,6 +500,23 @@ def test_cli_run_writes_report(tmp_path, capsys):
     assert code == 0
     data = json.loads(out.read_text())
     assert data["tau_ms"] == 200.0 and data["ptam"] is True
+
+
+def test_cli_run_save_weights_roundtrip(tmp_path, capsys):
+    from cpalign.cli import main
+    from cpalign.numerics import load_weights
+    scn = tmp_path / "scn.json"
+    save_scenario(_fast_scene(), scn)
+    path = tmp_path / "w.cpaw"
+    assert main(["run", "--scenario", str(scn), "--tau-ms", "200", "--no-phd",
+                 "--t", "0.8", "--weight-seed", "2",
+                 "--save-weights", str(path)]) == 0
+    back = load_weights(path)
+    want = build_pipeline_weights(2)
+    assert list(back) == list(want)
+    for k, arr in want.items():
+        np.testing.assert_array_equal(
+            back[k], np.asarray(arr, dtype=np.float32).astype(np.float64))
 
 
 def test_cli_unknown_config_path_errors(capsys):

@@ -76,6 +76,11 @@ CONV_CASES = [
     (2, 4, 2, 2, 2, 0, 1, 6, 8),
     (8, 4, 4, 4, 4, 0, 4, 8, 8),
     (3, 2, 5, 3, 3, 2, 1, 9, 7),
+    (32, 8, 1, 1, 1, 0, 4, 6, 5),     # grouped 1x1, verification gconv class
+    (5, 3, 1, 1, 2, 1, 1, 7, 6),      # 1x1 stride 2
+    (6, 6, 3, 3, 2, 1, 6, 9, 8),      # depthwise stride 2
+    (70, 70, 3, 3, 1, 1, 70, 5, 6),   # depthwise, channels past one block
+    (3, 6, 3, 3, 1, 1, 3, 5, 5),      # channel-multiplier grouped
 ]
 
 
@@ -189,6 +194,28 @@ def test_activations():
     s = sigmoid(np.array([0.0, 710.0, -710.0]))
     assert s[0] == 0.5 and 0.0 < s[2] < 1e-300 < 1.0 - 1e-12 < s[1] <= 1.0
     np.testing.assert_allclose(numerics.softplus(np.array([800.0]))[0], 800.0)
+
+
+def sigmoid_masked_oracle(x):
+    """Masked two-branch logistic: 1/(1+exp(-x)) at x >= 0, else e^x/(1+e^x)."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_bit_identical_to_masked_form():
+    specials = [0.0, -0.0, 710.0, -710.0, 745.0, -745.0, -746.0, 5e-324,
+                -5e-324, np.inf, -np.inf, np.nan, -np.nan]
+    x = np.concatenate([np.linspace(-800.0, 800.0, 20001), specials])
+    got, want = sigmoid(x), sigmoid_masked_oracle(x)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    grid = np.linspace(-40.0, 40.0, 7 * 11 * 13).reshape(7, 11, 13)
+    np.testing.assert_array_equal(sigmoid(grid), sigmoid_masked_oracle(grid))
+    assert sigmoid(-2.0).shape == () and sigmoid(-2.0) == sigmoid_masked_oracle(-2.0)
 
 
 def test_softmax_rows_sum_to_one_and_shift_invariant():

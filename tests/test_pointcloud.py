@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cpalign import kernels
 from cpalign.numerics import ShapeError
 from cpalign.pointcloud import (
     OrientedBox,
@@ -18,8 +19,8 @@ from cpalign.pointcloud import (
 )
 
 
-def fps_oracle(xyz, k):
-    """Plain greedy max-min reference, lowest index on ties."""
+def fps_oracle_order(xyz, k):
+    """Plain greedy max-min reference, lowest index on ties, in pick order."""
     n = len(xyz)
     centroid = xyz.sum(axis=0) / n
     d = ((xyz - centroid) ** 2).sum(axis=1)
@@ -28,7 +29,11 @@ def fps_oracle(xyz, k):
     for _ in range(1, k):
         mind = np.minimum(mind, ((xyz - xyz[picks[-1]]) ** 2).sum(axis=1))
         picks.append(int(np.argmax(mind)))
-    return sorted(picks)
+    return picks
+
+
+def fps_oracle(xyz, k):
+    return sorted(fps_oracle_order(xyz, k))
 
 
 def random_cloud(rng, n, scale=10.0):
@@ -48,6 +53,23 @@ def test_fps_matches_oracle_over_many_trials():
         got = fps(cloud, beta)
         want = fps_oracle(cloud[:, :3], k)
         assert got.tolist() == want, f"trial {trial}: {got} != {want}"
+
+
+def test_fps_order_bit_identical_to_oracle():
+    rng = np.random.default_rng(7)
+    xyz = rng.normal(size=(3000, 3)) * 20.0
+    assert kernels.fps_order(xyz, 1500).tolist() == fps_oracle_order(xyz, 1500)
+    # 150 distinct points, each repeated 4 times in shuffled order: once all
+    # distinct points are taken every min distance is 0 and ties decide
+    dup = rng.permutation(np.repeat(rng.normal(size=(150, 3)), 4, axis=0))
+    assert kernels.fps_order(dup, 400).tolist() == fps_oracle_order(dup, 400)
+    # on a 0.1-spaced lattice, distances equal in the reals tie or not
+    # depending on float rounding, so the squared terms must be summed in
+    # the oracle's order for the picks to agree
+    axis = np.arange(10) * 0.1
+    lattice = rng.permutation(
+        np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3))
+    assert kernels.fps_order(lattice, 500).tolist() == fps_oracle_order(lattice, 500)
 
 
 def test_fps_counts_and_order():
