@@ -39,7 +39,6 @@ from .instance_fusion import (
     StructKernels,
     VerificationSpec,
     aggregate_instance,
-    channel_shuffle,
     default_aggregate_weights,
     default_verification_weights,
     foreground_loss,
@@ -47,6 +46,7 @@ from .instance_fusion import (
     struct_conv,
     verification_weights,
 )
+from .numerics import conv2d
 from .opcount import OpCounter, count_similarity_ops, window_grid_counts
 from .pointcloud import OrientedBox, PhdConfig, fps, phd_apply
 from .temporal_align import (
@@ -394,7 +394,8 @@ def check_struct_conv() -> CheckResult:
 # -- 11 ---------------------------------------------------------------------
 
 def check_fusion_algebra() -> CheckResult:
-    """Neutral gates, epsilon background linearity, fold identities."""
+    """Neutral gates, epsilon background linearity, fold identities, and the
+    folded verification gate against its literal shuffled build."""
     c, h, w = 8, 10, 10
     rng = np.random.default_rng(11)
     fore = rng.normal(size=(c, h, w))
@@ -420,13 +421,24 @@ def check_fusion_algebra() -> CheckResult:
     manual = fuse_agents([fuse_agents(parts[:2]), parts[2]])
     fold_assoc = np.array_equal(folded, manual)
 
-    x = rng.normal(size=(8, 4, 4))
-    shuffle_inv = np.array_equal(channel_shuffle(channel_shuffle(x, 4), 2), x)
-    ok = neutral and eps_dev <= 1e-9 and fold_single and fold_assoc and shuffle_inv
+    # the gate as the paper builds it: concat, broadcast w_init, shuffle the
+    # four blocks channel by channel, grouped 1x1 conv
+    spec = VerificationSpec.default(c, seed=3)
+    cat = np.concatenate([fore, enh])
+    w_spatial = conv2d(np.stack([cat.max(axis=0), cat.mean(axis=0)]), spec.spatial)
+    w_channel = conv2d(conv2d(cat.mean(axis=(1, 2)).reshape(-1, 1, 1), spec.ca1),
+                       spec.ca2)
+    z = np.concatenate([cat, np.broadcast_to(w_spatial + w_channel, cat.shape)])
+    z = z.reshape(4, c, h, w).swapaxes(0, 1).reshape(4 * c, h, w)
+    literal = conv2d(z, spec.gconv)
+    gate_dev = float(np.abs(verification_weights(fore, enh, spec) - literal).max())
+    ok = (neutral and eps_dev <= 1e-9 and fold_single and fold_assoc
+          and gate_dev <= 1e-12)
     return _result("fusion-algebra", ok,
                    f"neutral gates={neutral}, eps linearity dev={eps_dev:.2e} "
                    f"(tol 1e-9), fold single={fold_single}, fold "
-                   f"chain={fold_assoc}, shuffle inverse={shuffle_inv}")
+                   f"chain={fold_assoc}, folded gate dev={gate_dev:.2e} "
+                   f"(tol 1e-12)")
 
 
 # -- 12 ---------------------------------------------------------------------

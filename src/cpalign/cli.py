@@ -144,7 +144,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _bench_kernels(repeats: int) -> dict:
-    """Median ms per call of each kernel, one case per conv dispatch class."""
+    """Median ms per call of each kernel, one case per conv and tconv route."""
     from . import kernels
 
     rng = np.random.default_rng(0)
@@ -158,10 +158,18 @@ def _bench_kernels(repeats: int) -> dict:
         w = rng.normal(size=(cout, cin // groups, k, k))
         return lambda: kernels.conv2d_core(x, w, 1, groups)
 
+    def tconv(cin, cout, k, stride, size):
+        t = rng.normal(size=(cout, size, size))  # conv-side (output) channels
+        w = rng.normal(size=(cout, cin, k, k))
+        hz = (size - 1) * stride + k
+        return lambda: kernels.tconv2d_core(t, w, stride, 1, hz, hz)
+
     cases = {
         "conv2d.depthwise": conv(64, 64, 3, 64, 64),
         "conv2d.pointwise": conv(128, 64, 1, 4, 64),
         "conv2d.im2col": conv(32, 64, 3, 1, 64),
+        "tconv2d.stride_eq_kernel": tconv(128, 128, 2, 2, 32),
+        "tconv2d.stride1": tconv(128, 64, 3, 1, 64),
         "bilinear_gather": lambda: kernels.bilinear_gather(f, sx, sy),
         "fps_order": lambda: kernels.fps_order(cloud, 1000),
     }

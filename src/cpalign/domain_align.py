@@ -21,7 +21,6 @@ from .numerics import (
     conv2d,
     ensure_tensor3,
     he_normal,
-    relu,
     require_weights,
     sigmoid,
     softplus,
@@ -117,7 +116,9 @@ def foreground_estimate(features: np.ndarray, weights: dict | None = None,
         raise ShapeError(
             f"affine params must have {mid} entries, got {scale.size}/{shift.size}"
         )
-    h = relu(h * scale[:, None, None] + shift[:, None, None])
+    h *= scale[:, None, None]
+    h += shift[:, None, None]
+    np.maximum(h, 0.0, out=h)
     return conv2d(h, ConvSpec(1, mid, 1, 1, w2, bias=b2, activation="sigmoid"))
 
 

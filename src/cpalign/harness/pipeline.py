@@ -194,6 +194,29 @@ def _scale_geometry(bev: BevSpec, scale_idx: int):
             bev.height // f, bev.width // f)
 
 
+_CACHE_CONTEXT = "context"
+
+
+def _claim_cache(cache, scenario, weights, bev, render_cfg) -> None:
+    """Tie a memo to the scenario, weights, grid and renderer that fill it.
+
+    The first call records them; a later call under any other one raises,
+    because the memo would serve features computed under the old ones.
+    Scenario and weights are compared by identity, the specs by value.
+    """
+    if cache is None:
+        return
+    owner = cache.setdefault(_CACHE_CONTEXT, (scenario, weights, bev, render_cfg))
+    if owner[0] is not scenario:
+        raise ShapeError("cache was filled for another scenario object")
+    if owner[1] is not weights:
+        raise ShapeError("cache was filled under another weights object")
+    if owner[2] != bev:
+        raise ShapeError(f"cache was filled under {owner[2]}, not {bev}")
+    if owner[3] != render_cfg:
+        raise ShapeError(f"cache was filled under {owner[3]}, not {render_cfg}")
+
+
 def _featurize(scenario, agent_id, t, bev, render_cfg, weights, phd,
                cache) -> MultiScaleFeatures:
     key = ("ms", agent_id, scenario.frame_index(t), phd)
@@ -251,7 +274,9 @@ def run_pipeline(scenario: Scenario, t: float, tau: float,
     The collaborator captures at t - tau - dt and t - tau, aligns stage one
     locally, transmits, and the ego completes stage two before fusion.  The
     optional cache memoizes featurizations across repeated calls on the same
-    scenario; it is only valid while options and weights stay fixed.
+    scenario. It belongs to the scenario, weights, BEV grid and render
+    config of the first call that uses it; a call under any other one
+    raises :class:`ShapeError`.
     """
     start = time.perf_counter()
     opts = opts or PipelineOptions()
@@ -261,6 +286,7 @@ def run_pipeline(scenario: Scenario, t: float, tau: float,
         opts.weight_seed, opts.combine)
     if tau < 0:
         raise ShapeError("delay must be non-negative")
+    _claim_cache(cache, scenario, weights, bev, render_cfg)
     dt = scenario.frame_interval
     k_eval = scenario.frame_index(t)
     scenario.frame_index(t - tau - dt)  # validates the stale frames exist
@@ -349,11 +375,15 @@ def run_pipeline(scenario: Scenario, t: float, tau: float,
 
         ms_gt = _featurize(scenario, collab.agent_id, t, bev, render_cfg,
                            weights, phd_c, cache)
-        cos_pre_all.append(float(np.mean(temporal_loss(
-            received["s0.latest"], ms_gt.large, opts.window).window_cosines)))
         tl = temporal_loss(ms_aligned.large, ms_gt.large, opts.window,
                            counter if j == 1 else None)
         cos_post_all.append(float(np.mean(tl.window_cosines)))
+        if opts.ptam:
+            cos_pre_all.append(float(np.mean(temporal_loss(
+                received["s0.latest"], ms_gt.large, opts.window).window_cosines)))
+        else:
+            # unaligned, the large scale compared above is the received one
+            cos_pre_all.append(cos_post_all[-1])
         if j == 1:
             tl_value = tl.loss
 

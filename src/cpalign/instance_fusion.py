@@ -22,6 +22,7 @@ from .numerics import (
     ensure_tensor3,
     he_normal,
     require_weights,
+    sigmoid,
 )
 
 EPSILON_DEFAULT = 0.1
@@ -138,18 +139,6 @@ def struct_conv(features: np.ndarray, kernels: StructKernels,
     return out
 
 
-def channel_shuffle(x: np.ndarray, groups: int) -> np.ndarray:
-    """Interleave channel groups: (g, c//g) -> transpose -> flatten."""
-    x = ensure_tensor3(x, "shuffle input")
-    c = x.shape[0]
-    if groups < 1 or c % groups:
-        raise ShapeError(f"groups={groups} must divide {c} channels")
-    k = c // groups
-    return np.ascontiguousarray(
-        x.reshape(groups, k, *x.shape[1:]).swapaxes(0, 1).reshape(c, *x.shape[1:])
-    )
-
-
 # ---------------------------------------------------------------------------
 # verification weights
 # ---------------------------------------------------------------------------
@@ -161,6 +150,9 @@ VERIFICATION_WEIGHT_NAMES = (
     "ifam.verif.gconv.weight", "ifam.verif.gconv.bias",
 )
 
+#: The gate's input is four concatenated C-channel blocks (fore, enhanced,
+#: and the two halves of the initial weight), shuffled and compressed by a
+#: 1x1 conv with this many groups.
 VERIF_GROUPS = 4
 
 
@@ -170,7 +162,6 @@ class VerificationSpec:
     ca1: ConvSpec       # 2C -> 2C/4, 1x1
     ca2: ConvSpec       # 2C/4 -> 2C, 1x1
     gconv: ConvSpec     # 4C -> C grouped 1x1, sigmoid
-    shuffle_groups: int = VERIF_GROUPS
 
     @property
     def channels(self) -> int:
@@ -181,24 +172,23 @@ class VerificationSpec:
         return cls.from_weights(default_verification_weights(channels, seed))
 
     @classmethod
-    def from_weights(cls, weights: dict, groups: int = VERIF_GROUPS) -> "VerificationSpec":
+    def from_weights(cls, weights: dict) -> "VerificationSpec":
         sw, sb, c1w, c1b, c2w, c2b, gw, gb = require_weights(
             weights, VERIFICATION_WEIGHT_NAMES, "verification weights")
         two_c = c1w.shape[1] if c1w.ndim == 4 else int(round(math.sqrt(c1w.size * 4)))
         red = c1w.size // two_c
         c = two_c // 2
-        if 2 * c != two_c or c % groups:
+        if 2 * c != two_c or c % VERIF_GROUPS:
             raise ShapeError(
                 f"verification weights imply {two_c} concat channels, which "
-                f"must be even with C divisible by groups={groups}"
+                f"must be even with C divisible by groups={VERIF_GROUPS}"
             )
         return cls(
             spatial=ConvSpec(1, 2, 3, 3, sw, bias=sb, padding=1),
             ca1=ConvSpec(red, two_c, 1, 1, c1w, bias=c1b, activation="relu"),
             ca2=ConvSpec(two_c, red, 1, 1, c2w, bias=c2b),
-            gconv=ConvSpec(c, 4 * c, 1, 1, gw, bias=gb, groups=groups,
+            gconv=ConvSpec(c, 4 * c, 1, 1, gw, bias=gb, groups=VERIF_GROUPS,
                            activation="sigmoid"),
-            shuffle_groups=groups,
         )
 
 
@@ -228,27 +218,54 @@ def verification_weights(fore: np.ndarray, enhanced: np.ndarray,
 
     Spatial attention (channel max and mean through a 3x3 conv) and channel
     attention (global average pool through a bottleneck) are broadcast-added
-    into one initial weight, concatenated with the feature pair, channel
-    shuffled, and compressed by a grouped 1x1 conv with a sigmoid.
+    into one initial weight ``w_init = w_spatial + w_channel`` of 2C
+    channels. The gate is the sigmoid of a 4-group 1x1 conv over the
+    channel-shuffled concatenation (fore, enhanced, w_init[:C], w_init[C:]).
+
+    That 4C-channel input is never built. Shuffled channel ``4i + g`` is
+    block ``g`` at channel ``i``, so the conv splits into one grouped 1x1
+    conv per block. The fore and enhanced blocks run as two such convs.
+    Each w_init block is ``w_spatial`` broadcast over channels plus a
+    per-channel ``w_channel``, so together they add the rank-1 map
+    ``colsum(W) * w_spatial`` and the per-channel constant
+    ``W @ w_channel``, where W is their slice of the gconv weights.
     """
     fore = ensure_tensor3(fore, "foreground features")
     enhanced = ensure_tensor3(enhanced, "enhanced features")
     if fore.shape != enhanced.shape:
         raise ShapeError(f"shape mismatch: {fore.shape} vs {enhanced.shape}")
-    if fore.shape[0] != spec.channels:
+    c = spec.channels
+    if fore.shape[0] != c:
         raise ShapeError(
-            f"verification spec built for {spec.channels} channels, got "
-            f"{fore.shape[0]}"
+            f"verification spec built for {c} channels, got {fore.shape[0]}"
         )
-    cat = np.concatenate([fore, enhanced])
-    stats = np.stack([cat.max(axis=0), cat.mean(axis=0)])
+    stats = np.stack([np.maximum(fore.max(axis=0), enhanced.max(axis=0)),
+                      (fore.sum(axis=0) + enhanced.sum(axis=0)) / (2 * c)])
     w_spatial = conv2d(stats, spec.spatial)                    # (1, H, W)
-    gap = cat.mean(axis=(1, 2)).reshape(-1, 1, 1)
-    w_channel = conv2d(conv2d(gap, spec.ca1), spec.ca2)        # (2C, 1, 1)
-    w_init = w_spatial + w_channel                             # (2C, H, W)
-    z = np.concatenate([cat, np.broadcast_to(w_init, cat.shape)])
-    z = channel_shuffle(z, spec.shuffle_groups)
-    return conv2d(z, spec.gconv)
+    gap = np.concatenate([fore.mean(axis=(1, 2)), enhanced.mean(axis=(1, 2))])
+    w_channel = conv2d(conv2d(gap.reshape(-1, 1, 1), spec.ca1), spec.ca2).ravel()
+
+    # gconv weight [o, 4 * il + g] as (group, out in group, il, block g)
+    k = c // VERIF_GROUPS
+    w = spec.gconv.weights.reshape(VERIF_GROUPS, k, k, VERIF_GROUPS)
+    w_init = w[..., 2:]                                        # (4, k, k, 2)
+    colsum = w_init.sum(axis=(2, 3)).reshape(c)
+    # block 2 reads w_channel[:C], block 3 w_channel[C:], group by group
+    w_ch = w_channel.reshape(2, VERIF_GROUPS, 1, k).transpose(1, 2, 3, 0)
+    const = (w_init * w_ch).sum(axis=(2, 3)).reshape(c)
+    bias = const if spec.gconv.bias is None else const + spec.gconv.bias
+
+    def block(x, g, b):
+        return conv2d(x, ConvSpec(c, c, 1, 1, w[..., g], bias=b,
+                                  groups=VERIF_GROUPS))
+
+    logits = block(fore, 0, bias)
+    tmp = block(enhanced, 1, None)
+    logits += tmp
+    np.multiply(colsum[:, None, None], w_spatial, out=tmp)
+    logits += tmp
+    del tmp  # the sigmoid's buffers can take its place
+    return sigmoid(logits)
 
 
 def verified_blend(weights: np.ndarray, fore: np.ndarray,
@@ -262,7 +279,11 @@ def verified_blend(weights: np.ndarray, fore: np.ndarray,
             f"blend inputs must share a shape, got {weights.shape}, "
             f"{fore.shape}, {enhanced.shape}"
         )
-    return weights * fore + (1.0 - weights) * enhanced
+    out = weights * fore
+    rest = 1.0 - weights
+    rest *= enhanced
+    out += rest
+    return out
 
 
 AGGREGATE_WEIGHT_NAMES = ("ifam.agg.weight", "ifam.agg.bias")
@@ -305,13 +326,16 @@ def aggregate_instance(fore: np.ndarray, enhanced: np.ndarray,
     eps = float(np.asarray(eps_arr).ravel()[0])
     blend = verified_blend(verif, fore, enhanced)
     if combine == "sum":
-        pre = blend + fore + enhanced
+        pre = blend
+        pre += fore
+        pre += enhanced
         cin = c
     else:
         pre = np.concatenate([blend, fore, enhanced])
         cin = 3 * c
     refined = conv2d(pre, ConvSpec(c, cin, 1, 1, wa, bias=ba))
-    return refined + eps * back
+    refined += eps * back
+    return refined
 
 
 def default_fuse_weights(channels: int, seed: int = 0) -> dict:

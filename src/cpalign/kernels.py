@@ -11,6 +11,10 @@ pipeline sends it:
   with the groups as the batch dimension; every other geometry (dense
   kxk, strided, channel-multiplier grouped) is one im2col GEMM batched
   over the groups. No path loops over groups in Python.
+* :func:`tconv2d_core` routes the ungrouped shapes onto a GEMM. With
+  stride equal to the kernel the taps tile the canvas, so one GEMM and a
+  transpose fill it; with stride 1 it is the im2col conv of the padded
+  input with the flipped kernel. Other geometries scatter-add per tap.
 * :func:`fps_order` runs the greedy max-min loop on three contiguous
   coordinate columns with preallocated buffers. The three squared terms
   are summed in the same order as a row reduction, so picks are exact.
@@ -97,13 +101,28 @@ def conv2d_core(xpad: np.ndarray, w: np.ndarray, stride: int, groups: int) -> np
     return _conv_im2col(xpad, w, stride, groups, ho, wo)
 
 
-def tconv2d_core(t: np.ndarray, w: np.ndarray, stride: int, groups: int,
-                 hz: int, wz: int) -> np.ndarray:
-    """Scatter adjoint of :func:`conv2d_core` into a (Cin, hz, wz) canvas."""
-    t, w = _f64(t), _f64(w)
+def _tconv_tiled(t, w, hz, wz):
+    # stride == kernel: the taps of neighbouring inputs never overlap, so
+    # the canvas is the GEMM result with each (ky, kx) block moved in place
+    cin, kh, kw = w.shape[1:]
+    m = np.tensordot(w, t, axes=([0], [0]))     # (cin, kh, kw, ht, wt)
+    return np.ascontiguousarray(m.transpose(0, 3, 1, 4, 2)).reshape(cin, hz, wz)
+
+
+def _tconv_full(t, w):
+    # stride 1: a full convolution, i.e. the valid cross-correlation of the
+    # (k - 1)-padded input with the flipped, in/out-transposed kernel
+    cout, cin, kh, kw = w.shape
+    ht, wt = t.shape[1:]
+    tpad = np.zeros((cout, ht + 2 * (kh - 1), wt + 2 * (kw - 1)))
+    tpad[:, kh - 1:kh - 1 + ht, kw - 1:kw - 1 + wt] = t
+    wflip = np.ascontiguousarray(w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+    return _conv_im2col(tpad, wflip, 1, 1, ht + kh - 1, wt + kw - 1)
+
+
+def _tconv_scatter(t, w, stride, groups, hz, wz):
     cout, cing, kh, kw = w.shape
-    cin = cing * groups
-    zpad = np.zeros((cin, hz, wz))
+    zpad = np.zeros((cing * groups, hz, wz))
     og = cout // groups
     ht, wt = t.shape[1], t.shape[2]
     for g in range(groups):
@@ -117,6 +136,19 @@ def tconv2d_core(t: np.ndarray, w: np.ndarray, stride: int, groups: int,
                      ky:ky + stride * ht:stride,
                      kx:kx + stride * wt:stride] += m[:, ky, kx]
     return zpad
+
+
+def tconv2d_core(t: np.ndarray, w: np.ndarray, stride: int, groups: int,
+                 hz: int, wz: int) -> np.ndarray:
+    """Scatter adjoint of :func:`conv2d_core` into a (Cin, hz, wz) canvas."""
+    t, w = _f64(t), _f64(w)
+    kh, kw = w.shape[2:]
+    ht, wt = t.shape[1:]
+    if groups == 1 and stride == kh == kw and (hz, wz) == (ht * kh, wt * kw):
+        return _tconv_tiled(t, w, hz, wz)
+    if groups == 1 and stride == 1 and (hz, wz) == (ht + kh - 1, wt + kw - 1):
+        return _tconv_full(t, w)
+    return _tconv_scatter(t, w, stride, groups, hz, wz)
 
 
 # ---------------------------------------------------------------------------

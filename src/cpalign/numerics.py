@@ -34,6 +34,11 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
+#: Elements per block of :func:`sigmoid`: the block's exponent buffer and
+#: output slice stay in L2 cache, so a large map is read and written once.
+SIGMOID_BLOCK = 1 << 15
+
+
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function.
 
@@ -41,13 +46,24 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     ``e / (1 + e)`` below zero, so exp never overflows and large negative
     inputs keep their tiny (subnormal) results instead of rounding to 0.
     ``minimum(x, -x)`` stands in for ``-|x|`` because it passes a NaN
-    through with its sign unchanged.
+    through with its sign unchanged. The numerator is ``max(e, x >= 0)``:
+    1 where ``x >= 0`` (there ``e <= 1``), ``e`` below zero and for NaN.
     """
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(np.minimum(x, -x))
-    out = np.where(x >= 0, 1.0, e)
-    e += 1.0
-    return np.divide(out, e, out=out)
+    out = np.empty(x.shape)
+    xf, of = x.reshape(-1), out.reshape(-1)
+    e = np.empty(min(xf.size, SIGMOID_BLOCK))
+    for i in range(0, xf.size, SIGMOID_BLOCK):
+        xb, ob = xf[i:i + SIGMOID_BLOCK], of[i:i + SIGMOID_BLOCK]
+        eb = e[:xb.size]
+        np.negative(xb, out=eb)
+        np.minimum(xb, eb, out=eb)
+        np.exp(eb, out=eb)
+        np.greater_equal(xb, 0.0, out=ob)
+        np.maximum(eb, ob, out=ob)
+        eb += 1.0
+        np.divide(ob, eb, out=ob)
+    return out
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -63,14 +79,15 @@ def softmax(x: np.ndarray, axis: int = 0) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def _apply_activation(x: np.ndarray, name: str) -> np.ndarray:
-    if name == "none":
-        return x
-    if name == "relu":
-        return relu(x)
-    if name == "sigmoid":
-        return sigmoid(x)
-    raise ShapeError(f"unknown activation {name!r}; expected one of {ACTIVATIONS}")
+def _epilogue(out: np.ndarray, spec: "ConvSpec") -> np.ndarray:
+    """Bias and activation, in place on a conv result the caller owns."""
+    if spec.bias is not None:
+        out += spec.bias[:, None, None]
+    if spec.activation == "relu":
+        np.maximum(out, 0.0, out=out)
+    elif spec.activation == "sigmoid":
+        out = sigmoid(out)
+    return out
 
 
 def ensure_tensor3(x: np.ndarray, name: str = "tensor") -> np.ndarray:
@@ -171,9 +188,7 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
             f"conv2d bias has {spec.bias.size} entries, expected {spec.out_channels}"
         )
     out = kernels.conv2d_core(xpad, spec.weights, spec.stride, spec.groups)
-    if spec.bias is not None:
-        out = out + spec.bias[:, None, None]
-    return _apply_activation(out, spec.activation)
+    return _epilogue(out, spec)
 
 
 def transposed_conv2d(t: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -203,10 +218,7 @@ def transposed_conv2d(t: np.ndarray, spec: ConvSpec) -> np.ndarray:
     wz = wo + 2 * spec.padding
     zpad = kernels.tconv2d_core(t, spec.weights, spec.stride, spec.groups, hz, wz)
     p = spec.padding
-    out = zpad[:, p:p + ho, p:p + wo]
-    if spec.bias is not None:
-        out = out + spec.bias[:, None, None]
-    return _apply_activation(out, spec.activation)
+    return _epilogue(zpad[:, p:p + ho, p:p + wo], spec)
 
 
 @dataclass

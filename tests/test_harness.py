@@ -337,6 +337,50 @@ def test_run_pipeline_cache_equivalent():
     assert da == db
 
 
+def test_run_pipeline_cache_refuses_other_weights():
+    # a memo filled under weight seed 0 once served seed-0 features to a
+    # seed-1 run (mean IoU 0.323 against 0.438 from a fresh seed-1 run)
+    scn = generate_scenario("crossing", seed=0)
+    cache = {}
+    run_pipeline(scn, 1.2, 0.3, PipelineOptions(weight_seed=0), cache=cache)
+    with pytest.raises(ShapeError, match="weights"):
+        run_pipeline(scn, 1.2, 0.3, PipelineOptions(weight_seed=1), cache=cache)
+    # the same weights object keeps the memo usable
+    again = run_pipeline(scn, 1.2, 0.3, PipelineOptions(weight_seed=0), cache=cache)
+    assert again.mean_matched_iou == run_pipeline(
+        scn, 1.2, 0.3, PipelineOptions(weight_seed=0)).mean_matched_iou
+
+
+def test_run_pipeline_cache_refuses_other_geometry():
+    scn = _fast_scene()
+    opts = PipelineOptions(phd=False)
+    cache = {}
+    run_pipeline(scn, 0.8, 0.2, opts, bev=_BEV_SMALL, cache=cache)
+    # equal specs rebuilt by value are the same context
+    run_pipeline(scn, 0.8, 0.1, opts, bev=BevSpec.centered(12.8, 12.8),
+                 render_cfg=RenderConfig(), cache=cache)
+    with pytest.raises(ShapeError, match="BevSpec"):
+        run_pipeline(scn, 0.8, 0.2, opts, bev=BevSpec.centered(12.8, 12.8, cell=0.8),
+                     cache=cache)
+    with pytest.raises(ShapeError, match="RenderConfig"):
+        run_pipeline(scn, 0.8, 0.2, opts, bev=_BEV_SMALL,
+                     render_cfg=RenderConfig(max_points=100), cache=cache)
+    with pytest.raises(ShapeError, match="scenario"):
+        run_pipeline(_fast_scene(), 0.8, 0.2, opts, bev=_BEV_SMALL, cache=cache)
+
+
+def test_run_pipeline_stale_cosine_pre_equals_post():
+    # unaligned, pre and post compare the same received scale; the aligned
+    # run computes its pre value separately from the same inputs
+    scn = _fast_scene()
+    stale = run_pipeline(scn, 0.8, 0.2, PipelineOptions(phd=False, ptam=False),
+                         bev=_BEV_SMALL)
+    aligned = run_pipeline(scn, 0.8, 0.2, PipelineOptions(phd=False),
+                           bev=_BEV_SMALL)
+    assert stale.cosine_pre == stale.cosine_post == aligned.cosine_pre
+    assert stale.ops_match_closed_form
+
+
 def test_run_pipeline_oracle_xi_reported():
     scn = _fast_scene()
     r = run_pipeline(scn, 0.8, 0.3, PipelineOptions(phd=False), bev=_BEV_SMALL)
@@ -485,7 +529,8 @@ def test_cli_bench_json(tmp_path, capsys):
     assert main(["bench", "--kernels", "--repeats", "1", "--out", str(out)]) == 0
     timings = json.loads(out.read_text())["kernel_timings"]
     assert set(timings) == {"conv2d.depthwise_ms", "conv2d.pointwise_ms",
-                            "conv2d.im2col_ms", "bilinear_gather_ms",
+                            "conv2d.im2col_ms", "tconv2d.stride_eq_kernel_ms",
+                            "tconv2d.stride1_ms", "bilinear_gather_ms",
                             "fps_order_ms"}
     assert all(v > 0 for v in timings.values())
 

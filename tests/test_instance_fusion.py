@@ -8,7 +8,6 @@ from cpalign.instance_fusion import (
     StructKernels,
     VerificationSpec,
     aggregate_instance,
-    channel_shuffle,
     default_aggregate_weights,
     default_fuse_weights,
     default_verification_weights,
@@ -19,7 +18,7 @@ from cpalign.instance_fusion import (
     verification_weights,
     verified_blend,
 )
-from cpalign.numerics import ShapeError
+from cpalign.numerics import ShapeError, conv2d, ensure_tensor3
 from cpalign.pointcloud import OrientedBox
 
 
@@ -78,6 +77,39 @@ def test_struct_conv_constant_input_reduces_to_vanilla_response():
                                rtol=1e-10, atol=1e-12)
 
 
+def channel_shuffle(x, groups):
+    """Interleave channel groups: (g, c//g) -> transpose -> flatten."""
+    x = ensure_tensor3(x, "shuffle input")
+    c = x.shape[0]
+    if groups < 1 or c % groups:
+        raise ShapeError(f"groups={groups} must divide {c} channels")
+    k = c // groups
+    return np.ascontiguousarray(
+        x.reshape(groups, k, *x.shape[1:]).swapaxes(0, 1).reshape(c, *x.shape[1:])
+    )
+
+
+def verification_oracle(fore, enhanced, spec):
+    """The gate built literally: concat, broadcast w_init, shuffle, gconv."""
+    cat = np.concatenate([fore, enhanced])
+    stats = np.stack([cat.max(axis=0), cat.mean(axis=0)])
+    w_spatial = conv2d(stats, spec.spatial)
+    gap = cat.mean(axis=(1, 2)).reshape(-1, 1, 1)
+    w_channel = conv2d(conv2d(gap, spec.ca1), spec.ca2)
+    z = np.concatenate([cat, np.broadcast_to(w_spatial + w_channel, cat.shape)])
+    return conv2d(channel_shuffle(z, 4), spec.gconv)
+
+
+def _random_verification_spec(c, seed, rng):
+    # He-scaled weights keep the gates off saturation, where a comparison
+    # would only see 0 and 1; biases are random too
+    weights = default_verification_weights(c, seed)
+    for name, v in weights.items():
+        if name.endswith(".bias"):
+            weights[name] = rng.normal(scale=0.5, size=v.shape)
+    return VerificationSpec.from_weights(weights)
+
+
 def test_channel_shuffle_roundtrip_and_order():
     x = np.arange(8, dtype=np.float64).reshape(8, 1, 1) * np.ones((8, 2, 2))
     s = channel_shuffle(x, 2)
@@ -89,6 +121,21 @@ def test_channel_shuffle_roundtrip_and_order():
         channel_shuffle(x, 3)
 
 
+@pytest.mark.parametrize("c,h,w,seeds", [(8, 7, 5, range(5)), (384, 12, 9, (0, 1))])
+def test_verification_weights_match_literal_oracle(c, h, w, seeds):
+    for seed in seeds:
+        rng = np.random.default_rng([seed, c])
+        spec = _random_verification_spec(c, seed, rng)
+        fore = rng.normal(size=(c, h, w))
+        enh = rng.normal(size=(c, h, w))
+        got = verification_weights(fore, enh, spec)
+        np.testing.assert_allclose(got, verification_oracle(fore, enh, spec),
+                                   rtol=1e-12, atol=1e-12)
+        # the gate must read each source block in its own position
+        swapped = verification_weights(enh, fore, spec)
+        assert not np.allclose(swapped, got)
+
+
 def test_verification_weights_range_and_zero_case():
     rng = np.random.default_rng(4)
     c = 8
@@ -98,9 +145,13 @@ def test_verification_weights_range_and_zero_case():
     w = verification_weights(fore, enh, spec)
     assert w.shape == (c, 6, 6)
     assert (w > 0).all() and (w < 1).all()
+    np.testing.assert_allclose(w, verification_oracle(fore, enh, spec),
+                               rtol=1e-12, atol=1e-12)
     zero = {k: np.zeros_like(v) for k, v in default_verification_weights(c).items()}
-    wz = verification_weights(fore, enh, VerificationSpec.from_weights(zero))
+    zero_spec = VerificationSpec.from_weights(zero)
+    wz = verification_weights(fore, enh, zero_spec)
     np.testing.assert_array_equal(wz, np.full((c, 6, 6), 0.5))
+    np.testing.assert_array_equal(verification_oracle(fore, enh, zero_spec), wz)
 
 
 def test_verification_group_independence_before_shuffle():
@@ -111,7 +162,6 @@ def test_verification_group_independence_before_shuffle():
     spec = VerificationSpec.default(c, seed=2)
     gc = spec.gconv
     z = rng.normal(size=(4 * c, 5, 5))
-    from cpalign.numerics import conv2d
     base = conv2d(z, gc)
     z2 = z.copy()
     z2[:c] += rng.normal(size=(c, 5, 5))

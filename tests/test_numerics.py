@@ -81,6 +81,8 @@ CONV_CASES = [
     (6, 6, 3, 3, 2, 1, 6, 9, 8),      # depthwise stride 2
     (70, 70, 3, 3, 1, 1, 70, 5, 6),   # depthwise, channels past one block
     (3, 6, 3, 3, 1, 1, 3, 5, 5),      # channel-multiplier grouped
+    (5, 3, 4, 4, 4, 0, 1, 8, 12),     # stride = kernel, tconv tiled route
+    (4, 6, 3, 3, 1, 0, 1, 5, 7),      # stride 1 unpadded, tconv full-conv route
 ]
 
 
@@ -133,6 +135,31 @@ def test_transposed_conv2d_is_adjoint_of_conv2d(cin, cout, kh, kw, stride,
     lhs = float(np.vdot(y, t))
     rhs = float(np.vdot(x, transposed_conv2d(t, spec)))
     assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+@pytest.mark.parametrize("activation", ["none", "relu", "sigmoid"])
+@pytest.mark.parametrize("cin,cout,kh,kw,stride,padding,groups,h,w", CONV_CASES)
+def test_conv_epilogue_leaves_input_alone(cin, cout, kh, kw, stride, padding,
+                                          groups, h, w, activation):
+    # bias and activation are applied in place; that must only ever touch
+    # the kernel's own fresh result
+    rng = np.random.default_rng(11)
+    wt = rng.normal(size=(cout, cin // groups, kh, kw))
+    fwd = ConvSpec(cout, cin, kh, kw, wt, bias=rng.normal(size=cout),
+                   stride=stride, padding=padding, groups=groups,
+                   activation=activation)
+    adj = ConvSpec(cout, cin, kh, kw, wt, bias=rng.normal(size=cin),
+                   stride=stride, padding=padding, groups=groups,
+                   activation=activation)
+    x = rng.normal(size=(cin, h, w))
+    t = rng.normal(size=(cout,) + fwd.conv_output_hw(h, w))
+    for op, spec, arg in ((conv2d, fwd, x), (transposed_conv2d, adj, t)):
+        before = arg.copy()
+        out = op(arg, spec)
+        np.testing.assert_array_equal(arg, before)
+        assert not np.shares_memory(out, arg)
+        assert not np.shares_memory(out, spec.weights)
+        assert not np.shares_memory(out, spec.bias)
 
 
 def test_conv2d_identity_kernel_example():
@@ -216,6 +243,17 @@ def test_sigmoid_bit_identical_to_masked_form():
     grid = np.linspace(-40.0, 40.0, 7 * 11 * 13).reshape(7, 11, 13)
     np.testing.assert_array_equal(sigmoid(grid), sigmoid_masked_oracle(grid))
     assert sigmoid(-2.0).shape == () and sigmoid(-2.0) == sigmoid_masked_oracle(-2.0)
+    # several blocks with a ragged tail, the specials straddling a block
+    # boundary, and a non-contiguous view
+    n = 3 * numerics.SIGMOID_BLOCK + 7
+    big = np.random.default_rng(12).normal(scale=30.0, size=n)
+    at = numerics.SIGMOID_BLOCK - 5
+    big[at:at + len(specials)] = specials
+    big = big.reshape(1, -1, 1)
+    for arr in (big, big[:, ::3]):
+        got, want = sigmoid(arr), sigmoid_masked_oracle(arr)
+        assert got.shape == arr.shape
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_softmax_rows_sum_to_one_and_shift_invariant():
