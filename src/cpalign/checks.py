@@ -17,9 +17,16 @@ from .domain_align import (
     GRL_GAMMA,
     Pose2,
     domain_loss_and_grads,
+    foreground_estimate,
     observability_weighting,
 )
-from .featurizer import BevSpec, backbone_forward, pillar_encode
+from .featurizer import (
+    BevSpec,
+    MultiScaleFeatures,
+    backbone_forward,
+    bev_project,
+    pillar_encode,
+)
 from .harness.codec import encode_decode
 from .harness.pipeline import (
     PipelineOptions,
@@ -46,11 +53,14 @@ from .instance_fusion import (
     struct_conv,
     verification_weights,
 )
-from .numerics import conv2d
+from .numerics import ConvSpec, conv2d
 from .opcount import OpCounter, count_similarity_ops, window_grid_counts
 from .pointcloud import OrientedBox, PhdConfig, fps, phd_apply
 from .temporal_align import (
     DelayContext,
+    MotionEstimatorSpec,
+    default_motion_weights,
+    estimate_motion,
     ptam_stage1,
     ptam_stage2,
     temporal_loss,
@@ -395,7 +405,8 @@ def check_struct_conv() -> CheckResult:
 
 def check_fusion_algebra() -> CheckResult:
     """Neutral gates, epsilon background linearity, fold identities, and the
-    folded verification gate against its literal shuffled build."""
+    folded verification gate, folded foreground head and split motion
+    encoder against their literal builds."""
     c, h, w = 8, 10, 10
     rng = np.random.default_rng(11)
     fore = rng.normal(size=(c, h, w))
@@ -432,13 +443,60 @@ def check_fusion_algebra() -> CheckResult:
     z = z.reshape(4, c, h, w).swapaxes(0, 1).reshape(4 * c, h, w)
     literal = conv2d(z, spec.gconv)
     gate_dev = float(np.abs(verification_weights(fore, enh, spec) - literal).max())
+    fg_dev = _folded_foreground_dev(rng)
+    motion_dev = _split_motion_dev(rng)
     ok = (neutral and eps_dev <= 1e-9 and fold_single and fold_assoc
-          and gate_dev <= 1e-12)
+          and max(gate_dev, fg_dev, motion_dev) <= 1e-12)
     return _result("fusion-algebra", ok,
                    f"neutral gates={neutral}, eps linearity dev={eps_dev:.2e} "
                    f"(tol 1e-9), fold single={fold_single}, fold "
-                   f"chain={fold_assoc}, folded gate dev={gate_dev:.2e} "
-                   f"(tol 1e-12)")
+                   f"chain={fold_assoc}, folded gate dev={gate_dev:.2e}, folded "
+                   f"foreground dev={fg_dev:.2e}, split motion dev="
+                   f"{motion_dev:.2e} (tol 1e-12)")
+
+
+def _folded_foreground_dev(rng) -> float:
+    """Foreground head on low-res scales vs its 3x3 conv over all 384
+    projected channels, with non-zero conv and tconv biases."""
+    weights = dict(build_pipeline_weights(0))
+    for name in ("fg.conv1.bias", "bevproj.large.bias", "bevproj.middle.bias",
+                 "bevproj.small.bias"):
+        weights[name] = rng.normal(size=weights[name].shape)
+    # keep the sigmoid off its flat tails so deviations show
+    weights["fg.conv2.weight"] = 0.1 * weights["fg.conv2.weight"]
+    ms = MultiScaleFeatures(rng.normal(size=(64, 8, 8)), rng.normal(size=(128, 4, 4)),
+                            rng.normal(size=(256, 2, 2)))
+    projected = bev_project(ms, weights)
+    mid = weights["fg.conv1.bias"].size
+    h = conv2d(projected, ConvSpec(mid, 384, 3, 3, weights["fg.conv1.weight"],
+                                   bias=weights["fg.conv1.bias"], padding=1))
+    h = np.maximum(h * weights["fg.affine.scale"][:, None, None]
+                   + weights["fg.affine.shift"][:, None, None], 0.0)
+    literal = conv2d(h, ConvSpec(1, mid, 1, 1, weights["fg.conv2.weight"],
+                                 bias=weights["fg.conv2.bias"], activation="sigmoid"))
+    return float(np.abs(foreground_estimate(projected, ms, weights) - literal).max())
+
+
+def _split_motion_dev(rng) -> float:
+    """Motion estimator with the shared difference term vs one 2C -> C encoder
+    over each concatenated (frame, difference) pair, non-zero heads."""
+    c = 8
+    w = default_motion_weights(c, 5)
+    w["enc.bias"] = rng.normal(size=c)
+    w["dp.weight"] = rng.normal(scale=0.1, size=(2, c, 3, 3))
+    w["dp.bias"] = rng.normal(size=2)
+    w["w.weight"] = rng.normal(scale=0.1, size=(1, c, 3, 3))
+    latest, previous = rng.normal(size=(2, c, 6, 6))
+    mk = lambda cout, cin, name, act="none": ConvSpec(
+        cout, cin, 3, 3, w[name + ".weight"], bias=w[name + ".bias"], padding=1,
+        activation=act)
+    enc, trunk = mk(c, 2 * c, "enc", "relu"), mk(c, 2 * c, "trunk", "relu")
+    diff = latest - previous
+    h = conv2d(np.concatenate([conv2d(np.concatenate([latest, diff]), enc),
+                               conv2d(np.concatenate([previous, diff]), enc)]), trunk)
+    mf = estimate_motion(latest, previous, MotionEstimatorSpec.from_weights(w, ""))
+    return max(float(np.abs(mf.dp - conv2d(h, mk(2, c, "dp"))).max()),
+               float(np.abs(mf.w - conv2d(h, mk(1, c, "w", "sigmoid"))).max()))
 
 
 # -- 12 ---------------------------------------------------------------------

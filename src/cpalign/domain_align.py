@@ -17,6 +17,7 @@ import numpy as np
 from . import kernels
 from .numerics import (
     ConvSpec,
+    FrozenMemo,
     ShapeError,
     conv2d,
     ensure_tensor3,
@@ -25,7 +26,7 @@ from .numerics import (
     sigmoid,
     softplus,
 )
-from .featurizer import BevSpec
+from .featurizer import BEVPROJ_WEIGHT_NAMES, BevSpec, MultiScaleFeatures
 from .pointcloud import normalize_angle
 
 #: gradient reversal scale: feature-path gradient = GRL_GAMMA * logit gradient
@@ -89,33 +90,160 @@ def default_foreground_weights(channels: int, seed: int = 0) -> dict:
     }
 
 
-def foreground_estimate(features: np.ndarray, weights: dict | None = None,
-                        seed: int = 0) -> np.ndarray:
+#: bev_project emits three blocks of this many channels: large, middle, small.
+_PROJECTED_BLOCK = 128
+
+_FOLD_MEMO = FrozenMemo()
+
+
+def _phase_taps(phase: int, stride: int) -> list:
+    """(low-res offset, sub-pixel) that each 3x3 tap row of an output phase reads.
+
+    Output row ``stride * Y + phase`` with tap ``d`` reads canvas row
+    ``stride * Y + phase + d - 1``, which a stride = kernel transposed conv
+    filled from low-res row ``Y + offset`` through kernel row ``sub``.
+    """
+    return [divmod(phase + d - 1, stride) for d in range(3)]
+
+
+def _fold_tiled(w1: np.ndarray, wt: np.ndarray) -> list:
+    """A 3x3 pad-1 conv after a stride = kernel transposed conv, per output phase.
+
+    ``w1`` (mid, cb, 3, 3) reads the canvas that ``wt`` (cin, cb, s, s)
+    tiles from a low-res map. Output phase (py, px) reads only the low-res
+    rows and columns its taps land in, so it is a small conv on the low-res
+    map with composite weights sum W1[:, :, dy, dx] @ Wt[:, :, a, b]^T.
+    Phases that read the same offsets form one group, stacked along output
+    channels. Returns ``(r0, c0, phases, kernel)`` per group: kernel
+    (len(phases) * mid, cin, rows, cols) reads low-res offsets from (r0, c0).
+    """
+    mid = w1.shape[0]
+    cin, cb, s = wt.shape[:3]
+    taps = [_phase_taps(p, s) for p in range(s)]
+    by_span = {}
+    for p, tp in enumerate(taps):
+        offsets = [r for r, _ in tp]
+        by_span.setdefault((min(offsets), max(offsets)), []).append(p)
+    groups, slot = [], {}
+    for (r0, r1), rows in by_span.items():
+        for (c0, c1), cols in by_span.items():
+            phases = [(py, px) for py in rows for px in cols]
+            for i, ph in enumerate(phases):
+                slot[ph] = (len(groups), i * mid)
+            kernel = np.zeros((len(phases) * mid, cin, r1 - r0 + 1, c1 - c0 + 1))
+            groups.append((r0, c0, phases, kernel))
+    wt_flat = np.ascontiguousarray(wt.transpose(1, 0, 2, 3)).reshape(cb, cin * s * s)
+    for dy in range(3):
+        for dx in range(3):
+            # one tap at a time keeps the transient at (mid, cin, s, s)
+            comp = (w1[:, :, dy, dx] @ wt_flat).reshape(mid, cin, s, s)
+            for py in range(s):
+                ry, a = taps[py][dy]
+                for px in range(s):
+                    rx, b = taps[px][dx]
+                    g, o = slot[(py, px)]
+                    r0, c0, _, kernel = groups[g]
+                    kernel[o:o + mid, :, ry - r0, rx - c0] += comp[:, :, a, b]
+    return groups
+
+
+@dataclass
+class _ForegroundFold:
+    """fg.conv1 split by projected block, the tiled blocks folded."""
+
+    large: np.ndarray     # (mid, 128, 3, 3): conv over the large block as is
+    middle: list          # _fold_tiled groups over the middle scale
+    small: list           # _fold_tiled groups over the small scale
+    tap_bias: np.ndarray  # (mid, 3, 3): each tap applied to the tconv biases
+
+
+def _fold_foreground(w1, wm, bm, ws, bs) -> _ForegroundFold:
+    k = _PROJECTED_BLOCK
+    return _ForegroundFold(
+        large=np.ascontiguousarray(w1[:, :k]),
+        middle=_fold_tiled(w1[:, k:2 * k], wm),
+        small=_fold_tiled(w1[:, 2 * k:], ws),
+        tap_bias=(np.einsum("ocyx,c->oyx", w1[:, k:2 * k], bm)
+                  + np.einsum("ocyx,c->oyx", w1[:, 2 * k:], bs)),
+    )
+
+
+def _in_canvas(n: int) -> np.ndarray:
+    """(3, n): 1 where tap d of a pad-1 3x3 conv at position i reads inside."""
+    src = np.arange(n) + np.arange(3)[:, None] - 1
+    return ((src >= 0) & (src < n)).astype(np.float64)
+
+
+def _add_tiled(h: np.ndarray, low: np.ndarray, groups: list) -> None:
+    """Add the folded block's conv output over the low-res map into h."""
+    c, hl, wl = low.shape
+    mid = h.shape[0]
+    s = h.shape[1] // hl
+    lpad = np.zeros((c, hl + 2, wl + 2))
+    lpad[:, 1:hl + 1, 1:wl + 1] = low
+    for r0, c0, phases, kernel in groups:
+        rows, cols = kernel.shape[2:]
+        window = lpad[:, 1 + r0:r0 + rows + hl, 1 + c0:c0 + cols + wl]
+        out = kernels.conv2d_core(window, kernel, 1, 1)
+        for i, (py, px) in enumerate(phases):
+            h[:, py::s, px::s] += out[i * mid:(i + 1) * mid]
+
+
+def foreground_estimate(projected: np.ndarray, scales: MultiScaleFeatures,
+                        weights: dict) -> np.ndarray:
     """Per-cell foreground confidence in (0, 1), shape (1, H, W).
 
-    A 3x3 conv halves the channel count, a frozen per-channel affine stands
-    in for batch normalization, relu, then a 1x1 conv and a sigmoid squash
-    to one channel.
+    A 3x3 conv halves the 384 projected channels, a frozen per-channel
+    affine stands in for batch normalization, relu, then a 1x1 conv and a
+    sigmoid squash to one channel.
+
+    ``projected`` is ``bev_project(scales, weights)``. Its middle and small
+    blocks are stride = kernel transposed convs of ``scales``, so the 3x3
+    conv over them runs as per-phase convs on the low-res maps (see
+    :func:`_fold_tiled`) and only ``projected[:128]`` is read. The tconv
+    biases fill the canvas but not its zero padding, so they enter as a map
+    that differs on the border rows and columns.
     """
-    features = ensure_tensor3(features, "foreground input")
-    c = features.shape[0]
-    if weights is None:
-        weights = default_foreground_weights(c, seed)
+    projected = ensure_tensor3(projected, "foreground input")
+    k = _PROJECTED_BLOCK
+    c, hh, ww = projected.shape
+    if c != 3 * k:
+        raise ShapeError(f"foreground input must have {3 * k} channels, got {c}")
+    if scales.large.shape[1:] != (hh, ww):
+        raise ShapeError(
+            f"scales at {scales.large.shape[1:]} do not match the projected "
+            f"grid ({hh}, {ww})"
+        )
     w1, b1, scale, shift, w2, b2 = require_weights(
         weights, FOREGROUND_WEIGHT_NAMES, "foreground estimator weights")
+    _, _, wm, bm, ws, bs = require_weights(
+        weights, BEVPROJ_WEIGHT_NAMES, "bev projection weights")
     if w1.size % (c * 9):
         raise ShapeError(
             f"foreground conv1 weights of size {w1.size} do not fit input "
             f"with {c} channels"
         )
     mid = w1.size // (c * 9)
-    h = conv2d(features, ConvSpec(mid, c, 3, 3, w1, bias=b1, padding=1))
     scale = np.asarray(scale, dtype=np.float64).ravel()
     shift = np.asarray(shift, dtype=np.float64).ravel()
     if scale.size != mid or shift.size != mid:
         raise ShapeError(
             f"affine params must have {mid} entries, got {scale.size}/{shift.size}"
         )
+    # the tconv geometry bev_project uses: middle 128 -> 128 and small
+    # 256 -> 128 channels, stride = kernel = 2 and 4
+    fold = _FOLD_MEMO.get("foreground", (w1, wm, bm, ws, bs), lambda: _fold_foreground(
+        w1.reshape(mid, c, 3, 3), wm.reshape(k, k, 2, 2), bm.ravel(),
+        ws.reshape(2 * k, k, 4, 4), bs.ravel()))
+
+    xpad = np.zeros((k, hh + 2, ww + 2))
+    xpad[:, 1:hh + 1, 1:ww + 1] = projected[:k]
+    h = kernels.conv2d_core(xpad, fold.large, 1, 1)
+    _add_tiled(h, scales.middle, fold.middle)
+    _add_tiled(h, scales.small, fold.small)
+    bias = np.matmul(_in_canvas(hh).T, fold.tap_bias @ _in_canvas(ww))
+    bias += b1.reshape(mid, 1, 1)
+    h += bias
     h *= scale[:, None, None]
     h += shift[:, None, None]
     np.maximum(h, 0.0, out=h)

@@ -56,10 +56,15 @@ def transmit_tensors(tensors: dict, cfg: CodecConfig):
     """Send a named bundle through the channel.
 
     Returns (decoded dict, per-tensor mse dict).  Iteration order follows the
-    input dict so remote reassembly is reproducible.
+    input dict so remote reassembly is reproducible.  A tensor holding a NaN
+    or an infinity raises :class:`ShapeError` naming it: int8 would spread
+    it over the whole decoded tensor and the identity codec would pass it
+    on with an mse of 0.
     """
     decoded = {}
     errors = {}
     for name, arr in tensors.items():
+        if not np.isfinite(arr).all():
+            raise ShapeError(f"payload tensor {name!r} contains non-finite values")
         decoded[name], errors[name] = encode_decode(arr, cfg.mode)
     return decoded, errors

@@ -48,7 +48,7 @@ from ..instance_fusion import (
     struct_conv,
     verification_weights,
 )
-from ..numerics import ShapeError, he_normal, require_weights
+from ..numerics import ShapeError, freeze_weights, he_normal, require_weights
 from ..opcount import OpCounter, count_similarity_ops
 from ..pointcloud import PhdConfig, phd_apply
 from ..temporal_align import (
@@ -61,6 +61,7 @@ from ..temporal_align import (
     ptam_stage1,
     ptam_stage2,
     temporal_loss,
+    window_cosines,
 )
 from .codec import CodecConfig, transmit_tensors
 from .detect import detection_map, evaluate_detection
@@ -118,7 +119,12 @@ _WEIGHT_CACHE = {}
 
 
 def build_pipeline_weights(seed: int = 0, combine: str = "sum") -> dict:
-    """One flat name -> array dict covering every stage of the pipeline."""
+    """One flat name -> array dict covering every stage of the pipeline.
+
+    The arrays are read-only and own their data (:func:`freeze_weights`),
+    so every caller can share the cached dict and the values derived from
+    it once per weights (the folded foreground head, the motion specs).
+    """
     key = (seed, combine)
     if key in _WEIGHT_CACHE:
         return _WEIGHT_CACHE[key]
@@ -137,6 +143,7 @@ def build_pipeline_weights(seed: int = 0, combine: str = "sum") -> dict:
     weights.update(default_verification_weights(PROJECTED_CHANNELS, seed))
     weights.update(default_aggregate_weights(PROJECTED_CHANNELS, seed, combine))
     weights.update(default_fuse_weights(PROJECTED_CHANNELS, seed))
+    weights = freeze_weights(weights)
     _WEIGHT_CACHE[key] = weights
     return weights
 
@@ -303,13 +310,15 @@ def run_pipeline(scenario: Scenario, t: float, tau: float,
         ms_ego = _featurize(scenario, ego.agent_id, t, bev, render_cfg,
                             weights, opts.phd, cache)
         h_ego = bev_project(ms_ego, weights)
-        m_ego = foreground_estimate(h_ego, weights)
+        m_ego = foreground_estimate(h_ego, ms_ego, weights)
         logits_ego = discriminator_forward(h_ego, weights)
         refined_ego = _refine_instance(h_ego, m_ego, weights, opts.combine)
         if cache is not None:
             cache[ego_key] = (h_ego, m_ego, logits_ego, refined_ego)
 
+    # ideal motion overrides every estimate, so only learned motion needs specs
     motion_specs = [MotionEstimatorSpec.from_weights(weights, f"ptam.motion.s{i}.")
+                    if opts.motion_mode == "learned" else None
                     for i in range(len(SCALE_CHANNELS))]
     xi_spec = XiPredictorSpec.from_weights(weights, "ptam.")
 
@@ -379,8 +388,8 @@ def run_pipeline(scenario: Scenario, t: float, tau: float,
                            counter if j == 1 else None)
         cos_post_all.append(float(np.mean(tl.window_cosines)))
         if opts.ptam:
-            cos_pre_all.append(float(np.mean(temporal_loss(
-                received["s0.latest"], ms_gt.large, opts.window).window_cosines)))
+            cos_pre_all.append(float(np.mean(window_cosines(
+                received["s0.latest"], ms_gt.large, opts.window)[0])))
         else:
             # unaligned, the large scale compared above is the received one
             cos_pre_all.append(cos_post_all[-1])
@@ -388,7 +397,7 @@ def run_pipeline(scenario: Scenario, t: float, tau: float,
             tl_value = tl.loss
 
         h_collab = bev_project(ms_aligned, weights)
-        m_collab = foreground_estimate(h_collab, weights)
+        m_collab = foreground_estimate(h_collab, ms_aligned, weights)
         collab_pose = _noisy_pose(agent_pose_at(scenario, collab, t - tau),
                                   scenario, k_eval, j, opts)
         h_proj, valid = transform_to_ego(h_collab, collab_pose, ego_pose, bev)

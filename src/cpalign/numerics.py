@@ -274,6 +274,51 @@ def require_weights(weights: Mapping[str, np.ndarray], names: Sequence[str],
     return [np.asarray(weights[n], dtype=np.float64) for n in names]
 
 
+def freeze_weights(weights: Mapping[str, np.ndarray]) -> dict:
+    """Name -> read-only float64 array that owns its data, in input order.
+
+    Arrays that already qualify are kept as they are; views and other
+    dtypes are copied first, so no caller can reach the data through a
+    writable base.
+    """
+    out = {}
+    for name, arr in weights.items():
+        arr = np.asarray(arr, dtype=np.float64)
+        if not arr.flags.owndata:
+            arr = arr.copy()
+        arr.flags.writeable = False
+        out[name] = arr
+    return out
+
+
+class FrozenMemo:
+    """Values derived from weight arrays, built once per set of arrays.
+
+    Only read-only arrays that own their data are keyed, by identity:
+    nothing can change them in place, so a value derived from them cannot
+    go stale. Any other array (a caller's writable dict, a converted copy)
+    gets a fresh build on every call. The memo holds its ``size`` most
+    recently used entries and the arrays they were built from.
+    """
+
+    def __init__(self, size: int = 4):
+        self.size = size
+        self._entries: dict = {}
+
+    def get(self, tag: str, arrays: Sequence[np.ndarray], build):
+        if not all(not a.flags.writeable and a.flags.owndata for a in arrays):
+            return build()
+        key = (tag,) + tuple(id(a) for a in arrays)
+        # an entry keeps its arrays alive, so their ids cannot be reused
+        hit = self._entries.pop(key, None)
+        if hit is None:
+            hit = (tuple(arrays), build())
+        self._entries[key] = hit
+        while len(self._entries) > self.size:
+            del self._entries[next(iter(self._entries))]
+        return hit[1]
+
+
 # ---------------------------------------------------------------------------
 # weight archive
 # ---------------------------------------------------------------------------
@@ -320,7 +365,8 @@ def _write_archive(tensors: Mapping[str, np.ndarray], fh: BinaryIO) -> None:
 def load_weights(src) -> dict:
     """Read an archive from a path or binary file object.
 
-    Returns name -> float64 ndarray, preserving file order. Raises
+    Returns name -> read-only float64 ndarray that owns its data (see
+    :func:`freeze_weights`), preserving file order. Raises
     :class:`ArchiveError` on bad magic, unsupported version, or any
     truncation, naming the tensor being read when one is known.
     """
@@ -371,4 +417,4 @@ def _read_archive(fh: BinaryIO) -> dict:
         if not np.all(np.isfinite(arr)):
             raise ArchiveError(f"tensor {name!r} contains non-finite values")
         out[name] = arr
-    return out
+    return freeze_weights(out)

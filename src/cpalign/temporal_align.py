@@ -23,6 +23,7 @@ import numpy as np
 from . import kernels
 from .numerics import (
     ConvSpec,
+    FrozenMemo,
     MlpSpec,
     ShapeError,
     conv2d,
@@ -31,6 +32,7 @@ from .numerics import (
     mlp_forward,
     relu,
     require_weights,
+    sigmoid,
 )
 from .opcount import OpCounter, window_grid_counts
 
@@ -87,19 +89,24 @@ class DelayContext:
 
 @dataclass
 class MotionEstimatorSpec:
-    """Shared encoder over (frame, frame difference) pairs plus two heads."""
+    """Shared encoder over (frame, frame difference) pairs plus two heads.
 
-    enc: ConvSpec
+    The encoder ``enc([x, diff]) = W_a x + W_b diff + b`` is held split by
+    input block, so the difference term both frames share is computed once;
+    the dp and w heads are held as one C -> 3 conv.
+    """
+
+    enc_frame: ConvSpec   # W_a: C -> C, no bias
+    enc_diff: ConvSpec    # W_b: C -> C, carries the encoder bias
     trunk: ConvSpec
-    dp_head: ConvSpec
-    w_head: ConvSpec
+    heads: ConvSpec       # channels 0-1: dp, channel 2: w before its sigmoid
 
     NAMES = ("enc.weight", "enc.bias", "trunk.weight", "trunk.bias",
              "dp.weight", "dp.bias", "w.weight", "w.bias")
 
     @property
     def channels(self) -> int:
-        return self.enc.in_channels // 2
+        return self.enc_frame.in_channels
 
     @classmethod
     def default(cls, channels: int, seed: int = 0) -> "MotionEstimatorSpec":
@@ -112,20 +119,31 @@ class MotionEstimatorSpec:
 
     @classmethod
     def from_weights(cls, weights: dict, prefix: str) -> "MotionEstimatorSpec":
+        """Build from named weights; built once per set of read-only arrays."""
         names = [prefix + n for n in cls.NAMES]
-        (ew, eb, tw, tb, dw, db, ww, wb) = require_weights(
-            weights, names, f"motion estimator weights {prefix!r}")
+        arrays = require_weights(weights, names, f"motion estimator weights {prefix!r}")
+        return _SPEC_MEMO.get("motion", arrays, lambda: cls._build(prefix, *arrays))
+
+    @classmethod
+    def _build(cls, prefix, ew, eb, tw, tb, dw, db, ww, wb) -> "MotionEstimatorSpec":
         if ew.size % 18:
             raise ShapeError(f"{prefix}enc.weight size {ew.size} is not a 2C->C 3x3 stack")
         c = int(round(math.sqrt(ew.size / 18.0)))
         if 2 * c * c * 9 != ew.size:
             raise ShapeError(f"{prefix}enc.weight size {ew.size} is not a 2C->C 3x3 stack")
+        ew = ew.reshape(c, 2 * c, 3, 3)
+        mk = lambda cout, cin, w, b=None: ConvSpec(cout, cin, 3, 3, w, bias=b, padding=1)
         return cls(
-            enc=ConvSpec(c, 2 * c, 3, 3, ew, bias=eb, padding=1, activation="relu"),
+            enc_frame=mk(c, c, np.ascontiguousarray(ew[:, :c])),
+            enc_diff=mk(c, c, np.ascontiguousarray(ew[:, c:]), eb),
             trunk=ConvSpec(c, 2 * c, 3, 3, tw, bias=tb, padding=1, activation="relu"),
-            dp_head=ConvSpec(2, c, 3, 3, dw, bias=db, padding=1),
-            w_head=ConvSpec(1, c, 3, 3, ww, bias=wb, padding=1, activation="sigmoid"),
+            heads=mk(3, c, np.concatenate([dw.reshape(2, c, 3, 3), ww.reshape(1, c, 3, 3)]),
+                     np.concatenate([db.ravel(), wb.ravel()])),
         )
+
+
+#: three scale specs for each of up to four weight sets
+_SPEC_MEMO = FrozenMemo(size=12)
 
 
 def default_motion_weights(channels: int, seed: int = 0, prefix: str = "") -> dict:
@@ -150,7 +168,8 @@ def estimate_motion(latest: np.ndarray, previous: np.ndarray,
 
     Both frames are paired with their difference, run through a shared
     encoder, concatenated, and decoded into a displacement field (cells per
-    frame interval) and a sampling confidence map.
+    frame interval) and a sampling confidence map. The encoder's
+    difference term is the same for both frames and is computed once.
     """
     latest = ensure_tensor3(latest, "latest frame")
     previous = ensure_tensor3(previous, "previous frame")
@@ -165,13 +184,14 @@ def estimate_motion(latest: np.ndarray, previous: np.ndarray,
             f"motion estimator built for {spec.channels} channels, got "
             f"{latest.shape[0]}"
         )
-    diff = latest - previous
-    e_latest = conv2d(np.concatenate([latest, diff]), spec.enc)
-    e_prev = conv2d(np.concatenate([previous, diff]), spec.enc)
-    h = conv2d(np.concatenate([e_latest, e_prev]), spec.trunk)
-    dp = conv2d(h, spec.dp_head)
-    w = conv2d(h, spec.w_head)
-    return MotionField(dp, w)
+    c = latest.shape[0]
+    shared = conv2d(latest - previous, spec.enc_diff)
+    enc = np.empty((2 * c,) + latest.shape[1:])
+    for half, frame in zip((enc[:c], enc[c:]), (latest, previous)):
+        np.add(conv2d(frame, spec.enc_frame), shared, out=half)
+    np.maximum(enc, 0.0, out=enc)
+    out = conv2d(conv2d(enc, spec.trunk), spec.heads)
+    return MotionField(out[:2], sigmoid(out[2:]))
 
 
 def warp_features(features: np.ndarray, dp: np.ndarray, xi: float,
@@ -415,6 +435,46 @@ class TemporalLossResult:
     degenerate: list   # (r0, c0, side) triples where a zero norm was hit
 
 
+def _window_anchors(height: int, width: int, window: int) -> list:
+    w1, w2 = window_partition(height, width, window)
+    return [(r, col, "full") for r, col in w1] + [(r, col, "offset") for r, col in w2]
+
+
+def window_cosines(pred: np.ndarray, target: np.ndarray, window: int,
+                   counter: OpCounter | None = None) -> tuple:
+    """Cosine between pred and target over every window of both tilings.
+
+    Windows follow :func:`window_partition` order, the full tiling first,
+    with their contents flattened across channels. Returns ``(cosines,
+    pred_norms, target_norms)``; a window with a zero-norm side scores
+    cosine 0.
+    """
+    pred = ensure_tensor3(pred, "prediction")
+    target = ensure_tensor3(target, "target")
+    if pred.shape != target.shape:
+        raise ShapeError(f"shape mismatch: {pred.shape} vs {target.shape}")
+    c, h, w = pred.shape
+    anchors = _window_anchors(h, w, window)
+    n = len(anchors)
+    cosines = np.zeros(n)
+    pred_norms = np.empty(n)
+    target_norms = np.empty(n)
+    l = window
+    for k, (r0, c0, _) in enumerate(anchors):
+        p = pred[:, r0:r0 + l, c0:c0 + l]
+        g = target[:, r0:r0 + l, c0:c0 + l]
+        dot = float(np.vdot(p, g))
+        np_ = math.sqrt(float(np.vdot(p, p)))
+        ng = math.sqrt(float(np.vdot(g, g)))
+        if counter is not None:
+            counter.charge_window(c, l * l)
+        pred_norms[k] = np_
+        target_norms[k] = ng
+        if np_ != 0.0 and ng != 0.0:
+            cosines[k] = dot / (np_ * ng)
+    return cosines, pred_norms, target_norms
+
+
 def temporal_loss(pred: np.ndarray, target: np.ndarray, window: int,
                   counter: OpCounter | None = None) -> TemporalLossResult:
     """Mean squared cosine deviation over both window tilings.
@@ -424,37 +484,29 @@ def temporal_loss(pred: np.ndarray, target: np.ndarray, window: int,
     loss is the mean over all windows. The analytic gradient w.r.t. pred is
     returned alongside. A window with a zero-norm side scores cosine 0 and
     contributes no gradient; such windows are reported in ``degenerate``.
+    The cosines are those of :func:`window_cosines`.
     """
     pred = ensure_tensor3(pred, "prediction")
     target = ensure_tensor3(target, "target")
-    if pred.shape != target.shape:
-        raise ShapeError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    c, h, w = pred.shape
-    w1, w2 = window_partition(h, w, window)
-    anchors = [(r, col, "full") for r, col in w1] + [(r, col, "offset") for r, col in w2]
+    cosines, pred_norms, target_norms = window_cosines(pred, target, window, counter)
+    anchors = _window_anchors(pred.shape[1], pred.shape[2], window)
     n = len(anchors)
     grad = np.zeros_like(pred)
-    cosines = np.empty(n)
     degenerate = []
     total = 0.0
     l = window
     for k, (r0, c0, side) in enumerate(anchors):
-        p = pred[:, r0:r0 + l, c0:c0 + l]
-        g = target[:, r0:r0 + l, c0:c0 + l]
-        dot = float(np.vdot(p, g))
-        np_ = math.sqrt(float(np.vdot(p, p)))
-        ng = math.sqrt(float(np.vdot(g, g)))
-        if counter is not None:
-            counter.charge_window(c, l * l)
+        np_ = float(pred_norms[k])
+        ng = float(target_norms[k])
         if np_ == 0.0 or ng == 0.0:
-            cosines[k] = 0.0
             total += 1.0  # (1 - 0)^2, constant: no gradient
             degenerate.append((int(r0), int(c0), side))
             continue
-        cos = dot / (np_ * ng)
-        cosines[k] = cos
+        cos = float(cosines[k])
         dev = 1.0 - cos
         total += dev * dev
+        p = pred[:, r0:r0 + l, c0:c0 + l]
+        g = target[:, r0:r0 + l, c0:c0 + l]
         dcos = g / (np_ * ng) - (cos / (np_ * np_)) * p
         grad[:, r0:r0 + l, c0:c0 + l] += -2.0 * dev * dcos
     return TemporalLossResult(loss=total / n, grad=grad / n,

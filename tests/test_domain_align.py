@@ -17,8 +17,13 @@ from cpalign.domain_align import (
     save_pgm,
     transform_to_ego,
 )
-from cpalign.featurizer import BevSpec
-from cpalign.numerics import ShapeError, sigmoid
+from cpalign.featurizer import (
+    BevSpec,
+    MultiScaleFeatures,
+    bev_project,
+    default_bevproj_weights,
+)
+from cpalign.numerics import ConvSpec, ShapeError, conv2d, freeze_weights, sigmoid
 
 
 def fd_gradient(fn, x, h=1e-6):
@@ -48,26 +53,88 @@ def test_pose_roundtrip_and_normalization():
         Pose2(float("nan"), 0, 0)
 
 
+def _fg_inputs(rng, h, w, seed):
+    """Random scales, their projection and bevproj + foreground weights."""
+    weights = default_bevproj_weights(seed) | default_foreground_weights(384, seed)
+    ms = MultiScaleFeatures(rng.normal(size=(64, h, w)),
+                            rng.normal(size=(128, h // 2, w // 2)),
+                            rng.normal(size=(256, h // 4, w // 4)))
+    return ms, weights
+
+
+def literal_foreground(projected, weights):
+    """The 3x3 conv over all 384 projected channels, as the head is written."""
+    w = weights
+    h = conv2d(projected, ConvSpec(192, 384, 3, 3, w["fg.conv1.weight"],
+                                   bias=w["fg.conv1.bias"], padding=1))
+    h = np.maximum(h * w["fg.affine.scale"][:, None, None]
+                   + w["fg.affine.shift"][:, None, None], 0.0)
+    return conv2d(h, ConvSpec(1, 192, 1, 1, w["fg.conv2.weight"],
+                              bias=w["fg.conv2.bias"], activation="sigmoid"))
+
+
 def test_foreground_estimate_range_and_shapes():
     rng = np.random.default_rng(1)
-    feats = rng.normal(size=(8, 6, 6))
-    m = foreground_estimate(feats, seed=3)
-    assert m.shape == (1, 6, 6)
+    ms, w = _fg_inputs(rng, 8, 8, seed=3)
+    proj = bev_project(ms, w)
+    m = foreground_estimate(proj, ms, w)
+    assert m.shape == (1, 8, 8)
     assert (m > 0).all() and (m < 1).all()
-    np.testing.assert_array_equal(m, foreground_estimate(feats, seed=3))
+    np.testing.assert_array_equal(m, foreground_estimate(proj, ms, w))
 
 
 def test_foreground_estimate_zero_weights_give_half():
-    w = {n: np.zeros_like(v) for n, v in default_foreground_weights(8).items()}
-    m = foreground_estimate(np.ones((8, 5, 5)), weights=w)
-    np.testing.assert_array_equal(m, 0.5 * np.ones((1, 5, 5)))
+    rng = np.random.default_rng(0)
+    ms, w = _fg_inputs(rng, 8, 8, seed=0)
+    w = {n: np.zeros_like(v) for n, v in w.items()}
+    m = foreground_estimate(bev_project(ms, w), ms, w)
+    np.testing.assert_array_equal(m, 0.5 * np.ones((1, 8, 8)))
 
 
 def test_foreground_estimate_missing_weights():
-    w = default_foreground_weights(8)
+    rng = np.random.default_rng(0)
+    ms, w = _fg_inputs(rng, 4, 4, seed=0)
+    proj = bev_project(ms, w)
     del w["fg.affine.scale"]
     with pytest.raises(KeyError, match="fg.affine.scale"):
-        foreground_estimate(np.zeros((8, 4, 4)), weights=w)
+        foreground_estimate(proj, ms, w)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_folded_foreground_matches_literal_conv(seed):
+    # random He weights, random biases everywhere (the tconv biases make a
+    # border-dependent map), a conv2 scaled to keep the sigmoid off its tails
+    rng = np.random.default_rng(100 + seed)
+    _, w = _fg_inputs(rng, 4, 4, seed)
+    for name in w:
+        if name.endswith(".bias") or name.startswith("fg.affine"):
+            w[name] = rng.normal(size=w[name].shape)
+    w["fg.conv2.weight"] = 0.1 * w["fg.conv2.weight"]
+    frozen = freeze_weights(w)
+    for h, wd in ((8, 8), (8, 12), (48, 48)):
+        ms = MultiScaleFeatures(rng.normal(size=(64, h, wd)),
+                                rng.normal(size=(128, h // 2, wd // 2)),
+                                rng.normal(size=(256, h // 4, wd // 4)))
+        proj = bev_project(ms, w)
+        want = literal_foreground(proj, w)
+        assert 0.05 < want.min() and want.max() < 0.95
+        np.testing.assert_allclose(foreground_estimate(proj, ms, frozen), want,
+                                   rtol=1e-12, atol=1e-12)
+
+
+def test_foreground_fold_is_not_served_stale():
+    # a writable dict mutated in place between calls gets a fresh fold
+    rng = np.random.default_rng(7)
+    ms, w = _fg_inputs(rng, 8, 8, seed=0)
+    w["fg.conv2.weight"] = 0.1 * w["fg.conv2.weight"]
+    first = foreground_estimate(bev_project(ms, w), ms, w)
+    w["bevproj.small.weight"] *= -2.0
+    w["fg.conv1.weight"][:, 200] += 0.5
+    proj = bev_project(ms, w)
+    again = foreground_estimate(proj, ms, w)
+    assert np.abs(again - first).max() > 1e-3
+    np.testing.assert_allclose(again, literal_foreground(proj, w),
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_transform_identity_poses_is_exact():

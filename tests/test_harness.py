@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpalign.domain_align import Pose2
 from cpalign.featurizer import BevSpec
@@ -247,6 +249,24 @@ def test_transmit_tensors_reports_per_name():
     assert set(dec) == {"a", "b"} and errs["b"] == 0.0 and errs["a"] > 0.0
 
 
+@settings(max_examples=60, deadline=None)
+@given(mode=st.sampled_from(("identity", "fp16", "int8")),
+       n=st.integers(1, 40), pos=st.integers(0, 39),
+       bad=st.sampled_from((math.nan, math.inf, -math.inf)),
+       seed=st.integers(0, 2 ** 16))
+def test_transmit_tensors_rejects_non_finite(mode, n, pos, bad, seed):
+    # int8 once decoded one NaN into an all-NaN tensor, and identity passed
+    # it on with an mse of 0
+    rng = np.random.default_rng(seed)
+    bundle = {"fine": rng.normal(size=(2, 3, 3)), "broken": rng.normal(size=n)}
+    bundle["broken"][pos % n] = bad
+    with pytest.raises(ShapeError, match="'broken'"):
+        transmit_tensors(bundle, CodecConfig(mode))
+    del bundle["broken"]
+    dec, errs = transmit_tensors(bundle, CodecConfig(mode))
+    assert np.isfinite(dec["fine"]).all() and math.isfinite(errs["fine"])
+
+
 def test_unknown_codec_rejected():
     with pytest.raises(ShapeError):
         encode_decode(np.zeros(3), "zip")
@@ -381,6 +401,31 @@ def test_run_pipeline_stale_cosine_pre_equals_post():
     assert stale.ops_match_closed_form
 
 
+def test_run_pipeline_alternating_weight_seeds():
+    # values derived once per frozen weights (the folded foreground head,
+    # the motion specs) must follow the weights of each call: every run
+    # matches one under writable copies, which are folded afresh per call
+    scn = _fast_scene()
+
+    def run(seed, weights=None):
+        opts = PipelineOptions(phd=False, weight_seed=seed, motion_mode="learned",
+                               xi_mode="learned")
+        r = run_pipeline(scn, 0.8, 0.2, opts, weights=weights, bev=_BEV_SMALL,
+                         collect=True)
+        d = r.as_dict()
+        d.pop("wall_time_s")
+        return d, r.maps
+
+    fresh = {s: run(s, {n: a.copy() for n, a in build_pipeline_weights(s).items()})
+             for s in (0, 1)}
+    assert fresh[0][0] != fresh[1][0]
+    for seed in (0, 1, 0, 1):
+        report, maps = run(seed)
+        assert report == fresh[seed][0]
+        for name, arr in maps.items():
+            np.testing.assert_array_equal(arr, fresh[seed][1][name])
+
+
 def test_run_pipeline_oracle_xi_reported():
     scn = _fast_scene()
     r = run_pipeline(scn, 0.8, 0.3, PipelineOptions(phd=False), bev=_BEV_SMALL)
@@ -452,6 +497,14 @@ def test_build_weights_cover_all_stages_and_roundtrip(tmp_path):
     for k in names:
         np.testing.assert_array_equal(
             back[k], np.asarray(w[k], dtype=np.float32).astype(np.float64))
+    # shared weights are read-only and own their data, built or loaded
+    for loaded in (w, back):
+        for k, arr in loaded.items():
+            assert not arr.flags.writeable and arr.flags.owndata, k
+        with pytest.raises(ValueError):
+            loaded["fg.conv1.weight"][0, 0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            loaded["ifam.struct.weight"] *= 2.0
 
 
 def test_pipeline_options_validation():

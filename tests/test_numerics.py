@@ -315,3 +315,28 @@ def test_archive_errors_name_offending_tensor(tmp_path):
 def test_require_weights_lists_all_missing():
     with pytest.raises(KeyError, match="a.bias.*a.weight"):
         numerics.require_weights({"x": 1}, ["a.weight", "a.bias", "x"], "probe")
+
+
+def test_frozen_memo_keys_only_frozen_arrays():
+    memo = numerics.FrozenMemo(size=2)
+    builds = []
+
+    def build():
+        builds.append(1)
+        return len(builds)
+
+    writable = np.ones(3)
+    assert memo.get("t", [writable], build) == 1
+    assert memo.get("t", [writable], build) == 2  # writable: built every call
+    frozen = numerics.freeze_weights({"a": np.ones(3), "b": np.arange(6.0)[::2]})
+    assert frozen["b"].flags.owndata  # a view is copied before freezing
+    assert memo.get("t", [frozen["a"]], build) == 3
+    assert memo.get("t", [frozen["a"]], build) == 3
+    assert memo.get("t", [frozen["b"]], build) == 4
+    assert memo.get("u", [frozen["a"]], build) == 5  # evicts ("t", a)
+    assert memo.get("t", [frozen["a"]], build) == 6
+    # read-only view of a writable base: its data can still change
+    view = np.ones(3)[:]
+    view.flags.writeable = False
+    assert memo.get("t", [view], build) == 7
+    assert memo.get("t", [view], build) == 8

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cpalign.numerics import ShapeError, sigmoid
+from cpalign.numerics import ConvSpec, ShapeError, conv2d, sigmoid
 from cpalign.opcount import OpCounter, count_similarity_ops, window_grid_counts
 from cpalign.temporal_align import (
     DelayContext,
@@ -21,6 +21,7 @@ from cpalign.temporal_align import (
     ptam_stage2,
     temporal_loss,
     warp_features,
+    window_cosines,
     window_partition,
 )
 
@@ -107,6 +108,40 @@ def test_estimate_motion_zero_heads_identity_defaults():
     np.testing.assert_allclose(mf.w, sigmoid(np.array([4.0]))[0], rtol=1e-12)
     with pytest.raises(ShapeError):
         estimate_motion(a, rng.normal(size=(8, 5, 6)))
+
+
+def _literal_motion(latest, previous, w):
+    """The estimator as written: one 2C -> C encoder over (frame, diff) pairs."""
+    c = latest.shape[0]
+    enc = ConvSpec(c, 2 * c, 3, 3, w["enc.weight"], bias=w["enc.bias"], padding=1,
+                   activation="relu")
+    trunk = ConvSpec(c, 2 * c, 3, 3, w["trunk.weight"], bias=w["trunk.bias"],
+                     padding=1, activation="relu")
+    dp = ConvSpec(2, c, 3, 3, w["dp.weight"], bias=w["dp.bias"], padding=1)
+    wh = ConvSpec(1, c, 3, 3, w["w.weight"], bias=w["w.bias"], padding=1,
+                  activation="sigmoid")
+    diff = latest - previous
+    h = conv2d(np.concatenate([conv2d(np.concatenate([latest, diff]), enc),
+                               conv2d(np.concatenate([previous, diff]), enc)]), trunk)
+    return conv2d(h, dp), conv2d(h, wh)
+
+
+@pytest.mark.parametrize("c", [64, 128, 256])
+def test_split_motion_estimator_matches_literal_concat(c):
+    rng = np.random.default_rng(c)
+    w = default_motion_weights(c, seed=1)
+    w["enc.bias"] = rng.normal(size=c)
+    w["trunk.bias"] = rng.normal(size=c)
+    w["dp.weight"] = rng.normal(scale=0.05, size=(2, c, 3, 3))
+    w["dp.bias"] = rng.normal(size=2)
+    w["w.weight"] = rng.normal(scale=0.02, size=(1, c, 3, 3))
+    latest = rng.normal(size=(c, 6, 8))
+    previous = rng.normal(size=(c, 6, 8))
+    mf = estimate_motion(latest, previous, MotionEstimatorSpec.from_weights(w, ""))
+    dp, conf = _literal_motion(latest, previous, w)
+    assert np.abs(dp).max() > 0.1
+    np.testing.assert_allclose(mf.dp, dp, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(mf.w, conf, rtol=1e-12, atol=1e-12)
 
 
 def test_motion_estimator_from_named_weights():
@@ -284,6 +319,18 @@ def test_temporal_loss_degenerate_window_diagnostics():
     res2 = temporal_loss(y, np.zeros((1, 8, 8)), 4)
     assert len(res2.degenerate) == 5 and res2.loss == pytest.approx(1.0)
     assert np.all(res2.grad == 0.0)
+
+
+def test_window_cosines_match_temporal_loss_bitwise():
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(3, 16, 12))
+    y = rng.normal(size=(3, 16, 12))
+    x[:, :4, :4] = 0.0  # one degenerate window
+    cos, pred_norms, target_norms = window_cosines(x, y, 4)
+    res = temporal_loss(x, y, 4)
+    np.testing.assert_array_equal(cos, res.window_cosines)
+    assert cos[0] == 0.0 and pred_norms[0] == 0.0 and target_norms[0] > 0.0
+    assert res.degenerate == [(0, 0, "full")]
 
 
 def test_temporal_loss_gradient_matches_fd():
