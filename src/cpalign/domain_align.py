@@ -288,12 +288,13 @@ def transform_to_ego(grid: np.ndarray, source_pose: Pose2, ego_pose: Pose2,
 
 
 def complete_voids(projected: np.ndarray, valid: np.ndarray,
-                   ego: np.ndarray) -> np.ndarray:
+                   ego: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Fill invalid cells of a projected grid from the ego grid.
 
     out = valid * projected + (1 - valid) * ego, evaluated as an exact
     selection so values pass through untouched. Idempotent when the mask is
-    binary.
+    binary. The result goes to ``out`` when given, which may be
+    ``projected`` itself (a resample the caller owns), else to a new array.
     """
     projected = ensure_tensor3(projected, "projected grid")
     ego = ensure_tensor3(ego, "ego grid")
@@ -310,7 +311,14 @@ def complete_voids(projected: np.ndarray, valid: np.ndarray,
         )
     if not np.all((valid == 0.0) | (valid == 1.0)):
         raise ShapeError("valid mask must be binary")
-    return np.where(valid > 0.5, projected, ego)
+    if out is None:
+        return np.where(valid > 0.5, projected, ego)
+    if out.shape != projected.shape:
+        raise ShapeError(f"out {out.shape} does not match grid {projected.shape}")
+    if out is not projected:
+        np.copyto(out, projected)
+    np.copyto(out, ego, where=valid < 0.5)
+    return out
 
 
 def observability_weighting(map_ego: np.ndarray, map_collab: np.ndarray) -> np.ndarray:

@@ -4,16 +4,22 @@ One run renders the scene for every agent, featurizes, pushes the
 collaborator's stale frames through the two-stage temporal alignment, ships
 them over a lossy channel, projects them into the ego frame with pose noise,
 applies observability-weighted domain supervision, instance-focused fusion,
-and finally the energy detector.  A sweep repeats this over delays and noise
-levels with and without temporal alignment and tabulates the metrics.
+and finally the energy detector.  The ego's chain runs on the calling thread
+and the collaborators' chains on one worker thread; they meet at void
+completion.  A sweep repeats this over delays and noise levels with and
+without temporal alignment and tabulates the metrics.
 """
 
 import csv
+import functools
 import math
+import threading
 import time
+from concurrent import futures
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from dataclasses import dataclass, field
 
 from ..domain_align import (
     Pose2,
@@ -42,9 +48,9 @@ from ..instance_fusion import (
     default_aggregate_weights,
     default_fuse_weights,
     default_verification_weights,
+    foreground_features,
     foreground_loss,
     fuse_agents,
-    split_foreground,
     struct_conv,
     verification_weights,
 )
@@ -265,11 +271,239 @@ def _struct_kernels(weights) -> StructKernels:
     return StructKernels(base=base.reshape(c, 3, 3), biases=biases.reshape(5, c))
 
 
-def _refine_instance(h_map, m_map, weights, combine):
-    fore, back = split_foreground(h_map, m_map)
+def _instance_inputs(h_map, m_map, weights, reuse_h) -> list:
+    """(fore, enhanced, back, verif) of the IFAM branch, in that order.
+
+    The background h - fore is formed last, so it is not live through the
+    struct conv and the gate. With ``reuse_h`` the caller owns h_map and
+    needs it no more, so the background is written over it.
+    """
+    fore = foreground_features(h_map, m_map)
     enhanced = struct_conv(fore, _struct_kernels(weights))
     verif = verification_weights(fore, enhanced, VerificationSpec.from_weights(weights))
-    return aggregate_instance(fore, enhanced, back, verif, weights, combine=combine)
+    back = np.subtract(h_map, fore, out=h_map) if reuse_h else h_map - fore
+    return [fore, enhanced, back, verif]
+
+
+def _refine_instance(h_map, m_map, weights, combine, reuse_h=False):
+    # aggregate_instance drops each input once it is dead. Popped straight
+    # into its arguments, the maps have no other reference, so the gate and
+    # the foreground maps are freed before its 1x1 conv allocates.
+    maps = _instance_inputs(h_map, m_map, weights, reuse_h)
+    return aggregate_instance(maps.pop(0), maps.pop(0), maps.pop(0), maps.pop(0),
+                              weights, combine=combine)
+
+
+_LANE_LOCK = threading.Lock()
+_lane = None
+
+
+def _collaborator_lane() -> ThreadPoolExecutor:
+    """The one worker thread that runs collaborator tasks, started on first use."""
+    global _lane
+    with _LANE_LOCK:
+        if _lane is None:
+            _lane = ThreadPoolExecutor(max_workers=1,
+                                       thread_name_prefix="cpalign-collaborator")
+        return _lane
+
+
+@dataclass(frozen=True)
+class _Run:
+    """What every lane of one run_pipeline call reads; none of it changes."""
+
+    scenario: Scenario
+    t: float
+    tau: float
+    opts: PipelineOptions
+    weights: dict
+    bev: BevSpec
+    render_cfg: RenderConfig
+    cache: dict | None
+    collect: bool
+    k_eval: int
+    delay: DelayContext
+    ego_pose: Pose2
+    motion_specs: list
+    xi_spec: XiPredictorSpec
+
+    def featurize(self, agent_id, t, phd) -> MultiScaleFeatures:
+        return _featurize(self.scenario, agent_id, t, self.bev, self.render_cfg,
+                          self.weights, phd, self.cache)
+
+
+@dataclass
+class _Collaborator:
+    """What one collaborator's task hands to fusion and to the report."""
+
+    xi: list
+    mse: list
+    cosine_pre: float
+    cosine_post: float
+    temporal_loss: float
+    refined: np.ndarray | None = None
+    domain_loss: float = 0.0
+    maps: dict = field(default_factory=dict)
+
+
+def _ego_lane(run: _Run, ego_view: Future):
+    """The ego's chain. ``ego_view`` gets (features, foreground, logits) as
+    soon as they exist, before the ego's own instance refinement.
+
+    Returns the ego foreground and refined map.
+    """
+    ego = run.scenario.agents[0]
+    key = ("ego", ego.agent_id, run.k_eval, run.opts.phd)
+    if run.cache is not None and key in run.cache:
+        h, m, logits, refined = run.cache[key]
+        ego_view.set_result((h, m, logits))
+        return m, refined
+    ms = run.featurize(ego.agent_id, run.t, run.opts.phd)
+    h = bev_project(ms, run.weights)
+    m = foreground_estimate(h, ms, run.weights)
+    logits = discriminator_forward(h, run.weights)
+    ego_view.set_result((h, m, logits))
+    refined = _refine_instance(h, m, run.weights, run.opts.combine)
+    if run.cache is not None:
+        run.cache[key] = (h, m, logits, refined)
+    return m, refined
+
+
+def _ship_stage1(run: _Run, agent_id, ms_latest):
+    """The collaborator's side: PTAM stage 1 and the channel. Returns the
+    received tensors and their errors; the payload dies here."""
+    opts = run.opts
+    t_prev = run.t - run.tau - run.scenario.frame_interval
+    payload = {}
+    if opts.ptam:
+        ms_prev = run.featurize(agent_id, t_prev, opts.phd_collaborators)
+        ideal1 = (_ideal_fields(run.scenario, agent_id, t_prev, run.t - run.tau,
+                                run.bev, opts.ideal_mode)
+                  if opts.motion_mode == "ideal" else [None] * 3)
+        for s in range(len(SCALE_CHANNELS)):
+            inter, mf1 = ptam_stage1(ms_prev.scales[s], ms_latest.scales[s],
+                                     run.motion_specs[s], ideal1[s])
+            payload[f"s{s}.latest"] = ms_latest.scales[s]
+            payload[f"s{s}.inter"] = inter
+            payload[f"s{s}.dp"] = mf1.dp
+            payload[f"s{s}.w"] = mf1.w
+    else:
+        for s in range(len(SCALE_CHANNELS)):
+            payload[f"s{s}.latest"] = ms_latest.scales[s]
+    return transmit_tensors(payload, CodecConfig(opts.codec))
+
+
+def _align_collaborator(run: _Run, agent_id, counter):
+    """Stage 1, the channel, stage 2 and the temporal metrics of one
+    collaborator. Returns its aligned features and a record of the metrics;
+    the payload and the received tensors die here."""
+    opts = run.opts
+    ms_latest = run.featurize(agent_id, run.t - run.tau, opts.phd_collaborators)
+    received, errors = _ship_stage1(run, agent_id, ms_latest)
+    xi_report = []
+    if opts.ptam:
+        ideal2 = (_ideal_fields(run.scenario, agent_id, run.t - run.tau, run.t,
+                                run.bev, opts.ideal_mode)
+                  if opts.motion_mode == "ideal" else [None] * 3)
+        aligned_scales = []
+        for s in range(len(SCALE_CHANNELS)):
+            w_rx = received[f"s{s}.w"]
+            if opts.codec != "identity":
+                w_rx = np.clip(w_rx, _W_CLIP, 1.0 - _W_CLIP)
+            mf1 = MotionField(dp=received[f"s{s}.dp"], w=w_rx)
+            aligned, _, xi = ptam_stage2(
+                received[f"s{s}.latest"], received[f"s{s}.inter"], mf1,
+                run.delay, run.motion_specs[s], run.xi_spec, ideal2[s],
+                opts.stage2_variant)
+            aligned_scales.append(aligned)
+            xi_report.append(xi)
+        ms_aligned = MultiScaleFeatures(*aligned_scales)
+    else:
+        ms_aligned = MultiScaleFeatures(received["s0.latest"],
+                                        received["s1.latest"],
+                                        received["s2.latest"])
+
+    ms_gt = run.featurize(agent_id, run.t, opts.phd_collaborators)
+    tl = temporal_loss(ms_aligned.large, ms_gt.large, opts.window, counter)
+    cos_post = float(np.mean(tl.window_cosines))
+    if opts.ptam:
+        cos_pre = float(np.mean(window_cosines(
+            received["s0.latest"], ms_gt.large, opts.window)[0]))
+    else:
+        # unaligned, the large scale compared above is the received one
+        cos_pre = cos_post
+    return ms_aligned, _Collaborator(xi=xi_report, mse=list(errors.values()),
+                                     cosine_pre=cos_pre, cosine_post=cos_post,
+                                     temporal_loss=tl.loss)
+
+
+def _project_collaborator(run: _Run, j, agent, ms_aligned):
+    """Projected features and foreground, resampled into the ego frame."""
+    h = bev_project(ms_aligned, run.weights)
+    m = foreground_estimate(h, ms_aligned, run.weights)
+    pose = _noisy_pose(agent_pose_at(run.scenario, agent, run.t - run.tau),
+                       run.scenario, run.k_eval, j, run.opts)
+    h_proj, valid = transform_to_ego(h, pose, run.ego_pose, run.bev)
+    m_proj, _ = transform_to_ego(m, pose, run.ego_pose, run.bev)
+    return h_proj, m_proj, valid
+
+
+def _collaborator(run: _Run, j, agent, ego_view: Future, counter) -> _Collaborator:
+    """One collaborator's chain, from its renders to its refined map in the
+    ego frame. Only void completion onwards waits for the ego's view."""
+    ms_aligned, out = _align_collaborator(run, agent.agent_id, counter)
+    h_proj, m_proj, valid = _project_collaborator(run, j, agent, ms_aligned)
+    del ms_aligned
+    h_ego, m_ego, logits_ego = ego_view.result()
+    # the resamples are this task's own: the ego fills their voids in place
+    h_comp = complete_voids(h_proj, valid, h_ego, out=h_proj)
+    m_comp = complete_voids(m_proj, valid, m_ego, out=m_proj)
+    w_obs = observability_weighting(m_ego, m_comp)
+    loss_c, _, _ = domain_loss_and_grads(
+        discriminator_forward(h_comp, run.weights), 1.0, w_obs)
+    loss_e, _, _ = domain_loss_and_grads(logits_ego, 0.0, w_obs)
+    out.domain_loss = 0.5 * (loss_c + loss_e)
+    # h_comp is this task's and dead after the IFAM branch: its background
+    # overwrites it (the ego's features are shared, so the ego lane cannot)
+    out.refined = _refine_instance(h_comp, m_comp, run.weights, run.opts.combine,
+                                   reuse_h=True)
+    if run.collect:
+        out.maps = {f"collab{j}_foreground": m_comp,
+                    f"collab{j}_observability": w_obs}
+    return out
+
+
+def _run_lanes(run: _Run, counter: OpCounter):
+    """The ego lane on this thread, one task per collaborator on the worker.
+
+    The worker runs one task at a time. Once its own lane is done, this
+    thread takes every task the worker has not started and runs it here, so
+    it never waits on a task that has not started. If anything raises, the
+    ego view carries the error to the tasks, the tasks not started are
+    dropped and the started ones finish before the error propagates.
+
+    Returns the ego foreground, the ego's refined map and the
+    collaborators' records in id order.
+    """
+    ego_view = Future()
+    jobs = [functools.partial(_collaborator, run, j, agent, ego_view,
+                              counter if j == 1 else None)
+            for j, agent in enumerate(run.scenario.agents[1:], start=1)]
+    lane = _collaborator_lane()
+    tasks = [lane.submit(job) for job in jobs]
+    try:
+        m_ego, refined_ego = _ego_lane(run, ego_view)
+        done = [job() if task.cancel() else None for job, task in zip(jobs, tasks)]
+        collabs = [r if r is not None else task.result()
+                   for r, task in zip(done, tasks)]
+    except BaseException as exc:
+        if not ego_view.done():
+            ego_view.set_exception(exc)
+        for task in tasks:
+            task.cancel()
+        futures.wait(tasks)
+        raise
+    return m_ego, refined_ego, collabs
 
 
 def run_pipeline(scenario: Scenario, t: float, tau: float,
@@ -284,6 +518,10 @@ def run_pipeline(scenario: Scenario, t: float, tau: float,
     scenario. It belongs to the scenario, weights, BEV grid and render
     config of the first call that uses it; a call under any other one
     raises :class:`ShapeError`.
+
+    The ego's chain runs on the calling thread while the collaborators'
+    chains run on one worker thread; they meet at void completion. The
+    result does not depend on which thread ran what.
     """
     start = time.perf_counter()
     opts = opts or PipelineOptions()
@@ -294,147 +532,52 @@ def run_pipeline(scenario: Scenario, t: float, tau: float,
     if tau < 0:
         raise ShapeError("delay must be non-negative")
     _claim_cache(cache, scenario, weights, bev, render_cfg)
-    dt = scenario.frame_interval
     k_eval = scenario.frame_index(t)
-    scenario.frame_index(t - tau - dt)  # validates the stale frames exist
-    ctx = DelayContext(tau=tau, frame_interval=dt, xi_mode=opts.xi_mode)
-    codec = CodecConfig(opts.codec)
-    lossy = opts.codec != "identity"
+    scenario.frame_index(t - tau - scenario.frame_interval)  # validates the stale frames exist
 
     ego = scenario.agents[0]
-    ego_pose = agent_pose_at(scenario, ego, t)
-    ego_key = ("ego", ego.agent_id, k_eval, opts.phd)
-    if cache is not None and ego_key in cache:
-        h_ego, m_ego, logits_ego, refined_ego = cache[ego_key]
-    else:
-        ms_ego = _featurize(scenario, ego.agent_id, t, bev, render_cfg,
-                            weights, opts.phd, cache)
-        h_ego = bev_project(ms_ego, weights)
-        m_ego = foreground_estimate(h_ego, ms_ego, weights)
-        logits_ego = discriminator_forward(h_ego, weights)
-        refined_ego = _refine_instance(h_ego, m_ego, weights, opts.combine)
-        if cache is not None:
-            cache[ego_key] = (h_ego, m_ego, logits_ego, refined_ego)
-
-    # ideal motion overrides every estimate, so only learned motion needs specs
-    motion_specs = [MotionEstimatorSpec.from_weights(weights, f"ptam.motion.s{i}.")
-                    if opts.motion_mode == "learned" else None
-                    for i in range(len(SCALE_CHANNELS))]
-    xi_spec = XiPredictorSpec.from_weights(weights, "ptam.")
-
-    refined = [refined_ego]
-    xi_report = []
-    domain_losses = []
-    mse_all = []
-    cos_pre_all = []
-    cos_post_all = []
-    tl_value = 0.0
+    run = _Run(
+        scenario=scenario, t=t, tau=tau, opts=opts, weights=weights, bev=bev,
+        render_cfg=render_cfg, cache=cache, collect=collect, k_eval=k_eval,
+        delay=DelayContext(tau=tau, frame_interval=scenario.frame_interval,
+                           xi_mode=opts.xi_mode),
+        ego_pose=agent_pose_at(scenario, ego, t),
+        # ideal motion overrides every estimate, so only learned motion needs specs
+        motion_specs=[MotionEstimatorSpec.from_weights(weights, f"ptam.motion.s{i}.")
+                      if opts.motion_mode == "learned" else None
+                      for i in range(len(SCALE_CHANNELS))],
+        xi_spec=XiPredictorSpec.from_weights(weights, "ptam."),
+    )
     counter = OpCounter()
-    maps = {"ego_foreground": m_ego} if collect else None
+    m_ego, refined_ego, collabs = _run_lanes(run, counter)
 
-    for j, collab in enumerate(scenario.agents[1:], start=1):
-        phd_c = opts.phd_collaborators
-        ms_latest = _featurize(scenario, collab.agent_id, t - tau, bev,
-                               render_cfg, weights, phd_c, cache)
-        payload = {}
-        stage1_fields = []
-        if opts.ptam:
-            ms_prev = _featurize(scenario, collab.agent_id, t - tau - dt, bev,
-                                 render_cfg, weights, phd_c, cache)
-            ideal1 = (_ideal_fields(scenario, collab.agent_id, t - tau - dt,
-                                    t - tau, bev, opts.ideal_mode)
-                      if opts.motion_mode == "ideal" else [None] * 3)
-            for s in range(len(SCALE_CHANNELS)):
-                inter, mf1 = ptam_stage1(ms_prev.scales[s], ms_latest.scales[s],
-                                         motion_specs[s], ideal1[s])
-                payload[f"s{s}.latest"] = ms_latest.scales[s]
-                payload[f"s{s}.inter"] = inter
-                payload[f"s{s}.dp"] = mf1.dp
-                payload[f"s{s}.w"] = mf1.w
-                stage1_fields.append(mf1)
-        else:
-            for s in range(len(SCALE_CHANNELS)):
-                payload[f"s{s}.latest"] = ms_latest.scales[s]
-
-        received, errors = transmit_tensors(payload, codec)
-        mse_all.extend(errors.values())
-
-        if opts.ptam:
-            ideal2 = (_ideal_fields(scenario, collab.agent_id, t - tau, t, bev,
-                                    opts.ideal_mode)
-                      if opts.motion_mode == "ideal" else [None] * 3)
-            aligned_scales = []
-            for s in range(len(SCALE_CHANNELS)):
-                w_rx = received[f"s{s}.w"]
-                if lossy:
-                    w_rx = np.clip(w_rx, _W_CLIP, 1.0 - _W_CLIP)
-                mf1 = MotionField(dp=received[f"s{s}.dp"], w=w_rx)
-                aligned, _, xi = ptam_stage2(
-                    received[f"s{s}.latest"], received[f"s{s}.inter"], mf1,
-                    ctx, motion_specs[s], xi_spec, ideal2[s],
-                    opts.stage2_variant)
-                aligned_scales.append(aligned)
-                if j == 1:
-                    xi_report.append(xi)
-            ms_aligned = MultiScaleFeatures(*aligned_scales)
-        else:
-            ms_aligned = MultiScaleFeatures(received["s0.latest"],
-                                            received["s1.latest"],
-                                            received["s2.latest"])
-
-        ms_gt = _featurize(scenario, collab.agent_id, t, bev, render_cfg,
-                           weights, phd_c, cache)
-        tl = temporal_loss(ms_aligned.large, ms_gt.large, opts.window,
-                           counter if j == 1 else None)
-        cos_post_all.append(float(np.mean(tl.window_cosines)))
-        if opts.ptam:
-            cos_pre_all.append(float(np.mean(window_cosines(
-                received["s0.latest"], ms_gt.large, opts.window)[0])))
-        else:
-            # unaligned, the large scale compared above is the received one
-            cos_pre_all.append(cos_post_all[-1])
-        if j == 1:
-            tl_value = tl.loss
-
-        h_collab = bev_project(ms_aligned, weights)
-        m_collab = foreground_estimate(h_collab, ms_aligned, weights)
-        collab_pose = _noisy_pose(agent_pose_at(scenario, collab, t - tau),
-                                  scenario, k_eval, j, opts)
-        h_proj, valid = transform_to_ego(h_collab, collab_pose, ego_pose, bev)
-        m_proj, _ = transform_to_ego(m_collab, collab_pose, ego_pose, bev)
-        h_comp = complete_voids(h_proj, valid, h_ego)
-        m_comp = complete_voids(m_proj, valid, m_ego)
-        w_obs = observability_weighting(m_ego, m_comp)
-        loss_c, _, _ = domain_loss_and_grads(
-            discriminator_forward(h_comp, weights), 1.0, w_obs)
-        loss_e, _, _ = domain_loss_and_grads(logits_ego, 0.0, w_obs)
-        domain_losses.append(0.5 * (loss_c + loss_e))
-        refined.append(_refine_instance(h_comp, m_comp, weights, opts.combine))
-        if collect:
-            maps[f"collab{j}_foreground"] = m_comp
-            maps[f"collab{j}_observability"] = w_obs
-
-    fused = fuse_agents(refined, weights)
+    fused = fuse_agents([refined_ego] + [c.refined for c in collabs], weights)
     dmap = detection_map(fused)
     gt_local = scenario_boxes_local(scenario, ego.agent_id, t)
     det = evaluate_detection(dmap, gt_local, bev, opts.detector_threshold)
     fg_loss, _ = foreground_loss(m_ego, gt_local, bev)
+    maps = None
     if collect:
+        maps = {"ego_foreground": m_ego}
+        for c in collabs:
+            maps.update(c.maps)
         maps["detection"] = dmap
 
+    mse_all = [e for c in collabs for e in c.mse]
     expected = count_similarity_ops(SCALE_CHANNELS[0], bev.height, bev.width,
                                     opts.window, mode="blockwise")
+    first = collabs[0] if collabs else None
     report = RunReport(
         tau_ms=tau * 1000.0, t=t, ptam=opts.ptam, codec=opts.codec,
         sigma_local=opts.sigma_local, sigma_head_deg=opts.sigma_head_deg,
-        xi=xi_report,
+        xi=first.xi if first else [],
         ap50=det.ap.get(0.5, 0.0), ap70=det.ap.get(0.7, 0.0),
         mean_matched_iou=det.mean_matched_iou,
         n_detections=det.n_detections, n_truth=det.n_truth,
-        cosine_pre=float(np.mean(cos_pre_all)) if cos_pre_all else 0.0,
-        cosine_post=float(np.mean(cos_post_all)) if cos_post_all else 0.0,
-        temporal_loss_value=tl_value,
-        domain_loss=float(np.mean(domain_losses)) if domain_losses else 0.0,
+        cosine_pre=float(np.mean([c.cosine_pre for c in collabs])) if collabs else 0.0,
+        cosine_post=float(np.mean([c.cosine_post for c in collabs])) if collabs else 0.0,
+        temporal_loss_value=first.temporal_loss if first else 0.0,
+        domain_loss=float(np.mean([c.domain_loss for c in collabs])) if collabs else 0.0,
         foreground_loss_value=fg_loss,
         codec_mse=float(np.mean(mse_all)) if mse_all else 0.0,
         op_counts=counter.counts.as_dict(),
@@ -466,19 +609,13 @@ def sweep(scenario: Scenario, taus_ms, opts: PipelineOptions | None = None,
     for sigma_local, sigma_head in sigmas:
         for tau_ms in taus_ms:
             tau = tau_ms / 1000.0
-            base_kwargs = {k: getattr(opts, k) for k in (
-                "xi_mode", "motion_mode", "ideal_mode", "stage2_variant",
-                "codec", "phd", "phd_collaborators", "detector_threshold",
-                "window", "combine", "weight_seed", "noise_seed")}
             on = run_pipeline(scenario, t, tau,
-                              PipelineOptions(ptam=True, sigma_local=sigma_local,
-                                              sigma_head_deg=sigma_head,
-                                              **base_kwargs),
+                              replace(opts, ptam=True, sigma_local=sigma_local,
+                                      sigma_head_deg=sigma_head),
                               weights, bev, render_cfg, cache)
             off = run_pipeline(scenario, t, tau,
-                               PipelineOptions(ptam=False, sigma_local=sigma_local,
-                                               sigma_head_deg=sigma_head,
-                                               **base_kwargs),
+                               replace(opts, ptam=False, sigma_local=sigma_local,
+                                       sigma_head_deg=sigma_head),
                                weights, bev, render_cfg, cache)
             tag = (tau_ms, sigma_local, sigma_head)
             for metric, value in (

@@ -26,11 +26,13 @@ from .numerics import (
 )
 
 EPSILON_DEFAULT = 0.1
+#: Elements per block of the verified blend's (1 - W) * enhanced term.
+BLEND_BLOCK = 1 << 15
 STRUCT_BANKS = ("vanilla", "center_surround", "horizontal", "vertical", "angular")
 
 
-def split_foreground(features: np.ndarray, fg_map: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(foreground, background) = (H * M, H * (1 - M)); they sum back to H."""
+def foreground_features(features: np.ndarray, fg_map: np.ndarray) -> np.ndarray:
+    """The foreground H * M of features H under a map M in [0, 1]."""
     features = ensure_tensor3(features, "features")
     fg_map = ensure_tensor3(fg_map, "foreground map")
     if fg_map.shape != (1,) + features.shape[1:]:
@@ -40,7 +42,13 @@ def split_foreground(features: np.ndarray, fg_map: np.ndarray) -> tuple[np.ndarr
         )
     if np.any(fg_map < 0.0) or np.any(fg_map > 1.0):
         raise ShapeError("foreground map values must lie in [0, 1]")
-    fore = features * fg_map
+    return features * fg_map
+
+
+def split_foreground(features: np.ndarray, fg_map: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(foreground, background) = (H * M, H - H * M); they sum back to H."""
+    features = ensure_tensor3(features, "features")
+    fore = foreground_features(features, fg_map)
     return fore, features - fore
 
 
@@ -264,8 +272,8 @@ def verification_weights(fore: np.ndarray, enhanced: np.ndarray,
     logits += tmp
     np.multiply(colsum[:, None, None], w_spatial, out=tmp)
     logits += tmp
-    del tmp  # the sigmoid's buffers can take its place
-    return sigmoid(logits)
+    del tmp
+    return sigmoid(logits, out=logits)
 
 
 def verified_blend(weights: np.ndarray, fore: np.ndarray,
@@ -280,9 +288,14 @@ def verified_blend(weights: np.ndarray, fore: np.ndarray,
             f"{fore.shape}, {enhanced.shape}"
         )
     out = weights * fore
-    rest = 1.0 - weights
-    rest *= enhanced
-    out += rest
+    # (1 - W) * enhanced goes through one small buffer, block by block
+    flat_w, flat_e, flat_out = weights.reshape(-1), enhanced.reshape(-1), out.reshape(-1)
+    rest = np.empty(min(flat_w.size, BLEND_BLOCK))
+    for i in range(0, flat_w.size, BLEND_BLOCK):
+        r = rest[:min(BLEND_BLOCK, flat_w.size - i)]
+        np.subtract(1.0, flat_w[i:i + BLEND_BLOCK], out=r)
+        r *= flat_e[i:i + BLEND_BLOCK]
+        flat_out[i:i + BLEND_BLOCK] += r
     return out
 
 
@@ -324,7 +337,10 @@ def aggregate_instance(fore: np.ndarray, enhanced: np.ndarray,
     wa, ba = require_weights(weights, AGGREGATE_WEIGHT_NAMES, "aggregation weights")
     (eps_arr,) = require_weights(weights, ("ifam.eps",), "aggregation weights")
     eps = float(np.asarray(eps_arr).ravel()[0])
+    # each input is dropped once it is dead: a caller that hands over its
+    # only references gets them freed before the conv allocates its result
     blend = verified_blend(verif, fore, enhanced)
+    del verif
     if combine == "sum":
         pre = blend
         pre += fore
@@ -333,8 +349,10 @@ def aggregate_instance(fore: np.ndarray, enhanced: np.ndarray,
     else:
         pre = np.concatenate([blend, fore, enhanced])
         cin = 3 * c
+    del fore, enhanced
     refined = conv2d(pre, ConvSpec(c, cin, 1, 1, wa, bias=ba))
-    refined += eps * back
+    del pre  # the blend's buffer is dead: eps * back takes it
+    refined += np.multiply(back, eps, out=blend)
     return refined
 
 

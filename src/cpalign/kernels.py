@@ -9,8 +9,9 @@ pipeline sends it:
   (one input channel per group, one output per group) run as a per-tap
   shift-add over cache-sized channel blocks; 1x1 convs are one ``matmul``
   with the groups as the batch dimension; every other geometry (dense
-  kxk, strided, channel-multiplier grouped) is one im2col GEMM batched
-  over the groups. No path loops over groups in Python.
+  kxk, strided, channel-multiplier grouped) is an im2col GEMM batched
+  over the groups, run in bands of output rows so that its column buffer
+  stays under ``IM2COL_BAND_BYTES``. No path loops over groups in Python.
 * :func:`tconv2d_core` routes the ungrouped shapes onto a GEMM. With
   stride equal to the kernel the taps tile the canvas, so one GEMM and a
   transpose fill it; with stride 1 it is the im2col conv of the padded
@@ -19,7 +20,7 @@ pipeline sends it:
   coordinate columns with preallocated buffers. The three squared terms
   are summed in the same order as a row reduction, so picks are exact.
 * :func:`bilinear_gather` reads the four corners with flat ``take``
-  indices and accumulates them in place.
+  indices and accumulates them in place, one block of channels at a time.
 
 All float work is float64. Results match the straight loop-nest
 definitions in ``tests/`` to float64 accumulation order (~1e-12 relative);
@@ -33,6 +34,14 @@ import numpy as np
 #: Channels per block of the depthwise shift-add: one block's input taps,
 #: accumulator and product buffer stay in cache at 48x48 maps.
 DEPTHWISE_BLOCK = 32
+
+#: Channels per block of the bilinear gather: the corner reads of a block
+#: go through one small buffer instead of a second full-size map.
+GATHER_BLOCK = 32
+
+#: Upper bound on the im2col column buffer of one dense conv call. Larger
+#: convs fill and multiply their columns in bands of output rows.
+IM2COL_BAND_BYTES = 4 << 20
 
 
 def _f64(a):
@@ -79,12 +88,22 @@ def _conv_pointwise(xpad, w, stride, groups):
 
 
 def _conv_im2col(xpad, w, stride, groups, ho, wo):
+    # the columns are filled and multiplied one band of output rows at a
+    # time, through one buffer of at most IM2COL_BAND_BYTES per call
     cout, cing, kh, kw = w.shape
-    cols = np.empty((groups, cing, kh, kw, ho, wo))
-    for ky, kx, view in _taps(xpad, kh, kw, stride, ho, wo):
-        cols[:, :, ky, kx] = view.reshape(groups, cing, ho, wo)
-    out = np.matmul(w.reshape(groups, cout // groups, cing * kh * kw),
-                    cols.reshape(groups, cing * kh * kw, ho * wo))
+    k = cing * kh * kw
+    rows = max(1, min(ho, IM2COL_BAND_BYTES // (8 * groups * k * wo)))
+    buf = np.empty(groups * k * rows * wo)
+    wmat = w.reshape(groups, cout // groups, k)
+    out = np.empty((groups, cout // groups, ho * wo))
+    for r0 in range(0, ho, rows):
+        n = min(rows, ho - r0)
+        cols = buf[:groups * k * n * wo].reshape(groups, cing, kh, kw, n, wo)
+        band = xpad[:, stride * r0:stride * (r0 + n - 1) + kh]
+        for ky, kx, view in _taps(band, kh, kw, stride, n, wo):
+            cols[:, :, ky, kx] = view.reshape(groups, cing, n, wo)
+        np.matmul(wmat, cols.reshape(groups, k, n * wo),
+                  out=out[:, :, r0 * wo:(r0 + n) * wo])
     return out.reshape(cout, ho, wo)
 
 
@@ -164,8 +183,7 @@ def bilinear_gather(f: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray
     y0 = np.floor(sy).astype(np.int64)
     fx = sx - x0
     fy = sy - y0
-    out = np.zeros((c, h * w))
-    tmp = np.empty((c, h * w))
+    corners = []
     for dy in (0, 1):
         for dx in (0, 1):
             xi = x0 + dx
@@ -174,11 +192,18 @@ def bilinear_gather(f: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray
             wy = fy if dy else 1.0 - fy
             valid = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
             idx = np.clip(yi, 0, h - 1) * w + np.clip(xi, 0, w - 1)
-            # indices are already in range; "clip" lets take write into tmp
+            corners.append((idx.ravel(), np.where(valid, wx * wy, 0.0).ravel()))
+    out = np.zeros((c, h * w))
+    tmp = np.empty((min(c, GATHER_BLOCK), h * w))
+    for c0 in range(0, c, GATHER_BLOCK):
+        c1 = min(c0 + GATHER_BLOCK, c)
+        acc, buf = out[c0:c1], tmp[:c1 - c0]
+        for idx, weight in corners:
+            # indices are already in range; "clip" lets take write into buf
             # without the bounds-check buffer that "raise" uses with out=
-            np.take(flat, idx.ravel(), axis=1, out=tmp, mode="clip")
-            tmp *= np.where(valid, wx * wy, 0.0).ravel()
-            out += tmp
+            np.take(flat[c0:c1], idx, axis=1, out=buf, mode="clip")
+            buf *= weight
+            acc += buf
     return out.reshape(c, h, w)
 
 

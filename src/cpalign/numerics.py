@@ -11,6 +11,7 @@ accumulation accuracy.
 from __future__ import annotations
 
 import struct
+import threading
 from dataclasses import dataclass, field
 from typing import BinaryIO, Mapping, Sequence
 
@@ -39,7 +40,7 @@ def relu(x: np.ndarray) -> np.ndarray:
 SIGMOID_BLOCK = 1 << 15
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Numerically stable logistic function.
 
     With ``e = exp(-|x|)`` this is ``1 / (1 + e)`` for ``x >= 0`` and
@@ -48,9 +49,16 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     ``minimum(x, -x)`` stands in for ``-|x|`` because it passes a NaN
     through with its sign unchanged. The numerator is ``max(e, x >= 0)``:
     1 where ``x >= 0`` (there ``e <= 1``), ``e`` below zero and for NaN.
+
+    ``out``, a C-contiguous float64 array of x's shape, receives the result
+    instead of a new array; it may be ``x`` itself, since each block reads
+    x before it writes its output.
     """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty(x.shape)
+    if out is None:
+        out = np.empty(x.shape)
+    elif out.shape != x.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ShapeError(f"sigmoid out must be C-contiguous float64 {x.shape}")
     xf, of = x.reshape(-1), out.reshape(-1)
     e = np.empty(min(xf.size, SIGMOID_BLOCK))
     for i in range(0, xf.size, SIGMOID_BLOCK):
@@ -299,24 +307,29 @@ class FrozenMemo:
     go stale. Any other array (a caller's writable dict, a converted copy)
     gets a fresh build on every call. The memo holds its ``size`` most
     recently used entries and the arrays they were built from.
+
+    Threads share it: a lock held through the build makes a second thread
+    that asks for the same key wait for the first build and get its value.
     """
 
     def __init__(self, size: int = 4):
         self.size = size
         self._entries: dict = {}
+        self._lock = threading.Lock()
 
     def get(self, tag: str, arrays: Sequence[np.ndarray], build):
         if not all(not a.flags.writeable and a.flags.owndata for a in arrays):
             return build()
         key = (tag,) + tuple(id(a) for a in arrays)
-        # an entry keeps its arrays alive, so their ids cannot be reused
-        hit = self._entries.pop(key, None)
-        if hit is None:
-            hit = (tuple(arrays), build())
-        self._entries[key] = hit
-        while len(self._entries) > self.size:
-            del self._entries[next(iter(self._entries))]
-        return hit[1]
+        with self._lock:
+            # an entry keeps its arrays alive, so their ids cannot be reused
+            hit = self._entries.pop(key, None)
+            if hit is None:
+                hit = (tuple(arrays), build())
+            self._entries[key] = hit
+            while len(self._entries) > self.size:
+                del self._entries[next(iter(self._entries))]
+            return hit[1]
 
 
 # ---------------------------------------------------------------------------

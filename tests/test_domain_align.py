@@ -190,6 +190,17 @@ def test_complete_voids_exact_selection_and_idempotence():
     np.testing.assert_array_equal(complete_voids(done, valid, ego), done)
     with pytest.raises(ShapeError):
         complete_voids(proj, valid * 0.5, ego)
+    # into the caller's own buffer, or into the projected grid itself
+    ego_before = ego.copy()
+    out = np.empty_like(proj)
+    assert complete_voids(proj, valid, ego, out=out) is out
+    np.testing.assert_array_equal(out, done)
+    inplace = proj.copy()
+    assert complete_voids(inplace, valid, ego, out=inplace) is inplace
+    np.testing.assert_array_equal(inplace, done)
+    np.testing.assert_array_equal(ego, ego_before)
+    with pytest.raises(ShapeError):
+        complete_voids(proj, valid, ego, out=np.empty((3, 4, 5)))
 
 
 def test_observability_weighting_range_and_values():

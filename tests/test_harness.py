@@ -3,13 +3,20 @@
 import json
 import math
 import os
+import subprocess
+import sys
+import threading
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cpalign
 from cpalign.domain_align import Pose2
+from cpalign.harness import pipeline
 from cpalign.featurizer import BevSpec
 from cpalign.harness.codec import CodecConfig, encode_decode, transmit_tensors
 from cpalign.harness.config import ConfigError, load_config
@@ -41,7 +48,12 @@ from cpalign.harness.scenario import (
     save_scenario,
     scenario_boxes_local,
 )
-from cpalign.numerics import ShapeError
+from cpalign.instance_fusion import (
+    split_foreground,
+    struct_conv,
+    verification_weights,
+)
+from cpalign.numerics import ConvSpec, ShapeError, conv2d
 from cpalign.pointcloud import OrientedBox
 
 
@@ -464,6 +476,206 @@ def test_run_pipeline_collect_maps():
     r = run_pipeline(scn, 0.8, 0.2, PipelineOptions(phd=False),
                      bev=_BEV_SMALL, collect=True)
     assert set(r.maps) >= {"ego_foreground", "collab1_foreground", "detection"}
+
+
+def _three_agent_scene():
+    # two collaborators: the calling thread takes the second one's task
+    # while the worker runs the first
+    return _simple_scenario(
+        agents=[AgentSpec("ego", Pose2(0.0, 0.0, 0.0)),
+                AgentSpec("collab", Pose2(1.0, 0.5, 0.0)),
+                AgentSpec("collab2", Pose2(-0.8, 0.9, 0.2))],
+        duration=0.8)
+
+
+def _report_dict(report):
+    d = report.as_dict()
+    d.pop("wall_time_s")
+    return d
+
+
+def _call_with_timeout(fn, timeout=120.0):
+    """Run fn on a fresh thread; a hang fails the test instead of stalling it."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = fn()
+        except BaseException as exc:  # handed to the test thread below
+            outcome["error"] = exc
+
+    runner = threading.Thread(target=target)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive(), "run_pipeline did not return"
+    return runner, outcome
+
+
+class _LaneFault(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("stage,scene", [
+    ("transmit_tensors", _fast_scene),        # collaborator lane, on the worker
+    ("transmit_tensors", _three_agent_scene),  # both collaborators, one stolen
+    ("foreground_estimate", _fast_scene),     # ego lane, on the calling thread
+])
+def test_run_pipeline_lane_failure_propagates(monkeypatch, stage, scene):
+    scn = scene()
+    opts = PipelineOptions(phd=False, codec="int8")
+    want = _report_dict(run_pipeline(scn, 0.8, 0.2, opts, bev=_BEV_SMALL))
+    original = getattr(pipeline, stage)
+    callers = []
+
+    def faulty(*args, **kwargs):
+        # the ego's foreground head is the one called on the calling thread
+        if stage == "transmit_tensors" or threading.current_thread() in callers:
+            raise _LaneFault(stage)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, stage, faulty)
+    task = pipeline._collaborator
+    started, finished = [], []
+
+    def recorded_task(*args, **kwargs):
+        started.append(1)
+        try:
+            return task(*args, **kwargs)
+        finally:
+            finished.append(time.perf_counter())
+
+    monkeypatch.setattr(pipeline, "_collaborator", recorded_task)
+
+    returned = []
+
+    def failing_run():
+        callers.append(threading.current_thread())
+        try:
+            return run_pipeline(scn, 0.8, 0.2, opts, bev=_BEV_SMALL)
+        finally:
+            returned.append(time.perf_counter())
+
+    _, outcome = _call_with_timeout(failing_run)
+    assert isinstance(outcome.get("error"), _LaneFault)
+    # every task that started had finished when the error reached the caller
+    assert len(finished) == len(started) and max(finished) <= returned[0]
+    monkeypatch.undo()
+    # the worker is free again and the next call gives the usual result
+    _, outcome = _call_with_timeout(
+        lambda: run_pipeline(scn, 0.8, 0.2, opts, bev=_BEV_SMALL))
+    assert _report_dict(outcome["value"]) == want
+
+
+_REPORTS_SCRIPT = """
+import json
+import threading
+from cpalign.harness import (PipelineOptions, RenderConfig, build_pipeline_weights,
+                             generate_scenario, run_pipeline)
+from cpalign.harness.scenario import scenario_from_dict
+
+build_pipeline_weights(0)
+# neither the import nor the weights start the collaborator lane
+assert threading.active_count() == 1, threading.enumerate()
+
+fleet = {"agents": [{"id": "ego", "x": 0.0, "y": 0.0, "yaw": 0.0},
+                    {"id": "c1", "x": 1.0, "y": 0.6, "yaw": 0.2},
+                    {"id": "c2", "x": -0.8, "y": 0.9, "yaw": -0.1}],
+         "objects": [{"box": {"cx": 6.0, "cy": 1.0, "cz": 0.8, "length": 4.2,
+                              "width": 1.8, "height": 1.6, "yaw": 1.6},
+                      "vx": 0.0, "vy": 4.0, "yaw_rate": -0.6},
+                     {"box": {"cx": -5.0, "cy": -2.0, "cz": 0.8, "length": 4.2,
+                              "width": 1.8, "height": 1.6, "yaw": 0.0},
+                      "vx": 3.0, "vy": 0.0, "yaw_rate": 0.0}],
+         "duration": 1.2, "frame_interval": 0.1, "seed": 0}
+out = {}
+scn = generate_scenario("crossing", seed=0)
+out["crossing"] = run_pipeline(scn, 1.2, 0.3).as_dict()
+opts = PipelineOptions(phd_collaborators=True, motion_mode="learned", xi_mode="learned",
+                       codec="int8", sigma_local=0.2, sigma_head_deg=0.5)
+out["three_agents"] = run_pipeline(scenario_from_dict(fleet), 1.2, 0.3, opts,
+                                   render_cfg=RenderConfig(max_points=2000)).as_dict()
+for d in out.values():
+    d.pop("wall_time_s")
+print(json.dumps(out, sort_keys=True))
+"""
+
+
+def test_run_pipeline_reports_identical_across_processes():
+    # two fresh interpreters, two lanes each: the report must not depend on
+    # which thread ran which stage, on timing, or on the process
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cpalign.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    runs = [subprocess.run([sys.executable, "-c", _REPORTS_SCRIPT], env=env,
+                           capture_output=True, text=True, timeout=600)
+            for _ in range(2)]
+    for run in runs:
+        assert run.returncode == 0, run.stderr
+    assert runs[0].stdout == runs[1].stdout
+    reports = json.loads(runs[0].stdout)
+    assert reports["three_agents"]["codec_mse"] > 0.0
+    assert reports["crossing"]["ops_match_closed_form"]
+
+
+def test_run_pipeline_collect_maps_bitwise_repeatable():
+    scn = _three_agent_scene()
+    opts = PipelineOptions(phd=False, motion_mode="learned", xi_mode="learned",
+                           codec="int8")
+    a, b = (run_pipeline(scn, 0.8, 0.2, opts, bev=_BEV_SMALL, collect=True)
+            for _ in range(2))
+    assert list(a.maps) == ["ego_foreground", "collab1_foreground",
+                            "collab1_observability", "collab2_foreground",
+                            "collab2_observability", "detection"]
+    for name in a.maps:
+        assert a.maps[name].tobytes() == b.maps[name].tobytes(), name
+    assert _report_dict(a) == _report_dict(b)
+    # only the first collaborator's temporal loss is counted
+    assert a.ops_match_closed_form
+
+
+@pytest.mark.parametrize("reuse_h", [False, True])
+def test_refine_instance_matches_literal_chain(reuse_h):
+    # the pipeline's IFAM branch against split_foreground and an
+    # aggregate_instance written out, bit for bit; the inputs stay
+    # untouched unless the caller hands over h
+    weights = build_pipeline_weights(0)
+    rng = np.random.default_rng(21)
+    h = rng.normal(size=(384, 12, 9))
+    m = rng.uniform(size=(1, 12, 9))
+    h0, m0 = h.copy(), m.copy()
+    got = pipeline._refine_instance(h.copy() if reuse_h else h, m, weights, "sum",
+                                    reuse_h=reuse_h)
+    fore, back = split_foreground(h, m)
+    enh = struct_conv(fore, pipeline._struct_kernels(weights))
+    verif = verification_weights(fore, enh, pipeline.VerificationSpec.from_weights(weights))
+    pre = verif * fore + (1.0 - verif) * enh + fore + enh
+    spec = ConvSpec(384, 384, 1, 1, weights["ifam.agg.weight"],
+                    bias=weights["ifam.agg.bias"])
+    want = conv2d(pre, spec) + float(weights["ifam.eps"][0]) * back
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    np.testing.assert_array_equal(h, h0)
+    np.testing.assert_array_equal(m, m0)
+
+
+def test_sweep_passes_every_option_to_both_runs():
+    scn = _fast_scene()
+    opts = PipelineOptions(phd=False, stage2_variant="literal", window=8,
+                           detector_threshold=0.4, noise_seed=3)
+    rows = sweep(scn, [200], opts, sigmas=((0.1, 1.0),), t=0.8, bev=_BEV_SMALL)
+    got = {r["metric"]: r["value"] for r in rows}
+    on, off = (run_pipeline(scn, 0.8, 0.2, replace(opts, ptam=ptam, sigma_local=0.1,
+                                                   sigma_head_deg=1.0), bev=_BEV_SMALL)
+               for ptam in (True, False))
+    assert got["cosine_post"] == on.cosine_post
+    assert got["cosine_pre"] == on.cosine_pre
+    assert got["domain_loss"] == on.domain_loss
+    assert got["mean_iou_ptam"] == on.mean_matched_iou
+    assert got["mean_iou_baseline"] == off.mean_matched_iou
+    # the non-default window and stage-2 variant did reach the runs
+    plain = run_pipeline(scn, 0.8, 0.2, PipelineOptions(phd=False, sigma_local=0.1,
+                                                        sigma_head_deg=1.0),
+                         bev=_BEV_SMALL)
+    assert got["cosine_post"] != plain.cosine_post
 
 
 def test_sweep_rows_and_csv(tmp_path):

@@ -18,7 +18,7 @@ from cpalign.instance_fusion import (
     verification_weights,
     verified_blend,
 )
-from cpalign.numerics import ShapeError, conv2d, ensure_tensor3
+from cpalign.numerics import ConvSpec, ShapeError, conv2d, ensure_tensor3
 from cpalign.pointcloud import OrientedBox
 
 
@@ -197,6 +197,38 @@ def test_aggregate_instance_epsilon_background():
     w2["ifam.eps"] = np.array([0.5])
     out2 = aggregate_instance(fore, enh, back, verif, weights=w2)
     np.testing.assert_allclose(out2 - out_noback, 0.5 * back, rtol=1e-10, atol=1e-12)
+
+
+def aggregate_oracle(fore, enh, back, verif, weights, combine):
+    """aggregate_instance written out: the literal verified blend, the sum
+    (or concat), the 1x1 conv and eps * back."""
+    blend = verif * fore + (1.0 - verif) * enh
+    pre = blend + fore + enh if combine == "sum" else np.concatenate([blend, fore, enh])
+    c = fore.shape[0]
+    spec = ConvSpec(c, pre.shape[0], 1, 1, weights["ifam.agg.weight"],
+                    bias=weights["ifam.agg.bias"])
+    return conv2d(pre, spec) + float(weights["ifam.eps"][0]) * back
+
+
+@pytest.mark.parametrize("combine", ["sum", "concat"])
+@pytest.mark.parametrize("c,h,w", [(4, 5, 5), (16, 48, 48)])  # 1, 2 blend blocks
+def test_aggregate_instance_matches_literal_oracle_bitwise(combine, c, h, w):
+    rng = np.random.default_rng([c, h])
+    fore, enh, back = rng.normal(size=(3, c, h, w))
+    verif = rng.uniform(size=(c, h, w))
+    weights = default_aggregate_weights(c, seed=5, combine=combine)
+    weights["ifam.agg.bias"] = rng.normal(size=c)
+    weights["ifam.eps"] = np.array([0.37])
+    args = (fore, enh, back, verif)
+    before = [a.copy() for a in args]
+    got = aggregate_instance(*args, weights=weights, combine=combine)
+    want = aggregate_oracle(*args, weights, combine)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    for a, b in zip(args, before):
+        np.testing.assert_array_equal(a, b)
+    # the same inputs give the same output again
+    again = aggregate_instance(*args, weights=weights, combine=combine)
+    np.testing.assert_array_equal(again.view(np.int64), got.view(np.int64))
 
 
 def test_aggregate_instance_concat_mode():

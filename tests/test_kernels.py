@@ -36,11 +36,13 @@ def test_active_matches_backend():
 
 def test_bilinear_parity():
     rng = np.random.default_rng(2)
-    f = rng.normal(size=(5, 9, 11))
     sx = rng.uniform(-1.5, 11.5, size=(9, 11))
     sy = rng.uniform(-1.5, 9.5, size=(9, 11))
     sx[0, :3] = [-1.0, 0.0, 10.0]   # exact cell borders
     sy[0, :3] = [0.0, -1.0, 8.0]
-    np.testing.assert_allclose(kernels.bilinear_gather(f, sx, sy),
-                               bilinear_gather_oracle(f, sx, sy),
-                               rtol=0, atol=1e-12)
+    # one channel block, and several with a ragged last block
+    for c in (5, 2 * kernels.GATHER_BLOCK + 6):
+        f = rng.normal(size=(c, 9, 11))
+        np.testing.assert_allclose(kernels.bilinear_gather(f, sx, sy),
+                                   bilinear_gather_oracle(f, sx, sy),
+                                   rtol=0, atol=1e-12)

@@ -1,9 +1,11 @@
 import io
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from cpalign import numerics
+from cpalign import kernels, numerics
 from cpalign.numerics import (
     ArchiveError,
     ConvSpec,
@@ -83,7 +85,19 @@ CONV_CASES = [
     (3, 6, 3, 3, 1, 1, 3, 5, 5),      # channel-multiplier grouped
     (5, 3, 4, 4, 4, 0, 1, 8, 12),     # stride = kernel, tconv tiled route
     (4, 6, 3, 3, 1, 0, 1, 5, 7),      # stride 1 unpadded, tconv full-conv route
+    (8, 1, 3, 3, 1, 1, 1, 100, 80),   # im2col columns past one band, ragged last band
 ]
+
+
+def test_conv_cases_cover_a_ragged_im2col_band():
+    # the last CONV_CASES entry must keep exercising the banded im2col:
+    # more columns than one band holds, and a band count that does not
+    # divide the output rows
+    cin, cout, kh, kw, stride, padding, groups, h, w = CONV_CASES[-1]
+    ho, wo = h + 2 * padding - kh + 1, w + 2 * padding - kw + 1
+    row_bytes = 8 * cin * kh * kw * wo
+    assert row_bytes * ho > kernels.IM2COL_BAND_BYTES
+    assert ho % (kernels.IM2COL_BAND_BYTES // row_bytes) != 0
 
 
 @pytest.mark.parametrize("cin,cout,kh,kw,stride,padding,groups,h,w", CONV_CASES)
@@ -254,6 +268,13 @@ def test_sigmoid_bit_identical_to_masked_form():
         got, want = sigmoid(arr), sigmoid_masked_oracle(arr)
         assert got.shape == arr.shape
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    # in place: each block is read before it is written
+    inplace = big.copy()
+    assert sigmoid(inplace, out=inplace) is inplace
+    np.testing.assert_array_equal(inplace.view(np.int64),
+                                  sigmoid_masked_oracle(big).view(np.int64))
+    with pytest.raises(ShapeError):
+        sigmoid(big, out=np.empty(big.size))
 
 
 def test_softmax_rows_sum_to_one_and_shift_invariant():
@@ -340,3 +361,38 @@ def test_frozen_memo_keys_only_frozen_arrays():
     view.flags.writeable = False
     assert memo.get("t", [view], build) == 7
     assert memo.get("t", [view], build) == 8
+
+
+def test_frozen_memo_builds_each_key_once_across_threads():
+    # every thread asks for the same frozen arrays at once; a build that is
+    # slow enough to be caught mid-way must still run once, and every
+    # thread must get its value
+    frozen = numerics.freeze_weights({"a": np.ones(3), "b": np.zeros(2)})
+    arrays = [frozen["a"], frozen["b"]]
+    memo = numerics.FrozenMemo()
+    builds = []
+    start = threading.Barrier(8)
+    got = [None] * 8
+
+    def build():
+        builds.append(1)
+        threading.Event().wait(0.05)
+        return object()
+
+    def worker(i):
+        start.wait()
+        got[i] = memo.get("fold", arrays, build)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(builds) == 1
+    assert got[0] is not None and all(g is got[0] for g in got)
