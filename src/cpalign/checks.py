@@ -47,9 +47,12 @@ from .instance_fusion import (
     VerificationSpec,
     aggregate_instance,
     default_aggregate_weights,
+    default_fuse_weights,
     default_verification_weights,
     foreground_loss,
     fuse_agents,
+    fusion_fold,
+    fusion_term,
     struct_conv,
     verification_weights,
 )
@@ -405,8 +408,8 @@ def check_struct_conv() -> CheckResult:
 
 def check_fusion_algebra() -> CheckResult:
     """Neutral gates, epsilon background linearity, fold identities, and the
-    folded verification gate, folded foreground head and split motion
-    encoder against their literal builds."""
+    folded verification gate, folded foreground head, split motion encoder
+    and per-agent fusion terms against their literal builds."""
     c, h, w = 8, 10, 10
     rng = np.random.default_rng(11)
     fore = rng.normal(size=(c, h, w))
@@ -445,14 +448,31 @@ def check_fusion_algebra() -> CheckResult:
     gate_dev = float(np.abs(verification_weights(fore, enh, spec) - literal).max())
     fg_dev = _folded_foreground_dev(rng)
     motion_dev = _split_motion_dev(rng)
+    terms_dev = _fusion_terms_dev(rng)
     ok = (neutral and eps_dev <= 1e-9 and fold_single and fold_assoc
-          and max(gate_dev, fg_dev, motion_dev) <= 1e-12)
+          and max(gate_dev, fg_dev, motion_dev, terms_dev) <= 1e-12)
     return _result("fusion-algebra", ok,
                    f"neutral gates={neutral}, eps linearity dev={eps_dev:.2e} "
                    f"(tol 1e-9), fold single={fold_single}, fold "
                    f"chain={fold_assoc}, folded gate dev={gate_dev:.2e}, folded "
                    f"foreground dev={fg_dev:.2e}, split motion dev="
-                   f"{motion_dev:.2e} (tol 1e-12)")
+                   f"{motion_dev:.2e}, per-agent fusion terms dev={terms_dev:.2e} "
+                   f"(tol 1e-12)")
+
+
+def _fusion_terms_dev(rng) -> float:
+    """Sum of per-agent fusion terms vs the literal fuse_agents fold over 1,
+    2 and 3 agents, with a non-zero fusion bias."""
+    c = 8
+    weights = default_fuse_weights(c, seed=6)
+    weights["ifam.fuse.bias"] = rng.normal(size=c)
+    dev = 0.0
+    for n in (1, 2, 3):
+        maps = [rng.normal(size=(c, 5, 6)) for _ in range(n)]
+        fold = fusion_fold(weights, n)
+        terms = sum(fusion_term(x, fold, k) for k, x in enumerate(maps))
+        dev = max(dev, float(np.abs(terms - fuse_agents(maps, weights)).max()))
+    return dev
 
 
 def _folded_foreground_dev(rng) -> float:

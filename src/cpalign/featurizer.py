@@ -222,17 +222,22 @@ def bev_project(features: MultiScaleFeatures, weights: dict | None = None,
         weights = default_bevproj_weights(seed)
     wl, bl, wm, bm, ws, bs = require_weights(
         weights, BEVPROJ_WEIGHT_NAMES, "bev projection weights")
-    up_l = transposed_conv2d(features.large,
-                             ConvSpec(64, 128, 3, 3, wl, bias=bl, padding=1))
-    up_m = transposed_conv2d(features.middle,
-                             ConvSpec(128, 128, 2, 2, wm, bias=bm, stride=2))
-    up_s = transposed_conv2d(features.small,
-                             ConvSpec(256, 128, 4, 4, ws, bias=bs, stride=4))
     h, w = features.large.shape[1:]
-    for name, up in (("large", up_l), ("middle", up_m), ("small", up_s)):
+    out = None
+    # each block goes into its slice as soon as it exists, so the three are
+    # never live at once; the large block's im2col runs before out exists
+    for i, (name, x, spec) in enumerate((
+            ("large", features.large, ConvSpec(64, 128, 3, 3, wl, bias=bl, padding=1)),
+            ("middle", features.middle, ConvSpec(128, 128, 2, 2, wm, bias=bm, stride=2)),
+            ("small", features.small, ConvSpec(256, 128, 4, 4, ws, bias=bs, stride=4)))):
+        up = transposed_conv2d(x, spec)
         if up.shape != (128, h, w):
             raise ShapeError(f"{name} projection produced {up.shape}, expected (128, {h}, {w})")
-    return np.concatenate([up_l, up_m, up_s], axis=0)
+        if out is None:
+            out = np.empty((3 * 128, h, w))
+        out[128 * i:128 * (i + 1)] = up
+        del up
+    return out
 
 
 def box_footprint_mask(boxes: list, spec: BevSpec) -> np.ndarray:

@@ -7,7 +7,8 @@ applies observability-weighted domain supervision, instance-focused fusion,
 and finally the energy detector.  The ego's chain runs on the calling thread
 and the collaborators' chains on one worker thread; they meet at void
 completion.  A sweep repeats this over delays and noise levels with and
-without temporal alignment and tabulates the metrics.
+without temporal alignment, one whole run per lane at a time, and
+tabulates the metrics.
 """
 
 import csv
@@ -42,17 +43,18 @@ from ..featurizer import (
     pillar_encode,
 )
 from ..instance_fusion import (
+    FusionFold,
     StructKernels,
     VerificationSpec,
-    aggregate_instance,
     default_aggregate_weights,
     default_fuse_weights,
     default_verification_weights,
     foreground_features,
     foreground_loss,
-    fuse_agents,
+    fusion_fold,
+    fusion_term,
+    gate_and_aggregate,
     struct_conv,
-    verification_weights,
 )
 from ..numerics import ShapeError, freeze_weights, he_normal, require_weights
 from ..opcount import OpCounter, count_similarity_ops
@@ -70,7 +72,7 @@ from ..temporal_align import (
     window_cosines,
 )
 from .codec import CodecConfig, transmit_tensors
-from .detect import detection_map, evaluate_detection
+from .detect import ENERGY_CHANNELS, detection_map, evaluate_detection
 from .scenario import (
     RenderConfig,
     Scenario,
@@ -122,6 +124,7 @@ class PipelineOptions:
 
 
 _WEIGHT_CACHE = {}
+_WEIGHT_LOCK = threading.Lock()
 
 
 def build_pipeline_weights(seed: int = 0, combine: str = "sum") -> dict:
@@ -129,11 +132,18 @@ def build_pipeline_weights(seed: int = 0, combine: str = "sum") -> dict:
 
     The arrays are read-only and own their data (:func:`freeze_weights`),
     so every caller can share the cached dict and the values derived from
-    it once per weights (the folded foreground head, the motion specs).
+    it once per weights (the folded foreground head, the motion specs, the
+    fusion terms). Threads share the cache: the first to ask for a key builds it under a
+    lock, so every thread gets the same dict object.
     """
     key = (seed, combine)
-    if key in _WEIGHT_CACHE:
+    with _WEIGHT_LOCK:
+        if key not in _WEIGHT_CACHE:
+            _WEIGHT_CACHE[key] = _build_weights(seed, combine)
         return _WEIGHT_CACHE[key]
+
+
+def _build_weights(seed: int, combine: str) -> dict:
     weights = {}
     weights.update(default_backbone_weights(seed))
     weights.update(default_bevproj_weights(seed))
@@ -149,9 +159,7 @@ def build_pipeline_weights(seed: int = 0, combine: str = "sum") -> dict:
     weights.update(default_verification_weights(PROJECTED_CHANNELS, seed))
     weights.update(default_aggregate_weights(PROJECTED_CHANNELS, seed, combine))
     weights.update(default_fuse_weights(PROJECTED_CHANNELS, seed))
-    weights = freeze_weights(weights)
-    _WEIGHT_CACHE[key] = weights
-    return weights
+    return freeze_weights(weights)
 
 
 @dataclass
@@ -230,19 +238,69 @@ def _claim_cache(cache, scenario, weights, bev, render_cfg) -> None:
         raise ShapeError(f"cache was filled under {owner[3]}, not {render_cfg}")
 
 
+_MEMO_LOCK = threading.Lock()
+
+
+def _claim(cache, keys) -> tuple:
+    """``(slots, mine)``: one ``Future`` per memo key, claimed together.
+
+    Keys claimed together are in the memo as a complete set or not at all.
+    If they are, the caller gets their Futures, done or not, and ``mine``
+    is False. Otherwise the caller gets fresh Futures, already in the memo,
+    and must fill every one or hand them to :func:`_fail`. Without a memo
+    every claim is fresh.
+    """
+    with _MEMO_LOCK:
+        if cache is not None and all(k in cache for k in keys):
+            return [cache[k] for k in keys], False
+        slots = [Future() for _ in keys]
+        if cache is not None:
+            cache.update(zip(keys, slots))
+        return slots, True
+
+
+def _fail(cache, keys, slots, exc) -> None:
+    """Undo a claim whose builds did not all finish.
+
+    The keys leave the memo, so a later call builds them afresh, and every
+    slot still open carries ``exc`` to whoever waits on it. A claim whose
+    slots are all filled is left alone.
+    """
+    if all(slot.done() and slot.exception() is None for slot in slots):
+        return
+    with _MEMO_LOCK:
+        for key, slot in zip(keys, slots):
+            if cache is not None and cache.get(key) is slot:
+                del cache[key]
+    for slot in slots:
+        if not slot.done():
+            slot.set_exception(exc)
+
+
+def _memo(cache, key, build):
+    """The value under ``key``. The first caller builds it on its own
+    thread, the others wait for that build, and a build that raises is not
+    kept."""
+    (slot,), mine = _claim(cache, (key,))
+    if mine:
+        try:
+            slot.set_result(build())
+        except BaseException as exc:
+            _fail(cache, (key,), (slot,), exc)
+            raise
+    return slot.result()
+
+
 def _featurize(scenario, agent_id, t, bev, render_cfg, weights, phd,
                cache) -> MultiScaleFeatures:
-    key = ("ms", agent_id, scenario.frame_index(t), phd)
-    if cache is not None and key in cache:
-        return cache[key]
-    cloud = render_pointcloud(scenario, agent_id, t, render_cfg)
-    if phd:
-        boxes = scenario_boxes_local(scenario, agent_id, t)
-        cloud = phd_apply(cloud, boxes, (0.0, 0.0), PhdConfig(seed=scenario.seed))
-    ms = backbone_forward(pillar_encode(cloud, bev), weights)
-    if cache is not None:
-        cache[key] = ms
-    return ms
+    def build():
+        cloud = render_pointcloud(scenario, agent_id, t, render_cfg)
+        if phd:
+            boxes = scenario_boxes_local(scenario, agent_id, t)
+            cloud = phd_apply(cloud, boxes, (0.0, 0.0), PhdConfig(seed=scenario.seed))
+        return backbone_forward(pillar_encode(cloud, bev), weights)
+
+    return _memo(cache, ("ms", agent_id, scenario.frame_index(t), phd), build)
 
 
 def _noisy_pose(pose: Pose2, scenario, frame_idx, agent_idx, opts) -> Pose2:
@@ -272,40 +330,67 @@ def _struct_kernels(weights) -> StructKernels:
 
 
 def _instance_inputs(h_map, m_map, weights, reuse_h) -> list:
-    """(fore, enhanced, back, verif) of the IFAM branch, in that order.
+    """(fore, enhanced, back) of the IFAM branch, in that order.
 
-    The background h - fore is formed last, so it is not live through the
-    struct conv and the gate. With ``reuse_h`` the caller owns h_map and
-    needs it no more, so the background is written over it.
+    With ``reuse_h`` the caller owns h_map and needs it no more, so the
+    background h - fore is written over it.
     """
     fore = foreground_features(h_map, m_map)
     enhanced = struct_conv(fore, _struct_kernels(weights))
-    verif = verification_weights(fore, enhanced, VerificationSpec.from_weights(weights))
     back = np.subtract(h_map, fore, out=h_map) if reuse_h else h_map - fore
-    return [fore, enhanced, back, verif]
+    return [fore, enhanced, back]
 
 
 def _refine_instance(h_map, m_map, weights, combine, reuse_h=False):
-    # aggregate_instance drops each input once it is dead. Popped straight
-    # into its arguments, the maps have no other reference, so the gate and
-    # the foreground maps are freed before its 1x1 conv allocates.
+    # popped straight into its arguments, the maps have no other reference:
+    # gate_and_aggregate writes the sum over fore and eps * back over back,
+    # and frees enhanced before its 1x1 conv allocates
     maps = _instance_inputs(h_map, m_map, weights, reuse_h)
-    return aggregate_instance(maps.pop(0), maps.pop(0), maps.pop(0), maps.pop(0),
-                              weights, combine=combine)
+    return gate_and_aggregate(maps.pop(0), maps.pop(0), maps.pop(0),
+                              VerificationSpec.from_weights(weights), weights, combine)
 
 
 _LANE_LOCK = threading.Lock()
 _lane = None
 
 
-def _collaborator_lane() -> ThreadPoolExecutor:
-    """The one worker thread that runs collaborator tasks, started on first use."""
+def _worker_lane() -> ThreadPoolExecutor:
+    """The one worker thread of the second lane, started on first use."""
     global _lane
     with _LANE_LOCK:
         if _lane is None:
-            _lane = ThreadPoolExecutor(max_workers=1,
-                                       thread_name_prefix="cpalign-collaborator")
+            _lane = ThreadPoolExecutor(max_workers=1, thread_name_prefix="cpalign-lane")
         return _lane
+
+
+def _help_or_wait(jobs, first=None, abort=None) -> list:
+    """Run ``jobs`` over both lanes; returns their results in order.
+
+    Every job goes to the worker. This thread runs ``first`` (if given),
+    then takes every job the worker has not started and runs it itself, so
+    it never waits on a job that has not started; it waits only for the
+    ones the worker is running. A job the worker runs may call this again:
+    its own jobs then all run on the worker, in place. If anything raises,
+    ``abort(exc)`` runs first (it must release whatever the started jobs
+    could be waiting for), the jobs not started are dropped, and the
+    started ones finish before the error propagates.
+    """
+    lane = _worker_lane()
+    tasks = []
+    try:
+        for job in jobs:
+            tasks.append(lane.submit(job))
+        if first is not None:
+            first()
+        here = [(job(),) if task.cancel() else None for job, task in zip(jobs, tasks)]
+        return [r[0] if r is not None else task.result() for r, task in zip(here, tasks)]
+    except BaseException as exc:
+        if abort is not None:
+            abort(exc)
+        # a cancelled job counts as done only once the worker dequeues it,
+        # and the worker may be this thread: wait only for started ones
+        futures.wait([task for task in tasks if not task.cancel()])
+        raise
 
 
 @dataclass(frozen=True)
@@ -326,6 +411,7 @@ class _Run:
     ego_pose: Pose2
     motion_specs: list
     xi_spec: XiPredictorSpec
+    fold: FusionFold
 
     def featurize(self, agent_id, t, phd) -> MultiScaleFeatures:
         return _featurize(self.scenario, agent_id, t, self.bev, self.render_cfg,
@@ -341,32 +427,33 @@ class _Collaborator:
     cosine_pre: float
     cosine_post: float
     temporal_loss: float
-    refined: np.ndarray | None = None
+    term: np.ndarray | None = None
     domain_loss: float = 0.0
     maps: dict = field(default_factory=dict)
 
 
-def _ego_lane(run: _Run, ego_view: Future):
-    """The ego's chain. ``ego_view`` gets (features, foreground, logits) as
-    soon as they exist, before the ego's own instance refinement.
+def _ego_keys(run: _Run) -> tuple:
+    """Memo keys of the ego's view and of its fusion term, claimed together."""
+    tag = (run.scenario.agents[0].agent_id, run.k_eval, run.opts.phd)
+    return ("ego-view",) + tag, ("ego-term",) + tag
 
-    Returns the ego foreground and refined map.
+
+def _ego_lane(run: _Run, view: Future, term: Future) -> None:
+    """The ego's chain, into its two claimed memo slots.
+
+    ``view`` gets (features, foreground, logits) as soon as they exist, for
+    the collaborators' void completion; ``term`` then gets the ego's fusion
+    term, which replaces its refined map.
     """
     ego = run.scenario.agents[0]
-    key = ("ego", ego.agent_id, run.k_eval, run.opts.phd)
-    if run.cache is not None and key in run.cache:
-        h, m, logits, refined = run.cache[key]
-        ego_view.set_result((h, m, logits))
-        return m, refined
     ms = run.featurize(ego.agent_id, run.t, run.opts.phd)
     h = bev_project(ms, run.weights)
     m = foreground_estimate(h, ms, run.weights)
+    del ms
     logits = discriminator_forward(h, run.weights)
-    ego_view.set_result((h, m, logits))
+    view.set_result((h, m, logits))
     refined = _refine_instance(h, m, run.weights, run.opts.combine)
-    if run.cache is not None:
-        run.cache[key] = (h, m, logits, refined)
-    return m, refined
+    term.set_result(fusion_term(refined, run.fold, 0))
 
 
 def _ship_stage1(run: _Run, agent_id, ms_latest):
@@ -449,7 +536,7 @@ def _project_collaborator(run: _Run, j, agent, ms_aligned):
 
 
 def _collaborator(run: _Run, j, agent, ego_view: Future, counter) -> _Collaborator:
-    """One collaborator's chain, from its renders to its refined map in the
+    """One collaborator's chain, from its renders to its fusion term in the
     ego frame. Only void completion onwards waits for the ego's view."""
     ms_aligned, out = _align_collaborator(run, agent.agent_id, counter)
     h_proj, m_proj, valid = _project_collaborator(run, j, agent, ms_aligned)
@@ -465,45 +552,13 @@ def _collaborator(run: _Run, j, agent, ego_view: Future, counter) -> _Collaborat
     out.domain_loss = 0.5 * (loss_c + loss_e)
     # h_comp is this task's and dead after the IFAM branch: its background
     # overwrites it (the ego's features are shared, so the ego lane cannot)
-    out.refined = _refine_instance(h_comp, m_comp, run.weights, run.opts.combine,
-                                   reuse_h=True)
+    refined = _refine_instance(h_comp, m_comp, run.weights, run.opts.combine,
+                               reuse_h=True)
+    out.term = fusion_term(refined, run.fold, j)
     if run.collect:
         out.maps = {f"collab{j}_foreground": m_comp,
                     f"collab{j}_observability": w_obs}
     return out
-
-
-def _run_lanes(run: _Run, counter: OpCounter):
-    """The ego lane on this thread, one task per collaborator on the worker.
-
-    The worker runs one task at a time. Once its own lane is done, this
-    thread takes every task the worker has not started and runs it here, so
-    it never waits on a task that has not started. If anything raises, the
-    ego view carries the error to the tasks, the tasks not started are
-    dropped and the started ones finish before the error propagates.
-
-    Returns the ego foreground, the ego's refined map and the
-    collaborators' records in id order.
-    """
-    ego_view = Future()
-    jobs = [functools.partial(_collaborator, run, j, agent, ego_view,
-                              counter if j == 1 else None)
-            for j, agent in enumerate(run.scenario.agents[1:], start=1)]
-    lane = _collaborator_lane()
-    tasks = [lane.submit(job) for job in jobs]
-    try:
-        m_ego, refined_ego = _ego_lane(run, ego_view)
-        done = [job() if task.cancel() else None for job, task in zip(jobs, tasks)]
-        collabs = [r if r is not None else task.result()
-                   for r, task in zip(done, tasks)]
-    except BaseException as exc:
-        if not ego_view.done():
-            ego_view.set_exception(exc)
-        for task in tasks:
-            task.cancel()
-        futures.wait(tasks)
-        raise
-    return m_ego, refined_ego, collabs
 
 
 def run_pipeline(scenario: Scenario, t: float, tau: float,
@@ -520,8 +575,11 @@ def run_pipeline(scenario: Scenario, t: float, tau: float,
     raises :class:`ShapeError`.
 
     The ego's chain runs on the calling thread while the collaborators'
-    chains run on one worker thread; they meet at void completion. The
-    result does not depend on which thread ran what.
+    chains run on one worker thread; they meet at void completion. Each
+    agent's refined map enters fusion as its own term of the folded
+    :func:`fuse_agents`. The memo builds each entry once, also across
+    threads, and holds the ego's view and fusion term. The result does not
+    depend on which thread ran what.
     """
     start = time.perf_counter()
     opts = opts or PipelineOptions()
@@ -547,11 +605,23 @@ def run_pipeline(scenario: Scenario, t: float, tau: float,
                       if opts.motion_mode == "learned" else None
                       for i in range(len(SCALE_CHANNELS))],
         xi_spec=XiPredictorSpec.from_weights(weights, "ptam."),
+        # the detector reads only the fused map's leading channels
+        fold=fusion_fold(weights, len(scenario.agents), ENERGY_CHANNELS),
     )
     counter = OpCounter()
-    m_ego, refined_ego, collabs = _run_lanes(run, counter)
+    keys = _ego_keys(run)
+    (view, term), mine = _claim(cache, keys)
+    jobs = [functools.partial(_collaborator, run, j, agent, view,
+                              counter if j == 1 else None)
+            for j, agent in enumerate(scenario.agents[1:], start=1)]
+    # a run whose ego slots another lane is filling starts on its
+    # collaborators at once; they wait for the ego only at void completion
+    collabs = _help_or_wait(
+        jobs, functools.partial(_ego_lane, run, view, term) if mine else None,
+        functools.partial(_fail, cache, keys, (view, term)) if mine else None)
 
-    fused = fuse_agents([refined_ego] + [c.refined for c in collabs], weights)
+    fused = sum((c.term for c in collabs), term.result())
+    m_ego = view.result()[1]
     dmap = detection_map(fused)
     gt_local = scenario_boxes_local(scenario, ego.agent_id, t)
     det = evaluate_detection(dmap, gt_local, bev, opts.detector_threshold)
@@ -599,40 +669,41 @@ def sweep(scenario: Scenario, taus_ms, opts: PipelineOptions | None = None,
 
     Returns rows shaped for the sweep CSV: one (metric, value) pair per row
     tagged with the grid point. The baseline rows rerun the pipeline with
-    alignment disabled but everything else identical.
+    alignment disabled but everything else identical. The runs share one
+    memo and spread over the two lanes, a whole run per lane.
     """
     opts = opts or PipelineOptions()
     if t is None:
         t = (scenario.n_frames - 1) * scenario.frame_interval
-    rows = []
+    weights = weights if weights is not None else build_pipeline_weights(
+        opts.weight_seed, opts.combine)
     cache = {}
-    for sigma_local, sigma_head in sigmas:
-        for tau_ms in taus_ms:
-            tau = tau_ms / 1000.0
-            on = run_pipeline(scenario, t, tau,
-                              replace(opts, ptam=True, sigma_local=sigma_local,
-                                      sigma_head_deg=sigma_head),
-                              weights, bev, render_cfg, cache)
-            off = run_pipeline(scenario, t, tau,
-                               replace(opts, ptam=False, sigma_local=sigma_local,
-                                       sigma_head_deg=sigma_head),
-                               weights, bev, render_cfg, cache)
-            tag = (tau_ms, sigma_local, sigma_head)
-            for metric, value in (
-                ("mean_iou_ptam", on.mean_matched_iou),
-                ("mean_iou_baseline", off.mean_matched_iou),
-                ("ap50_ptam", on.ap50),
-                ("ap50_baseline", off.ap50),
-                ("ap70_ptam", on.ap70),
-                ("ap70_baseline", off.ap70),
-                ("cosine_pre", on.cosine_pre),
-                ("cosine_post", on.cosine_post),
-                ("domain_loss", on.domain_loss),
-                ("codec_mse", on.codec_mse),
-            ):
-                rows.append({"metric": metric, "value": value,
-                             "tau_ms": tag[0], "sigma_local_m": tag[1],
-                             "sigma_head_deg": tag[2]})
+    grid = [(tau_ms, sigma_local, sigma_head)
+            for sigma_local, sigma_head in sigmas for tau_ms in taus_ms]
+    runs = _help_or_wait([
+        functools.partial(run_pipeline, scenario, t, tau_ms / 1000.0,
+                          replace(opts, ptam=ptam, sigma_local=sigma_local,
+                                  sigma_head_deg=sigma_head),
+                          weights, bev, render_cfg, cache)
+        for tau_ms, sigma_local, sigma_head in grid for ptam in (True, False)])
+    rows = []
+    for i, tag in enumerate(grid):
+        on, off = runs[2 * i], runs[2 * i + 1]
+        for metric, value in (
+            ("mean_iou_ptam", on.mean_matched_iou),
+            ("mean_iou_baseline", off.mean_matched_iou),
+            ("ap50_ptam", on.ap50),
+            ("ap50_baseline", off.ap50),
+            ("ap70_ptam", on.ap70),
+            ("ap70_baseline", off.ap70),
+            ("cosine_pre", on.cosine_pre),
+            ("cosine_post", on.cosine_post),
+            ("domain_loss", on.domain_loss),
+            ("codec_mse", on.codec_mse),
+        ):
+            rows.append({"metric": metric, "value": value,
+                         "tau_ms": tag[0], "sigma_local_m": tag[1],
+                         "sigma_head_deg": tag[2]})
     return rows
 
 

@@ -156,19 +156,13 @@ def _object_local_points(rng, box: OrientedBox, n: int, interior_fraction: float
     face = rng.choice(5, size=n_surf, p=areas / areas.sum())
     u = rng.uniform(-1.0, 1.0, size=n_surf)
     v = rng.uniform(-1.0, 1.0, size=n_surf)
+    # +-x faces pin x and spread (u, v) over (y, z); +-y faces pin y and
+    # spread them over (x, z); the top pins z and spreads them over (x, y)
     pts = np.empty((n_surf, 3))
-    for i in range(n_surf):
-        f = face[i]
-        if f == 0:
-            pts[i] = (hl, u[i] * hw, v[i] * hh)
-        elif f == 1:
-            pts[i] = (-hl, u[i] * hw, v[i] * hh)
-        elif f == 2:
-            pts[i] = (u[i] * hl, hw, v[i] * hh)
-        elif f == 3:
-            pts[i] = (u[i] * hl, -hw, v[i] * hh)
-        else:
-            pts[i] = (u[i] * hl, v[i] * hw, hh)
+    pts[:, 0] = np.where(face == 0, hl, np.where(face == 1, -hl, u * hl))
+    pts[:, 1] = np.where(face <= 1, u * hw,
+                         np.where(face == 2, hw, np.where(face == 3, -hw, v * hw)))
+    pts[:, 2] = np.where(face == 4, hh, v * hh)
     if n_in > 0:
         inner = rng.uniform(-1.0, 1.0, size=(n_in, 3)) * np.array([hl, hw, hh])
         pts = np.concatenate([pts, inner], axis=0)

@@ -17,6 +17,7 @@ import numpy as np
 from .featurizer import BevSpec, box_footprint_mask
 from .numerics import (
     ConvSpec,
+    FrozenMemo,
     ShapeError,
     conv2d,
     ensure_tensor3,
@@ -28,6 +29,8 @@ from .numerics import (
 EPSILON_DEFAULT = 0.1
 #: Elements per block of the verified blend's (1 - W) * enhanced term.
 BLEND_BLOCK = 1 << 15
+#: Channels per block of the struct conv, each zero-padded on its own.
+STRUCT_BLOCK = 64
 STRUCT_BANKS = ("vanilla", "center_surround", "horizontal", "vertical", "angular")
 
 
@@ -119,9 +122,16 @@ class StructKernels:
 
 
 def _depthwise(x: np.ndarray, bank: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    # one block of channels at a time, so only a block is ever zero-padded
     c = x.shape[0]
-    return conv2d(x, ConvSpec(c, c, 3, 3, bank.reshape(c, 1, 3, 3), bias=bias,
-                              padding=1, groups=c))
+    bank = bank.reshape(c, 1, 3, 3)
+    out = np.empty_like(x)
+    for c0 in range(0, c, STRUCT_BLOCK):
+        c1 = min(c0 + STRUCT_BLOCK, c)
+        out[c0:c1] = conv2d(x[c0:c1], ConvSpec(c1 - c0, c1 - c0, 3, 3, bank[c0:c1],
+                                                bias=bias[c0:c1], padding=1,
+                                                groups=c1 - c0))
+    return out
 
 
 def struct_conv(features: np.ndarray, kernels: StructKernels,
@@ -232,11 +242,25 @@ def verification_weights(fore: np.ndarray, enhanced: np.ndarray,
 
     That 4C-channel input is never built. Shuffled channel ``4i + g`` is
     block ``g`` at channel ``i``, so the conv splits into one grouped 1x1
-    conv per block. The fore and enhanced blocks run as two such convs.
-    Each w_init block is ``w_spatial`` broadcast over channels plus a
-    per-channel ``w_channel``, so together they add the rank-1 map
-    ``colsum(W) * w_spatial`` and the per-channel constant
-    ``W @ w_channel``, where W is their slice of the gconv weights.
+    conv per block. The fore and enhanced blocks run as such convs, one
+    group of output channels at a time. Each w_init block is ``w_spatial``
+    broadcast over channels plus a per-channel ``w_channel``, so together
+    they add the rank-1 map ``colsum(W) * w_spatial`` and the per-channel
+    constant ``W @ w_channel``, where W is their slice of the gconv weights.
+    """
+    fore, _, groups = _gate_groups(fore, enhanced, spec)
+    out = np.empty_like(fore)
+    for rows, gate in groups:
+        out[rows] = gate
+    return out
+
+
+def _gate_groups(fore, enhanced, spec):
+    """``(fore, enhanced, groups)``: the inputs as validated, and a generator
+    of ``(rows, gate)``, the gate of each group of output channels as a
+    fresh map. The statistics over all channels are taken here; group g
+    then reads only ``rows`` of fore and enhanced, so a caller may write
+    over those rows once their gate is out.
     """
     fore = ensure_tensor3(fore, "foreground features")
     enhanced = ensure_tensor3(enhanced, "enhanced features")
@@ -263,22 +287,26 @@ def verification_weights(fore: np.ndarray, enhanced: np.ndarray,
     const = (w_init * w_ch).sum(axis=(2, 3)).reshape(c)
     bias = const if spec.gconv.bias is None else const + spec.gconv.bias
 
-    def block(x, g, b):
-        return conv2d(x, ConvSpec(c, c, 1, 1, w[..., g], bias=b,
-                                  groups=VERIF_GROUPS))
+    def groups():
+        for g in range(VERIF_GROUPS):
+            rows = slice(g * k, (g + 1) * k)
+            logits = conv2d(fore[rows], ConvSpec(k, k, 1, 1, w[g, ..., 0], bias=bias[rows]))
+            part = conv2d(enhanced[rows], ConvSpec(k, k, 1, 1, w[g, ..., 1]))
+            logits += part
+            np.multiply(colsum[rows, None, None], w_spatial, out=part)
+            logits += part
+            del part
+            yield rows, sigmoid(logits, out=logits)
 
-    logits = block(fore, 0, bias)
-    tmp = block(enhanced, 1, None)
-    logits += tmp
-    np.multiply(colsum[:, None, None], w_spatial, out=tmp)
-    logits += tmp
-    del tmp
-    return sigmoid(logits, out=logits)
+    return fore, enhanced, groups()
 
 
 def verified_blend(weights: np.ndarray, fore: np.ndarray,
-                   enhanced: np.ndarray) -> np.ndarray:
-    """W * fore + (1 - W) * enhanced, elementwise convex blend."""
+                   enhanced: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """W * fore + (1 - W) * enhanced, elementwise convex blend.
+
+    ``out`` receives the blend and may be ``weights`` itself.
+    """
     weights = ensure_tensor3(weights, "verification weights")
     fore = ensure_tensor3(fore, "foreground features")
     enhanced = ensure_tensor3(enhanced, "enhanced features")
@@ -287,15 +315,22 @@ def verified_blend(weights: np.ndarray, fore: np.ndarray,
             f"blend inputs must share a shape, got {weights.shape}, "
             f"{fore.shape}, {enhanced.shape}"
         )
-    out = weights * fore
-    # (1 - W) * enhanced goes through one small buffer, block by block
-    flat_w, flat_e, flat_out = weights.reshape(-1), enhanced.reshape(-1), out.reshape(-1)
+    if out is None:
+        out = np.empty_like(weights)
+    elif out.shape != weights.shape or not out.flags.c_contiguous:
+        raise ShapeError(f"blend output must be a contiguous {weights.shape} array")
+    # block by block, (1 - W) * enhanced is formed in one small buffer before
+    # W * fore overwrites the block, so out may alias W
+    flat_w, flat_f, flat_e = weights.reshape(-1), fore.reshape(-1), enhanced.reshape(-1)
+    flat_out = out.reshape(-1)
     rest = np.empty(min(flat_w.size, BLEND_BLOCK))
     for i in range(0, flat_w.size, BLEND_BLOCK):
-        r = rest[:min(BLEND_BLOCK, flat_w.size - i)]
-        np.subtract(1.0, flat_w[i:i + BLEND_BLOCK], out=r)
-        r *= flat_e[i:i + BLEND_BLOCK]
-        flat_out[i:i + BLEND_BLOCK] += r
+        j = min(i + BLEND_BLOCK, flat_w.size)
+        r = rest[:j - i]
+        np.subtract(1.0, flat_w[i:j], out=r)
+        r *= flat_e[i:j]
+        np.multiply(flat_w[i:j], flat_f[i:j], out=flat_out[i:j])
+        flat_out[i:j] += r
     return out
 
 
@@ -312,6 +347,13 @@ def default_aggregate_weights(channels: int, seed: int = 0,
         "ifam.agg.bias": np.zeros(channels),
         "ifam.eps": np.array([EPSILON_DEFAULT]),
     }
+
+
+def _aggregate_params(weights: dict) -> tuple:
+    """The 1x1 aggregation conv's weight and bias, and epsilon."""
+    wa, ba = require_weights(weights, AGGREGATE_WEIGHT_NAMES, "aggregation weights")
+    (eps_arr,) = require_weights(weights, ("ifam.eps",), "aggregation weights")
+    return wa, ba, float(np.asarray(eps_arr).ravel()[0])
 
 
 def aggregate_instance(fore: np.ndarray, enhanced: np.ndarray,
@@ -334,9 +376,7 @@ def aggregate_instance(fore: np.ndarray, enhanced: np.ndarray,
     c = fore.shape[0]
     if weights is None:
         weights = default_aggregate_weights(c, seed, combine)
-    wa, ba = require_weights(weights, AGGREGATE_WEIGHT_NAMES, "aggregation weights")
-    (eps_arr,) = require_weights(weights, ("ifam.eps",), "aggregation weights")
-    eps = float(np.asarray(eps_arr).ravel()[0])
+    wa, ba, eps = _aggregate_params(weights)
     # each input is dropped once it is dead: a caller that hands over its
     # only references gets them freed before the conv allocates its result
     blend = verified_blend(verif, fore, enhanced)
@@ -353,6 +393,42 @@ def aggregate_instance(fore: np.ndarray, enhanced: np.ndarray,
     refined = conv2d(pre, ConvSpec(c, cin, 1, 1, wa, bias=ba))
     del pre  # the blend's buffer is dead: eps * back takes it
     refined += np.multiply(back, eps, out=blend)
+    return refined
+
+
+def gate_and_aggregate(fore: np.ndarray, enhanced: np.ndarray, back: np.ndarray,
+                       spec: VerificationSpec, weights: dict,
+                       combine: str = "sum") -> np.ndarray:
+    """``aggregate_instance(fore, enhanced, back, verification_weights(fore,
+    enhanced, spec), weights, combine=combine)``, bit for bit, for a caller
+    that hands over all three maps and needs them no more.
+
+    With the sum the gate, the verified blend and the sum run one group of
+    channels at a time: each group's sum is written over its rows of
+    ``fore`` and ``eps * back`` over ``back``, so no full gate or blend map
+    is ever made. The concat mode builds the gate whole.
+    """
+    if combine != "sum":
+        return aggregate_instance(fore, enhanced, back,
+                                  verification_weights(fore, enhanced, spec),
+                                  weights, combine=combine)
+    back = ensure_tensor3(back, "background features")
+    if back.shape != np.shape(fore):
+        raise ShapeError(f"fore/back shapes differ: {np.shape(fore)} vs {back.shape}")
+    wa, ba, eps = _aggregate_params(weights)
+    pre, enhanced, groups = _gate_groups(fore, enhanced, spec)
+    del fore
+    for rows, gate in groups:
+        f, e = pre[rows], enhanced[rows]
+        blend = verified_blend(gate, f, e, out=gate)
+        np.add(blend, f, out=f)
+        f += e
+    # the views die with the loop's last names, then enhanced is freed
+    del groups, gate, blend, f, e, enhanced
+    c = pre.shape[0]
+    refined = conv2d(pre, ConvSpec(c, c, 1, 1, wa, bias=ba))
+    del pre
+    refined += np.multiply(back, eps, out=back)
     return refined
 
 
@@ -391,6 +467,64 @@ def fuse_agents(features: list, weights: dict | None = None,
     for nxt in feats[1:]:
         state = conv2d(np.concatenate([state, nxt]), spec)
     return state
+
+
+_FUSION_MEMO = FrozenMemo()
+
+
+@dataclass(frozen=True)
+class FusionFold:
+    """:func:`fuse_agents` over a fixed number of agents, one term per agent.
+
+    The fold ``s_k = W1 s_(k-1) + W2 x_k + b`` over n agents unrolls to
+    ``sum_k A_k x_k + c`` with ``A_0 = W1^(n-1)``, ``A_k = W1^(n-1-k) W2``
+    and ``c = sum_(j < n-1) W1^j b``. Each agent's term is a C -> rows 1x1
+    conv of its own map, so no 2C-channel concat is ever built, and the
+    fused map is the sum of the terms.
+    """
+
+    terms: tuple  # ConvSpec per agent; the ego's carries c as its bias
+
+
+def _build_fusion_fold(wf, bf, n_agents: int, rows: int) -> FusionFold:
+    c = bf.size
+    w = wf.reshape(c, 2 * c)
+    w1, w2 = w[:, :c], w[:, c:]
+    powers = [np.eye(c)[:rows]]            # W1^j, leading rows only
+    for _ in range(n_agents - 1):
+        powers.append(powers[-1] @ w1)
+    offset = np.zeros(rows)
+    for p in powers[:-1]:
+        offset += p @ bf
+    mats = [powers[-1]] + [powers[n_agents - 1 - k] @ w2 for k in range(1, n_agents)]
+    return FusionFold(terms=tuple(
+        ConvSpec(rows, c, 1, 1, a, bias=offset if k == 0 else None)
+        for k, a in enumerate(mats)))
+
+
+def fusion_fold(weights: dict, n_agents: int, rows: int | None = None) -> FusionFold:
+    """The per-agent terms of :func:`fuse_agents` over ``n_agents`` maps.
+
+    ``rows`` keeps only the leading output channels, for a reader that uses
+    no others. Built once per read-only fusion weights, agent count and
+    row count.
+    """
+    if n_agents < 1:
+        raise ShapeError("fusion needs at least one agent")
+    wf, bf = require_weights(weights, FUSE_WEIGHT_NAMES, "fusion weights")
+    c = bf.size
+    if wf.size != 2 * c * c:
+        raise ShapeError(f"fusion weights of size {wf.size} do not fit {c} channels")
+    rows = c if rows is None else rows
+    if not 0 < rows <= c:
+        raise ShapeError(f"fusion rows must lie in 1..{c}, got {rows}")
+    return _FUSION_MEMO.get(f"fusion/{n_agents}/{rows}", (wf, bf),
+                            lambda: _build_fusion_fold(wf, bf.ravel(), n_agents, rows))
+
+
+def fusion_term(features: np.ndarray, fold: FusionFold, k: int) -> np.ndarray:
+    """Agent k's term ``A_k x_k`` of the fused map (the ego's adds ``c``)."""
+    return conv2d(features, fold.terms[k])
 
 
 # ---------------------------------------------------------------------------

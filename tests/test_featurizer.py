@@ -14,7 +14,7 @@ from cpalign.featurizer import (
     default_bevproj_weights,
     pillar_encode,
 )
-from cpalign.numerics import ShapeError
+from cpalign.numerics import ConvSpec, ShapeError, transposed_conv2d
 from cpalign.pointcloud import OrientedBox
 
 
@@ -146,6 +146,28 @@ def test_bev_project_shape_and_channel_blocks():
     np.testing.assert_array_equal(out2[128:256], np.zeros((128, h, w)))
     np.testing.assert_array_equal(out2[:128], out[:128])
     np.testing.assert_array_equal(out2[256:], out[256:])
+
+
+def test_bev_project_matches_concat_of_blocks_bitwise():
+    rng = np.random.default_rng(8)
+    h, w = 8, 12
+    ms = MultiScaleFeatures(rng.normal(size=(64, h, w)),
+                            rng.normal(size=(128, h // 2, w // 2)),
+                            rng.normal(size=(256, h // 4, w // 4)))
+    wts = default_bevproj_weights(seed=2)
+    for name in ("bevproj.large.bias", "bevproj.middle.bias", "bevproj.small.bias"):
+        wts[name] = rng.normal(size=wts[name].shape)
+    blocks = [
+        transposed_conv2d(ms.large, ConvSpec(64, 128, 3, 3, wts["bevproj.large.weight"],
+                                             bias=wts["bevproj.large.bias"], padding=1)),
+        transposed_conv2d(ms.middle, ConvSpec(128, 128, 2, 2, wts["bevproj.middle.weight"],
+                                              bias=wts["bevproj.middle.bias"], stride=2)),
+        transposed_conv2d(ms.small, ConvSpec(256, 128, 4, 4, wts["bevproj.small.weight"],
+                                             bias=wts["bevproj.small.bias"], stride=4)),
+    ]
+    want = np.concatenate(blocks)
+    got = bev_project(ms, wts)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_bev_project_is_linear():

@@ -126,6 +126,52 @@ def test_render_deterministic_and_frozen_counts():
     assert c.shape == a.shape
 
 
+def _object_local_points_loop(rng, box, n, interior_fraction):
+    """The renderer's body-frame sampler as a per-point loop: the oracle."""
+    n_in = int(round(n * interior_fraction))
+    n_surf = n - n_in
+    hl, hw, hh = box.length / 2.0, box.width / 2.0, box.height / 2.0
+    areas = np.array([box.width * box.height, box.width * box.height,
+                      box.length * box.height, box.length * box.height,
+                      box.length * box.width])
+    face = rng.choice(5, size=n_surf, p=areas / areas.sum())
+    u = rng.uniform(-1.0, 1.0, size=n_surf)
+    v = rng.uniform(-1.0, 1.0, size=n_surf)
+    pts = np.empty((n_surf, 3))
+    for i in range(n_surf):
+        f = face[i]
+        if f == 0:
+            pts[i] = (hl, u[i] * hw, v[i] * hh)
+        elif f == 1:
+            pts[i] = (-hl, u[i] * hw, v[i] * hh)
+        elif f == 2:
+            pts[i] = (u[i] * hl, hw, v[i] * hh)
+        elif f == 3:
+            pts[i] = (u[i] * hl, -hw, v[i] * hh)
+        else:
+            pts[i] = (u[i] * hl, v[i] * hw, hh)
+    if n_in > 0:
+        inner = rng.uniform(-1.0, 1.0, size=(n_in, 3)) * np.array([hl, hw, hh])
+        pts = np.concatenate([pts, inner], axis=0)
+    inten = rng.uniform(0.3, 1.0, size=(pts.shape[0], 1))
+    return np.concatenate([pts, inten], axis=1)
+
+
+@pytest.mark.parametrize("n", [8, 50, 333, 1000, 2200, 3000])
+def test_object_local_points_match_loop_bitwise(n):
+    from cpalign.harness.scenario import _object_local_points
+    box = OrientedBox(0.0, 0.0, 0.8, 4.2, 1.8, 1.6)
+    for seed in range(5):
+        for frac in (0.0, 0.1):
+            got = _object_local_points(np.random.default_rng(seed), box, n, frac)
+            want = _object_local_points_loop(np.random.default_rng(seed), box, n, frac)
+            assert got.tobytes() == want.tobytes()
+    # from 50 points on every face is drawn, so every branch is compared
+    pins = [(0, 2.1), (0, -2.1), (1, 0.9), (1, -0.9), (2, 0.8)]
+    hits = [np.any(got[:, axis] == value) for axis, value in pins]
+    assert all(hits) or n < 50
+
+
 def test_render_rigid_translation_between_frames():
     scn = _simple_scenario()
     cfg = RenderConfig(include_ground=False)
@@ -570,7 +616,7 @@ _REPORTS_SCRIPT = """
 import json
 import threading
 from cpalign.harness import (PipelineOptions, RenderConfig, build_pipeline_weights,
-                             generate_scenario, run_pipeline)
+                             generate_scenario, run_pipeline, sweep)
 from cpalign.harness.scenario import scenario_from_dict
 
 build_pipeline_weights(0)
@@ -596,6 +642,8 @@ out["three_agents"] = run_pipeline(scenario_from_dict(fleet), 1.2, 0.3, opts,
                                    render_cfg=RenderConfig(max_points=2000)).as_dict()
 for d in out.values():
     d.pop("wall_time_s")
+# the sweep's grid points run on both lanes over one memo
+out["sweep"] = sweep(scn, (0, 300), PipelineOptions(sigma_local=0.1, sigma_head_deg=1.0))
 print(json.dumps(out, sort_keys=True))
 """
 
@@ -615,6 +663,7 @@ def test_run_pipeline_reports_identical_across_processes():
     reports = json.loads(runs[0].stdout)
     assert reports["three_agents"]["codec_mse"] > 0.0
     assert reports["crossing"]["ops_match_closed_form"]
+    assert len(reports["sweep"]) == 2 * 10
 
 
 def test_run_pipeline_collect_maps_bitwise_repeatable():
@@ -676,6 +725,148 @@ def test_sweep_passes_every_option_to_both_runs():
                                                         sigma_head_deg=1.0),
                          bev=_BEV_SMALL)
     assert got["cosine_post"] != plain.cosine_post
+
+
+def test_concurrent_runs_share_memo_and_build_each_key_once(monkeypatch):
+    # four runs at once on one memo: every featurization is built once,
+    # whichever lane claims it first, and every report equals its run alone
+    scn = _fast_scene()
+    weights = build_pipeline_weights(0)
+    grid = [(0.0, True), (0.0, False), (0.2, True), (0.2, False)]
+
+    def run(tau, ptam, cache=None):
+        return _report_dict(run_pipeline(scn, 0.8, tau, PipelineOptions(phd=False, ptam=ptam),
+                                         weights, _BEV_SMALL, cache=cache))
+
+    want = [run(tau, ptam) for tau, ptam in grid]
+    original = pipeline.backbone_forward
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        time.sleep(0.02)  # widens the window in which another lane asks for the key
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "backbone_forward", counted)
+    cache = {}
+    barrier = threading.Barrier(len(grid))
+    got = [None] * len(grid)
+
+    def worker(i):
+        barrier.wait(60)
+        got[i] = run(*grid[i], cache=cache)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(grid))]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(120)
+    assert not any(th.is_alive() for th in threads), "a run did not return"
+    assert got == want
+    features = [k for k in cache if isinstance(k, tuple) and k[0] == "ms"]
+    # the ego at t, the collaborator at t, t - dt, t - 0.2 and t - 0.2 - dt
+    assert len(features) == 5
+    assert len(calls) == len(features)
+
+
+def test_memo_drops_a_failed_build_and_hands_its_error_to_waiters():
+    cache = {}
+    started = threading.Event()
+
+    def failing():
+        started.set()
+        time.sleep(0.5)  # the test thread is waiting on the claimed key by now
+        raise _LaneFault("build")
+
+    errors = []
+
+    def first_caller():
+        try:
+            pipeline._memo(cache, "key", failing)
+        except _LaneFault as exc:
+            errors.append(exc)
+
+    th = threading.Thread(target=first_caller)
+    th.start()
+    assert started.wait(60)
+    with pytest.raises(_LaneFault) as waited:
+        pipeline._memo(cache, "key", lambda: "not built: the key is claimed")
+    th.join(60)
+    assert errors == [waited.value]
+    assert "key" not in cache
+    # the next caller builds afresh, and the value is kept from then on
+    assert pipeline._memo(cache, "key", lambda: 3) == 3
+    assert pipeline._memo(cache, "key", lambda: 4) == 3
+
+
+def test_sweep_stage_failure_propagates(monkeypatch):
+    scn = _fast_scene()
+    opts = PipelineOptions(phd=False)
+    want = sweep(scn, [0, 200], opts, bev=_BEV_SMALL)
+    stage2 = pipeline.ptam_stage2
+
+    def faulty(latest, inter, mf1, delay, *args, **kwargs):
+        # fails in one grid point only: the aligned run at 200 ms
+        if delay.tau == 0.2:
+            raise _LaneFault("ptam_stage2")
+        return stage2(latest, inter, mf1, delay, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "ptam_stage2", faulty)
+    runner = pipeline.run_pipeline
+    started, finished, returned = [], [], []
+
+    def recorded_run(*args, **kwargs):
+        started.append(1)
+        try:
+            return runner(*args, **kwargs)
+        finally:
+            finished.append(time.perf_counter())
+
+    monkeypatch.setattr(pipeline, "run_pipeline", recorded_run)
+
+    def failing_sweep():
+        try:
+            return sweep(scn, [0, 200], opts, bev=_BEV_SMALL)
+        finally:
+            returned.append(time.perf_counter())
+
+    _, outcome = _call_with_timeout(failing_sweep)
+    assert isinstance(outcome.get("error"), _LaneFault)
+    # every grid point that started had finished when the error left sweep
+    assert len(finished) == len(started) and max(finished) <= returned[0]
+    monkeypatch.undo()
+    # the worker is free again and the same sweep gives the usual rows
+    _, outcome = _call_with_timeout(lambda: sweep(scn, [0, 200], opts, bev=_BEV_SMALL))
+    assert outcome["value"] == want
+
+
+def test_build_pipeline_weights_one_object_across_threads(monkeypatch):
+    # a cold cache asked from many threads at once builds one dict
+    monkeypatch.setattr(pipeline, "_WEIGHT_CACHE", {})
+    build = pipeline._build_weights
+    builds = []
+
+    def slow(*args):
+        builds.append(1)
+        time.sleep(0.05)
+        return build(*args)
+
+    monkeypatch.setattr(pipeline, "_build_weights", slow)
+    n = 8
+    barrier = threading.Barrier(n)
+    got = []
+
+    def ask():
+        barrier.wait(60)
+        got.append(build_pipeline_weights(3))
+
+    threads = [threading.Thread(target=ask) for _ in range(n)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(120)
+    assert len(got) == n and all(w is got[0] for w in got)
+    assert len(builds) == 1
 
 
 def test_sweep_rows_and_csv(tmp_path):

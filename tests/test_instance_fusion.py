@@ -13,12 +13,15 @@ from cpalign.instance_fusion import (
     default_verification_weights,
     foreground_loss,
     fuse_agents,
+    fusion_fold,
+    fusion_term,
+    gate_and_aggregate,
     split_foreground,
     struct_conv,
     verification_weights,
     verified_blend,
 )
-from cpalign.numerics import ConvSpec, ShapeError, conv2d, ensure_tensor3
+from cpalign.numerics import ConvSpec, ShapeError, conv2d, ensure_tensor3, freeze_weights
 from cpalign.pointcloud import OrientedBox
 
 
@@ -58,6 +61,17 @@ def test_struct_conv_fused_equals_separate():
     fused = struct_conv(x, k, fused=True)
     separate = struct_conv(x, k, fused=False)
     np.testing.assert_allclose(fused, separate, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("c", [4, 64, 100])  # one block, one full block, a ragged one
+def test_struct_conv_blocks_match_one_depthwise_conv_bitwise(c):
+    rng = np.random.default_rng(c)
+    k = StructKernels(rng.normal(size=(c, 3, 3)), rng.normal(size=(5, c)))
+    x = rng.normal(size=(c, 11, 9))
+    spec = ConvSpec(c, c, 3, 3, k.fused_weight().reshape(c, 1, 3, 3),
+                    bias=k.fused_bias(), padding=1, groups=c)
+    want = conv2d(x, spec)
+    np.testing.assert_array_equal(struct_conv(x, k).view(np.int64), want.view(np.int64))
 
 
 def test_struct_conv_constant_input_reduces_to_vanilla_response():
@@ -136,6 +150,37 @@ def test_verification_weights_match_literal_oracle(c, h, w, seeds):
         assert not np.allclose(swapped, got)
 
 
+@pytest.mark.parametrize("c,h,w", [(8, 7, 5), (384, 12, 9)])
+def test_verification_weights_group_blocks_match_one_grouped_conv_bitwise(c, h, w):
+    # the enhanced block and the rank-1 map, added one group at a time,
+    # give the bits of one grouped conv per block
+    rng = np.random.default_rng([c, 3])
+    spec = _random_verification_spec(c, 3, rng)
+    fore, enh = rng.normal(size=(2, c, h, w))
+    got = verification_weights(fore, enh, spec)
+    stats = np.stack([np.maximum(fore.max(axis=0), enh.max(axis=0)),
+                      (fore.sum(axis=0) + enh.sum(axis=0)) / (2 * c)])
+    w_spatial = conv2d(stats, spec.spatial)
+    gap = np.concatenate([fore.mean(axis=(1, 2)), enh.mean(axis=(1, 2))])
+    w_channel = conv2d(conv2d(gap.reshape(-1, 1, 1), spec.ca1), spec.ca2).ravel()
+    k = c // 4
+    wg = spec.gconv.weights.reshape(4, k, k, 4)
+    colsum = wg[..., 2:].sum(axis=(2, 3)).reshape(c)
+    w_ch = w_channel.reshape(2, 4, 1, k).transpose(1, 2, 3, 0)
+    bias = (wg[..., 2:] * w_ch).sum(axis=(2, 3)).reshape(c) + spec.gconv.bias
+
+    def block(x, g, b):
+        return conv2d(x, ConvSpec(c, c, 1, 1, wg[..., g], bias=b, groups=4))
+
+    logits = block(fore, 0, bias)
+    logits += block(enh, 1, None)
+    logits += colsum[:, None, None] * w_spatial
+    want = 1.0 / (1.0 + np.exp(-logits))
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+    from cpalign.numerics import sigmoid
+    np.testing.assert_array_equal(got.view(np.int64), sigmoid(logits).view(np.int64))
+
+
 def test_verification_weights_range_and_zero_case():
     rng = np.random.default_rng(4)
     c = 8
@@ -169,6 +214,22 @@ def test_verification_group_independence_before_shuffle():
     og = c // 4
     assert not np.allclose(base[:og], pert[:og])
     np.testing.assert_array_equal(base[og:], pert[og:])
+
+
+def test_verified_blend_in_place_is_bitwise():
+    # 70000 elements: two full blend blocks and a ragged third
+    rng = np.random.default_rng(16)
+    fore, enh = rng.normal(size=(2, 7, 100, 100))
+    gate = rng.uniform(size=(7, 100, 100))
+    want = gate * fore + (1.0 - gate) * enh
+    fresh = verified_blend(gate, fore, enh)
+    np.testing.assert_array_equal(fresh.view(np.int64), want.view(np.int64))
+    owned = gate.copy()
+    out = verified_blend(owned, fore, enh, out=owned)
+    assert out is owned
+    np.testing.assert_array_equal(out.view(np.int64), want.view(np.int64))
+    with pytest.raises(ShapeError):
+        verified_blend(gate, fore, enh, out=np.empty((7, 100, 99)))
 
 
 def test_verified_blend_endpoints():
@@ -231,6 +292,25 @@ def test_aggregate_instance_matches_literal_oracle_bitwise(combine, c, h, w):
     np.testing.assert_array_equal(again.view(np.int64), got.view(np.int64))
 
 
+@pytest.mark.parametrize("combine", ["sum", "concat"])
+@pytest.mark.parametrize("c,h,w", [(8, 7, 5), (384, 12, 9)])
+def test_gate_and_aggregate_matches_gate_then_aggregate_bitwise(combine, c, h, w):
+    # the gate, blend and sum group by group, written over the handed-over
+    # maps, give the bits of the gate and the aggregation as two calls
+    rng = np.random.default_rng([c, 7])
+    spec = _random_verification_spec(c, 7, rng)
+    fore, enh, back = rng.normal(size=(3, c, h, w))
+    weights = default_aggregate_weights(c, seed=5, combine=combine)
+    weights["ifam.agg.bias"] = rng.normal(size=c)
+    weights["ifam.eps"] = np.array([0.37])
+    want = aggregate_instance(fore, enh, back, verification_weights(fore, enh, spec),
+                              weights=weights, combine=combine)
+    got = gate_and_aggregate(fore.copy(), enh.copy(), back.copy(), spec, weights, combine)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    with pytest.raises(ShapeError):
+        gate_and_aggregate(fore, enh, back[:, :-1], spec, weights, combine)
+
+
 def test_aggregate_instance_concat_mode():
     rng = np.random.default_rng(8)
     c = 4
@@ -264,6 +344,49 @@ def test_fuse_agents_fold_and_identities():
         fuse_agents([])
     with pytest.raises(ShapeError):
         fuse_agents([a, rng.normal(size=(c, 5, 4))], weights=w)
+
+
+def _random_fuse_weights(c, seed):
+    rng = np.random.default_rng([seed, 0xF0])
+    w = default_fuse_weights(c, seed=seed)
+    w["ifam.fuse.bias"] = rng.normal(size=c)
+    return w
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fusion_fold_matches_literal_fuse_agents(n):
+    c = 16
+    rng = np.random.default_rng(n)
+    maps = list(rng.normal(size=(n, c, 6, 7)))
+    weights = _random_fuse_weights(c, seed=n)
+    want = fuse_agents(maps, weights=weights)
+    for rows in (None, 5):
+        fold = fusion_fold(weights, n, rows)
+        assert len(fold.terms) == n
+        got = sum(fusion_term(x, fold, k) for k, x in enumerate(maps))
+        np.testing.assert_allclose(got, want[:rows], rtol=1e-12, atol=1e-12)
+    # the ego's term carries the constant: all-zero maps give exactly c
+    zeros = [np.zeros((c, 2, 2))] * n
+    fold = fusion_fold(weights, n)
+    terms = [fusion_term(x, fold, k) for k, x in enumerate(zeros)]
+    np.testing.assert_allclose(terms[0], fuse_agents(zeros, weights=weights),
+                               rtol=1e-12, atol=1e-12)
+    for t in terms[1:]:
+        np.testing.assert_array_equal(t, np.zeros_like(t))
+
+
+def test_fusion_fold_built_once_per_frozen_weights():
+    weights = _random_fuse_weights(8, seed=4)
+    frozen = freeze_weights({name: a.copy() for name, a in weights.items()})
+    assert fusion_fold(frozen, 3) is fusion_fold(frozen, 3)
+    assert fusion_fold(frozen, 3) is not fusion_fold(frozen, 2)
+    assert fusion_fold(frozen, 3, 4) is not fusion_fold(frozen, 3)
+    # writable weights may change in place, so they are folded per call
+    assert fusion_fold(weights, 3) is not fusion_fold(weights, 3)
+    with pytest.raises(ShapeError):
+        fusion_fold(frozen, 0)
+    with pytest.raises(ShapeError):
+        fusion_fold(frozen, 2, rows=9)
 
 
 def test_foreground_loss_perfect_prediction_small():
