@@ -1,7 +1,5 @@
 """Collaborative BEV perception alignment: numerics, alignment ops, simulation."""
 
-from .backend import active_backend
-
 __version__ = "0.1.0"
 
-__all__ = ["active_backend", "__version__"]
+__all__ = ["__version__"]

@@ -9,7 +9,3 @@ from __future__ import annotations
 
 #: the kernel path in use; always "numpy"
 ACTIVE = "numpy"
-
-
-def active_backend() -> str:
-    return ACTIVE

@@ -428,16 +428,17 @@ def check_fusion_algebra() -> CheckResult:
     without = aggregate_instance(fore, enh, back, gates, wts0)
     eps_dev = float(np.abs((with_eps - without) - 0.1 * back).max())
 
-    single = fuse_agents([fore])
+    fuse = default_fuse_weights(c, 0)
+    single = fuse_agents([fore], fuse)
     fold_single = np.array_equal(single, fore)
     parts = [rng.normal(size=(c, h, w)) for _ in range(3)]
-    folded = fuse_agents(parts)
-    manual = fuse_agents([fuse_agents(parts[:2]), parts[2]])
+    folded = fuse_agents(parts, fuse)
+    manual = fuse_agents([fuse_agents(parts[:2], fuse), parts[2]], fuse)
     fold_assoc = np.array_equal(folded, manual)
 
     # the gate as the paper builds it: concat, broadcast w_init, shuffle the
     # four blocks channel by channel, grouped 1x1 conv
-    spec = VerificationSpec.default(c, seed=3)
+    spec = VerificationSpec.from_weights(default_verification_weights(c, 3))
     cat = np.concatenate([fore, enh])
     w_spatial = conv2d(np.stack([cat.max(axis=0), cat.mean(axis=0)]), spec.spatial)
     w_channel = conv2d(conv2d(cat.mean(axis=(1, 2)).reshape(-1, 1, 1), spec.ca1),

@@ -20,7 +20,7 @@ from .harness.pipeline import (
     write_sweep_csv,
 )
 from .harness.scenario import RenderConfig, generate_scenario, load_scenario, save_scenario
-from .numerics import load_weights, save_weights
+from .numerics import ShapeError, load_weights, save_weights
 from .opcount import count_similarity_ops
 
 
@@ -75,7 +75,10 @@ def _load_setup(args):
         return (cfg["scenario"], cfg["bev"], cfg["render"], cfg["options"],
                 cfg["sweep"])
     if args.scenario:
-        scenario = load_scenario(args.scenario)
+        try:
+            scenario = load_scenario(args.scenario)
+        except ShapeError as exc:
+            raise ConfigError(f"{args.scenario}: {exc}") from exc
     else:
         scenario = generate_scenario(args.template, seed=args.seed)
     grid = {"taus_ms": [0, 100, 200, 300, 400, 500],

@@ -358,13 +358,10 @@ def default_discriminator_weights(channels: int, seed: int = 0) -> dict:
     }
 
 
-def discriminator_forward(features: np.ndarray, weights: dict | None = None,
-                          seed: int = 0) -> np.ndarray:
+def discriminator_forward(features: np.ndarray, weights: dict) -> np.ndarray:
     """Per-cell domain logits (1, H, W): 1x1 conv to 256, relu, 1x1 to 1."""
     features = ensure_tensor3(features, "discriminator input")
     c = features.shape[0]
-    if weights is None:
-        weights = default_discriminator_weights(c, seed)
     w1, b1, w2, b2 = require_weights(
         weights, DISCRIMINATOR_WEIGHT_NAMES, "discriminator weights")
     h = conv2d(features, ConvSpec(256, c, 1, 1, w1, bias=b1, activation="relu"))
@@ -378,7 +375,8 @@ def domain_loss_and_grads(logits: np.ndarray, label: float,
     loss = sum(W * bce(sigmoid(logit), label)) / sum(W). Returns the loss,
     the gradient w.r.t. the logits, and the gradient handed to the feature
     path after reversal, which is exactly GRL_GAMMA times the logit
-    gradient (the reversal layer is the identity on the forward pass).
+    gradient (reversal is the identity on the forward pass, so the
+    features need no layer of their own).
     """
     logits = ensure_tensor3(logits, "domain logits")
     weight = ensure_tensor3(weight, "observability weight")
@@ -398,11 +396,6 @@ def domain_loss_and_grads(logits: np.ndarray, label: float,
     loss = float((weight * bce).sum() / wsum)
     dlogits = weight * (sigmoid(logits) - label) / wsum
     return loss, dlogits, GRL_GAMMA * dlogits
-
-
-def grad_reverse(x: np.ndarray) -> np.ndarray:
-    """Forward pass of the gradient reversal layer: the identity."""
-    return np.asarray(x)
 
 
 def save_pgm(grid: np.ndarray, path) -> None:

@@ -170,13 +170,11 @@ def default_backbone_weights(seed: int = 0) -> dict:
     }
 
 
-def backbone_forward(pillars: np.ndarray, weights: dict | None = None,
-                     seed: int = 0) -> MultiScaleFeatures:
+def backbone_forward(pillars: np.ndarray, weights: dict) -> MultiScaleFeatures:
     """8-channel pillars -> (64, H, W), (128, H/2, W/2), (256, H/4, W/4).
 
-    Three strided 3x3 conv + relu stages. When ``weights`` is given it must
-    contain every ``backbone.*`` entry; absent names raise one error
-    listing all of them.
+    Three strided 3x3 conv + relu stages. ``weights`` must contain every
+    ``backbone.*`` entry; absent names raise one error listing all of them.
     """
     pillars = ensure_tensor3(pillars, "pillars")
     if pillars.shape[0] != PILLAR_CHANNELS:
@@ -185,8 +183,6 @@ def backbone_forward(pillars: np.ndarray, weights: dict | None = None,
         )
     if pillars.shape[1] % 4 or pillars.shape[2] % 4:
         raise ShapeError("pillar grid dims must be divisible by 4")
-    if weights is None:
-        weights = default_backbone_weights(seed)
     w1, b1, w2, b2, w3, b3 = require_weights(
         weights, BACKBONE_WEIGHT_NAMES, "backbone weights")
     large = conv2d(pillars, ConvSpec(64, PILLAR_CHANNELS, 3, 3, w1, bias=b1,
@@ -210,16 +206,13 @@ def default_bevproj_weights(seed: int = 0) -> dict:
     }
 
 
-def bev_project(features: MultiScaleFeatures, weights: dict | None = None,
-                seed: int = 0) -> np.ndarray:
+def bev_project(features: MultiScaleFeatures, weights: dict) -> np.ndarray:
     """Upsample every scale to 128 channels at full resolution and concat.
 
     Purely linear (transposed convs, no activation), so the output is 384 =
     3 x 128 channels ordered large, middle, small. Strides 1/2/4 with
     kernels 3/2/4 reproduce the full grid exactly.
     """
-    if weights is None:
-        weights = default_bevproj_weights(seed)
     wl, bl, wm, bm, ws, bs = require_weights(
         weights, BEVPROJ_WEIGHT_NAMES, "bev projection weights")
     h, w = features.large.shape[1:]
@@ -256,15 +249,3 @@ def box_footprint_mask(boxes: list, spec: BevSpec) -> np.ndarray:
         inside = (np.abs(lx) <= box.length / 2.0) & (np.abs(ly) <= box.width / 2.0)
         mask |= inside.reshape(h, w)
     return mask
-
-
-def boxes_to_aabbs(boxes: list) -> np.ndarray:
-    """Planar axis-aligned bounds (N, 4) as (x_min, y_min, x_max, y_max)."""
-    if not boxes:
-        return np.empty((0, 4))
-    out = np.empty((len(boxes), 4))
-    for i, b in enumerate(boxes):
-        corners = b.corners_bev()
-        out[i] = (corners[:, 0].min(), corners[:, 1].min(),
-                  corners[:, 0].max(), corners[:, 1].max())
-    return out

@@ -53,10 +53,10 @@ class Scenario:
     def __post_init__(self):
         if not self.agents:
             raise ShapeError("scenario needs at least one agent")
-        if self.frame_interval <= 0.0:
-            raise ShapeError("frame_interval must be positive")
-        if self.duration < 0.0:
-            raise ShapeError("duration must be non-negative")
+        if not (math.isfinite(self.frame_interval) and self.frame_interval > 0.0):
+            raise ShapeError("frame_interval must be positive and finite")
+        if not (math.isfinite(self.duration) and self.duration >= 0.0):
+            raise ShapeError("duration must be non-negative and finite")
         ids = [a.agent_id for a in self.agents]
         if len(set(ids)) != len(ids):
             raise ShapeError("agent ids must be unique")
@@ -325,6 +325,8 @@ def _car(cx, cy, yaw=0.0):
 def generate_scenario(template: str, seed: int = 0, speed: float = 4.0,
                       duration: float = 1.2, frame_interval: float = 0.1) -> Scenario:
     """Build one of the canned two-agent scenes."""
+    if not math.isfinite(speed):
+        raise ShapeError(f"speed must be finite, got {speed}")
     agents = [
         AgentSpec("ego", Pose2(0.0, 0.0, 0.0)),
         AgentSpec("collab", Pose2(1.6, 0.8, 0.0)),
@@ -370,25 +372,45 @@ def scenario_to_dict(scn: Scenario) -> dict:
     }
 
 
+def _number(value, path: str) -> float:
+    """``value`` as a finite float, else a ShapeError naming its key path."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        raise ShapeError(f"{path} must be a number, got {value!r}") from None
+    if not math.isfinite(v):
+        raise ShapeError(f"{path} must be finite, got {v}")
+    return v
+
+
 def scenario_from_dict(data: dict) -> Scenario:
+    """The scenario a :func:`scenario_to_dict` document describes.
+
+    A missing key or a non-finite number raises :class:`ShapeError`; a
+    number is named by its key path, e.g. ``objects[0].box.length``.
+    """
     try:
         agents = [
-            AgentSpec(a["id"], Pose2(float(a["x"]), float(a["y"]),
-                                     float(a["yaw"])),
-                      vx=float(a.get("vx", 0.0)), vy=float(a.get("vy", 0.0)))
-            for a in data["agents"]
+            AgentSpec(a["id"], Pose2(*(_number(a[k], f"agents[{i}].{k}")
+                                       for k in ("x", "y", "yaw"))),
+                      **{k: _number(a.get(k, 0.0), f"agents[{i}].{k}")
+                         for k in ("vx", "vy")})
+            for i, a in enumerate(data["agents"])
         ]
         objects = [
-            ObjectTrack(OrientedBox(**{k: float(v)
+            ObjectTrack(OrientedBox(**{k: _number(v, f"objects[{i}].box.{k}")
                                        for k, v in tr["box"].items()}),
-                        vx=float(tr.get("vx", 0.0)), vy=float(tr.get("vy", 0.0)),
-                        yaw_rate=float(tr.get("yaw_rate", 0.0)))
-            for tr in data["objects"]
+                        **{k: _number(tr.get(k, 0.0), f"objects[{i}].{k}")
+                           for k in ("vx", "vy", "yaw_rate")})
+            for i, tr in enumerate(data["objects"])
         ]
+        seed = data.get("seed", 0)
+        _number(seed, "seed")
         return Scenario(agents=agents, objects=objects,
-                        duration=float(data.get("duration", 1.2)),
-                        frame_interval=float(data.get("frame_interval", 0.1)),
-                        seed=int(data.get("seed", 0)))
+                        duration=_number(data.get("duration", 1.2), "duration"),
+                        frame_interval=_number(data.get("frame_interval", 0.1),
+                                               "frame_interval"),
+                        seed=int(seed))
     except (KeyError, TypeError) as exc:
         raise ShapeError(f"malformed scenario document: {exc}") from exc
 
@@ -401,4 +423,8 @@ def save_scenario(scn: Scenario, path) -> None:
 
 def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        return scenario_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ShapeError(f"not valid JSON: {exc}") from exc
+    return scenario_from_dict(data)

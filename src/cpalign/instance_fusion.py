@@ -48,13 +48,6 @@ def foreground_features(features: np.ndarray, fg_map: np.ndarray) -> np.ndarray:
     return features * fg_map
 
 
-def split_foreground(features: np.ndarray, fg_map: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(foreground, background) = (H * M, H - H * M); they sum back to H."""
-    features = ensure_tensor3(features, "features")
-    fore = foreground_features(features, fg_map)
-    return fore, features - fore
-
-
 @dataclass
 class StructKernels:
     """One learned depthwise 3x3 bank plus four structure-derived banks.
@@ -184,10 +177,6 @@ class VerificationSpec:
     @property
     def channels(self) -> int:
         return self.gconv.out_channels
-
-    @classmethod
-    def default(cls, channels: int, seed: int = 0) -> "VerificationSpec":
-        return cls.from_weights(default_verification_weights(channels, seed))
 
     @classmethod
     def from_weights(cls, weights: dict) -> "VerificationSpec":
@@ -358,8 +347,7 @@ def _aggregate_params(weights: dict) -> tuple:
 
 def aggregate_instance(fore: np.ndarray, enhanced: np.ndarray,
                        back: np.ndarray, verif: np.ndarray,
-                       weights: dict | None = None, seed: int = 0,
-                       combine: str = "sum") -> np.ndarray:
+                       weights: dict, combine: str = "sum") -> np.ndarray:
     """Recombine the instance branch with a whisper of background.
 
     The verified blend, the raw foreground and the enhanced foreground are
@@ -374,8 +362,6 @@ def aggregate_instance(fore: np.ndarray, enhanced: np.ndarray,
     if fore.shape != back.shape:
         raise ShapeError(f"fore/back shapes differ: {fore.shape} vs {back.shape}")
     c = fore.shape[0]
-    if weights is None:
-        weights = default_aggregate_weights(c, seed, combine)
     wa, ba, eps = _aggregate_params(weights)
     # each input is dropped once it is dead: a caller that hands over its
     # only references gets them freed before the conv allocates its result
@@ -440,8 +426,7 @@ def default_fuse_weights(channels: int, seed: int = 0) -> dict:
     }
 
 
-def fuse_agents(features: list, weights: dict | None = None,
-                seed: int = 0) -> np.ndarray:
+def fuse_agents(features: list, weights: dict) -> np.ndarray:
     """Left fold over agents with one shared 2C -> C 1x1 conv.
 
     features[0] is the ego view; collaborators follow in id order. A single
@@ -459,8 +444,6 @@ def fuse_agents(features: list, weights: dict | None = None,
     if len(feats) == 1:
         return feats[0].copy()
     c = shape[0]
-    if weights is None:
-        weights = default_fuse_weights(c, seed)
     wf, bf = require_weights(weights, FUSE_WEIGHT_NAMES, "fusion weights")
     spec = ConvSpec(c, 2 * c, 1, 1, wf, bias=bf)
     state = feats[0]

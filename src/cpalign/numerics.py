@@ -80,13 +80,6 @@ def softplus(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def softmax(x: np.ndarray, axis: int = 0) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
 def _epilogue(out: np.ndarray, spec: "ConvSpec") -> np.ndarray:
     """Bias and activation, in place on a conv result the caller owns."""
     if spec.bias is not None:

@@ -9,9 +9,7 @@ region is reduced by farthest point sampling with its own keep ratio.
 
 from __future__ import annotations
 
-import csv
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,52 +200,3 @@ def phd_apply(cloud: np.ndarray, boxes: list, agent_xy, cfg: PhdConfig,
                 kept_local = local_idx[fps(sub[local_idx], ratio)]
                 keep[owned[kept_local]] = True
     return cloud[keep]
-
-
-# ---------------------------------------------------------------------------
-# io
-# ---------------------------------------------------------------------------
-# Binary: u32 point count, then x, y, z, intensity as float32 LE per point.
-# CSV (debug): header "x,y,z,intensity", one row per point.
-
-
-def save_cloud(cloud: np.ndarray, path) -> None:
-    cloud = ensure_cloud(cloud)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<I", cloud.shape[0]))
-        fh.write(np.ascontiguousarray(cloud, dtype="<f4").tobytes())
-
-
-def load_cloud(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-        if len(head) != 4:
-            raise ShapeError("truncated point cloud file: missing count header")
-        (n,) = struct.unpack("<I", head)
-        payload = fh.read(16 * n)
-        if len(payload) != 16 * n:
-            raise ShapeError(
-                f"truncated point cloud file: header says {n} points "
-                f"({16 * n} bytes), got {len(payload)} bytes"
-            )
-    return np.frombuffer(payload, dtype="<f4").reshape(n, 4).astype(np.float64)
-
-
-def save_cloud_csv(cloud: np.ndarray, path) -> None:
-    cloud = ensure_cloud(cloud)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "z", "intensity"])
-        writer.writerows(cloud.tolist())
-
-
-def load_cloud_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["x", "y", "z", "intensity"]:
-            raise ShapeError(f"unexpected point cloud CSV header: {header}")
-        rows = [[float(v) for v in row] for row in reader if row]
-    if not rows:
-        return np.empty((0, 4))
-    return ensure_cloud(np.array(rows))

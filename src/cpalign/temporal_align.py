@@ -109,15 +109,6 @@ class MotionEstimatorSpec:
         return self.enc_frame.in_channels
 
     @classmethod
-    def default(cls, channels: int, seed: int = 0) -> "MotionEstimatorSpec":
-        """He-seeded encoder/trunk; zero heads.
-
-        Zero heads make the untrained estimator the identity transport:
-        dp is exactly zero and the confidence sits at sigmoid(4).
-        """
-        return cls.from_weights(default_motion_weights(channels, seed), "")
-
-    @classmethod
     def from_weights(cls, weights: dict, prefix: str) -> "MotionEstimatorSpec":
         """Build from named weights; built once per set of read-only arrays."""
         names = [prefix + n for n in cls.NAMES]
@@ -147,6 +138,11 @@ _SPEC_MEMO = FrozenMemo(size=12)
 
 
 def default_motion_weights(channels: int, seed: int = 0, prefix: str = "") -> dict:
+    """He-seeded encoder/trunk; zero heads.
+
+    Zero heads make the untrained estimator the identity transport: dp is
+    exactly zero and the confidence sits at sigmoid(4).
+    """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x_707, channels]))
     c = channels
     return {
@@ -162,8 +158,7 @@ def default_motion_weights(channels: int, seed: int = 0, prefix: str = "") -> di
 
 
 def estimate_motion(latest: np.ndarray, previous: np.ndarray,
-                    spec: MotionEstimatorSpec | None = None,
-                    seed: int = 0) -> MotionField:
+                    spec: MotionEstimatorSpec) -> MotionField:
     """Motion between two same-scale frames, newest first.
 
     Both frames are paired with their difference, run through a shared
@@ -178,7 +173,7 @@ def estimate_motion(latest: np.ndarray, previous: np.ndarray,
             f"frame shapes differ: {latest.shape} vs {previous.shape}"
         )
     if spec is None:
-        spec = MotionEstimatorSpec.default(latest.shape[0], seed)
+        raise ShapeError("motion estimation needs a MotionEstimatorSpec")
     if latest.shape[0] != spec.channels:
         raise ShapeError(
             f"motion estimator built for {spec.channels} channels, got "
@@ -248,10 +243,6 @@ class XiPredictorSpec:
     mlp: MlpSpec | None = None
 
     @classmethod
-    def default(cls, seed: int = 0) -> "XiPredictorSpec":
-        return cls.from_weights(default_xi_weights(seed), "")
-
-    @classmethod
     def from_weights(cls, weights: dict, prefix: str = "ptam.") -> "XiPredictorSpec":
         names = [prefix + n for n in XI_WEIGHT_NAMES]
         (c0w, c0b, r1aw, r1ab, r1bw, r1bb, r2aw, r2ab, r2bw, r2bb,
@@ -302,13 +293,13 @@ def delay_embedding(delay_frames: float, dim: int = XI_EMBED_DIM) -> np.ndarray:
 
 
 def predict_xi(stage1: MotionField, stage2: MotionField, ctx: DelayContext,
-               spec: XiPredictorSpec | None = None, seed: int = 0) -> float:
+               spec: XiPredictorSpec | None = None) -> float:
     """Temporal scaling factor, >= 0 via a final relu.
 
-    Oracle mode returns tau / frame_interval exactly. Learned mode encodes
-    the confidence-weighted motion difference between the two stages,
-    global-average-pools it, adds a sinusoidal embedding of the measured
-    delay, and regresses xi with a small MLP.
+    Oracle mode returns tau / frame_interval exactly and reads no spec.
+    Learned mode encodes the confidence-weighted motion difference between
+    the two stages, global-average-pools it, adds a sinusoidal embedding of
+    the measured delay, and regresses xi with a small MLP.
     """
     if ctx.xi_mode == "oracle":
         return ctx.delay_frames
@@ -317,7 +308,7 @@ def predict_xi(stage1: MotionField, stage2: MotionField, ctx: DelayContext,
             f"stage motion shapes differ: {stage1.dp.shape} vs {stage2.dp.shape}"
         )
     if spec is None:
-        spec = XiPredictorSpec.default(seed)
+        raise ShapeError("learned xi needs an XiPredictorSpec")
     dm = stage2.dp * stage2.w - stage1.dp * stage1.w
     h = conv2d(dm, spec.conv0)
     for conv_a, conv_b in spec.res:
@@ -332,21 +323,14 @@ def predict_xi(stage1: MotionField, stage2: MotionField, ctx: DelayContext,
 # two-stage alignment
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PtamResult:
-    inter: list       # per scale: stage-1 output, nominally at t - tau
-    aligned: list     # per scale: stage-2 output, nominally at t
-    xi: list          # per scale temporal scaling factor
-    stage1: list      # per scale MotionField
-    stage2: list      # per scale MotionField
-
-
 def ptam_stage1(previous: np.ndarray, latest: np.ndarray,
                 spec: MotionEstimatorSpec | None = None,
-                override: MotionField | None = None,
-                seed: int = 0) -> tuple[np.ndarray, MotionField]:
-    """Advance the older frame by one interval of estimated motion."""
-    mf = override if override is not None else estimate_motion(latest, previous, spec, seed)
+                override: MotionField | None = None) -> tuple[np.ndarray, MotionField]:
+    """Advance the older frame by one interval of estimated motion.
+
+    ``override`` replaces the estimate; without it ``spec`` is required.
+    """
+    mf = override if override is not None else estimate_motion(latest, previous, spec)
     inter = warp_features(previous, mf.dp, 1.0, mf.w)
     return inter, mf
 
@@ -355,51 +339,23 @@ def ptam_stage2(latest: np.ndarray, inter: np.ndarray, stage1_field: MotionField
                 ctx: DelayContext, spec: MotionEstimatorSpec | None = None,
                 xi_spec: XiPredictorSpec | None = None,
                 override: MotionField | None = None,
-                variant: str = "scaled",
-                seed: int = 0) -> tuple[np.ndarray, MotionField, float]:
+                variant: str = "scaled") -> tuple[np.ndarray, MotionField, float]:
     """Advance the stage-1 result across the remaining delay.
 
     variant "scaled" warps by xi times the re-estimated motion; variant
-    "literal" reuses the stage-1 displacement unscaled.
+    "literal" reuses the stage-1 displacement unscaled. ``override``
+    replaces the re-estimate, and ``xi_spec`` is needed for learned xi only.
     """
     if variant not in ("scaled", "literal"):
         raise ShapeError(f"unknown stage-2 variant {variant!r}")
-    mf = override if override is not None else estimate_motion(inter, latest, spec, seed)
+    mf = override if override is not None else estimate_motion(inter, latest, spec)
     if variant == "scaled":
-        xi = predict_xi(stage1_field, mf, ctx, xi_spec, seed)
+        xi = predict_xi(stage1_field, mf, ctx, xi_spec)
         aligned = warp_features(inter, mf.dp, xi, mf.w)
     else:
         xi = 1.0
         aligned = warp_features(inter, stage1_field.dp, 1.0, mf.w)
     return aligned, mf, xi
-
-
-def ptam_align(prev_scales, latest_scales, ctx: DelayContext,
-               motion_specs=None, xi_spec: XiPredictorSpec | None = None,
-               overrides1=None, overrides2=None,
-               variant: str = "scaled", seed: int = 0) -> PtamResult:
-    """Run both alignment stages over matching lists of per-scale frames."""
-    prev_scales = [ensure_tensor3(f) for f in prev_scales]
-    latest_scales = [ensure_tensor3(f) for f in latest_scales]
-    if len(prev_scales) != len(latest_scales) or not prev_scales:
-        raise ShapeError("scale lists must be non-empty and the same length")
-    n = len(prev_scales)
-    motion_specs = motion_specs or [None] * n
-    overrides1 = overrides1 or [None] * n
-    overrides2 = overrides2 or [None] * n
-    result = PtamResult([], [], [], [], [])
-    for i in range(n):
-        inter, mf1 = ptam_stage1(prev_scales[i], latest_scales[i],
-                                 motion_specs[i], overrides1[i], seed)
-        aligned, mf2, xi = ptam_stage2(latest_scales[i], inter, mf1, ctx,
-                                       motion_specs[i], xi_spec, overrides2[i],
-                                       variant, seed)
-        result.inter.append(inter)
-        result.aligned.append(aligned)
-        result.xi.append(xi)
-        result.stage1.append(mf1)
-        result.stage2.append(mf2)
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,57 @@
+"""Every public top-level function and class of the package has a caller.
+
+The package is parsed with :mod:`ast`, not imported. A public name (one
+without a leading underscore) defined at the top level of a module counts
+as used when some top-level statement of ``src/cpalign`` other than its own
+definition reads it, as a bare name or as an attribute. Re-exports in a
+package ``__init__`` do not count, and neither do reads from inside a
+definition that is itself unused, so a helper that only an unused helper
+calls is reported too.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "cpalign"
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _reads(node) -> set:
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def unused_public_names(root: Path = SRC) -> list:
+    """``module:name`` of every public top-level definition without a caller."""
+    public = {}   # (module, name) -> name
+    readers = {}  # name -> owners of the statements that read it
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = path.relative_to(root).with_suffix("").as_posix().replace("/", ".")
+        for stmt in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            # module-level code has no owner: what it reads is always used
+            owner = None
+            if isinstance(stmt, _DEFS):
+                owner = (module, stmt.name)
+                if not stmt.name.startswith("_"):
+                    public[owner] = stmt.name
+            for name in _reads(stmt):
+                readers.setdefault(name, set()).add(owner)
+    unused = set()
+    while True:
+        found = {key for key, name in public.items() if key not in unused
+                 and readers.get(name, set()) <= unused | {key}}
+        if not found:
+            return sorted(f"{module}:{name}" for module, name in unused)
+        unused |= found
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    assert unused_public_names() == []

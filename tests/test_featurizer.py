@@ -9,7 +9,6 @@ from cpalign.featurizer import (
     backbone_forward,
     bev_project,
     box_footprint_mask,
-    boxes_to_aabbs,
     default_backbone_weights,
     default_bevproj_weights,
     pillar_encode,
@@ -97,7 +96,8 @@ def test_bev_spec_validation():
 
 def test_backbone_shapes_and_zero_propagation():
     spec = BevSpec(4.8, 3.2, cell=0.4)  # 8 x 12
-    ms = backbone_forward(np.zeros((8, spec.height, spec.width)))
+    ms = backbone_forward(np.zeros((8, spec.height, spec.width)),
+                          default_backbone_weights())
     assert ms.large.shape == (64, 8, 12)
     assert ms.middle.shape == (128, 4, 6)
     assert ms.small.shape == (256, 2, 3)
@@ -108,9 +108,9 @@ def test_backbone_shapes_and_zero_propagation():
 def test_backbone_deterministic_and_seeded():
     rng = np.random.default_rng(2)
     pillars = rng.normal(size=(8, 8, 8))
-    a = backbone_forward(pillars, seed=5)
-    b = backbone_forward(pillars, seed=5)
-    c = backbone_forward(pillars, seed=6)
+    a = backbone_forward(pillars, default_backbone_weights(5))
+    b = backbone_forward(pillars, default_backbone_weights(5))
+    c = backbone_forward(pillars, default_backbone_weights(6))
     np.testing.assert_array_equal(a.large, b.large)
     assert not np.allclose(a.large, c.large)
     assert (a.large >= 0).all() and (a.small >= 0).all()  # relu outputs
@@ -126,10 +126,11 @@ def test_backbone_missing_weights_lists_names():
 
 
 def test_backbone_rejects_bad_inputs():
+    w = default_backbone_weights()
     with pytest.raises(ShapeError):
-        backbone_forward(np.zeros((7, 4, 4)))
+        backbone_forward(np.zeros((7, 4, 4)), w)
     with pytest.raises(ShapeError):
-        backbone_forward(np.zeros((8, 6, 4)))
+        backbone_forward(np.zeros((8, 6, 4)), w)
 
 
 def test_bev_project_shape_and_channel_blocks():
@@ -138,11 +139,12 @@ def test_bev_project_shape_and_channel_blocks():
     ms = MultiScaleFeatures(rng.normal(size=(64, h, w)),
                             rng.normal(size=(128, h // 2, w // 2)),
                             rng.normal(size=(256, h // 4, w // 4)))
-    out = bev_project(ms)
+    wts = default_bevproj_weights()
+    out = bev_project(ms, wts)
     assert out.shape == (384, h, w)
     # zeroing one scale zeroes exactly its 128-channel block (zero biases)
     ms2 = MultiScaleFeatures(ms.large, np.zeros_like(ms.middle), ms.small)
-    out2 = bev_project(ms2)
+    out2 = bev_project(ms2, wts)
     np.testing.assert_array_equal(out2[128:256], np.zeros((128, h, w)))
     np.testing.assert_array_equal(out2[:128], out[:128])
     np.testing.assert_array_equal(out2[256:], out[256:])
@@ -183,8 +185,9 @@ def test_bev_project_is_linear():
     combo = MultiScaleFeatures(2.0 * a.large - 3.0 * b.large,
                                2.0 * a.middle - 3.0 * b.middle,
                                2.0 * a.small - 3.0 * b.small)
-    lhs = bev_project(combo)
-    rhs = 2.0 * bev_project(a) - 3.0 * bev_project(b)
+    wts = default_bevproj_weights()
+    lhs = bev_project(combo, wts)
+    rhs = 2.0 * bev_project(a, wts) - 3.0 * bev_project(b, wts)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-9)
 
 
@@ -224,11 +227,3 @@ def test_box_footprint_mask_rotation():
     long_x = box_footprint_mask([OrientedBox(0, 0, 0, 4.0, 1.0, 1.0, yaw=0.0)], spec)
     long_y = box_footprint_mask([OrientedBox(0, 0, 0, 4.0, 1.0, 1.0, yaw=math.pi / 2)], spec)
     np.testing.assert_array_equal(long_y, long_x.T)
-
-
-def test_boxes_to_aabbs():
-    box = OrientedBox(1.0, 2.0, 0.0, 2.0, 2.0, 1.0, yaw=math.pi / 4)
-    aabb = boxes_to_aabbs([box])[0]
-    r = math.sqrt(2.0)
-    np.testing.assert_allclose(aabb, [1 - r, 2 - r, 1 + r, 2 + r], rtol=1e-12)
-    assert boxes_to_aabbs([]).shape == (0, 4)

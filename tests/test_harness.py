@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -47,9 +48,11 @@ from cpalign.harness.scenario import (
     render_pointcloud,
     save_scenario,
     scenario_boxes_local,
+    scenario_from_dict,
+    scenario_to_dict,
 )
 from cpalign.instance_fusion import (
-    split_foreground,
+    foreground_features,
     struct_conv,
     verification_weights,
 )
@@ -240,6 +243,41 @@ def test_malformed_scenario_document(tmp_path):
     path.write_text(json.dumps({"agents": [{"id": "x"}], "objects": []}))
     with pytest.raises(ShapeError):
         load_scenario(path)
+    path.write_text("{nope")
+    with pytest.raises(ShapeError, match="not valid JSON"):
+        load_scenario(path)
+
+
+SCENARIO_NUMBER_PATHS = (
+    ["duration", "frame_interval", "seed"]
+    + [f"agents[0].{k}" for k in ("x", "y", "yaw", "vx", "vy")]
+    + [f"objects[0].box.{k}"
+       for k in ("cx", "cy", "cz", "length", "width", "height", "yaw")]
+    + [f"objects[0].{k}" for k in ("vx", "vy", "yaw_rate")])
+
+
+def _set_key_path(doc, path, value):
+    keys = [int(k) if k.isdigit() else k for k in re.split(r"[.\[\]]+", path) if k]
+    for k in keys[:-1]:
+        doc = doc[k]
+    doc[keys[-1]] = value
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("path", SCENARIO_NUMBER_PATHS)
+def test_scenario_from_dict_names_non_finite_number(path, bad):
+    doc = scenario_to_dict(generate_scenario("straight"))
+    scenario_from_dict(doc)
+    _set_key_path(doc, path, bad)
+    with pytest.raises(ShapeError, match=re.escape(path) + " must be finite"):
+        scenario_from_dict(doc)
+
+
+def test_scenario_rejects_non_finite_timing_and_speed():
+    for key, value in (("duration", math.nan), ("frame_interval", math.inf),
+                       ("speed", math.nan)):
+        with pytest.raises(ShapeError, match=key):
+            generate_scenario("straight", **{key: value})
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +407,13 @@ def test_iou_aabb_values():
     assert iou_aabb(a, a) == pytest.approx(1.0)
     assert iou_aabb(a, np.array([2.0, 2.0, 4.0, 4.0])) == 0.0
     assert iou_aabb(a, np.array([1.0, 0.0, 3.0, 2.0])) == pytest.approx(1.0 / 3.0)
+
+
+def test_box_to_aabb_bounds_rotated_box():
+    box = OrientedBox(1.0, 2.0, 0.0, 2.0, 2.0, 1.0, yaw=math.pi / 4)
+    r = math.sqrt(2.0)
+    np.testing.assert_allclose(box_to_aabb(box), [1 - r, 2 - r, 1 + r, 2 + r],
+                               rtol=1e-12)
 
 
 def test_extract_detections_orders_by_confidence():
@@ -684,7 +729,7 @@ def test_run_pipeline_collect_maps_bitwise_repeatable():
 
 @pytest.mark.parametrize("reuse_h", [False, True])
 def test_refine_instance_matches_literal_chain(reuse_h):
-    # the pipeline's IFAM branch against split_foreground and an
+    # the pipeline's IFAM branch against foreground_features and an
     # aggregate_instance written out, bit for bit; the inputs stay
     # untouched unless the caller hands over h
     weights = build_pipeline_weights(0)
@@ -694,7 +739,8 @@ def test_refine_instance_matches_literal_chain(reuse_h):
     h0, m0 = h.copy(), m.copy()
     got = pipeline._refine_instance(h.copy() if reuse_h else h, m, weights, "sum",
                                     reuse_h=reuse_h)
-    fore, back = split_foreground(h, m)
+    fore = foreground_features(h, m)
+    back = h - fore
     enh = struct_conv(fore, pipeline._struct_kernels(weights))
     verif = verification_weights(fore, enh, pipeline.VerificationSpec.from_weights(weights))
     pre = verif * fore + (1.0 - verif) * enh + fore + enh
@@ -1018,6 +1064,21 @@ def test_cli_run_save_weights_roundtrip(tmp_path, capsys):
     for k, arr in want.items():
         np.testing.assert_array_equal(
             back[k], np.asarray(arr, dtype=np.float32).astype(np.float64))
+
+
+def test_cli_non_finite_scenario_exits_2_naming_the_key(tmp_path, capsys):
+    from cpalign.cli import main
+    doc = scenario_to_dict(_fast_scene())
+    doc["objects"][0]["box"]["length"] = math.nan
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps(doc))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": doc}))
+    for flag, path in (("--scenario", scn), ("--config", cfg)):
+        assert main(["run", flag, str(path), "--tau-ms", "200", "--t", "0.8"]) == 2
+        err = capsys.readouterr().err
+        assert "objects[0].box.length must be finite" in err
+        assert "Traceback" not in err
 
 
 def test_cli_unknown_config_path_errors(capsys):

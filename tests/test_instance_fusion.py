@@ -12,11 +12,11 @@ from cpalign.instance_fusion import (
     default_fuse_weights,
     default_verification_weights,
     foreground_loss,
+    foreground_features,
     fuse_agents,
     fusion_fold,
     fusion_term,
     gate_and_aggregate,
-    split_foreground,
     struct_conv,
     verification_weights,
     verified_blend,
@@ -25,15 +25,14 @@ from cpalign.numerics import ConvSpec, ShapeError, conv2d, ensure_tensor3, freez
 from cpalign.pointcloud import OrientedBox
 
 
-def test_split_foreground_partitions_features():
+def test_foreground_features_scale_by_map_and_reject_out_of_range():
     rng = np.random.default_rng(0)
     h = rng.normal(size=(6, 5, 5))
     m = rng.uniform(size=(1, 5, 5))
-    fore, back = split_foreground(h, m)
-    np.testing.assert_allclose(fore + back, h, rtol=1e-15)
+    fore = foreground_features(h, m)
     np.testing.assert_allclose(fore, h * m, rtol=1e-15)
     with pytest.raises(ShapeError):
-        split_foreground(h, m * 2.0)
+        foreground_features(h, m * 2.0)
 
 
 def test_struct_kernel_invariants():
@@ -184,7 +183,7 @@ def test_verification_weights_group_blocks_match_one_grouped_conv_bitwise(c, h, 
 def test_verification_weights_range_and_zero_case():
     rng = np.random.default_rng(4)
     c = 8
-    spec = VerificationSpec.default(c, seed=1)
+    spec = VerificationSpec.from_weights(default_verification_weights(c, 1))
     fore = rng.normal(size=(c, 6, 6))
     enh = rng.normal(size=(c, 6, 6))
     w = verification_weights(fore, enh, spec)
@@ -204,7 +203,7 @@ def test_verification_group_independence_before_shuffle():
     # output groups 1..3 untouched
     rng = np.random.default_rng(5)
     c = 8
-    spec = VerificationSpec.default(c, seed=2)
+    spec = VerificationSpec.from_weights(default_verification_weights(c, 2))
     gc = spec.gconv
     z = rng.normal(size=(4 * c, 5, 5))
     base = conv2d(z, gc)
@@ -320,7 +319,7 @@ def test_aggregate_instance_concat_mode():
     out = aggregate_instance(fore, enh, back, verif, weights=w, combine="concat")
     assert out.shape == (c, 4, 4)
     with pytest.raises(ShapeError):
-        aggregate_instance(fore, enh, back, verif, combine="stack")
+        aggregate_instance(fore, enh, back, verif, w, combine="stack")
 
 
 def test_fuse_agents_fold_and_identities():
@@ -341,7 +340,7 @@ def test_fuse_agents_fold_and_identities():
     # fold order matters: ego first
     assert not np.allclose(fuse_agents([b, a], weights=w), fused2)
     with pytest.raises(ShapeError):
-        fuse_agents([])
+        fuse_agents([], w)
     with pytest.raises(ShapeError):
         fuse_agents([a, rng.normal(size=(c, 5, 4))], weights=w)
 

@@ -9,12 +9,8 @@ from cpalign.pointcloud import (
     OrientedBox,
     PhdConfig,
     fps,
-    load_cloud,
-    load_cloud_csv,
     partition_regions,
     phd_apply,
-    save_cloud,
-    save_cloud_csv,
     select_proximal,
 )
 
@@ -200,17 +196,3 @@ def test_box_yaw_normalization_and_validation():
         PhdConfig(inner_scale=1.0)
     with pytest.raises(ShapeError):
         PhdConfig(outer_keep=0.0)
-
-
-def test_cloud_io_roundtrip(tmp_path):
-    rng = np.random.default_rng(4)
-    cloud = random_cloud(rng, 17).astype(np.float32).astype(np.float64)
-    binp = tmp_path / "c.bin"
-    save_cloud(cloud, binp)
-    np.testing.assert_array_equal(load_cloud(binp), cloud)
-    csvp = tmp_path / "c.csv"
-    save_cloud_csv(cloud, csvp)
-    np.testing.assert_allclose(load_cloud_csv(csvp), cloud, rtol=0, atol=0)
-    with pytest.raises(ShapeError, match="truncated"):
-        binp.write_bytes(binp.read_bytes()[:-8])
-        load_cloud(binp)

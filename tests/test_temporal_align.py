@@ -9,14 +9,12 @@ from cpalign.temporal_align import (
     DelayContext,
     MotionEstimatorSpec,
     MotionField,
-    PtamResult,
     XiPredictorSpec,
     default_motion_weights,
     default_xi_weights,
     delay_embedding,
     estimate_motion,
     predict_xi,
-    ptam_align,
     ptam_stage1,
     ptam_stage2,
     temporal_loss,
@@ -103,11 +101,12 @@ def test_estimate_motion_zero_heads_identity_defaults():
     rng = np.random.default_rng(2)
     a = rng.normal(size=(8, 6, 6))
     b = rng.normal(size=(8, 6, 6))
-    mf = estimate_motion(a, b, MotionEstimatorSpec.default(8))
+    spec = MotionEstimatorSpec.from_weights(default_motion_weights(8), "")
+    mf = estimate_motion(a, b, spec)
     np.testing.assert_array_equal(mf.dp, np.zeros((2, 6, 6)))
     np.testing.assert_allclose(mf.w, sigmoid(np.array([4.0]))[0], rtol=1e-12)
     with pytest.raises(ShapeError):
-        estimate_motion(a, rng.normal(size=(8, 5, 6)))
+        estimate_motion(a, rng.normal(size=(8, 5, 6)), spec)
 
 
 def _literal_motion(latest, previous, w):
@@ -187,7 +186,7 @@ def test_predict_xi_learned_deterministic_and_nonnegative():
     f1 = MotionField(rng.normal(size=(2, h, w)), rng.uniform(0.3, 0.7, (1, h, w)))
     f2 = MotionField(rng.normal(size=(2, h, w)), rng.uniform(0.3, 0.7, (1, h, w)))
     ctx = DelayContext(tau=0.3, frame_interval=0.1)
-    spec = XiPredictorSpec.default(seed=4)
+    spec = XiPredictorSpec.from_weights(default_xi_weights(4), "")
     xi_a = predict_xi(f1, f2, ctx, spec)
     xi_b = predict_xi(f1, f2, ctx, spec)
     assert xi_a == xi_b >= 0.0
@@ -203,6 +202,21 @@ def test_xi_weight_names():
     del w["ptam.xi.mlp1.weight"]
     with pytest.raises(KeyError, match="mlp1.weight"):
         XiPredictorSpec.from_weights(w, "ptam.")
+
+
+def test_missing_spec_raises_unless_nothing_reads_it():
+    h = w = 5
+    frame = np.zeros((2, h, w))
+    f = constant_field(h, w, 0.0, 0.0)
+    with pytest.raises(ShapeError, match="MotionEstimatorSpec"):
+        ptam_stage1(frame, frame)
+    with pytest.raises(ShapeError, match="MotionEstimatorSpec"):
+        ptam_stage2(frame, frame, f, DelayContext(0.3, 0.1, "oracle"))
+    with pytest.raises(ShapeError, match="XiPredictorSpec"):
+        ptam_stage2(frame, frame, f, DelayContext(0.3, 0.1), override=f)
+    # an override stands in for the motion spec, oracle xi for the xi spec
+    _, _, xi = ptam_stage2(frame, frame, f, DelayContext(0.3, 0.1, "oracle"), override=f)
+    assert xi == pytest.approx(3.0)
 
 
 def test_stage1_advances_older_frame_one_interval():
@@ -226,14 +240,14 @@ def test_two_stage_alignment_matches_derived_transport():
     latest[0, 6, 3] = 1.0
     ctx = DelayContext(tau=0.2, frame_interval=0.1, xi_mode="oracle")
     ov = unit_field(h, w, 1.0, 0.0)
-    res = ptam_align([prev], [latest], ctx, overrides1=[ov], overrides2=[ov])
-    assert isinstance(res, PtamResult)
-    assert res.xi == [pytest.approx(2.0)]
+    inter, mf1 = ptam_stage1(prev, latest, override=ov)
+    aligned, _, xi = ptam_stage2(latest, inter, mf1, ctx, override=ov)
+    assert xi == pytest.approx(2.0)
     # stage 1 output sits where the latest frame sits
-    assert res.inter[0][0, 6, 3] == pytest.approx(1.0, rel=1e-9)
+    assert inter[0, 6, 3] == pytest.approx(1.0, rel=1e-9)
     # stage 2 lands 3 cells ahead of the oldest frame
-    assert res.aligned[0][0, 6, 5] == pytest.approx(1.0, rel=1e-9)
-    assert abs(res.aligned[0]).sum() == pytest.approx(1.0, rel=1e-9)
+    assert aligned[0, 6, 5] == pytest.approx(1.0, rel=1e-9)
+    assert abs(aligned).sum() == pytest.approx(1.0, rel=1e-9)
 
 
 def test_zero_delay_reduces_to_confidence_scaled_inter():
@@ -244,8 +258,9 @@ def test_zero_delay_reduces_to_confidence_scaled_inter():
     ctx = DelayContext(tau=0.0, frame_interval=0.1, xi_mode="oracle")
     ov1 = unit_field(h, w, 0.25, -0.5)
     ov2 = unit_field(h, w, 0.75, 0.3)
-    res = ptam_align([prev], [latest], ctx, overrides1=[ov1], overrides2=[ov2])
-    np.testing.assert_allclose(res.aligned[0], res.inter[0] * ov2.w, rtol=1e-12)
+    inter, mf1 = ptam_stage1(prev, latest, override=ov1)
+    aligned, _, _ = ptam_stage2(latest, inter, mf1, ctx, override=ov2)
+    np.testing.assert_allclose(aligned, inter * ov2.w, rtol=1e-12)
 
 
 def test_stage2_literal_variant_reuses_stage1_displacement():
@@ -283,7 +298,6 @@ def test_temporal_loss_zero_for_identical_tensors():
     res = temporal_loss(x, x.copy(), 8)
     assert res.loss == pytest.approx(0.0, abs=1e-24)
     np.testing.assert_allclose(res.grad, np.zeros_like(x), atol=1e-12)
-    assert (res.window_cosines == pytest.approx(1.0)) if False else True
     np.testing.assert_allclose(res.window_cosines, 1.0, rtol=1e-12)
 
 
