@@ -32,7 +32,7 @@ from .harness.pipeline import (
     PipelineOptions,
     _scale_geometry,
     build_pipeline_weights,
-    run_pipeline,
+    sweep,
 )
 from .harness.scenario import (
     AgentSpec,
@@ -550,19 +550,16 @@ def check_delay_sweep_ordering() -> CheckResult:
 
     start = time.perf_counter()
     scn = generate_scenario("crossing", seed=0)
-    cache = {}
+    taus_ms = (100, 200, 300, 400, 500)
+    rows = sweep(scn, taus_ms, PipelineOptions(phd=False), t=1.2)
+    iou = {(r["metric"], r["tau_ms"]): r["value"] for r in rows}
     violations = []
     strict_ok = True
-    for tau_ms in (100, 200, 300, 400, 500):
-        tau = tau_ms / 1000.0
-        on = run_pipeline(scn, 1.2, tau, PipelineOptions(phd=False),
-                          cache=cache)
-        off = run_pipeline(scn, 1.2, tau, PipelineOptions(ptam=False,
-                                                          phd=False),
-                           cache=cache)
-        if on.mean_matched_iou < off.mean_matched_iou - 1e-9:
+    for tau_ms in taus_ms:
+        on, off = iou["mean_iou_ptam", tau_ms], iou["mean_iou_baseline", tau_ms]
+        if on < off - 1e-9:
             violations.append(tau_ms)
-        if tau_ms >= 300 and not (on.mean_matched_iou > off.mean_matched_iou):
+        if tau_ms >= 300 and not (on > off):
             strict_ok = False
     elapsed = time.perf_counter() - start
     ok = not violations and strict_ok and elapsed < 120.0

@@ -24,6 +24,30 @@ from .numerics import ShapeError, load_weights, save_weights
 from .opcount import count_similarity_ops
 
 
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text.strip()!r} is not a number") from None
+
+
+def _taus_ms(text: str) -> list:
+    """``--taus-ms``: a comma list of delays in milliseconds."""
+    taus = [_number(v) for v in text.split(",") if v.strip()]
+    if not taus:
+        raise argparse.ArgumentTypeError(f"{text!r} names no delay")
+    return taus
+
+
+def _sigmas(text: str) -> list:
+    """``--sigmas``: a comma list of loc:head pairs; head defaults to 0."""
+    pairs = []
+    for pair in text.split(","):
+        loc, _, head = pair.partition(":")
+        pairs.append((_number(loc), _number(head or "0")))
+    return pairs
+
+
 def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", help="scenario JSON produced by 'gen'")
     p.add_argument("--template", default="crossing",
@@ -129,15 +153,8 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     scenario, bev, render, opts, grid = _load_setup(args)
     weights = _resolve_weights(args, opts)
-    taus = grid["taus_ms"]
-    if args.taus_ms:
-        taus = [float(v) for v in args.taus_ms.split(",") if v.strip()]
-    sigmas = grid["sigmas"]
-    if args.sigmas:
-        sigmas = []
-        for pair in args.sigmas.split(","):
-            loc, _, head = pair.partition(":")
-            sigmas.append((float(loc), float(head or 0.0)))
+    taus = args.taus_ms or grid["taus_ms"]
+    sigmas = args.sigmas or grid["sigmas"]
     t = args.t if args.t is not None else grid["t"]
     rows = sweep(scenario, taus, opts, sigmas, t, weights, bev, render)
     write_sweep_csv(rows, args.out)
@@ -258,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="delay/noise grid to CSV")
     _add_scenario_args(p_sweep)
     _add_option_args(p_sweep)
-    p_sweep.add_argument("--taus-ms", help="comma list, e.g. 0,100,300")
-    p_sweep.add_argument("--sigmas",
+    p_sweep.add_argument("--taus-ms", type=_taus_ms, help="comma list, e.g. 0,100,300")
+    p_sweep.add_argument("--sigmas", type=_sigmas,
                          help="comma list of loc:head pairs, e.g. 0:0,0.5:2")
     p_sweep.add_argument("--t", type=float, default=None)
     p_sweep.add_argument("--out", required=True)
@@ -293,7 +310,7 @@ def main(argv=None) -> int:
         return 0
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, ShapeError, FileNotFoundError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
 

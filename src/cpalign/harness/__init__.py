@@ -15,6 +15,7 @@ from .codec import CodecConfig, encode_decode, transmit_tensors
 from .detect import DetectionReport, detection_map, evaluate_detection
 from .pipeline import (
     PipelineOptions,
+    RunContext,
     RunReport,
     build_pipeline_weights,
     run_pipeline,
@@ -28,6 +29,6 @@ __all__ = [
     "render_pointcloud", "save_scenario",
     "CodecConfig", "encode_decode", "transmit_tensors",
     "DetectionReport", "detection_map", "evaluate_detection",
-    "PipelineOptions", "RunReport", "build_pipeline_weights",
+    "PipelineOptions", "RunContext", "RunReport", "build_pipeline_weights",
     "run_pipeline", "sweep", "write_sweep_csv",
 ]

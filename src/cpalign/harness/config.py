@@ -1,5 +1,6 @@
 """JSON run configuration with path-qualified validation errors."""
 
+import dataclasses
 import json
 
 from ..featurizer import BevSpec
@@ -16,13 +17,8 @@ _SECTIONS = ("scenario", "bev", "render", "options", "sweep")
 _SCENARIO_KEYS = {"template", "seed", "speed", "duration", "frame_interval",
                   "agents", "objects"}
 _BEV_KEYS = {"x_extent", "y_extent", "cell"}
-_RENDER_KEYS = {"density", "min_points", "max_points", "interior_fraction",
-                "include_ground", "ground_points", "ground_extent",
-                "ground_z_sigma"}
-_OPTION_KEYS = {"ptam", "xi_mode", "motion_mode", "ideal_mode",
-                "stage2_variant", "codec", "phd", "phd_collaborators",
-                "sigma_local", "sigma_head_deg", "detector_threshold",
-                "window", "combine", "weight_seed", "noise_seed"}
+_RENDER_KEYS = {f.name for f in dataclasses.fields(RenderConfig)}
+_OPTION_KEYS = {f.name for f in dataclasses.fields(PipelineOptions)}
 _SWEEP_KEYS = {"taus_ms", "sigmas", "t"}
 
 

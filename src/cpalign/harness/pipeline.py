@@ -43,7 +43,6 @@ from ..featurizer import (
     pillar_encode,
 )
 from ..instance_fusion import (
-    FusionFold,
     StructKernels,
     VerificationSpec,
     default_aggregate_weights,
@@ -116,10 +115,12 @@ class PipelineOptions:
             raise ShapeError(f"unknown motion mode {self.motion_mode!r}")
         if self.ideal_mode not in ("footprint", "global"):
             raise ShapeError(f"unknown ideal motion mode {self.ideal_mode!r}")
-        if self.sigma_local < 0.0 or self.sigma_head_deg < 0.0:
-            raise ShapeError("noise magnitudes must be non-negative")
+        for name in ("sigma_local", "sigma_head_deg"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ShapeError(f"{name} must be non-negative and finite, got {value}")
         if self.window < 1:
-            raise ShapeError("window must be at least 1")
+            raise ShapeError(f"window must be at least 1, got {self.window}")
         CodecConfig(self.codec)  # validates the mode
 
 
@@ -215,92 +216,106 @@ def _scale_geometry(bev: BevSpec, scale_idx: int):
             bev.height // f, bev.width // f)
 
 
-_CACHE_CONTEXT = "context"
+class RunContext:
+    """The scene, weights, BEV grid and renderer that a set of runs share,
+    with what is built from them once.
 
-
-def _claim_cache(cache, scenario, weights, bev, render_cfg) -> None:
-    """Tie a memo to the scenario, weights, grid and renderer that fill it.
-
-    The first call records them; a later call under any other one raises,
-    because the memo would serve features computed under the old ones.
-    Scenario and weights are compared by identity, the specs by value.
+    The specs derived from the weights are built here: the struct kernels,
+    the verification gate, the xi predictor, and the fusion terms over the
+    scenario's agents. With ``memo`` the context also keeps what its runs
+    build: featurizations, the ego's view and its fusion term. Every entry
+    depends on the four inputs, so a run under any other one is refused
+    (:meth:`check`); scenario and weights are compared by identity, the
+    specs by value. Without ``memo`` every claim is fresh, so a lone run's
+    builds die with it.
     """
-    if cache is None:
-        return
-    owner = cache.setdefault(_CACHE_CONTEXT, (scenario, weights, bev, render_cfg))
-    if owner[0] is not scenario:
-        raise ShapeError("cache was filled for another scenario object")
-    if owner[1] is not weights:
-        raise ShapeError("cache was filled under another weights object")
-    if owner[2] != bev:
-        raise ShapeError(f"cache was filled under {owner[2]}, not {bev}")
-    if owner[3] != render_cfg:
-        raise ShapeError(f"cache was filled under {owner[3]}, not {render_cfg}")
 
+    def __init__(self, scenario: Scenario, weights: dict, bev: BevSpec,
+                 render_cfg: RenderConfig, memo: bool = True):
+        self.scenario = scenario
+        self.weights = weights
+        self.bev = bev
+        self.render_cfg = render_cfg
+        base, biases = require_weights(
+            weights, ("ifam.struct.weight", "ifam.struct.bias"), "struct conv weights")
+        c = PROJECTED_CHANNELS
+        self.struct = StructKernels(base=base.reshape(c, 3, 3), biases=biases.reshape(5, c))
+        self.verification = VerificationSpec.from_weights(weights)
+        self.xi_spec = XiPredictorSpec.from_weights(weights, "ptam.")
+        # the detector reads only the fused map's leading channels
+        self.fold = fusion_fold(weights, len(scenario.agents), ENERGY_CHANNELS)
+        self.entries = {} if memo else None
+        self._lock = threading.Lock()
 
-_MEMO_LOCK = threading.Lock()
+    def check(self, scenario, weights, bev, render_cfg) -> None:
+        """Raise unless a run under these inputs may use this context."""
+        if scenario is not self.scenario:
+            raise ShapeError("cache was filled for another scenario object")
+        if weights is not self.weights:
+            raise ShapeError("cache was filled under another weights object")
+        if bev != self.bev:
+            raise ShapeError(f"cache was filled under {self.bev}, not {bev}")
+        if render_cfg != self.render_cfg:
+            raise ShapeError(f"cache was filled under {self.render_cfg}, not {render_cfg}")
 
+    def claim(self, keys) -> tuple:
+        """``(slots, mine)``: one ``Future`` per memo key, claimed together.
 
-def _claim(cache, keys) -> tuple:
-    """``(slots, mine)``: one ``Future`` per memo key, claimed together.
+        Keys claimed together are in the memo as a complete set or not at
+        all. If they are, the caller gets their Futures, done or not, and
+        ``mine`` is False. Otherwise the caller gets fresh Futures, already
+        in the memo, and must fill every one or hand them to :meth:`fail`.
+        Without a memo every claim is fresh.
+        """
+        with self._lock:
+            if self.entries is not None and all(k in self.entries for k in keys):
+                return [self.entries[k] for k in keys], False
+            slots = [Future() for _ in keys]
+            if self.entries is not None:
+                self.entries.update(zip(keys, slots))
+            return slots, True
 
-    Keys claimed together are in the memo as a complete set or not at all.
-    If they are, the caller gets their Futures, done or not, and ``mine``
-    is False. Otherwise the caller gets fresh Futures, already in the memo,
-    and must fill every one or hand them to :func:`_fail`. Without a memo
-    every claim is fresh.
-    """
-    with _MEMO_LOCK:
-        if cache is not None and all(k in cache for k in keys):
-            return [cache[k] for k in keys], False
-        slots = [Future() for _ in keys]
-        if cache is not None:
-            cache.update(zip(keys, slots))
-        return slots, True
+    def fail(self, keys, slots, exc) -> None:
+        """Undo a claim whose builds did not all finish.
 
+        The keys leave the memo, so a later call builds them afresh, and
+        every slot still open carries ``exc`` to whoever waits on it. A
+        claim whose slots are all filled is left alone.
+        """
+        if all(slot.done() and slot.exception() is None for slot in slots):
+            return
+        with self._lock:
+            for key, slot in zip(keys, slots):
+                if self.entries is not None and self.entries.get(key) is slot:
+                    del self.entries[key]
+        for slot in slots:
+            if not slot.done():
+                slot.set_exception(exc)
 
-def _fail(cache, keys, slots, exc) -> None:
-    """Undo a claim whose builds did not all finish.
+    def memo(self, key, build):
+        """The value under ``key``. The first caller builds it on its own
+        thread, the others wait for that build, and a build that raises is
+        not kept."""
+        (slot,), mine = self.claim((key,))
+        if mine:
+            try:
+                slot.set_result(build())
+            except BaseException as exc:
+                self.fail((key,), (slot,), exc)
+                raise
+        return slot.result()
 
-    The keys leave the memo, so a later call builds them afresh, and every
-    slot still open carries ``exc`` to whoever waits on it. A claim whose
-    slots are all filled is left alone.
-    """
-    if all(slot.done() and slot.exception() is None for slot in slots):
-        return
-    with _MEMO_LOCK:
-        for key, slot in zip(keys, slots):
-            if cache is not None and cache.get(key) is slot:
-                del cache[key]
-    for slot in slots:
-        if not slot.done():
-            slot.set_exception(exc)
+    def featurize(self, agent_id, t, phd) -> MultiScaleFeatures:
+        """One agent's backbone features at t, memoized by frame."""
+        def build():
+            cloud = render_pointcloud(self.scenario, agent_id, t, self.render_cfg)
+            if phd:
+                boxes = scenario_boxes_local(self.scenario, agent_id, t)
+                cloud = phd_apply(cloud, boxes, (0.0, 0.0),
+                                  PhdConfig(seed=self.scenario.seed))
+            return backbone_forward(pillar_encode(cloud, self.bev), self.weights)
 
-
-def _memo(cache, key, build):
-    """The value under ``key``. The first caller builds it on its own
-    thread, the others wait for that build, and a build that raises is not
-    kept."""
-    (slot,), mine = _claim(cache, (key,))
-    if mine:
-        try:
-            slot.set_result(build())
-        except BaseException as exc:
-            _fail(cache, (key,), (slot,), exc)
-            raise
-    return slot.result()
-
-
-def _featurize(scenario, agent_id, t, bev, render_cfg, weights, phd,
-               cache) -> MultiScaleFeatures:
-    def build():
-        cloud = render_pointcloud(scenario, agent_id, t, render_cfg)
-        if phd:
-            boxes = scenario_boxes_local(scenario, agent_id, t)
-            cloud = phd_apply(cloud, boxes, (0.0, 0.0), PhdConfig(seed=scenario.seed))
-        return backbone_forward(pillar_encode(cloud, bev), weights)
-
-    return _memo(cache, ("ms", agent_id, scenario.frame_index(t), phd), build)
+        return self.memo(("ms", agent_id, self.scenario.frame_index(t), phd), build)
 
 
 def _noisy_pose(pose: Pose2, scenario, frame_idx, agent_idx, opts) -> Pose2:
@@ -322,32 +337,25 @@ def _ideal_fields(scenario, agent_id, src_t, dst_t, bev, mode):
     return fields
 
 
-def _struct_kernels(weights) -> StructKernels:
-    base, biases = require_weights(
-        weights, ("ifam.struct.weight", "ifam.struct.bias"), "struct conv weights")
-    c = PROJECTED_CHANNELS
-    return StructKernels(base=base.reshape(c, 3, 3), biases=biases.reshape(5, c))
-
-
-def _instance_inputs(h_map, m_map, weights, reuse_h) -> list:
+def _instance_inputs(h_map, m_map, struct, reuse_h) -> list:
     """(fore, enhanced, back) of the IFAM branch, in that order.
 
     With ``reuse_h`` the caller owns h_map and needs it no more, so the
     background h - fore is written over it.
     """
     fore = foreground_features(h_map, m_map)
-    enhanced = struct_conv(fore, _struct_kernels(weights))
+    enhanced = struct_conv(fore, struct)
     back = np.subtract(h_map, fore, out=h_map) if reuse_h else h_map - fore
     return [fore, enhanced, back]
 
 
-def _refine_instance(h_map, m_map, weights, combine, reuse_h=False):
+def _refine_instance(h_map, m_map, ctx: RunContext, combine, reuse_h=False):
     # popped straight into its arguments, the maps have no other reference:
     # gate_and_aggregate writes the sum over fore and eps * back over back,
     # and frees enhanced before its 1x1 conv allocates
-    maps = _instance_inputs(h_map, m_map, weights, reuse_h)
+    maps = _instance_inputs(h_map, m_map, ctx.struct, reuse_h)
     return gate_and_aggregate(maps.pop(0), maps.pop(0), maps.pop(0),
-                              VerificationSpec.from_weights(weights), weights, combine)
+                              ctx.verification, ctx.weights, combine)
 
 
 _LANE_LOCK = threading.Lock()
@@ -397,25 +405,15 @@ def _help_or_wait(jobs, first=None, abort=None) -> list:
 class _Run:
     """What every lane of one run_pipeline call reads; none of it changes."""
 
-    scenario: Scenario
+    ctx: RunContext
     t: float
     tau: float
     opts: PipelineOptions
-    weights: dict
-    bev: BevSpec
-    render_cfg: RenderConfig
-    cache: dict | None
     collect: bool
     k_eval: int
     delay: DelayContext
     ego_pose: Pose2
     motion_specs: list
-    xi_spec: XiPredictorSpec
-    fold: FusionFold
-
-    def featurize(self, agent_id, t, phd) -> MultiScaleFeatures:
-        return _featurize(self.scenario, agent_id, t, self.bev, self.render_cfg,
-                          self.weights, phd, self.cache)
 
 
 @dataclass
@@ -434,7 +432,7 @@ class _Collaborator:
 
 def _ego_keys(run: _Run) -> tuple:
     """Memo keys of the ego's view and of its fusion term, claimed together."""
-    tag = (run.scenario.agents[0].agent_id, run.k_eval, run.opts.phd)
+    tag = (run.ctx.scenario.agents[0].agent_id, run.k_eval, run.opts.phd)
     return ("ego-view",) + tag, ("ego-term",) + tag
 
 
@@ -445,27 +443,27 @@ def _ego_lane(run: _Run, view: Future, term: Future) -> None:
     the collaborators' void completion; ``term`` then gets the ego's fusion
     term, which replaces its refined map.
     """
-    ego = run.scenario.agents[0]
-    ms = run.featurize(ego.agent_id, run.t, run.opts.phd)
-    h = bev_project(ms, run.weights)
-    m = foreground_estimate(h, ms, run.weights)
+    ctx = run.ctx
+    ms = ctx.featurize(ctx.scenario.agents[0].agent_id, run.t, run.opts.phd)
+    h = bev_project(ms, ctx.weights)
+    m = foreground_estimate(h, ms, ctx.weights)
     del ms
-    logits = discriminator_forward(h, run.weights)
+    logits = discriminator_forward(h, ctx.weights)
     view.set_result((h, m, logits))
-    refined = _refine_instance(h, m, run.weights, run.opts.combine)
-    term.set_result(fusion_term(refined, run.fold, 0))
+    refined = _refine_instance(h, m, ctx, run.opts.combine)
+    term.set_result(fusion_term(refined, ctx.fold, 0))
 
 
 def _ship_stage1(run: _Run, agent_id, ms_latest):
     """The collaborator's side: PTAM stage 1 and the channel. Returns the
     received tensors and their errors; the payload dies here."""
-    opts = run.opts
-    t_prev = run.t - run.tau - run.scenario.frame_interval
+    opts, ctx = run.opts, run.ctx
+    t_prev = run.t - run.tau - ctx.scenario.frame_interval
     payload = {}
     if opts.ptam:
-        ms_prev = run.featurize(agent_id, t_prev, opts.phd_collaborators)
-        ideal1 = (_ideal_fields(run.scenario, agent_id, t_prev, run.t - run.tau,
-                                run.bev, opts.ideal_mode)
+        ms_prev = ctx.featurize(agent_id, t_prev, opts.phd_collaborators)
+        ideal1 = (_ideal_fields(ctx.scenario, agent_id, t_prev, run.t - run.tau,
+                                ctx.bev, opts.ideal_mode)
                   if opts.motion_mode == "ideal" else [None] * 3)
         for s in range(len(SCALE_CHANNELS)):
             inter, mf1 = ptam_stage1(ms_prev.scales[s], ms_latest.scales[s],
@@ -484,13 +482,13 @@ def _align_collaborator(run: _Run, agent_id, counter):
     """Stage 1, the channel, stage 2 and the temporal metrics of one
     collaborator. Returns its aligned features and a record of the metrics;
     the payload and the received tensors die here."""
-    opts = run.opts
-    ms_latest = run.featurize(agent_id, run.t - run.tau, opts.phd_collaborators)
+    opts, ctx = run.opts, run.ctx
+    ms_latest = ctx.featurize(agent_id, run.t - run.tau, opts.phd_collaborators)
     received, errors = _ship_stage1(run, agent_id, ms_latest)
     xi_report = []
     if opts.ptam:
-        ideal2 = (_ideal_fields(run.scenario, agent_id, run.t - run.tau, run.t,
-                                run.bev, opts.ideal_mode)
+        ideal2 = (_ideal_fields(ctx.scenario, agent_id, run.t - run.tau, run.t,
+                                ctx.bev, opts.ideal_mode)
                   if opts.motion_mode == "ideal" else [None] * 3)
         aligned_scales = []
         for s in range(len(SCALE_CHANNELS)):
@@ -500,7 +498,7 @@ def _align_collaborator(run: _Run, agent_id, counter):
             mf1 = MotionField(dp=received[f"s{s}.dp"], w=w_rx)
             aligned, _, xi = ptam_stage2(
                 received[f"s{s}.latest"], received[f"s{s}.inter"], mf1,
-                run.delay, run.motion_specs[s], run.xi_spec, ideal2[s],
+                run.delay, run.motion_specs[s], ctx.xi_spec, ideal2[s],
                 opts.stage2_variant)
             aligned_scales.append(aligned)
             xi_report.append(xi)
@@ -510,7 +508,7 @@ def _align_collaborator(run: _Run, agent_id, counter):
                                         received["s1.latest"],
                                         received["s2.latest"])
 
-    ms_gt = run.featurize(agent_id, run.t, opts.phd_collaborators)
+    ms_gt = ctx.featurize(agent_id, run.t, opts.phd_collaborators)
     tl = temporal_loss(ms_aligned.large, ms_gt.large, opts.window, counter)
     cos_post = float(np.mean(tl.window_cosines))
     if opts.ptam:
@@ -526,12 +524,13 @@ def _align_collaborator(run: _Run, agent_id, counter):
 
 def _project_collaborator(run: _Run, j, agent, ms_aligned):
     """Projected features and foreground, resampled into the ego frame."""
-    h = bev_project(ms_aligned, run.weights)
-    m = foreground_estimate(h, ms_aligned, run.weights)
-    pose = _noisy_pose(agent_pose_at(run.scenario, agent, run.t - run.tau),
-                       run.scenario, run.k_eval, j, run.opts)
-    h_proj, valid = transform_to_ego(h, pose, run.ego_pose, run.bev)
-    m_proj, _ = transform_to_ego(m, pose, run.ego_pose, run.bev)
+    ctx = run.ctx
+    h = bev_project(ms_aligned, ctx.weights)
+    m = foreground_estimate(h, ms_aligned, ctx.weights)
+    pose = _noisy_pose(agent_pose_at(ctx.scenario, agent, run.t - run.tau),
+                       ctx.scenario, run.k_eval, j, run.opts)
+    h_proj, valid = transform_to_ego(h, pose, run.ego_pose, ctx.bev)
+    m_proj, _ = transform_to_ego(m, pose, run.ego_pose, ctx.bev)
     return h_proj, m_proj, valid
 
 
@@ -547,32 +546,38 @@ def _collaborator(run: _Run, j, agent, ego_view: Future, counter) -> _Collaborat
     m_comp = complete_voids(m_proj, valid, m_ego, out=m_proj)
     w_obs = observability_weighting(m_ego, m_comp)
     loss_c, _, _ = domain_loss_and_grads(
-        discriminator_forward(h_comp, run.weights), 1.0, w_obs)
+        discriminator_forward(h_comp, run.ctx.weights), 1.0, w_obs)
     loss_e, _, _ = domain_loss_and_grads(logits_ego, 0.0, w_obs)
     out.domain_loss = 0.5 * (loss_c + loss_e)
     # h_comp is this task's and dead after the IFAM branch: its background
     # overwrites it (the ego's features are shared, so the ego lane cannot)
-    refined = _refine_instance(h_comp, m_comp, run.weights, run.opts.combine,
-                               reuse_h=True)
-    out.term = fusion_term(refined, run.fold, j)
+    refined = _refine_instance(h_comp, m_comp, run.ctx, run.opts.combine, reuse_h=True)
+    out.term = fusion_term(refined, run.ctx.fold, j)
     if run.collect:
         out.maps = {f"collab{j}_foreground": m_comp,
                     f"collab{j}_observability": w_obs}
     return out
 
 
+def _resolve_inputs(opts: PipelineOptions, weights, bev, render_cfg) -> tuple:
+    """(weights, bev, render_cfg), each left out one set to its default."""
+    if weights is None:
+        weights = build_pipeline_weights(opts.weight_seed, opts.combine)
+    return weights, bev or BevSpec.centered(19.2, 19.2), render_cfg or RenderConfig()
+
+
 def run_pipeline(scenario: Scenario, t: float, tau: float,
                  opts: PipelineOptions | None = None, weights: dict | None = None,
                  bev: BevSpec | None = None, render_cfg: RenderConfig | None = None,
-                 cache: dict | None = None, collect: bool = False) -> RunReport:
+                 context: RunContext | None = None, collect: bool = False) -> RunReport:
     """Run one fused detection pass at time t with transmission delay tau.
 
     The collaborator captures at t - tau - dt and t - tau, aligns stage one
-    locally, transmits, and the ego completes stage two before fusion.  The
-    optional cache memoizes featurizations across repeated calls on the same
-    scenario. It belongs to the scenario, weights, BEV grid and render
-    config of the first call that uses it; a call under any other one
-    raises :class:`ShapeError`.
+    locally, transmits, and the ego completes stage two before fusion.  A
+    :class:`RunContext` shared by repeated calls on the same scenario,
+    weights, BEV grid and render config holds their specs and memoizes
+    their featurizations; a call under any other one raises
+    :class:`ShapeError`. Without one, the run builds its own, with no memo.
 
     The ego's chain runs on the calling thread while the collaborators'
     chains run on one worker thread; they meet at void completion. Each
@@ -583,20 +588,19 @@ def run_pipeline(scenario: Scenario, t: float, tau: float,
     """
     start = time.perf_counter()
     opts = opts or PipelineOptions()
-    bev = bev or BevSpec.centered(19.2, 19.2)
-    render_cfg = render_cfg or RenderConfig()
-    weights = weights if weights is not None else build_pipeline_weights(
-        opts.weight_seed, opts.combine)
+    weights, bev, render_cfg = _resolve_inputs(opts, weights, bev, render_cfg)
     if tau < 0:
-        raise ShapeError("delay must be non-negative")
-    _claim_cache(cache, scenario, weights, bev, render_cfg)
+        raise ShapeError(f"delay must be non-negative, got {tau} s")
     k_eval = scenario.frame_index(t)
     scenario.frame_index(t - tau - scenario.frame_interval)  # validates the stale frames exist
+    if context is None:
+        context = RunContext(scenario, weights, bev, render_cfg, memo=False)
+    else:
+        context.check(scenario, weights, bev, render_cfg)
 
     ego = scenario.agents[0]
     run = _Run(
-        scenario=scenario, t=t, tau=tau, opts=opts, weights=weights, bev=bev,
-        render_cfg=render_cfg, cache=cache, collect=collect, k_eval=k_eval,
+        ctx=context, t=t, tau=tau, opts=opts, collect=collect, k_eval=k_eval,
         delay=DelayContext(tau=tau, frame_interval=scenario.frame_interval,
                            xi_mode=opts.xi_mode),
         ego_pose=agent_pose_at(scenario, ego, t),
@@ -604,13 +608,10 @@ def run_pipeline(scenario: Scenario, t: float, tau: float,
         motion_specs=[MotionEstimatorSpec.from_weights(weights, f"ptam.motion.s{i}.")
                       if opts.motion_mode == "learned" else None
                       for i in range(len(SCALE_CHANNELS))],
-        xi_spec=XiPredictorSpec.from_weights(weights, "ptam."),
-        # the detector reads only the fused map's leading channels
-        fold=fusion_fold(weights, len(scenario.agents), ENERGY_CHANNELS),
     )
     counter = OpCounter()
     keys = _ego_keys(run)
-    (view, term), mine = _claim(cache, keys)
+    (view, term), mine = context.claim(keys)
     jobs = [functools.partial(_collaborator, run, j, agent, view,
                               counter if j == 1 else None)
             for j, agent in enumerate(scenario.agents[1:], start=1)]
@@ -618,7 +619,7 @@ def run_pipeline(scenario: Scenario, t: float, tau: float,
     # collaborators at once; they wait for the ego only at void completion
     collabs = _help_or_wait(
         jobs, functools.partial(_ego_lane, run, view, term) if mine else None,
-        functools.partial(_fail, cache, keys, (view, term)) if mine else None)
+        functools.partial(context.fail, keys, (view, term)) if mine else None)
 
     fused = sum((c.term for c in collabs), term.result())
     m_ego = view.result()[1]
@@ -670,21 +671,20 @@ def sweep(scenario: Scenario, taus_ms, opts: PipelineOptions | None = None,
     Returns rows shaped for the sweep CSV: one (metric, value) pair per row
     tagged with the grid point. The baseline rows rerun the pipeline with
     alignment disabled but everything else identical. The runs share one
-    memo and spread over the two lanes, a whole run per lane.
+    :class:`RunContext`, its specs and its memo, and spread over the two
+    lanes, a whole run per lane.
     """
     opts = opts or PipelineOptions()
     if t is None:
         t = (scenario.n_frames - 1) * scenario.frame_interval
-    weights = weights if weights is not None else build_pipeline_weights(
-        opts.weight_seed, opts.combine)
-    cache = {}
+    ctx = RunContext(scenario, *_resolve_inputs(opts, weights, bev, render_cfg))
     grid = [(tau_ms, sigma_local, sigma_head)
             for sigma_local, sigma_head in sigmas for tau_ms in taus_ms]
     runs = _help_or_wait([
         functools.partial(run_pipeline, scenario, t, tau_ms / 1000.0,
                           replace(opts, ptam=ptam, sigma_local=sigma_local,
                                   sigma_head_deg=sigma_head),
-                          weights, bev, render_cfg, cache)
+                          ctx.weights, ctx.bev, ctx.render_cfg, ctx)
         for tau_ms, sigma_local, sigma_head in grid for ptam in (True, False)])
     rows = []
     for i, tag in enumerate(grid):

@@ -10,6 +10,7 @@ on.
 
 import json
 import math
+import numbers
 
 import numpy as np
 from dataclasses import dataclass, asdict
@@ -54,9 +55,9 @@ class Scenario:
         if not self.agents:
             raise ShapeError("scenario needs at least one agent")
         if not (math.isfinite(self.frame_interval) and self.frame_interval > 0.0):
-            raise ShapeError("frame_interval must be positive and finite")
+            raise ShapeError(f"frame_interval must be positive and finite, got {self.frame_interval}")
         if not (math.isfinite(self.duration) and self.duration >= 0.0):
-            raise ShapeError("duration must be non-negative and finite")
+            raise ShapeError(f"duration must be non-negative and finite, got {self.duration}")
         ids = [a.agent_id for a in self.agents]
         if len(set(ids)) != len(ids):
             raise ShapeError("agent ids must be unique")
@@ -67,6 +68,8 @@ class Scenario:
 
     def frame_index(self, t: float) -> int:
         """Map a timestamp onto the frame grid; off-grid times are an error."""
+        if not math.isfinite(t):
+            raise ShapeError(f"time {t} is not finite")
         k = t / self.frame_interval
         ki = int(round(k))
         if abs(k - ki) > _FRAME_TOL:
@@ -138,8 +141,28 @@ class RenderConfig:
     ground_z_sigma: float = 0.02
 
     def __post_init__(self):
-        if self.density <= 0.0 or self.max_points < self.min_points:
-            raise ShapeError("invalid render configuration")
+        def need(ok, name, want):
+            if not ok:
+                raise ShapeError(f"{name} must be {want}, got {getattr(self, name)!r}")
+
+        def number(name, kind=numbers.Real):
+            value = getattr(self, name)
+            return (isinstance(value, kind) and not isinstance(value, bool)
+                    and math.isfinite(value))
+
+        for name in ("min_points", "max_points", "ground_points"):
+            need(number(name, numbers.Integral) and getattr(self, name) >= 0, name,
+                 "a non-negative integer")
+        need(self.max_points >= self.min_points, "max_points",
+             f"at least min_points={self.min_points}")
+        need(number("density") and self.density > 0.0, "density", "positive and finite")
+        need(number("interior_fraction") and 0.0 <= self.interior_fraction <= 1.0,
+             "interior_fraction", "in [0, 1]")
+        need(isinstance(self.include_ground, bool), "include_ground", "true or false")
+        need(number("ground_extent") and self.ground_extent > 0.0, "ground_extent",
+             "positive and finite")
+        need(number("ground_z_sigma") and self.ground_z_sigma >= 0.0, "ground_z_sigma",
+             "non-negative and finite")
 
 
 def _object_local_points(rng, box: OrientedBox, n: int, interior_fraction: float):

@@ -30,6 +30,7 @@ from cpalign.harness.detect import (
 )
 from cpalign.harness.pipeline import (
     PipelineOptions,
+    RunContext,
     build_pipeline_weights,
     run_pipeline,
     sweep,
@@ -52,6 +53,7 @@ from cpalign.harness.scenario import (
     scenario_to_dict,
 )
 from cpalign.instance_fusion import (
+    StructKernels,
     foreground_features,
     struct_conv,
     verification_weights,
@@ -280,6 +282,31 @@ def test_scenario_rejects_non_finite_timing_and_speed():
             generate_scenario("straight", **{key: value})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_time_or_delay_names_it(bad):
+    scn = _fast_scene()
+    with pytest.raises(ShapeError, match=f"time {bad} is not finite"):
+        scn.frame_index(bad)
+    with pytest.raises(ShapeError, match=str(abs(bad))):
+        run_pipeline(scn, bad, 0.2, PipelineOptions(phd=False), bev=_BEV_SMALL)
+    with pytest.raises(ShapeError, match=str(abs(bad))):
+        run_pipeline(scn, 0.8, bad, PipelineOptions(phd=False), bev=_BEV_SMALL)
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("density", math.nan), ("density", 0.0), ("density", math.inf),
+    ("min_points", -5), ("min_points", 2.5), ("max_points", 3),
+    ("interior_fraction", 2.0), ("interior_fraction", math.nan),
+    ("include_ground", "yes"),
+    ("ground_points", -3), ("ground_points", True),
+    ("ground_extent", math.inf), ("ground_extent", 0.0),
+    ("ground_z_sigma", -0.1), ("ground_z_sigma", math.nan),
+])
+def test_render_config_names_the_bad_field(field, bad):
+    with pytest.raises(ShapeError, match=f"^{field} must be .*, got {re.escape(repr(bad))}$"):
+        RenderConfig(**{field: bad})
+
+
 # ---------------------------------------------------------------------------
 # ideal motion fields
 
@@ -448,13 +475,18 @@ def test_run_pipeline_deterministic():
     assert da == db
 
 
+def _context(scn, seed=0, bev=_BEV_SMALL, render_cfg=None, memo=True):
+    return RunContext(scn, build_pipeline_weights(seed), bev,
+                      render_cfg or RenderConfig(), memo=memo)
+
+
 def test_run_pipeline_cache_equivalent():
     scn = _fast_scene()
     opts = PipelineOptions(phd=False)
-    cache = {}
-    a = run_pipeline(scn, 0.8, 0.2, opts, bev=_BEV_SMALL, cache=cache)
-    b = run_pipeline(scn, 0.8, 0.2, opts, bev=_BEV_SMALL, cache=cache)
-    assert cache  # the memo actually filled
+    context = _context(scn)
+    a = run_pipeline(scn, 0.8, 0.2, opts, bev=_BEV_SMALL, context=context)
+    b = run_pipeline(scn, 0.8, 0.2, opts, bev=_BEV_SMALL, context=context)
+    assert context.entries  # the memo actually filled
     da, db = a.as_dict(), b.as_dict()
     da.pop("wall_time_s"), db.pop("wall_time_s")
     assert da == db
@@ -464,12 +496,12 @@ def test_run_pipeline_cache_refuses_other_weights():
     # a memo filled under weight seed 0 once served seed-0 features to a
     # seed-1 run (mean IoU 0.323 against 0.438 from a fresh seed-1 run)
     scn = generate_scenario("crossing", seed=0)
-    cache = {}
-    run_pipeline(scn, 1.2, 0.3, PipelineOptions(weight_seed=0), cache=cache)
+    context = _context(scn, bev=BevSpec.centered(19.2, 19.2))
+    run_pipeline(scn, 1.2, 0.3, PipelineOptions(weight_seed=0), context=context)
     with pytest.raises(ShapeError, match="weights"):
-        run_pipeline(scn, 1.2, 0.3, PipelineOptions(weight_seed=1), cache=cache)
+        run_pipeline(scn, 1.2, 0.3, PipelineOptions(weight_seed=1), context=context)
     # the same weights object keeps the memo usable
-    again = run_pipeline(scn, 1.2, 0.3, PipelineOptions(weight_seed=0), cache=cache)
+    again = run_pipeline(scn, 1.2, 0.3, PipelineOptions(weight_seed=0), context=context)
     assert again.mean_matched_iou == run_pipeline(
         scn, 1.2, 0.3, PipelineOptions(weight_seed=0)).mean_matched_iou
 
@@ -477,19 +509,19 @@ def test_run_pipeline_cache_refuses_other_weights():
 def test_run_pipeline_cache_refuses_other_geometry():
     scn = _fast_scene()
     opts = PipelineOptions(phd=False)
-    cache = {}
-    run_pipeline(scn, 0.8, 0.2, opts, bev=_BEV_SMALL, cache=cache)
+    context = _context(scn)
+    run_pipeline(scn, 0.8, 0.2, opts, bev=_BEV_SMALL, context=context)
     # equal specs rebuilt by value are the same context
     run_pipeline(scn, 0.8, 0.1, opts, bev=BevSpec.centered(12.8, 12.8),
-                 render_cfg=RenderConfig(), cache=cache)
+                 render_cfg=RenderConfig(), context=context)
     with pytest.raises(ShapeError, match="BevSpec"):
         run_pipeline(scn, 0.8, 0.2, opts, bev=BevSpec.centered(12.8, 12.8, cell=0.8),
-                     cache=cache)
+                     context=context)
     with pytest.raises(ShapeError, match="RenderConfig"):
         run_pipeline(scn, 0.8, 0.2, opts, bev=_BEV_SMALL,
-                     render_cfg=RenderConfig(max_points=100), cache=cache)
+                     render_cfg=RenderConfig(max_points=100), context=context)
     with pytest.raises(ShapeError, match="scenario"):
-        run_pipeline(_fast_scene(), 0.8, 0.2, opts, bev=_BEV_SMALL, cache=cache)
+        run_pipeline(_fast_scene(), 0.8, 0.2, opts, bev=_BEV_SMALL, context=context)
 
 
 def test_run_pipeline_stale_cosine_pre_equals_post():
@@ -737,11 +769,13 @@ def test_refine_instance_matches_literal_chain(reuse_h):
     h = rng.normal(size=(384, 12, 9))
     m = rng.uniform(size=(1, 12, 9))
     h0, m0 = h.copy(), m.copy()
-    got = pipeline._refine_instance(h.copy() if reuse_h else h, m, weights, "sum",
-                                    reuse_h=reuse_h)
+    got = pipeline._refine_instance(h.copy() if reuse_h else h, m, _context(_fast_scene()),
+                                    "sum", reuse_h=reuse_h)
     fore = foreground_features(h, m)
     back = h - fore
-    enh = struct_conv(fore, pipeline._struct_kernels(weights))
+    struct = StructKernels(base=weights["ifam.struct.weight"],
+                           biases=weights["ifam.struct.bias"])
+    enh = struct_conv(fore, struct)
     verif = verification_weights(fore, enh, pipeline.VerificationSpec.from_weights(weights))
     pre = verif * fore + (1.0 - verif) * enh + fore + enh
     spec = ConvSpec(384, 384, 1, 1, weights["ifam.agg.weight"],
@@ -773,6 +807,32 @@ def test_sweep_passes_every_option_to_both_runs():
     assert got["cosine_post"] != plain.cosine_post
 
 
+def test_sweep_builds_each_spec_once(monkeypatch):
+    # the specs derived from the weights belong to the run context: a lone
+    # run and a whole sweep each build them once, not once per run or per
+    # IFAM refinement
+    builds = {"verification": 0, "xi": 0, "struct": 0}
+
+    def counted(name, build):
+        def wrapped(*args, **kwargs):
+            builds[name] += 1
+            return build(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(pipeline.VerificationSpec, "from_weights", staticmethod(
+        counted("verification", pipeline.VerificationSpec.from_weights)))
+    monkeypatch.setattr(pipeline.XiPredictorSpec, "from_weights", staticmethod(
+        counted("xi", pipeline.XiPredictorSpec.from_weights)))
+    monkeypatch.setattr(pipeline, "StructKernels", counted("struct", StructKernels))
+    scn = _fast_scene()
+    run_pipeline(scn, 0.8, 0.2, PipelineOptions(phd=False), bev=_BEV_SMALL)
+    assert builds == {"verification": 1, "xi": 1, "struct": 1}
+    builds.update(dict.fromkeys(builds, 0))
+    rows = sweep(scn, [0, 200], PipelineOptions(phd=False), bev=_BEV_SMALL)
+    assert len(rows) == 2 * 10
+    assert builds == {"verification": 1, "xi": 1, "struct": 1}
+
+
 def test_concurrent_runs_share_memo_and_build_each_key_once(monkeypatch):
     # four runs at once on one memo: every featurization is built once,
     # whichever lane claims it first, and every report equals its run alone
@@ -780,9 +840,9 @@ def test_concurrent_runs_share_memo_and_build_each_key_once(monkeypatch):
     weights = build_pipeline_weights(0)
     grid = [(0.0, True), (0.0, False), (0.2, True), (0.2, False)]
 
-    def run(tau, ptam, cache=None):
+    def run(tau, ptam, context=None):
         return _report_dict(run_pipeline(scn, 0.8, tau, PipelineOptions(phd=False, ptam=ptam),
-                                         weights, _BEV_SMALL, cache=cache))
+                                         weights, _BEV_SMALL, context=context))
 
     want = [run(tau, ptam) for tau, ptam in grid]
     original = pipeline.backbone_forward
@@ -794,13 +854,13 @@ def test_concurrent_runs_share_memo_and_build_each_key_once(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "backbone_forward", counted)
-    cache = {}
+    context = _context(scn)
     barrier = threading.Barrier(len(grid))
     got = [None] * len(grid)
 
     def worker(i):
         barrier.wait(60)
-        got[i] = run(*grid[i], cache=cache)
+        got[i] = run(*grid[i], context=context)
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(grid))]
     for th in threads:
@@ -809,14 +869,14 @@ def test_concurrent_runs_share_memo_and_build_each_key_once(monkeypatch):
         th.join(120)
     assert not any(th.is_alive() for th in threads), "a run did not return"
     assert got == want
-    features = [k for k in cache if isinstance(k, tuple) and k[0] == "ms"]
+    features = [k for k in context.entries if k[0] == "ms"]
     # the ego at t, the collaborator at t, t - dt, t - 0.2 and t - 0.2 - dt
     assert len(features) == 5
     assert len(calls) == len(features)
 
 
 def test_memo_drops_a_failed_build_and_hands_its_error_to_waiters():
-    cache = {}
+    context = _context(_fast_scene())
     started = threading.Event()
 
     def failing():
@@ -828,7 +888,7 @@ def test_memo_drops_a_failed_build_and_hands_its_error_to_waiters():
 
     def first_caller():
         try:
-            pipeline._memo(cache, "key", failing)
+            context.memo("key", failing)
         except _LaneFault as exc:
             errors.append(exc)
 
@@ -836,13 +896,13 @@ def test_memo_drops_a_failed_build_and_hands_its_error_to_waiters():
     th.start()
     assert started.wait(60)
     with pytest.raises(_LaneFault) as waited:
-        pipeline._memo(cache, "key", lambda: "not built: the key is claimed")
+        context.memo("key", lambda: "not built: the key is claimed")
     th.join(60)
     assert errors == [waited.value]
-    assert "key" not in cache
+    assert "key" not in context.entries
     # the next caller builds afresh, and the value is kept from then on
-    assert pipeline._memo(cache, "key", lambda: 3) == 3
-    assert pipeline._memo(cache, "key", lambda: 4) == 3
+    assert context.memo("key", lambda: 3) == 3
+    assert context.memo("key", lambda: 4) == 3
 
 
 def test_sweep_stage_failure_propagates(monkeypatch):
@@ -1079,6 +1139,51 @@ def test_cli_non_finite_scenario_exits_2_naming_the_key(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "objects[0].box.length must be finite" in err
         assert "Traceback" not in err
+
+
+def _exit_code(argv):
+    from cpalign.cli import main
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects a flag value this way
+        return exc.code
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["run", "--tau-ms", "-100"], "got -0.1 s"),
+    (["run", "--tau-ms", "nan"], "time nan"),
+    (["run", "--t", "0.85"], "time 0.85"),
+    (["run", "--window", "0"], "window must be at least 1, got 0"),
+    (["sweep", "--taus-ms", "0,abc"], "'abc' is not a number"),
+    (["sweep", "--taus-ms", ","], "',' names no delay"),
+    (["sweep", "--sigmas", "0:x"], "'x' is not a number"),
+    (["gen", "--duration", "nan"], "duration must be non-negative and finite, got nan"),
+])
+def test_cli_bad_flag_value_exits_2_naming_it(tmp_path, capsys, argv, named):
+    out = tmp_path / "out"
+    if argv[0] != "run":
+        argv = argv + ["--out", str(out)]
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("render,named", [
+    ({"density": math.nan}, "density"),
+    ({"interior_fraction": 2.0}, "interior_fraction"),
+    ({"min_points": -5}, "min_points"),
+    ({"ground_extent": math.inf}, "ground_extent"),
+    ({"ground_points": -3}, "ground_points"),
+])
+def test_cli_bad_render_config_exits_2(tmp_path, capsys, render, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"render": render}))
+    assert _exit_code(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"$.render: {named} must be" in err
+    assert "Traceback" not in err
 
 
 def test_cli_unknown_config_path_errors(capsys):
