@@ -4,11 +4,13 @@ One run renders the scene for every agent, featurizes, pushes the
 collaborator's stale frames through the two-stage temporal alignment, ships
 them over a lossy channel, projects them into the ego frame with pose noise,
 applies observability-weighted domain supervision, instance-focused fusion,
-and finally the energy detector.  The ego's chain runs on the calling thread
-and the collaborators' chains on one worker thread; they meet at void
-completion.  A sweep repeats this over delays and noise levels with and
-without temporal alignment, one whole run per lane at a time, and
-tabulates the metrics.
+and finally the energy detector.  The ego's chain runs on the calling thread.
+Each collaborator's chain is split at the channel into a sender job (its
+frames, PTAM stage 1, the codec) and a receiver job (stage 2 onwards); the
+jobs run on one worker thread and on whatever the calling thread takes, and
+the receivers meet the ego at void completion.  A sweep repeats this over
+delays and noise levels with and without temporal alignment, one whole run
+per lane at a time, and tabulates the metrics.
 """
 
 import csv
@@ -17,7 +19,7 @@ import math
 import threading
 import time
 from concurrent import futures
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -119,6 +121,10 @@ class PipelineOptions:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ShapeError(f"{name} must be non-negative and finite, got {value}")
+        # the detector cuts a map normalised to a peak of 1; NaN fails both sides
+        if not 0.0 < self.detector_threshold <= 1.0:
+            raise ShapeError(
+                f"detector_threshold must be in (0, 1], got {self.detector_threshold}")
         if self.window < 1:
             raise ShapeError(f"window must be at least 1, got {self.window}")
         CodecConfig(self.codec)  # validates the mode
@@ -418,7 +424,7 @@ class _Run:
 
 @dataclass
 class _Collaborator:
-    """What one collaborator's task hands to fusion and to the report."""
+    """What a collaborator's receiver hands to fusion and to the report."""
 
     xi: list
     mse: list
@@ -478,13 +484,39 @@ def _ship_stage1(run: _Run, agent_id, ms_latest):
     return transmit_tensors(payload, CodecConfig(opts.codec))
 
 
-def _align_collaborator(run: _Run, agent_id, counter):
-    """Stage 1, the channel, stage 2 and the temporal metrics of one
-    collaborator. Returns its aligned features and a record of the metrics;
-    the payload and the received tensors die here."""
+def _fill(slot: Future, result=None, exc=None) -> None:
+    """Settle ``slot`` unless it is settled already: the sender that owns a
+    slot and the abort of a failing run may both try, from two lanes."""
+    try:
+        if exc is None:
+            slot.set_result(result)
+        else:
+            slot.set_exception(exc)
+    except InvalidStateError:
+        pass
+
+
+def _sender(run: _Run, agent_id, shipped: Future) -> None:
+    """A collaborator's job before the channel: its frame at t - tau, then
+    stage 1 and the codec. ``shipped`` gets ``[(received, errors)]``, a
+    one-item list the receiver pops, so the received tensors die with the
+    receiver's use of them; or the error, if this job raises."""
+    try:
+        ms_latest = run.ctx.featurize(agent_id, run.t - run.tau,
+                                      run.opts.phd_collaborators)
+        received = _ship_stage1(run, agent_id, ms_latest)
+    except BaseException as exc:
+        _fill(shipped, exc=exc)
+        raise
+    _fill(shipped, [received])
+
+
+def _align_collaborator(run: _Run, agent_id, shipped: Future, counter):
+    """Stage 2 and the temporal metrics of one collaborator, from what its
+    sender shipped. Returns its aligned features and a record of the
+    metrics; the received tensors die here."""
     opts, ctx = run.opts, run.ctx
-    ms_latest = ctx.featurize(agent_id, run.t - run.tau, opts.phd_collaborators)
-    received, errors = _ship_stage1(run, agent_id, ms_latest)
+    received, errors = shipped.result().pop()
     xi_report = []
     if opts.ptam:
         ideal2 = (_ideal_fields(ctx.scenario, agent_id, run.t - run.tau, run.t,
@@ -534,10 +566,12 @@ def _project_collaborator(run: _Run, j, agent, ms_aligned):
     return h_proj, m_proj, valid
 
 
-def _collaborator(run: _Run, j, agent, ego_view: Future, counter) -> _Collaborator:
-    """One collaborator's chain, from its renders to its fusion term in the
-    ego frame. Only void completion onwards waits for the ego's view."""
-    ms_aligned, out = _align_collaborator(run, agent.agent_id, counter)
+def _collaborator(run: _Run, j, agent, shipped: Future, ego_view: Future,
+                  counter) -> _Collaborator:
+    """A collaborator's job after the channel, its receiver: from what its
+    sender shipped to its fusion term in the ego frame. Only void completion
+    onwards waits for the ego's view."""
+    ms_aligned, out = _align_collaborator(run, agent.agent_id, shipped, counter)
     h_proj, m_proj, valid = _project_collaborator(run, j, agent, ms_aligned)
     del ms_aligned
     h_ego, m_ego, logits_ego = ego_view.result()
@@ -579,8 +613,11 @@ def run_pipeline(scenario: Scenario, t: float, tau: float,
     their featurizations; a call under any other one raises
     :class:`ShapeError`. Without one, the run builds its own, with no memo.
 
-    The ego's chain runs on the calling thread while the collaborators'
-    chains run on one worker thread; they meet at void completion. Each
+    The ego's chain runs on the calling thread. Each collaborator's chain
+    is two jobs split at the channel, a sender (stage 1 and the codec) and
+    a receiver (stage 2 onwards); all senders are queued before all
+    receivers, on one worker thread that the calling thread helps once the
+    ego's chain is done. The receivers meet the ego at void completion. Each
     agent's refined map enters fusion as its own term of the folded
     :func:`fuse_agents`. The memo builds each entry once, also across
     threads, and holds the ego's view and fusion term. The result does not
@@ -612,14 +649,29 @@ def run_pipeline(scenario: Scenario, t: float, tau: float,
     counter = OpCounter()
     keys = _ego_keys(run)
     (view, term), mine = context.claim(keys)
-    jobs = [functools.partial(_collaborator, run, j, agent, view,
-                              counter if j == 1 else None)
-            for j, agent in enumerate(scenario.agents[1:], start=1)]
+    collaborators = scenario.agents[1:]
+    shipped = [Future() for _ in collaborators]
+    # senders first: the lanes take jobs in order, so a receiver's sender has
+    # started before the receiver does, and the worker ships every
+    # collaborator while the calling thread runs the ego
+    jobs = [functools.partial(_sender, run, agent.agent_id, slot)
+            for agent, slot in zip(collaborators, shipped)]
+    jobs += [functools.partial(_collaborator, run, j, agent, slot, view,
+                               counter if j == 1 else None)
+             for j, (agent, slot) in enumerate(zip(collaborators, shipped), start=1)]
+
+    def abort(exc):
+        # a receiver may be waiting on a sender that will now never run
+        if mine:
+            context.fail(keys, (view, term), exc)
+        for slot in shipped:
+            _fill(slot, exc=exc)
+
     # a run whose ego slots another lane is filling starts on its
     # collaborators at once; they wait for the ego only at void completion
     collabs = _help_or_wait(
         jobs, functools.partial(_ego_lane, run, view, term) if mine else None,
-        functools.partial(context.fail, keys, (view, term)) if mine else None)
+        abort)[len(shipped):]
 
     fused = sum((c.term for c in collabs), term.result())
     m_ego = view.result()[1]

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -602,8 +603,8 @@ def test_run_pipeline_collect_maps():
 
 
 def _three_agent_scene():
-    # two collaborators: the calling thread takes the second one's task
-    # while the worker runs the first
+    # two collaborators: the worker ships both while the calling thread runs
+    # the ego, then each lane takes one receiver
     return _simple_scenario(
         agents=[AgentSpec("ego", Pose2(0.0, 0.0, 0.0)),
                 AgentSpec("collab", Pose2(1.0, 0.5, 0.0)),
@@ -639,35 +640,56 @@ class _LaneFault(RuntimeError):
 
 
 @pytest.mark.parametrize("stage,scene", [
-    ("transmit_tensors", _fast_scene),        # collaborator lane, on the worker
-    ("transmit_tensors", _three_agent_scene),  # both collaborators, one stolen
+    ("transmit_tensors", _fast_scene),        # a sender, on the worker
+    ("transmit_tensors", _three_agent_scene),  # both senders
     ("foreground_estimate", _fast_scene),     # ego lane, on the calling thread
+    ("ptam_stage2", _fast_scene),             # a receiver
+    ("ptam_stage2", _three_agent_scene),      # both receivers, one per lane
+    ("_ship_stage1", _fast_scene),            # the last sender, once its
+    ("_ship_stage1", _three_agent_scene),     # receiver waits on the other lane
 ])
 def test_run_pipeline_lane_failure_propagates(monkeypatch, stage, scene):
     scn = scene()
     opts = PipelineOptions(phd=False, codec="int8")
     want = _report_dict(run_pipeline(scn, 0.8, 0.2, opts, bev=_BEV_SMALL))
     original = getattr(pipeline, stage)
-    callers = []
+    last = scn.agents[-1].agent_id
+    callers, lanes = [], {}
+    receiving = threading.Event()
 
     def faulty(*args, **kwargs):
+        if stage == "_ship_stage1":
+            if args[1] != last:
+                return original(*args, **kwargs)
+            lanes["sender"] = threading.current_thread()
+            lanes["waited"] = receiving.wait(30)
         # the ego's foreground head is the one called on the calling thread
-        if stage == "transmit_tensors" or threading.current_thread() in callers:
-            raise _LaneFault(stage)
-        return original(*args, **kwargs)
+        elif stage == "foreground_estimate" and threading.current_thread() not in callers:
+            return original(*args, **kwargs)
+        raise _LaneFault(stage)
 
     monkeypatch.setattr(pipeline, stage, faulty)
-    task = pipeline._collaborator
     started, finished = [], []
 
-    def recorded_task(*args, **kwargs):
-        started.append(1)
-        try:
-            return task(*args, **kwargs)
-        finally:
-            finished.append(time.perf_counter())
+    def recorded(task):
+        def run_task(run, *args):
+            started.append(1)
+            try:
+                return task(run, *args)
+            finally:
+                finished.append(time.perf_counter())
+        return run_task
 
-    monkeypatch.setattr(pipeline, "_collaborator", recorded_task)
+    receiver = recorded(pipeline._collaborator)
+
+    def recorded_receiver(run, j, agent, *args):
+        if agent.agent_id == last:
+            lanes["receiver"] = threading.current_thread()
+            receiving.set()
+        return receiver(run, j, agent, *args)
+
+    monkeypatch.setattr(pipeline, "_sender", recorded(pipeline._sender))
+    monkeypatch.setattr(pipeline, "_collaborator", recorded_receiver)
 
     returned = []
 
@@ -682,10 +704,92 @@ def test_run_pipeline_lane_failure_propagates(monkeypatch, stage, scene):
     assert isinstance(outcome.get("error"), _LaneFault)
     # every task that started had finished when the error reached the caller
     assert len(finished) == len(started) and max(finished) <= returned[0]
+    if stage == "_ship_stage1":
+        # the failing sender's receiver was already waiting for it
+        assert lanes["waited"] and lanes["receiver"] is not lanes["sender"]
     monkeypatch.undo()
     # the worker is free again and the next call gives the usual result
     _, outcome = _call_with_timeout(
         lambda: run_pipeline(scn, 0.8, 0.2, opts, bev=_BEV_SMALL))
+    assert _report_dict(outcome["value"]) == want
+
+
+def test_received_tensors_die_with_their_receiver(monkeypatch):
+    # the sender hands its receiver a list that the receiver empties, so once
+    # stage 2 and the metrics are done nothing holds the received tensors:
+    # each collaborator's are dead when its fusion term is formed, before
+    # the fusion sum
+    scn = _three_agent_scene()
+    opts = PipelineOptions(phd=False, codec="int8", motion_mode="learned")
+    ship, term = pipeline._ship_stage1, pipeline.fusion_term
+    received, alive = {}, {}
+
+    def recorded_ship(run, agent_id, ms_latest):
+        shipped = ship(run, agent_id, ms_latest)
+        received[agent_id] = [weakref.ref(arr) for arr in shipped[0].values()]
+        return shipped
+
+    def checked_term(refined, fold, j):
+        if j:
+            refs = received[scn.agents[j].agent_id]
+            alive[j] = sum(ref() is not None for ref in refs)
+        return term(refined, fold, j)
+
+    monkeypatch.setattr(pipeline, "_ship_stage1", recorded_ship)
+    monkeypatch.setattr(pipeline, "fusion_term", checked_term)
+    _, outcome = _call_with_timeout(
+        lambda: run_pipeline(scn, 0.8, 0.2, opts, bev=_BEV_SMALL))
+    assert "error" not in outcome, outcome.get("error")
+    assert all(len(refs) == 12 for refs in received.values())
+    assert alive == {1: 0, 2: 0}
+
+
+def test_receivers_balance_over_both_lanes(monkeypatch):
+    # the worker ships both collaborators while the calling thread runs the
+    # ego; then the worker takes the first receiver and the calling thread,
+    # once the ego is done, the second
+    scn = _three_agent_scene()
+    opts = PipelineOptions(phd=False)
+    want = _report_dict(run_pipeline(scn, 0.8, 0.2, opts, bev=_BEV_SMALL))
+    ego_lane, sender, receiver = (pipeline._ego_lane, pipeline._sender,
+                                  pipeline._collaborator)
+    ran, caller = {}, []
+    on_lane, here = threading.Event(), threading.Event()
+
+    def held_ego(*args):
+        # the ego lane waits until a receiver has started on the worker
+        assert on_lane.wait(60), "no receiver started on the worker"
+        return ego_lane(*args)
+
+    def recorded_sender(run, agent_id, shipped):
+        ran["send", agent_id] = threading.current_thread().name
+        return sender(run, agent_id, shipped)
+
+    def recorded_receiver(run, j, agent, *args):
+        ran["receive", agent.agent_id] = name = threading.current_thread().name
+        if name.startswith("cpalign-lane"):
+            on_lane.set()
+            # keep the worker here until the other receiver has started,
+            # so the calling thread can take it
+            here.wait(60)
+        else:
+            here.set()
+        return receiver(run, j, agent, *args)
+
+    monkeypatch.setattr(pipeline, "_ego_lane", held_ego)
+    monkeypatch.setattr(pipeline, "_sender", recorded_sender)
+    monkeypatch.setattr(pipeline, "_collaborator", recorded_receiver)
+
+    def run():
+        caller.append(threading.current_thread().name)
+        return run_pipeline(scn, 0.8, 0.2, opts, bev=_BEV_SMALL)
+
+    _, outcome = _call_with_timeout(run)
+    assert "error" not in outcome, outcome.get("error")
+    lane = ran["send", "collab"]
+    assert lane.startswith("cpalign-lane")
+    assert ran == {("send", "collab"): lane, ("send", "collab2"): lane,
+                   ("receive", "collab"): lane, ("receive", "collab2"): caller[0]}
     assert _report_dict(outcome["value"]) == want
 
 
@@ -1023,6 +1127,11 @@ def test_pipeline_options_validation():
         PipelineOptions(codec="gzip")
     with pytest.raises(ShapeError):
         PipelineOptions(sigma_local=-1.0)
+    for bad in (math.nan, 0.0, -0.5, 1.5, math.inf):
+        with pytest.raises(ShapeError, match=re.escape(
+                f"detector_threshold must be in (0, 1], got {bad}")):
+            PipelineOptions(detector_threshold=bad)
+    assert PipelineOptions(detector_threshold=1.0).detector_threshold == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -1158,6 +1267,8 @@ def _exit_code(argv):
     (["sweep", "--taus-ms", ","], "',' names no delay"),
     (["sweep", "--sigmas", "0:x"], "'x' is not a number"),
     (["gen", "--duration", "nan"], "duration must be non-negative and finite, got nan"),
+    (["run", "--threshold", "nan"], "detector_threshold must be in (0, 1], got nan"),
+    (["run", "--threshold", "0"], "detector_threshold must be in (0, 1], got 0.0"),
 ])
 def test_cli_bad_flag_value_exits_2_naming_it(tmp_path, capsys, argv, named):
     out = tmp_path / "out"
@@ -1170,19 +1281,25 @@ def test_cli_bad_flag_value_exits_2_naming_it(tmp_path, capsys, argv, named):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("render,named", [
-    ({"density": math.nan}, "density"),
-    ({"interior_fraction": 2.0}, "interior_fraction"),
-    ({"min_points": -5}, "min_points"),
-    ({"ground_extent": math.inf}, "ground_extent"),
-    ({"ground_points": -3}, "ground_points"),
+def _bad_section(section, values, named, i):
+    return pytest.param(section, values, named, id=f"{section}{i}-{named}")
+
+
+@pytest.mark.parametrize("section,values,named", [
+    _bad_section("render", {"density": math.nan}, "density", 0),
+    _bad_section("render", {"interior_fraction": 2.0}, "interior_fraction", 1),
+    _bad_section("render", {"min_points": -5}, "min_points", 2),
+    _bad_section("render", {"ground_extent": math.inf}, "ground_extent", 3),
+    _bad_section("render", {"ground_points": -3}, "ground_points", 4),
+    _bad_section("options", {"detector_threshold": math.nan}, "detector_threshold", 0),
+    _bad_section("options", {"detector_threshold": 1.5}, "detector_threshold", 1),
 ])
-def test_cli_bad_render_config_exits_2(tmp_path, capsys, render, named):
+def test_cli_bad_render_config_exits_2(tmp_path, capsys, section, values, named):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"render": render}))
+    cfg.write_text(json.dumps({section: values}))
     assert _exit_code(["run", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert f"$.render: {named} must be" in err
+    assert f"$.{section}: {named} must be" in err
     assert "Traceback" not in err
 
 
