@@ -8,14 +8,12 @@ measurably tighter boxes, which is all the delay sweeps need.
 
 import numpy as np
 from dataclasses import dataclass
-from scipy import ndimage
 
 from ..featurizer import BevSpec
 from ..numerics import ShapeError, ensure_tensor3
 from ..pointcloud import OrientedBox
 
 ENERGY_CHANNELS = 128
-_FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
 
 @dataclass
@@ -60,7 +58,7 @@ def extract_detections(dmap: np.ndarray, spec: BevSpec,
     if d.shape[0] != 1:
         raise ShapeError("detection map must have a single channel")
     mask = d[0] >= threshold
-    labels, count = ndimage.label(mask, structure=_FOUR_CONN)
+    labels, count = _label4(mask)
     dets = []
     for lab in range(1, count + 1):
         rows, cols = np.nonzero(labels == lab)
@@ -73,6 +71,37 @@ def extract_detections(dmap: np.ndarray, spec: BevSpec,
                               rows.size))
     dets.sort(key=lambda det: -det.confidence)
     return dets
+
+
+def _label4(mask: np.ndarray) -> tuple:
+    """4-connected components of a 2-D boolean mask: ``(labels, count)``.
+
+    Components are numbered 1..count in the raster order of their first
+    pixel, and cells off the mask are 0, as ``scipy.ndimage.label`` numbers
+    them. Each cell starts with its own raster index; neighbour minima and
+    pointer jumps (``lab[lab]``) lower it until every component holds the
+    index of its first pixel. A label is always the index of a cell of its
+    own component, so a jump never leaves the component.
+    """
+    h, w = mask.shape
+    size = h * w
+    lab = np.where(mask, np.arange(size).reshape(h, w), size)
+    flat = lab.reshape(-1)
+    on = np.flatnonzero(mask)
+    steps = ((lab[1:], lab[:-1], mask[1:]), (lab[:-1], lab[1:], mask[:-1]),
+             (lab[:, 1:], lab[:, :-1], mask[:, 1:]),
+             (lab[:, :-1], lab[:, 1:], mask[:, :-1]))
+    while True:
+        before = flat[on]
+        for dst, src, keep in steps:
+            np.minimum(dst, src, out=dst, where=keep)
+        flat[on] = flat[flat[on]]
+        if np.array_equal(flat[on], before):
+            break
+    roots = on[flat[on] == on]
+    number = np.zeros(size + 1, dtype=np.int32)
+    number[roots] = np.arange(1, roots.size + 1)
+    return number[flat].reshape(h, w), int(roots.size)
 
 
 def box_to_aabb(box: OrientedBox) -> np.ndarray:

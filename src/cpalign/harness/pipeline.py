@@ -312,16 +312,25 @@ class RunContext:
         return slot.result()
 
     def featurize(self, agent_id, t, phd) -> MultiScaleFeatures:
-        """One agent's backbone features at t, memoized by frame."""
+        """One agent's backbone features at t, memoized by frame.
+
+        An agent whose cloud is empty once rendered (and downsampled)
+        raises :class:`ShapeError` naming the agent and the frame.
+        """
+        frame = self.scenario.frame_index(t)
+
         def build():
             cloud = render_pointcloud(self.scenario, agent_id, t, self.render_cfg)
             if phd:
                 boxes = scenario_boxes_local(self.scenario, agent_id, t)
                 cloud = phd_apply(cloud, boxes, (0.0, 0.0),
                                   PhdConfig(seed=self.scenario.seed))
+            if cloud.shape[0] == 0:
+                raise ShapeError(f"agent {agent_id!r} has an empty point cloud "
+                                 f"at frame {frame} (t = {t:g} s)")
             return backbone_forward(pillar_encode(cloud, self.bev), self.weights)
 
-        return self.memo(("ms", agent_id, self.scenario.frame_index(t), phd), build)
+        return self.memo(("ms", agent_id, frame, phd), build)
 
 
 def _noisy_pose(pose: Pose2, scenario, frame_idx, agent_idx, opts) -> Pose2:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import cpalign
 from cpalign.domain_align import Pose2
-from cpalign.harness import pipeline
+from cpalign.harness import detect, pipeline
 from cpalign.featurizer import BevSpec
 from cpalign.harness.codec import CodecConfig, encode_decode, transmit_tensors
 from cpalign.harness.config import ConfigError, load_config
@@ -449,8 +449,92 @@ def test_extract_detections_orders_by_confidence():
     d = np.zeros((1, 16, 16))
     d[0, 2:4, 2:4] = 0.6
     d[0, 10:12, 10:12] = 0.9
+    # a tie: the blob whose first cell comes first in raster order leads,
+    # though its columns lie right of the other's
+    d[0, 6:8, 12:14] = 0.7
+    d[0, 13:15, 3:5] = 0.7
     dets = extract_detections(d, spec, 0.5)
-    assert len(dets) == 2 and dets[0].confidence > dets[1].confidence
+    assert [det.confidence for det in dets] == pytest.approx([0.9, 0.7, 0.7, 0.6])
+    cell, ox, oy = spec.cell, spec.origin_x, spec.origin_y
+    np.testing.assert_allclose(dets[1].aabb, [ox + 12 * cell, oy + 6 * cell,
+                                              ox + 14 * cell, oy + 8 * cell])
+    np.testing.assert_allclose(dets[2].aabb, [ox + 3 * cell, oy + 13 * cell,
+                                              ox + 5 * cell, oy + 15 * cell])
+
+
+def flood_fill_oracle(mask):
+    """4-connected labels by breadth-first search from each unlabelled cell
+    of the mask, scanned in raster order: ``(labels, count)``."""
+    h, w = mask.shape
+    labels = np.zeros((h, w), dtype=int)
+    count = 0
+    for y in range(h):
+        for x in range(w):
+            if not mask[y, x] or labels[y, x]:
+                continue
+            count += 1
+            labels[y, x] = count
+            queue = [(y, x)]
+            while queue:
+                cy, cx = queue.pop()
+                for ny, nx in ((cy - 1, cx), (cy + 1, cx), (cy, cx - 1), (cy, cx + 1)):
+                    if 0 <= ny < h and 0 <= nx < w and mask[ny, nx] and not labels[ny, nx]:
+                        labels[ny, nx] = count
+                        queue.append((ny, nx))
+    return labels, count
+
+
+def _serpentine(h, w):
+    """Every other row, joined at alternating ends: one component whose
+    first and last cells are h * w / 2 steps apart."""
+    mask = np.zeros((h, w), dtype=bool)
+    mask[::2] = True
+    for r in range(1, h, 2):
+        mask[r, w - 1 if r % 4 == 1 else 0] = True
+    return mask
+
+
+_LABEL_CASES = {
+    "empty": np.zeros((48, 48), dtype=bool),
+    "full": np.ones((48, 48), dtype=bool),
+    "1xN": np.ones((1, 17), dtype=bool),
+    "Nx1": np.ones((17, 1), dtype=bool),
+    "1xN-gaps": np.array([[1, 0, 1, 1, 0, 0, 1]], dtype=bool),
+    "Nx1-gaps": np.array([[1], [1], [0], [1], [0], [1]], dtype=bool),
+    "1x1-off": np.zeros((1, 1), dtype=bool),
+    "1x1-on": np.ones((1, 1), dtype=bool),
+    "checkerboard": np.indices((9, 11)).sum(axis=0) % 2 == 0,
+    "diagonal": np.eye(12, dtype=bool) | np.eye(12, k=3, dtype=bool),
+    "anti-diagonal": np.fliplr(np.eye(10, dtype=bool)),
+    "serpentine": _serpentine(48, 48),
+    "serpentine-odd": _serpentine(15, 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LABEL_CASES))
+def test_label4_matches_flood_fill(name):
+    mask = _LABEL_CASES[name]
+    labels, count = detect._label4(mask)
+    want, want_count = flood_fill_oracle(mask)
+    assert count == want_count
+    np.testing.assert_array_equal(labels, want)
+
+
+def test_label4_corner_neighbours_stay_apart():
+    assert detect._label4(_LABEL_CASES["checkerboard"])[1] == 50
+    assert detect._label4(_LABEL_CASES["diagonal"])[1] == 21
+    assert detect._label4(_LABEL_CASES["serpentine"])[1] == 1
+
+
+def test_label4_matches_flood_fill_on_random_masks():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        h, w = (int(v) for v in rng.integers(1, 50, size=2))
+        mask = rng.random((h, w)) < rng.uniform(0.05, 0.95)
+        labels, count = detect._label4(mask)
+        want, want_count = flood_fill_oracle(mask)
+        assert count == want_count, (h, w)
+        np.testing.assert_array_equal(labels, want)
 
 
 # ---------------------------------------------------------------------------
@@ -1248,6 +1332,43 @@ def test_cli_non_finite_scenario_exits_2_naming_the_key(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "objects[0].box.length must be finite" in err
         assert "Traceback" not in err
+
+
+def _object_free_scene():
+    return _simple_scenario(objects=[], duration=0.8)
+
+
+_NO_GROUND = RenderConfig(include_ground=False)
+
+
+@pytest.mark.parametrize("phd", [False, True])
+def test_featurize_rejects_an_empty_agent_cloud(phd):
+    ctx = RunContext(_object_free_scene(), build_pipeline_weights(0), _BEV_SMALL,
+                     _NO_GROUND)
+    with pytest.raises(ShapeError, match=re.escape(
+            "agent 'collab' has an empty point cloud at frame 3 (t = 0.3 s)")):
+        ctx.featurize("collab", 0.3, phd)
+
+
+def test_run_pipeline_rejects_an_empty_agent_cloud():
+    opts = PipelineOptions(phd=False, motion_mode="learned")
+    _, outcome = _call_with_timeout(lambda: run_pipeline(
+        _object_free_scene(), 0.7, 0.2, opts, bev=_BEV_SMALL, render_cfg=_NO_GROUND))
+    assert isinstance(outcome.get("error"), ShapeError)
+    assert re.search(r"agent '(ego|collab)' has an empty point cloud at frame \d",
+                     str(outcome["error"]))
+
+
+def test_cli_empty_agent_cloud_exits_2(tmp_path, capsys):
+    from cpalign.cli import main
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": scenario_to_dict(_object_free_scene()),
+                               "render": {"include_ground": False},
+                               "options": {"motion_mode": "learned"}}))
+    assert main(["run", "--config", str(cfg), "--tau-ms", "200", "--t", "0.7"]) == 2
+    err = capsys.readouterr().err
+    assert "has an empty point cloud at frame" in err
+    assert "Traceback" not in err
 
 
 def _exit_code(argv):
