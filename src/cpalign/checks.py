@@ -45,7 +45,6 @@ from .harness.scenario import (
 from .instance_fusion import (
     StructKernels,
     VerificationSpec,
-    aggregate_instance,
     default_aggregate_weights,
     default_fuse_weights,
     default_verification_weights,
@@ -53,6 +52,7 @@ from .instance_fusion import (
     fuse_agents,
     fusion_fold,
     fusion_term,
+    refine_instance,
     struct_conv,
     verification_weights,
 )
@@ -385,9 +385,11 @@ def check_struct_conv() -> CheckResult:
     sk = StructKernels(base=rng.normal(size=(6, 3, 3)),
                        biases=rng.normal(size=(5, 6)))
     x = rng.normal(size=(6, 14, 14))
-    fused = struct_conv(x, sk, fused=True)
-    separate = struct_conv(x, sk, fused=False)
-    diff = float(np.abs(fused - separate).max())
+    separate = np.zeros_like(x)
+    for bank, bias in zip(sk.banks(), sk.biases):
+        separate += conv2d(x, ConvSpec(6, 6, 3, 3, bank.reshape(6, 1, 3, 3),
+                                       bias=bias, padding=1, groups=6))
+    diff = float(np.abs(struct_conv(x, sk) - separate).max())
 
     cs_sum = float(np.abs(sk.center_surround().sum(axis=(1, 2))).max())
     hz = sk.horizontal()
@@ -414,19 +416,24 @@ def check_fusion_algebra() -> CheckResult:
     rng = np.random.default_rng(11)
     fore = rng.normal(size=(c, h, w))
     enh = rng.normal(size=(c, h, w))
-    back = rng.normal(size=(c, h, w))
+    h_map = rng.normal(size=(c, h, w))
 
     zeroed = {name: np.zeros_like(v) for name, v in
               default_verification_weights(c, 0).items()}
     gates = verification_weights(fore, enh, VerificationSpec.from_weights(zeroed))
     neutral = bool(np.all(gates == 0.5))
 
+    # the whole branch under the neutral gates: eps * (h - h * m) is linear
+    branch_rng = np.random.default_rng([11, 1])
+    m_map = branch_rng.uniform(size=(1, h, w))
+    struct = StructKernels(base=branch_rng.normal(size=(c, 3, 3)))
     wts = default_aggregate_weights(c, 0)
-    with_eps = aggregate_instance(fore, enh, back, gates, dict(wts))
     wts0 = dict(wts)
     wts0["ifam.eps"] = np.array([0.0])
-    without = aggregate_instance(fore, enh, back, gates, wts0)
-    eps_dev = float(np.abs((with_eps - without) - 0.1 * back).max())
+    with_eps, without = (refine_instance(h_map, m_map, struct,
+                                         VerificationSpec.from_weights(zeroed), weights)
+                         for weights in (wts, wts0))
+    eps_dev = float(np.abs((with_eps - without) - 0.1 * (h_map - h_map * m_map)).max())
 
     fuse = default_fuse_weights(c, 0)
     single = fuse_agents([fore], fuse)

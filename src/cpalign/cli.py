@@ -48,53 +48,73 @@ def _sigmas(text: str) -> list:
     return pairs
 
 
+#: Scenario flags, each with the key of a --config file that sets the same.
+_SCENARIO_FLAGS = (
+    ("--scenario", "scenario", dict(help="scenario JSON produced by 'gen'")),
+    ("--template", "scenario.template",
+     dict(choices=("straight", "crossing", "turning"),
+          help="built-in scene when no --scenario file is given (default crossing)")),
+    ("--seed", "scenario.seed", dict(type=int)),
+)
+
+#: Option flags, each with the PipelineOptions field it sets, which is also
+#: its key under "options" in a --config file. No flag has a default of its
+#: own: one left unset keeps the field's default.
+_OPTION_FLAGS = (
+    ("--no-ptam", "ptam", dict(action="store_false",
+                               help="transmit stale frames without temporal alignment")),
+    ("--xi-mode", "xi_mode", dict(choices=("oracle", "learned"))),
+    ("--motion-mode", "motion_mode", dict(choices=("ideal", "learned"))),
+    ("--ideal-mode", "ideal_mode", dict(choices=("footprint", "global"))),
+    ("--variant", "stage2_variant", dict(choices=("scaled", "literal"),
+                                         help="second-stage displacement handling")),
+    ("--codec", "codec", dict(choices=("identity", "fp16", "int8"))),
+    ("--no-phd", "phd", dict(action="store_false",
+                             help="skip near-range point downsampling on the ego cloud")),
+    ("--sigma-local", "sigma_local", dict(type=float,
+                                          help="collaborator position noise, metres")),
+    ("--sigma-head-deg", "sigma_head_deg", dict(type=float,
+                                                help="collaborator heading noise, degrees")),
+    ("--threshold", "detector_threshold",
+     dict(type=float, help="detector threshold on the normalized energy map")),
+    ("--window", "window", dict(type=int)),
+    ("--weight-seed", "weight_seed", dict(type=int)),
+)
+
+
 def _add_scenario_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scenario", help="scenario JSON produced by 'gen'")
-    p.add_argument("--template", default="crossing",
-                   choices=("straight", "crossing", "turning"),
-                   help="built-in scene when no --scenario file is given")
-    p.add_argument("--seed", type=int, default=0)
+    for flag, _, kwargs in _SCENARIO_FLAGS:
+        p.add_argument(flag, default=None, **kwargs)
     p.add_argument("--config", help="full run configuration JSON")
 
 
 def _add_option_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--no-ptam", action="store_true",
-                   help="transmit stale frames without temporal alignment")
-    p.add_argument("--xi-mode", choices=("oracle", "learned"), default="oracle")
-    p.add_argument("--motion-mode", choices=("ideal", "learned"), default="ideal")
-    p.add_argument("--ideal-mode", choices=("footprint", "global"),
-                   default="footprint")
-    p.add_argument("--variant", choices=("scaled", "literal"), default="scaled",
-                   help="second-stage displacement handling")
-    p.add_argument("--codec", choices=("identity", "fp16", "int8"),
-                   default="identity")
-    p.add_argument("--no-phd", action="store_true",
-                   help="skip near-range point downsampling on the ego cloud")
-    p.add_argument("--sigma-local", type=float, default=0.0,
-                   help="collaborator position noise, metres")
-    p.add_argument("--sigma-head-deg", type=float, default=0.0,
-                   help="collaborator heading noise, degrees")
-    p.add_argument("--threshold", type=float, default=0.5,
-                   help="detector threshold on the normalized energy map")
-    p.add_argument("--window", type=int, default=16)
-    p.add_argument("--weight-seed", type=int, default=0)
+    for flag, field, kwargs in _OPTION_FLAGS:
+        p.add_argument(flag, dest=field, default=None, **kwargs)
     p.add_argument("--weights", help="load pipeline weights from an archive")
     p.add_argument("--save-weights", help="write the pipeline weights used")
 
 
-def _options_from_args(args) -> PipelineOptions:
-    return PipelineOptions(
-        ptam=not args.no_ptam, xi_mode=args.xi_mode,
-        motion_mode=args.motion_mode, ideal_mode=args.ideal_mode,
-        stage2_variant=args.variant, codec=args.codec, phd=not args.no_phd,
-        sigma_local=args.sigma_local, sigma_head_deg=args.sigma_head_deg,
-        detector_threshold=args.threshold, window=args.window,
-        weight_seed=args.weight_seed)
+def _flags_set(args) -> list:
+    """``(flag, config key)`` of each scenario or option flag that was given."""
+    return ([(flag, key) for flag, key, _ in _SCENARIO_FLAGS
+             if getattr(args, flag[2:]) is not None]
+            + [(flag, f"options.{field}") for flag, field, _ in _OPTION_FLAGS
+               if getattr(args, field) is not None])
 
 
 def _load_setup(args):
-    """(scenario, bev, render, options, sweep grid) from config or flags."""
+    """(scenario, bev, render, options, sweep grid) from config or flags.
+
+    A config file states the whole run, so a scenario or option flag given
+    with it is refused, naming the key that sets the same.
+    """
     if args.config:
+        clashes = _flags_set(args)
+        if clashes:
+            raise ConfigError("; ".join(
+                f"{flag} cannot be combined with --config: set $.{key} in the "
+                f"config file instead" for flag, key in clashes))
         cfg = load_config(args.config)
         return (cfg["scenario"], cfg["bev"], cfg["render"], cfg["options"],
                 cfg["sweep"])
@@ -104,11 +124,13 @@ def _load_setup(args):
         except ShapeError as exc:
             raise ConfigError(f"{args.scenario}: {exc}") from exc
     else:
-        scenario = generate_scenario(args.template, seed=args.seed)
+        seed = {} if args.seed is None else {"seed": args.seed}
+        scenario = generate_scenario(args.template or "crossing", **seed)
     grid = {"taus_ms": [0, 100, 200, 300, 400, 500],
             "sigmas": [(0.0, 0.0)], "t": None}
-    return scenario, BevSpec.centered(19.2, 19.2), RenderConfig(), \
-        _options_from_args(args), grid
+    given = {field: getattr(args, field) for _, field, _ in _OPTION_FLAGS}
+    options = PipelineOptions(**{k: v for k, v in given.items() if v is not None})
+    return scenario, BevSpec.centered(19.2, 19.2), RenderConfig(), options, grid
 
 
 def _resolve_weights(args, opts):

@@ -14,6 +14,8 @@ from ..numerics import ShapeError, ensure_tensor3
 from ..pointcloud import OrientedBox
 
 ENERGY_CHANNELS = 128
+#: IoU thresholds at which AP is reported.
+IOU_THRESHOLDS = (0.5, 0.7)
 
 
 @dataclass
@@ -40,10 +42,10 @@ class DetectionReport:
         return out
 
 
-def detection_map(features: np.ndarray, channels: int = ENERGY_CHANNELS) -> np.ndarray:
-    """Per-cell RMS energy over the first `channels` maps, scaled to [0, 1]."""
+def detection_map(features: np.ndarray) -> np.ndarray:
+    """Per-cell RMS energy over the first ENERGY_CHANNELS maps, scaled to [0, 1]."""
     f = ensure_tensor3(features, "features")
-    c = min(channels, f.shape[0])
+    c = min(ENERGY_CHANNELS, f.shape[0])
     energy = np.sqrt(np.mean(f[:c] * f[:c], axis=0))
     peak = float(energy.max())
     if peak > 0.0:
@@ -137,13 +139,12 @@ def _average_precision(matches, n_truth):
 
 
 def evaluate_detection(dmap: np.ndarray, gt_boxes: list, spec: BevSpec,
-                       threshold: float = 0.5,
-                       iou_thresholds=(0.5, 0.7)) -> DetectionReport:
+                       threshold: float = 0.5) -> DetectionReport:
     """Greedy confidence-ordered matching against ground truth boxes."""
     dets = extract_detections(dmap, spec, threshold)
     gts = [box_to_aabb(b) for b in gt_boxes]
     ap = {}
-    for thr in iou_thresholds:
+    for thr in IOU_THRESHOLDS:
         taken = [False] * len(gts)
         flags = []
         for det in dets:

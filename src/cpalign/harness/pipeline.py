@@ -50,12 +50,10 @@ from ..instance_fusion import (
     default_aggregate_weights,
     default_fuse_weights,
     default_verification_weights,
-    foreground_features,
     foreground_loss,
     fusion_fold,
     fusion_term,
-    gate_and_aggregate,
-    struct_conv,
+    refine_instance,
 )
 from ..numerics import ShapeError, freeze_weights, he_normal, require_weights
 from ..opcount import OpCounter, count_similarity_ops
@@ -106,7 +104,7 @@ class PipelineOptions:
     sigma_head_deg: float = 0.0
     detector_threshold: float = 0.5
     window: int = 16
-    combine: str = "sum"
+    combine: str = "sum"             # sum | concat: the default weights' IFAM mode
     weight_seed: int = 0
     noise_seed: int = 1
 
@@ -117,6 +115,8 @@ class PipelineOptions:
             raise ShapeError(f"unknown motion mode {self.motion_mode!r}")
         if self.ideal_mode not in ("footprint", "global"):
             raise ShapeError(f"unknown ideal motion mode {self.ideal_mode!r}")
+        if self.combine not in ("sum", "concat"):
+            raise ShapeError(f"unknown combine mode {self.combine!r}")
         for name in ("sigma_local", "sigma_head_deg"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
@@ -352,27 +352,6 @@ def _ideal_fields(scenario, agent_id, src_t, dst_t, bev, mode):
     return fields
 
 
-def _instance_inputs(h_map, m_map, struct, reuse_h) -> list:
-    """(fore, enhanced, back) of the IFAM branch, in that order.
-
-    With ``reuse_h`` the caller owns h_map and needs it no more, so the
-    background h - fore is written over it.
-    """
-    fore = foreground_features(h_map, m_map)
-    enhanced = struct_conv(fore, struct)
-    back = np.subtract(h_map, fore, out=h_map) if reuse_h else h_map - fore
-    return [fore, enhanced, back]
-
-
-def _refine_instance(h_map, m_map, ctx: RunContext, combine, reuse_h=False):
-    # popped straight into its arguments, the maps have no other reference:
-    # gate_and_aggregate writes the sum over fore and eps * back over back,
-    # and frees enhanced before its 1x1 conv allocates
-    maps = _instance_inputs(h_map, m_map, ctx.struct, reuse_h)
-    return gate_and_aggregate(maps.pop(0), maps.pop(0), maps.pop(0),
-                              ctx.verification, ctx.weights, combine)
-
-
 _LANE_LOCK = threading.Lock()
 _lane = None
 
@@ -465,7 +444,7 @@ def _ego_lane(run: _Run, view: Future, term: Future) -> None:
     del ms
     logits = discriminator_forward(h, ctx.weights)
     view.set_result((h, m, logits))
-    refined = _refine_instance(h, m, ctx, run.opts.combine)
+    refined = refine_instance(h, m, ctx.struct, ctx.verification, ctx.weights)
     term.set_result(fusion_term(refined, ctx.fold, 0))
 
 
@@ -594,7 +573,8 @@ def _collaborator(run: _Run, j, agent, shipped: Future, ego_view: Future,
     out.domain_loss = 0.5 * (loss_c + loss_e)
     # h_comp is this task's and dead after the IFAM branch: its background
     # overwrites it (the ego's features are shared, so the ego lane cannot)
-    refined = _refine_instance(h_comp, m_comp, run.ctx, run.opts.combine, reuse_h=True)
+    refined = refine_instance(h_comp, m_comp, run.ctx.struct, run.ctx.verification,
+                              run.ctx.weights, reuse_h=True)
     out.term = fusion_term(refined, run.ctx.fold, j)
     if run.collect:
         out.maps = {f"collab{j}_foreground": m_comp,

@@ -286,18 +286,21 @@ def _footprint_cells(box: OrientedBox, origin_x, origin_y, cell, h, w,
     return inside.reshape(h, w)
 
 
+_FOOTPRINT_DILATE = 3  # cells by which the footprint motion grows each box
+
+
 def ideal_motion_field(scenario: Scenario, agent_id: str, src_t: float,
                        dst_t: float, origin_x: float, origin_y: float,
-                       cell: float, h: int, w: int, mode: str = "footprint",
-                       dilate: int = 3) -> MotionField:
+                       cell: float, h: int, w: int,
+                       mode: str = "footprint") -> MotionField:
     """Ground-truth one-frame displacement field on an agent-frame grid.
 
     Values are the per-frame step of each track in cell units, measured at the
     destination time, so scaling by the frame count of the gap reproduces the
     full displacement.  "footprint" stamps each track's step over the union of
-    its source and destination footprints (dilated to cover feature bleed from
-    small convolutions); everywhere else the displacement is zero, which keeps
-    static structure pinned.  "global" writes one shared step into every cell
+    its source and destination footprints (dilated by three cells to cover
+    feature bleed from small convolutions); everywhere else the displacement
+    is zero, which keeps static structure pinned.  "global" writes one shared step into every cell
     and requires all tracks to agree on it.
     """
     if mode not in ("footprint", "global"):
@@ -319,9 +322,11 @@ def ideal_motion_field(scenario: Scenario, agent_id: str, src_t: float,
         if mode == "footprint":
             b_src = object_box_at(scenario, track, src_t)
             m = (_footprint_cells(_box_in_agent_frame(b_src, pose),
-                                  origin_x, origin_y, cell, h, w, dilate)
+                                  origin_x, origin_y, cell, h, w,
+                                  _FOOTPRINT_DILATE)
                  | _footprint_cells(_box_in_agent_frame(b_dst, pose),
-                                    origin_x, origin_y, cell, h, w, dilate))
+                                    origin_x, origin_y, cell, h, w,
+                                    _FOOTPRINT_DILATE))
             dp[0][m] = step[0]
             dp[1][m] = step[1]
     if mode == "global":

@@ -5,6 +5,7 @@ the foreground passes through a structure-sensitive depthwise convolution
 (five 3x3 kernel banks derived from one learned bank), gets re-weighted by
 learned verification weights, and is recombined with a small epsilon of
 background before agents are folded together with a shared 1x1 fusion.
+:func:`refine_instance` runs that whole branch for one agent.
 """
 
 from __future__ import annotations
@@ -127,27 +128,16 @@ def _depthwise(x: np.ndarray, bank: np.ndarray, bias: np.ndarray) -> np.ndarray:
     return out
 
 
-def struct_conv(features: np.ndarray, kernels: StructKernels,
-                fused: bool = True) -> np.ndarray:
-    """Sum of the five depthwise bank responses.
-
-    With ``fused=True`` the banks are collapsed into a single depthwise
-    conv beforehand; both paths produce the same values to float64
-    accumulation accuracy.
-    """
+def struct_conv(features: np.ndarray, kernels: StructKernels) -> np.ndarray:
+    """Sum of the five depthwise bank responses, run as one depthwise conv
+    whose kernel and bias are the banks' sums."""
     features = ensure_tensor3(features, "struct conv input")
     if features.shape[0] != kernels.channels:
         raise ShapeError(
             f"struct conv built for {kernels.channels} channels, got "
             f"{features.shape[0]}"
         )
-    if fused:
-        return _depthwise(features, kernels.fused_weight(), kernels.fused_bias())
-    out = None
-    for bank, bias in zip(kernels.banks(), kernels.biases):
-        r = _depthwise(features, bank, bias)
-        out = r if out is None else out + r
-    return out
+    return _depthwise(features, kernels.fused_weight(), kernels.fused_bias())
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +319,10 @@ FUSE_WEIGHT_NAMES = ("ifam.fuse.weight", "ifam.fuse.bias")
 
 def default_aggregate_weights(channels: int, seed: int = 0,
                               combine: str = "sum") -> dict:
+    """The aggregation conv's weights: C input channels for ``combine="sum"``,
+    3C for ``"concat"``; :func:`refine_instance` reads the mode from them."""
+    if combine not in ("sum", "concat"):
+        raise ShapeError(f"unknown combine mode {combine!r}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA66]))
     cin = channels if combine == "sum" else 3 * channels
     return {
@@ -338,83 +332,55 @@ def default_aggregate_weights(channels: int, seed: int = 0,
     }
 
 
-def _aggregate_params(weights: dict) -> tuple:
-    """The 1x1 aggregation conv's weight and bias, and epsilon."""
-    wa, ba = require_weights(weights, AGGREGATE_WEIGHT_NAMES, "aggregation weights")
-    (eps_arr,) = require_weights(weights, ("ifam.eps",), "aggregation weights")
-    return wa, ba, float(np.asarray(eps_arr).ravel()[0])
+def refine_instance(h: np.ndarray, m: np.ndarray, struct: StructKernels,
+                    verification: VerificationSpec, weights: dict,
+                    reuse_h: bool = False) -> np.ndarray:
+    """The instance branch of features h under the foreground map m.
 
+    The foreground ``fore = h * m`` passes through the struct conv into
+    ``enhanced``; the verification gate W blends them into ``W * fore +
+    (1 - W) * enhanced``, which is combined with fore and enhanced, projected
+    by the 1x1 aggregation conv and given back ``eps * (h - fore)``. The
+    combination is read from the input width of ``ifam.agg.weight``: C
+    channels mean the elementwise sum, 3C the channel concat (blend, fore,
+    enhanced).
 
-def aggregate_instance(fore: np.ndarray, enhanced: np.ndarray,
-                       back: np.ndarray, verif: np.ndarray,
-                       weights: dict, combine: str = "sum") -> np.ndarray:
-    """Recombine the instance branch with a whisper of background.
-
-    The verified blend, the raw foreground and the enhanced foreground are
-    combined (elementwise sum by default, channel concat behind the flag),
-    projected by a 1x1 conv, and the background is added back scaled by the
-    stored epsilon.
+    The gate and the blend run one group of output channels at a time, so
+    no full gate map is ever made. With the sum each group's sum is written
+    over its rows of fore; with the concat each group's blend goes into one
+    C-channel map before the single concat. With ``reuse_h`` the caller owns
+    h and needs it no more, so the background ``h - fore`` is written over
+    it; otherwise h and m are left untouched.
     """
-    if combine not in ("sum", "concat"):
-        raise ShapeError(f"unknown combine mode {combine!r}")
-    fore = ensure_tensor3(fore, "foreground features")
-    back = ensure_tensor3(back, "background features")
-    if fore.shape != back.shape:
-        raise ShapeError(f"fore/back shapes differ: {fore.shape} vs {back.shape}")
+    fore = foreground_features(h, m)
     c = fore.shape[0]
-    wa, ba, eps = _aggregate_params(weights)
-    # each input is dropped once it is dead: a caller that hands over its
-    # only references gets them freed before the conv allocates its result
-    blend = verified_blend(verif, fore, enhanced)
-    del verif
-    if combine == "sum":
-        pre = blend
-        pre += fore
-        pre += enhanced
-        cin = c
-    else:
-        pre = np.concatenate([blend, fore, enhanced])
-        cin = 3 * c
-    del fore, enhanced
-    refined = conv2d(pre, ConvSpec(c, cin, 1, 1, wa, bias=ba))
-    del pre  # the blend's buffer is dead: eps * back takes it
-    refined += np.multiply(back, eps, out=blend)
-    return refined
-
-
-def gate_and_aggregate(fore: np.ndarray, enhanced: np.ndarray, back: np.ndarray,
-                       spec: VerificationSpec, weights: dict,
-                       combine: str = "sum") -> np.ndarray:
-    """``aggregate_instance(fore, enhanced, back, verification_weights(fore,
-    enhanced, spec), weights, combine=combine)``, bit for bit, for a caller
-    that hands over all three maps and needs them no more.
-
-    With the sum the gate, the verified blend and the sum run one group of
-    channels at a time: each group's sum is written over its rows of
-    ``fore`` and ``eps * back`` over ``back``, so no full gate or blend map
-    is ever made. The concat mode builds the gate whole.
-    """
-    if combine != "sum":
-        return aggregate_instance(fore, enhanced, back,
-                                  verification_weights(fore, enhanced, spec),
-                                  weights, combine=combine)
-    back = ensure_tensor3(back, "background features")
-    if back.shape != np.shape(fore):
-        raise ShapeError(f"fore/back shapes differ: {np.shape(fore)} vs {back.shape}")
-    wa, ba, eps = _aggregate_params(weights)
-    pre, enhanced, groups = _gate_groups(fore, enhanced, spec)
+    wa, ba = require_weights(weights, AGGREGATE_WEIGHT_NAMES, "aggregation weights")
+    (eps,) = require_weights(weights, ("ifam.eps",), "aggregation weights")
+    if wa.size not in (c * c, 3 * c * c):
+        raise ShapeError(
+            f"ifam.agg.weight of size {wa.size} fits neither the sum ({c} input "
+            f"channels) nor the concat ({3 * c}) of {c}-channel maps")
+    concat = wa.size == 3 * c * c
+    enhanced = struct_conv(fore, struct)
+    back = np.subtract(h, fore, out=h) if reuse_h else h - fore
+    pre, enhanced, groups = _gate_groups(fore, enhanced, verification)
     del fore
+    blend = np.empty_like(pre) if concat else pre
     for rows, gate in groups:
         f, e = pre[rows], enhanced[rows]
-        blend = verified_blend(gate, f, e, out=gate)
-        np.add(blend, f, out=f)
-        f += e
-    # the views die with the loop's last names, then enhanced is freed
-    del groups, gate, blend, f, e, enhanced
-    c = pre.shape[0]
-    refined = conv2d(pre, ConvSpec(c, c, 1, 1, wa, bias=ba))
+        if concat:
+            verified_blend(gate, f, e, out=blend[rows])
+        else:
+            np.add(verified_blend(gate, f, e, out=gate), f, out=f)
+            f += e
+    # the views die with the loop's last names
+    del groups, gate, f, e
+    if concat:
+        pre = np.concatenate([blend, pre, enhanced])
+    del blend, enhanced
+    refined = conv2d(pre, ConvSpec(c, pre.shape[0], 1, 1, wa, bias=ba))
     del pre
-    refined += np.multiply(back, eps, out=back)
+    refined += np.multiply(back, float(eps.ravel()[0]), out=back)
     return refined
 
 

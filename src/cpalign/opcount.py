@@ -53,9 +53,6 @@ class OpCounter:
             div=cells,
         )
 
-    def as_dict(self) -> dict:
-        return self.counts.as_dict()
-
 
 def window_grid_counts(height: int, width: int, window: int) -> tuple[int, int]:
     """(full-tiling count, offset-tiling count) for an l x l window grid.

@@ -114,19 +114,17 @@ class PhdConfig:
                 raise ShapeError("keep ratios must lie in (0, 1]")
 
 
-def select_proximal(boxes: list, agent_xy, cfg: PhdConfig,
-                    rng: np.random.Generator | None = None) -> list:
+def select_proximal(boxes: list, agent_xy, cfg: PhdConfig) -> list:
     """Indices of boxes within the planar distance threshold, at most
-    cfg.max_boxes of them, chosen uniformly without replacement when more
-    qualify. Always returned in ascending index order."""
+    cfg.max_boxes of them, chosen uniformly without replacement (seeded by
+    cfg.seed) when more qualify. Always returned in ascending index order."""
     ax, ay = float(agent_xy[0]), float(agent_xy[1])
     near = [i for i, b in enumerate(boxes)
             if math.hypot(b.cx - ax, b.cy - ay) <= cfg.distance_threshold]
     if len(near) <= cfg.max_boxes:
         return near
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    chosen = rng.choice(len(near), size=cfg.max_boxes, replace=False)
+    chosen = np.random.default_rng(cfg.seed).choice(len(near), size=cfg.max_boxes,
+                                                    replace=False)
     return sorted(near[int(i)] for i in chosen)
 
 
@@ -167,8 +165,7 @@ def fps(points: np.ndarray, ratio: float) -> np.ndarray:
     return np.sort(picks)
 
 
-def phd_apply(cloud: np.ndarray, boxes: list, agent_xy, cfg: PhdConfig,
-              rng: np.random.Generator | None = None) -> np.ndarray:
+def phd_apply(cloud: np.ndarray, boxes: list, agent_xy, cfg: PhdConfig) -> np.ndarray:
     """Proximal hierarchical downsampling of one cloud.
 
     Thins the points of at most cfg.max_boxes near-range boxes (inner and
@@ -181,7 +178,7 @@ def phd_apply(cloud: np.ndarray, boxes: list, agent_xy, cfg: PhdConfig,
     n = cloud.shape[0]
     if n == 0 or not boxes:
         return cloud.copy()
-    selected = select_proximal(boxes, agent_xy, cfg, rng)
+    selected = select_proximal(boxes, agent_xy, cfg)
     keep = np.ones(n, dtype=bool)
     owner = np.full(n, -1, dtype=np.int64)
     for bi in selected:

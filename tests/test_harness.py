@@ -55,7 +55,9 @@ from cpalign.harness.scenario import (
 )
 from cpalign.instance_fusion import (
     StructKernels,
+    VerificationSpec,
     foreground_features,
+    refine_instance,
     struct_conv,
     verification_weights,
 )
@@ -949,29 +951,48 @@ def test_run_pipeline_collect_maps_bitwise_repeatable():
 
 @pytest.mark.parametrize("reuse_h", [False, True])
 def test_refine_instance_matches_literal_chain(reuse_h):
-    # the pipeline's IFAM branch against foreground_features and an
-    # aggregate_instance written out, bit for bit; the inputs stay
-    # untouched unless the caller hands over h
-    weights = build_pipeline_weights(0)
+    # the IFAM branch under the pipeline's weights, sum and concat, against
+    # foreground_features and the aggregation written out, bit for bit; the
+    # inputs stay untouched unless the caller hands over h
     rng = np.random.default_rng(21)
     h = rng.normal(size=(384, 12, 9))
     m = rng.uniform(size=(1, 12, 9))
     h0, m0 = h.copy(), m.copy()
-    got = pipeline._refine_instance(h.copy() if reuse_h else h, m, _context(_fast_scene()),
-                                    "sum", reuse_h=reuse_h)
-    fore = foreground_features(h, m)
-    back = h - fore
-    struct = StructKernels(base=weights["ifam.struct.weight"],
-                           biases=weights["ifam.struct.bias"])
-    enh = struct_conv(fore, struct)
-    verif = verification_weights(fore, enh, pipeline.VerificationSpec.from_weights(weights))
-    pre = verif * fore + (1.0 - verif) * enh + fore + enh
-    spec = ConvSpec(384, 384, 1, 1, weights["ifam.agg.weight"],
-                    bias=weights["ifam.agg.bias"])
-    want = conv2d(pre, spec) + float(weights["ifam.eps"][0]) * back
-    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-    np.testing.assert_array_equal(h, h0)
-    np.testing.assert_array_equal(m, m0)
+    for combine in ("sum", "concat"):
+        weights = build_pipeline_weights(0, combine)
+        ctx = RunContext(_fast_scene(), weights, _BEV_SMALL, RenderConfig())
+        got = refine_instance(h.copy() if reuse_h else h, m, ctx.struct,
+                              ctx.verification, weights, reuse_h=reuse_h)
+        fore = foreground_features(h, m)
+        back = h - fore
+        struct = StructKernels(base=weights["ifam.struct.weight"],
+                               biases=weights["ifam.struct.bias"])
+        enh = struct_conv(fore, struct)
+        verif = verification_weights(fore, enh, VerificationSpec.from_weights(weights))
+        blend = verif * fore + (1.0 - verif) * enh
+        pre = (blend + fore + enh if combine == "sum"
+               else np.concatenate([blend, fore, enh]))
+        spec = ConvSpec(384, pre.shape[0], 1, 1, weights["ifam.agg.weight"],
+                        bias=weights["ifam.agg.bias"])
+        want = conv2d(pre, spec) + float(weights["ifam.eps"][0]) * back
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        np.testing.assert_array_equal(h, h0)
+        np.testing.assert_array_equal(m, m0)
+
+
+def test_run_pipeline_reads_the_combine_mode_from_the_weights():
+    # PipelineOptions.combine only picks the default weights: the concat
+    # option and concat weights under default options give the same run
+    scn = _fast_scene()
+    concat = run_pipeline(scn, 0.8, 0.2, PipelineOptions(phd=False, combine="concat"),
+                          bev=_BEV_SMALL, collect=True)
+    given = run_pipeline(scn, 0.8, 0.2, PipelineOptions(phd=False),
+                         build_pipeline_weights(0, "concat"), _BEV_SMALL, collect=True)
+    summed = run_pipeline(scn, 0.8, 0.2, PipelineOptions(phd=False), bev=_BEV_SMALL,
+                          collect=True)
+    assert _report_dict(concat) == _report_dict(given)
+    assert concat.maps["detection"].tobytes() == given.maps["detection"].tobytes()
+    assert concat.maps["detection"].tobytes() != summed.maps["detection"].tobytes()
 
 
 def test_sweep_passes_every_option_to_both_runs():
@@ -1211,6 +1232,8 @@ def test_pipeline_options_validation():
         PipelineOptions(codec="gzip")
     with pytest.raises(ShapeError):
         PipelineOptions(sigma_local=-1.0)
+    with pytest.raises(ShapeError, match="unknown combine mode 'stack'"):
+        PipelineOptions(combine="stack")
     for bad in (math.nan, 0.0, -0.5, 1.5, math.inf):
         with pytest.raises(ShapeError, match=re.escape(
                 f"detector_threshold must be in (0, 1], got {bad}")):
@@ -1422,6 +1445,43 @@ def test_cli_bad_render_config_exits_2(tmp_path, capsys, section, values, named)
     err = capsys.readouterr().err
     assert f"$.{section}: {named} must be" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("flags,key", [
+    (["--codec", "fp16"], "$.options.codec"),
+    (["--variant", "literal"], "$.options.stage2_variant"),
+    (["--weight-seed", "1"], "$.options.weight_seed"),
+    (["--no-ptam"], "$.options.ptam"),
+    (["--threshold", "0.5"], "$.options.detector_threshold"),
+    (["--template", "straight"], "$.scenario.template"),
+    (["--seed", "0"], "$.scenario.seed"),
+    (["--scenario", "scn.json"], "$.scenario"),
+], ids=["codec", "variant", "weight-seed", "no-ptam", "threshold", "template", "seed",
+        "scenario"])
+def test_cli_flag_with_config_exits_2_naming_the_key(tmp_path, capsys, command, flags, key):
+    # a config file states the whole run: a flag beside it was once dropped
+    # without a word (--codec fp16 reported the config's int8)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"options": {"codec": "int8"}}))
+    out = tmp_path / "out"
+    assert _exit_code([command, "--config", str(cfg), *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{flags[0]} cannot be combined with --config: set {key} in the config" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_unset_option_flags_keep_the_option_defaults():
+    from cpalign import cli
+    args = cli.build_parser().parse_args(["run"])
+    scenario, _, _, opts, _ = cli._load_setup(args)
+    assert opts == PipelineOptions()
+    assert scenario == generate_scenario("crossing")
+    args = cli.build_parser().parse_args(["run", "--no-phd", "--codec", "int8", "--seed", "2"])
+    scenario, _, _, opts, _ = cli._load_setup(args)
+    assert opts == PipelineOptions(phd=False, codec="int8")
+    assert scenario == generate_scenario("crossing", seed=2)
 
 
 def test_cli_unknown_config_path_errors(capsys):

@@ -7,7 +7,6 @@ from cpalign.featurizer import BevSpec
 from cpalign.instance_fusion import (
     StructKernels,
     VerificationSpec,
-    aggregate_instance,
     default_aggregate_weights,
     default_fuse_weights,
     default_verification_weights,
@@ -16,7 +15,7 @@ from cpalign.instance_fusion import (
     fuse_agents,
     fusion_fold,
     fusion_term,
-    gate_and_aggregate,
+    refine_instance,
     struct_conv,
     verification_weights,
     verified_blend,
@@ -54,12 +53,15 @@ def test_struct_kernel_invariants():
 
 
 def test_struct_conv_fused_equals_separate():
+    # the one fused depthwise conv against the five banks run one by one
     rng = np.random.default_rng(2)
     k = StructKernels(rng.normal(size=(4, 3, 3)), rng.normal(size=(5, 4)))
     x = rng.normal(size=(4, 9, 9))
-    fused = struct_conv(x, k, fused=True)
-    separate = struct_conv(x, k, fused=False)
-    np.testing.assert_allclose(fused, separate, rtol=1e-10, atol=1e-12)
+    separate = np.zeros_like(x)
+    for bank, bias in zip(k.banks(), k.biases):
+        separate += conv2d(x, ConvSpec(4, 4, 3, 3, bank.reshape(4, 1, 3, 3),
+                                       bias=bias, padding=1, groups=4))
+    np.testing.assert_allclose(struct_conv(x, k), separate, rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("c", [4, 64, 100])  # one block, one full block, a ragged one
@@ -241,27 +243,9 @@ def test_verified_blend_endpoints():
     np.testing.assert_allclose(half, 0.5 * (fore + enh), rtol=1e-15)
 
 
-def test_aggregate_instance_epsilon_background():
-    rng = np.random.default_rng(7)
-    c = 4
-    fore = rng.normal(size=(c, 5, 5))
-    enh = rng.normal(size=(c, 5, 5))
-    back = rng.normal(size=(c, 5, 5))
-    verif = rng.uniform(0.2, 0.8, size=(c, 5, 5))
-    w = default_aggregate_weights(c, seed=3)
-    out = aggregate_instance(fore, enh, back, verif, weights=w)
-    out_noback = aggregate_instance(fore, enh, np.zeros_like(back), verif, weights=w)
-    np.testing.assert_allclose(out - out_noback, 0.1 * back, rtol=1e-10, atol=1e-12)
-    # epsilon comes from the stored weight entry
-    w2 = dict(w)
-    w2["ifam.eps"] = np.array([0.5])
-    out2 = aggregate_instance(fore, enh, back, verif, weights=w2)
-    np.testing.assert_allclose(out2 - out_noback, 0.5 * back, rtol=1e-10, atol=1e-12)
-
-
 def aggregate_oracle(fore, enh, back, verif, weights, combine):
-    """aggregate_instance written out: the literal verified blend, the sum
-    (or concat), the 1x1 conv and eps * back."""
+    """The aggregation written out: the literal verified blend, the sum (or
+    concat), the 1x1 conv and eps * back."""
     blend = verif * fore + (1.0 - verif) * enh
     pre = blend + fore + enh if combine == "sum" else np.concatenate([blend, fore, enh])
     c = fore.shape[0]
@@ -270,56 +254,76 @@ def aggregate_oracle(fore, enh, back, verif, weights, combine):
     return conv2d(pre, spec) + float(weights["ifam.eps"][0]) * back
 
 
-@pytest.mark.parametrize("combine", ["sum", "concat"])
-@pytest.mark.parametrize("c,h,w", [(4, 5, 5), (16, 48, 48)])  # 1, 2 blend blocks
-def test_aggregate_instance_matches_literal_oracle_bitwise(combine, c, h, w):
-    rng = np.random.default_rng([c, h])
-    fore, enh, back = rng.normal(size=(3, c, h, w))
-    verif = rng.uniform(size=(c, h, w))
-    weights = default_aggregate_weights(c, seed=5, combine=combine)
+def _ifam_case(c, h, w, combine, seed=5):
+    """(h, m, struct, spec, weights) with random biases and epsilon, so that
+    every term of the branch shows in its output."""
+    rng = np.random.default_rng([c, h, seed])
+    hmap = rng.normal(size=(c, h, w))
+    m = rng.uniform(size=(1, h, w))
+    struct = StructKernels(rng.normal(size=(c, 3, 3)), rng.normal(size=(5, c)))
+    spec = _random_verification_spec(c, seed, rng)
+    weights = default_aggregate_weights(c, seed=seed, combine=combine)
     weights["ifam.agg.bias"] = rng.normal(size=c)
     weights["ifam.eps"] = np.array([0.37])
-    args = (fore, enh, back, verif)
-    before = [a.copy() for a in args]
-    got = aggregate_instance(*args, weights=weights, combine=combine)
-    want = aggregate_oracle(*args, weights, combine)
-    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-    for a, b in zip(args, before):
-        np.testing.assert_array_equal(a, b)
-    # the same inputs give the same output again
-    again = aggregate_instance(*args, weights=weights, combine=combine)
-    np.testing.assert_array_equal(again.view(np.int64), got.view(np.int64))
+    return hmap, m, struct, spec, weights
 
 
 @pytest.mark.parametrize("combine", ["sum", "concat"])
-@pytest.mark.parametrize("c,h,w", [(8, 7, 5), (384, 12, 9)])
-def test_gate_and_aggregate_matches_gate_then_aggregate_bitwise(combine, c, h, w):
-    # the gate, blend and sum group by group, written over the handed-over
-    # maps, give the bits of the gate and the aggregation as two calls
-    rng = np.random.default_rng([c, 7])
-    spec = _random_verification_spec(c, 7, rng)
-    fore, enh, back = rng.normal(size=(3, c, h, w))
-    weights = default_aggregate_weights(c, seed=5, combine=combine)
-    weights["ifam.agg.bias"] = rng.normal(size=c)
-    weights["ifam.eps"] = np.array([0.37])
-    want = aggregate_instance(fore, enh, back, verification_weights(fore, enh, spec),
-                              weights=weights, combine=combine)
-    got = gate_and_aggregate(fore.copy(), enh.copy(), back.copy(), spec, weights, combine)
+@pytest.mark.parametrize("reuse_h", [False, True])
+@pytest.mark.parametrize("c,h,w", [(4, 5, 5), (8, 7, 5), (16, 48, 48), (384, 12, 9)])
+def test_refine_instance_matches_literal_oracle(c, h, w, reuse_h, combine):
+    # the group-by-group gate, blend and sum (or concat) give the bits of the
+    # library gate followed by the literal aggregation; with the literal gate
+    # too they agree to rounding
+    hmap, m, struct, spec, weights = _ifam_case(c, h, w, combine)
+    h0, m0 = hmap.copy(), m.copy()
+    got = refine_instance(hmap, m, struct, spec, weights, reuse_h=reuse_h)
+    fore = h0 * m0
+    back = h0 - fore
+    enh = struct_conv(fore, struct)
+    want = aggregate_oracle(fore, enh, back, verification_weights(fore, enh, spec),
+                            weights, combine)
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-    with pytest.raises(ShapeError):
-        gate_and_aggregate(fore, enh, back[:, :-1], spec, weights, combine)
+    literal = aggregate_oracle(fore, enh, back, verification_oracle(fore, enh, spec),
+                               weights, combine)
+    np.testing.assert_allclose(got, literal, rtol=1e-12, atol=1e-12)
+    # m is only read, and h too unless it is handed over
+    if not reuse_h:
+        np.testing.assert_array_equal(hmap, h0)
+    np.testing.assert_array_equal(m, m0)
 
 
-def test_aggregate_instance_concat_mode():
-    rng = np.random.default_rng(8)
+def test_refine_instance_epsilon_background():
+    hmap, m, struct, spec, weights = _ifam_case(8, 5, 6, "sum", seed=3)
+    back = hmap - hmap * m
+
+    def refined(eps):
+        return refine_instance(hmap, m, struct, spec, {**weights, "ifam.eps": np.array([eps])})
+
+    # epsilon comes from the stored weight entry and only scales the background
+    assert default_aggregate_weights(8)["ifam.eps"][0] == 0.1
+    without = refined(0.0)
+    for eps in (0.1, 0.5):
+        np.testing.assert_allclose(refined(eps) - without, eps * back,
+                                   rtol=1e-10, atol=1e-12)
+
+
+def test_refine_instance_reads_the_combine_mode_from_the_agg_weight():
     c = 4
-    fore, enh, back = rng.normal(size=(3, c, 4, 4))
-    verif = rng.uniform(size=(c, 4, 4))
-    w = default_aggregate_weights(c, seed=4, combine="concat")
-    out = aggregate_instance(fore, enh, back, verif, weights=w, combine="concat")
+    hmap, m, struct, spec, summed = _ifam_case(c, 4, 4, "sum")
+    concat = default_aggregate_weights(c, seed=4, combine="concat")
+    assert concat["ifam.agg.weight"].shape == (c, 3 * c, 1, 1)
+    # a flat weight of the same size reads the same
+    flat = {**concat, "ifam.agg.weight": concat["ifam.agg.weight"].ravel()}
+    out = refine_instance(hmap, m, struct, spec, concat)
     assert out.shape == (c, 4, 4)
-    with pytest.raises(ShapeError):
-        aggregate_instance(fore, enh, back, verif, w, combine="stack")
+    np.testing.assert_array_equal(refine_instance(hmap, m, struct, spec, flat), out)
+    assert not np.allclose(out, refine_instance(hmap, m, struct, spec, summed))
+    wide = {**summed, "ifam.agg.weight": np.zeros((c, 2 * c, 1, 1))}
+    with pytest.raises(ShapeError, match="ifam.agg.weight"):
+        refine_instance(hmap, m, struct, spec, wide)
+    with pytest.raises(ShapeError, match="unknown combine mode"):
+        default_aggregate_weights(c, combine="stack")
 
 
 def test_fuse_agents_fold_and_identities():

@@ -375,7 +375,7 @@ def test_temporal_loss_counter_matches_closed_form():
     temporal_loss(rng.normal(size=(c, h, w)), rng.normal(size=(c, h, w)), l,
                   counter=counter)
     want = count_similarity_ops(c, h, w, l, mode="blockwise")
-    assert counter.as_dict() == want.as_dict()
+    assert counter.counts.as_dict() == want.as_dict()
 
 
 def test_blockwise_single_window_equals_global():
