@@ -65,7 +65,6 @@ _OPTION_FLAGS = (
                                help="transmit stale frames without temporal alignment")),
     ("--xi-mode", "xi_mode", dict(choices=("oracle", "learned"))),
     ("--motion-mode", "motion_mode", dict(choices=("ideal", "learned"))),
-    ("--ideal-mode", "ideal_mode", dict(choices=("footprint", "global"))),
     ("--variant", "stage2_variant", dict(choices=("scaled", "literal"),
                                          help="second-stage displacement handling")),
     ("--codec", "codec", dict(choices=("identity", "fp16", "int8"))),
@@ -80,6 +79,12 @@ _OPTION_FLAGS = (
     ("--window", "window", dict(type=int)),
     ("--weight-seed", "weight_seed", dict(type=int)),
 )
+
+#: Sweep grid flags, each with its key under "sweep" in a --config file.
+_SWEEP_FLAGS = (("--taus-ms", "taus_ms"), ("--sigmas", "sigmas"), ("--t", "t"))
+
+#: Options that pick the built weights; an archive from --weights sets them all.
+_WEIGHT_OPTIONS = ("weight_seed", "combine")
 
 
 def _add_scenario_args(p: argparse.ArgumentParser) -> None:
@@ -96,18 +101,24 @@ def _add_option_args(p: argparse.ArgumentParser) -> None:
 
 
 def _flags_set(args) -> list:
-    """``(flag, config key)`` of each scenario or option flag that was given."""
+    """``(flag, config key)`` of each scenario, option or sweep grid flag
+    that was given."""
+    sweep_flags = _SWEEP_FLAGS if args.command == "sweep" else ()
     return ([(flag, key) for flag, key, _ in _SCENARIO_FLAGS
              if getattr(args, flag[2:]) is not None]
             + [(flag, f"options.{field}") for flag, field, _ in _OPTION_FLAGS
+               if getattr(args, field) is not None]
+            + [(flag, f"sweep.{field}") for flag, field in sweep_flags
                if getattr(args, field) is not None])
 
 
 def _load_setup(args):
     """(scenario, bev, render, options, sweep grid) from config or flags.
 
-    A config file states the whole run, so a scenario or option flag given
-    with it is refused, naming the key that sets the same.
+    A config file states the whole run, so a scenario, option or sweep grid
+    flag given with it is refused, naming the key that sets the same. A
+    weights archive sets every weight, so an option that picks the built
+    weights is refused beside ``--weights``.
     """
     if args.config:
         clashes = _flags_set(args)
@@ -116,8 +127,15 @@ def _load_setup(args):
                 f"{flag} cannot be combined with --config: set $.{key} in the "
                 f"config file instead" for flag, key in clashes))
         cfg = load_config(args.config)
+        named = [f"$.options.{k}" for k in _WEIGHT_OPTIONS if k in cfg["option_keys"]]
+        if args.weights and named:
+            raise ConfigError(f"--weights cannot be combined with {', '.join(named)} "
+                              "in the config file: the archive sets every weight")
         return (cfg["scenario"], cfg["bev"], cfg["render"], cfg["options"],
                 cfg["sweep"])
+    if args.weights and args.weight_seed is not None:
+        raise ConfigError("--weights cannot be combined with --weight-seed: "
+                          "the archive sets every weight")
     if args.scenario:
         try:
             scenario = load_scenario(args.scenario)
@@ -134,7 +152,7 @@ def _load_setup(args):
 
 
 def _resolve_weights(args, opts):
-    if getattr(args, "weights", None):
+    if args.weights:
         return load_weights(args.weights)
     return build_pipeline_weights(opts.weight_seed, opts.combine)
 
@@ -186,7 +204,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _bench_kernels(repeats: int) -> dict:
-    """Median ms per call of each kernel, one case per conv and tconv route."""
+    """Median ms per call of each kernel, one case per conv route."""
     from . import kernels
 
     rng = np.random.default_rng(0)
@@ -200,18 +218,10 @@ def _bench_kernels(repeats: int) -> dict:
         w = rng.normal(size=(cout, cin // groups, k, k))
         return lambda: kernels.conv2d_core(x, w, 1, groups)
 
-    def tconv(cin, cout, k, stride, size):
-        t = rng.normal(size=(cout, size, size))  # conv-side (output) channels
-        w = rng.normal(size=(cout, cin, k, k))
-        hz = (size - 1) * stride + k
-        return lambda: kernels.tconv2d_core(t, w, stride, 1, hz, hz)
-
     cases = {
         "conv2d.depthwise": conv(64, 64, 3, 64, 64),
         "conv2d.pointwise": conv(128, 64, 1, 4, 64),
         "conv2d.im2col": conv(32, 64, 3, 1, 64),
-        "tconv2d.stride_eq_kernel": tconv(128, 128, 2, 2, 32),
-        "tconv2d.stride1": tconv(128, 64, 3, 1, 64),
         "bilinear_gather": lambda: kernels.bilinear_gather(f, sx, sy),
         "fps_order": lambda: kernels.fps_order(cloud, 1000),
     }

@@ -22,7 +22,6 @@ from .numerics import (
     ensure_tensor3,
     he_normal,
     require_weights,
-    transposed_conv2d,
 )
 from .pointcloud import ensure_cloud
 
@@ -206,30 +205,43 @@ def default_bevproj_weights(seed: int = 0) -> dict:
     }
 
 
+def _upsample_tiled(x: np.ndarray, w: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Transposed conv by ``w`` (C, out, k, k) at stride k, plus bias: the
+    taps never overlap, so one GEMM fills every cell's k x k tile and a
+    transpose moves the tiles into place."""
+    _, hl, wl = x.shape
+    out_c, k = w.shape[1:3]
+    if bias.size != out_c:
+        raise ShapeError(f"upsampling bias has {bias.size} entries, expected {out_c}")
+    m = np.tensordot(w, x, axes=([0], [0]))     # (out, k, k, hl, wl)
+    out = np.ascontiguousarray(m.transpose(0, 3, 1, 4, 2)).reshape(out_c, hl * k, wl * k)
+    out += bias.reshape(out_c, 1, 1)
+    return out
+
+
 def bev_project(features: MultiScaleFeatures, weights: dict) -> np.ndarray:
     """Upsample every scale to 128 channels at full resolution and concat.
 
     Purely linear (transposed convs, no activation), so the output is 384 =
     3 x 128 channels ordered large, middle, small. Strides 1/2/4 with
-    kernels 3/2/4 reproduce the full grid exactly.
+    kernels 3/2/4 and padding 1/0/0 reproduce the full grid exactly.
     """
     wl, bl, wm, bm, ws, bs = require_weights(
         weights, BEVPROJ_WEIGHT_NAMES, "bev projection weights")
     h, w = features.large.shape[1:]
-    out = None
-    # each block goes into its slice as soon as it exists, so the three are
-    # never live at once; the large block's im2col runs before out exists
-    for i, (name, x, spec) in enumerate((
-            ("large", features.large, ConvSpec(64, 128, 3, 3, wl, bias=bl, padding=1)),
-            ("middle", features.middle, ConvSpec(128, 128, 2, 2, wm, bias=bm, stride=2)),
-            ("small", features.small, ConvSpec(256, 128, 4, 4, ws, bias=bs, stride=4)))):
-        up = transposed_conv2d(x, spec)
-        if up.shape != (128, h, w):
-            raise ShapeError(f"{name} projection produced {up.shape}, expected (128, {h}, {w})")
-        if out is None:
-            out = np.empty((3 * 128, h, w))
-        out[128 * i:128 * (i + 1)] = up
-        del up
+    # ConvSpec checks each kernel's size against the strided conv it undoes.
+    # The stride-1 pad-1 transposed conv is the pad-2 conv with the flipped,
+    # in/out-swapped kernel, less its rim. It runs before out exists, and
+    # each block goes into its slice at once, so no two are live together
+    wl = ConvSpec(64, 128, 3, 3, wl).weights.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+    large = conv2d(features.large, ConvSpec(128, 64, 3, 3, wl, bias=bl, padding=2))
+    out = np.empty((3 * 128, h, w))
+    out[:128] = large[:, 1:h + 1, 1:w + 1]
+    del large
+    out[128:256] = _upsample_tiled(
+        features.middle, ConvSpec(128, 128, 2, 2, wm).weights, bm)
+    out[256:] = _upsample_tiled(
+        features.small, ConvSpec(256, 128, 4, 4, ws).weights, bs)
     return out
 
 

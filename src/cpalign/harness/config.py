@@ -42,8 +42,9 @@ def load_config(path) -> dict:
     """Parse and validate a run configuration file.
 
     Returns a dict with constructed objects under "scenario", "bev",
-    "render", "options" and the raw "sweep" grid.  Every section is
-    optional; omitted ones fall back to defaults.
+    "render", "options", the raw "sweep" grid, and the keys the file sets
+    under "options" as "option_keys".  Every section is optional; omitted
+    ones fall back to defaults.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -103,6 +104,7 @@ def load_config(path) -> dict:
         "bev": bev,
         "render": render,
         "options": options,
+        "option_keys": sorted(opt_cfg),
         "sweep": {"taus_ms": list(taus),
                   "sigmas": [tuple(p) for p in sigmas],
                   "t": sweep_cfg.get("t")},

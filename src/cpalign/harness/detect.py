@@ -34,13 +34,6 @@ class DetectionReport:
     n_detections: int
     n_truth: int
 
-    def as_dict(self):
-        out = {f"ap{int(round(k * 100))}": v for k, v in self.ap.items()}
-        out["mean_matched_iou"] = self.mean_matched_iou
-        out["n_detections"] = self.n_detections
-        out["n_truth"] = self.n_truth
-        return out
-
 
 def detection_map(features: np.ndarray) -> np.ndarray:
     """Per-cell RMS energy over the first ENERGY_CHANNELS maps, scaled to [0, 1]."""

@@ -21,6 +21,7 @@ import time
 from concurrent import futures
 from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import Mapping
 
 import numpy as np
 
@@ -95,7 +96,6 @@ class PipelineOptions:
     ptam: bool = True
     xi_mode: str = "oracle"          # oracle | learned
     motion_mode: str = "ideal"       # ideal | learned
-    ideal_mode: str = "footprint"    # footprint | global
     stage2_variant: str = "scaled"   # scaled | literal
     codec: str = "identity"
     phd: bool = True
@@ -113,8 +113,6 @@ class PipelineOptions:
             raise ShapeError(f"unknown xi mode {self.xi_mode!r}")
         if self.motion_mode not in ("ideal", "learned"):
             raise ShapeError(f"unknown motion mode {self.motion_mode!r}")
-        if self.ideal_mode not in ("footprint", "global"):
-            raise ShapeError(f"unknown ideal motion mode {self.ideal_mode!r}")
         if self.combine not in ("sum", "concat"):
             raise ShapeError(f"unknown combine mode {self.combine!r}")
         for name in ("sigma_local", "sigma_head_deg"):
@@ -134,14 +132,14 @@ _WEIGHT_CACHE = {}
 _WEIGHT_LOCK = threading.Lock()
 
 
-def build_pipeline_weights(seed: int = 0, combine: str = "sum") -> dict:
-    """One flat name -> array dict covering every stage of the pipeline.
+def build_pipeline_weights(seed: int = 0, combine: str = "sum") -> Mapping[str, np.ndarray]:
+    """One flat name -> array mapping covering every stage of the pipeline.
 
-    The arrays are read-only and own their data (:func:`freeze_weights`),
-    so every caller can share the cached dict and the values derived from
+    The mapping and its arrays are read-only (:func:`freeze_weights`), so
+    every caller can share the cached mapping and the values derived from
     it once per weights (the folded foreground head, the motion specs, the
-    fusion terms). Threads share the cache: the first to ask for a key builds it under a
-    lock, so every thread gets the same dict object.
+    fusion terms). Threads share the cache: the first to ask for a key
+    builds it under a lock, so every thread gets the same mapping object.
     """
     key = (seed, combine)
     with _WEIGHT_LOCK:
@@ -150,7 +148,7 @@ def build_pipeline_weights(seed: int = 0, combine: str = "sum") -> dict:
         return _WEIGHT_CACHE[key]
 
 
-def _build_weights(seed: int, combine: str) -> dict:
+def _build_weights(seed: int, combine: str) -> Mapping[str, np.ndarray]:
     weights = {}
     weights.update(default_backbone_weights(seed))
     weights.update(default_bevproj_weights(seed))
@@ -343,12 +341,12 @@ def _noisy_pose(pose: Pose2, scenario, frame_idx, agent_idx, opts) -> Pose2:
     return Pose2(pose.x + dx, pose.y + dy, pose.yaw + dyaw)
 
 
-def _ideal_fields(scenario, agent_id, src_t, dst_t, bev, mode):
+def _ideal_fields(scenario, agent_id, src_t, dst_t, bev):
     fields = []
     for s in range(len(SCALE_CHANNELS)):
         ox, oy, cell, h, w = _scale_geometry(bev, s)
         fields.append(ideal_motion_field(scenario, agent_id, src_t, dst_t,
-                                         ox, oy, cell, h, w, mode))
+                                         ox, oy, cell, h, w))
     return fields
 
 
@@ -456,8 +454,7 @@ def _ship_stage1(run: _Run, agent_id, ms_latest):
     payload = {}
     if opts.ptam:
         ms_prev = ctx.featurize(agent_id, t_prev, opts.phd_collaborators)
-        ideal1 = (_ideal_fields(ctx.scenario, agent_id, t_prev, run.t - run.tau,
-                                ctx.bev, opts.ideal_mode)
+        ideal1 = (_ideal_fields(ctx.scenario, agent_id, t_prev, run.t - run.tau, ctx.bev)
                   if opts.motion_mode == "ideal" else [None] * 3)
         for s in range(len(SCALE_CHANNELS)):
             inter, mf1 = ptam_stage1(ms_prev.scales[s], ms_latest.scales[s],
@@ -507,8 +504,7 @@ def _align_collaborator(run: _Run, agent_id, shipped: Future, counter):
     received, errors = shipped.result().pop()
     xi_report = []
     if opts.ptam:
-        ideal2 = (_ideal_fields(ctx.scenario, agent_id, run.t - run.tau, run.t,
-                                ctx.bev, opts.ideal_mode)
+        ideal2 = (_ideal_fields(ctx.scenario, agent_id, run.t - run.tau, run.t, ctx.bev)
                   if opts.motion_mode == "ideal" else [None] * 3)
         aligned_scales = []
         for s in range(len(SCALE_CHANNELS)):

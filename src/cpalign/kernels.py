@@ -1,9 +1,9 @@
 """Hot numeric kernels: one numpy path, specialised by shape.
 
-The public names (``conv2d_core``, ``tconv2d_core``, ``bilinear_gather``,
-``fps_order``, ``pillar_stats``) are the only entry points; callers reach
-them as attributes of this module. Each body is written for the shapes the
-pipeline sends it:
+The public names (``conv2d_core``, ``bilinear_gather``, ``fps_order``,
+``pillar_stats``) are the only entry points; callers reach them as
+attributes of this module. Each body is written for the shapes the pipeline
+sends it:
 
 * :func:`conv2d_core` routes on the weight geometry. Depthwise convs
   (one input channel per group, one output per group) run as a per-tap
@@ -12,10 +12,6 @@ pipeline sends it:
   kxk, strided, channel-multiplier grouped) is an im2col GEMM batched
   over the groups, run in bands of output rows so that its column buffer
   stays under ``IM2COL_BAND_BYTES``. No path loops over groups in Python.
-* :func:`tconv2d_core` routes the ungrouped shapes onto a GEMM. With
-  stride equal to the kernel the taps tile the canvas, so one GEMM and a
-  transpose fill it; with stride 1 it is the im2col conv of the padded
-  input with the flipped kernel. Other geometries scatter-add per tap.
 * :func:`fps_order` runs the greedy max-min loop on three contiguous
   coordinate columns with preallocated buffers. The three squared terms
   are summed in the same order as a row reduction, so picks are exact.
@@ -118,56 +114,6 @@ def conv2d_core(xpad: np.ndarray, w: np.ndarray, stride: int, groups: int) -> np
     if kh == kw == 1:
         return _conv_pointwise(xpad, w, stride, groups)
     return _conv_im2col(xpad, w, stride, groups, ho, wo)
-
-
-def _tconv_tiled(t, w, hz, wz):
-    # stride == kernel: the taps of neighbouring inputs never overlap, so
-    # the canvas is the GEMM result with each (ky, kx) block moved in place
-    cin, kh, kw = w.shape[1:]
-    m = np.tensordot(w, t, axes=([0], [0]))     # (cin, kh, kw, ht, wt)
-    return np.ascontiguousarray(m.transpose(0, 3, 1, 4, 2)).reshape(cin, hz, wz)
-
-
-def _tconv_full(t, w):
-    # stride 1: a full convolution, i.e. the valid cross-correlation of the
-    # (k - 1)-padded input with the flipped, in/out-transposed kernel
-    cout, cin, kh, kw = w.shape
-    ht, wt = t.shape[1:]
-    tpad = np.zeros((cout, ht + 2 * (kh - 1), wt + 2 * (kw - 1)))
-    tpad[:, kh - 1:kh - 1 + ht, kw - 1:kw - 1 + wt] = t
-    wflip = np.ascontiguousarray(w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-    return _conv_im2col(tpad, wflip, 1, 1, ht + kh - 1, wt + kw - 1)
-
-
-def _tconv_scatter(t, w, stride, groups, hz, wz):
-    cout, cing, kh, kw = w.shape
-    zpad = np.zeros((cing * groups, hz, wz))
-    og = cout // groups
-    ht, wt = t.shape[1], t.shape[2]
-    for g in range(groups):
-        tg = t[g * og:(g + 1) * og]
-        wg = w[g * og:(g + 1) * og]
-        # m[icl, ky, kx, ty, tx] = sum_oc wg[oc, icl, ky, kx] * tg[oc, ty, tx]
-        m = np.tensordot(wg, tg, axes=([0], [0]))
-        for ky in range(kh):
-            for kx in range(kw):
-                zpad[g * cing:(g + 1) * cing,
-                     ky:ky + stride * ht:stride,
-                     kx:kx + stride * wt:stride] += m[:, ky, kx]
-    return zpad
-
-
-def tconv2d_core(t: np.ndarray, w: np.ndarray, stride: int, groups: int,
-                 hz: int, wz: int) -> np.ndarray:
-    """Scatter adjoint of :func:`conv2d_core` into a (Cin, hz, wz) canvas."""
-    t, w = _f64(t), _f64(w)
-    kh, kw = w.shape[2:]
-    ht, wt = t.shape[1:]
-    if groups == 1 and stride == kh == kw and (hz, wz) == (ht * kh, wt * kw):
-        return _tconv_tiled(t, w, hz, wz)
-    if groups == 1 and stride == 1 and (hz, wz) == (ht + kh - 1, wt + kw - 1):
-        return _tconv_full(t, w)
-    return _tconv_scatter(t, w, stride, groups, hz, wz)
 
 
 # ---------------------------------------------------------------------------

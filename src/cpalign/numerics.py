@@ -2,16 +2,14 @@
 
 Feature maps are plain numpy arrays of shape (channels, height, width),
 float64, C-contiguous. Convolution here means cross-correlation with zero
-padding (no kernel flip). The transposed convolution is the exact adjoint
-of :func:`conv2d` for the same geometry, so for zero-bias specs
-``<conv2d(x, s), t> == <x, transposed_conv2d(t, s)>`` holds to float64
-accumulation accuracy.
+padding (no kernel flip).
 """
 
 from __future__ import annotations
 
 import struct
 import threading
+import types
 from dataclasses import dataclass, field
 from typing import BinaryIO, Mapping, Sequence
 
@@ -80,17 +78,6 @@ def softplus(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def _epilogue(out: np.ndarray, spec: "ConvSpec") -> np.ndarray:
-    """Bias and activation, in place on a conv result the caller owns."""
-    if spec.bias is not None:
-        out += spec.bias[:, None, None]
-    if spec.activation == "relu":
-        np.maximum(out, 0.0, out=out)
-    elif spec.activation == "sigmoid":
-        out = sigmoid(out)
-    return out
-
-
 def ensure_tensor3(x: np.ndarray, name: str = "tensor") -> np.ndarray:
     """Validate and coerce a (C, H, W) float64 feature map."""
     x = np.asarray(x, dtype=np.float64)
@@ -105,8 +92,7 @@ class ConvSpec:
 
     weights has shape (out_channels, in_channels // groups, kernel_h,
     kernel_w); a flat or reshapeable array of matching size is accepted.
-    bias, when present, has length out_channels for conv2d and length
-    in_channels when the spec is used with transposed_conv2d.
+    bias, when present, has length out_channels.
     """
 
     out_channels: int
@@ -156,11 +142,6 @@ class ConvSpec:
         wo = (w + 2 * self.padding - self.kernel_w) // self.stride + 1
         return ho, wo
 
-    def tconv_output_hw(self, h: int, w: int) -> tuple[int, int]:
-        ho = (h - 1) * self.stride - 2 * self.padding + self.kernel_h
-        wo = (w - 1) * self.stride - 2 * self.padding + self.kernel_w
-        return ho, wo
-
 
 def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """Zero-padded strided cross-correlation, optional bias and activation."""
@@ -189,37 +170,14 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
             f"conv2d bias has {spec.bias.size} entries, expected {spec.out_channels}"
         )
     out = kernels.conv2d_core(xpad, spec.weights, spec.stride, spec.groups)
-    return _epilogue(out, spec)
-
-
-def transposed_conv2d(t: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Adjoint of :func:`conv2d` under the same spec geometry.
-
-    Maps (out_channels, Ht, Wt) back to (in_channels, Ho, Wo) with
-    Ho = (Ht - 1) * stride - 2 * padding + kernel_h. Each input value is
-    scattered through the kernel; overlaps accumulate. bias, when present,
-    is per output channel of this op, i.e. length in_channels.
-    """
-    t = ensure_tensor3(t, "transposed_conv2d input")
-    c, ht, wt = t.shape
-    if c != spec.out_channels:
-        raise ShapeError(
-            f"transposed_conv2d input has {c} channels, spec expects "
-            f"{spec.out_channels}"
-        )
-    ho, wo = spec.tconv_output_hw(ht, wt)
-    if ho <= 0 or wo <= 0:
-        raise ShapeError(f"non-positive output dims ({ho}, {wo})")
-    if spec.bias is not None and spec.bias.size != spec.in_channels:
-        raise ShapeError(
-            f"transposed_conv2d bias has {spec.bias.size} entries, expected "
-            f"{spec.in_channels}"
-        )
-    hz = ho + 2 * spec.padding
-    wz = wo + 2 * spec.padding
-    zpad = kernels.tconv2d_core(t, spec.weights, spec.stride, spec.groups, hz, wz)
-    p = spec.padding
-    return _epilogue(zpad[:, p:p + ho, p:p + wo], spec)
+    # bias and activation go in place on the kernel's own fresh result
+    if spec.bias is not None:
+        out += spec.bias[:, None, None]
+    if spec.activation == "relu":
+        np.maximum(out, 0.0, out=out)
+    elif spec.activation == "sigmoid":
+        out = sigmoid(out)
+    return out
 
 
 @dataclass
@@ -275,12 +233,12 @@ def require_weights(weights: Mapping[str, np.ndarray], names: Sequence[str],
     return [np.asarray(weights[n], dtype=np.float64) for n in names]
 
 
-def freeze_weights(weights: Mapping[str, np.ndarray]) -> dict:
-    """Name -> read-only float64 array that owns its data, in input order.
+def freeze_weights(weights: Mapping[str, np.ndarray]) -> Mapping[str, np.ndarray]:
+    """Read-only name -> float64 array mapping, in input order.
 
-    Arrays that already qualify are kept as they are; views and other
-    dtypes are copied first, so no caller can reach the data through a
-    writable base.
+    Each array is read-only and owns its data: arrays that already qualify
+    are kept, views and other dtypes are copied first, so no caller can
+    reach the data through a writable base.
     """
     out = {}
     for name, arr in weights.items():
@@ -289,7 +247,7 @@ def freeze_weights(weights: Mapping[str, np.ndarray]) -> dict:
             arr = arr.copy()
         arr.flags.writeable = False
         out[name] = arr
-    return out
+    return types.MappingProxyType(out)
 
 
 class FrozenMemo:
@@ -368,11 +326,11 @@ def _write_archive(tensors: Mapping[str, np.ndarray], fh: BinaryIO) -> None:
         fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-def load_weights(src) -> dict:
+def load_weights(src) -> Mapping[str, np.ndarray]:
     """Read an archive from a path or binary file object.
 
-    Returns name -> read-only float64 ndarray that owns its data (see
-    :func:`freeze_weights`), preserving file order. Raises
+    Returns a read-only mapping of name -> read-only float64 ndarray that
+    owns its data (see :func:`freeze_weights`), preserving file order. Raises
     :class:`ArchiveError` on bad magic, unsupported version, or any
     truncation, naming the tensor being read when one is known.
     """
@@ -382,7 +340,7 @@ def load_weights(src) -> dict:
         return _read_archive(fh)
 
 
-def _read_archive(fh: BinaryIO) -> dict:
+def _read_archive(fh: BinaryIO) -> Mapping[str, np.ndarray]:
     head = fh.read(4)
     if head != MAGIC:
         raise ArchiveError(f"not a weight archive: bad magic {head!r}")

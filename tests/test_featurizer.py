@@ -13,7 +13,7 @@ from cpalign.featurizer import (
     default_bevproj_weights,
     pillar_encode,
 )
-from cpalign.numerics import ConvSpec, ShapeError, transposed_conv2d
+from cpalign.numerics import ConvSpec, ShapeError, conv2d
 from cpalign.pointcloud import OrientedBox
 
 
@@ -133,6 +133,51 @@ def test_backbone_rejects_bad_inputs():
         backbone_forward(np.zeros((8, 6, 4)), w)
 
 
+def tconv2d_oracle(t, w, bias, stride, padding):
+    """Scatter each input cell through the kernel, then crop the padding.
+
+    ``w`` is (Cin, Cout, kh, kw): the transposed conv maps Cin channels to
+    Cout. One channel matrix product per input cell and kernel tap.
+    """
+    _, cout, kh, kw = w.shape
+    _, ht, wt = t.shape
+    ho = (ht - 1) * stride - 2 * padding + kh
+    wo = (wt - 1) * stride - 2 * padding + kw
+    z = np.zeros((cout, ho + 2 * padding, wo + 2 * padding))
+    for ty in range(ht):
+        for tx in range(wt):
+            for ky in range(kh):
+                for kx in range(kw):
+                    z[:, ty * stride + ky, tx * stride + kx] += (
+                        w[:, :, ky, kx].T @ t[:, ty, tx])
+    return z[:, padding:padding + ho, padding:padding + wo] + bias[:, None, None]
+
+
+def _random_projection_inputs(rng, h, w, seed):
+    ms = MultiScaleFeatures(rng.normal(size=(64, h, w)),
+                            rng.normal(size=(128, h // 2, w // 2)),
+                            rng.normal(size=(256, h // 4, w // 4)))
+    wts = default_bevproj_weights(seed)
+    for name in ("bevproj.large.bias", "bevproj.middle.bias", "bevproj.small.bias"):
+        wts[name] = rng.normal(size=wts[name].shape)
+    return ms, wts
+
+
+@pytest.mark.parametrize("h,w", [(8, 12), (48, 48)])
+def test_bev_project_matches_scatter_oracle(h, w):
+    # 48x48 is the pipeline's grid; random biases show in every block
+    ms, wts = _random_projection_inputs(np.random.default_rng([h, w]), h, w, seed=1)
+    want = np.concatenate([
+        tconv2d_oracle(ms.large, wts["bevproj.large.weight"],
+                       wts["bevproj.large.bias"], stride=1, padding=1),
+        tconv2d_oracle(ms.middle, wts["bevproj.middle.weight"],
+                       wts["bevproj.middle.bias"], stride=2, padding=0),
+        tconv2d_oracle(ms.small, wts["bevproj.small.weight"],
+                       wts["bevproj.small.bias"], stride=4, padding=0),
+    ])
+    np.testing.assert_allclose(bev_project(ms, wts), want, rtol=1e-12, atol=1e-12)
+
+
 def test_bev_project_shape_and_channel_blocks():
     rng = np.random.default_rng(3)
     h, w = 8, 12
@@ -150,24 +195,28 @@ def test_bev_project_shape_and_channel_blocks():
     np.testing.assert_array_equal(out2[256:], out[256:])
 
 
+def _tiled_block(x, w, bias):
+    m = np.tensordot(w, x, axes=([0], [0]))     # (128, k, k, h, w)
+    _, k, _, hl, wl = m.shape
+    return m.transpose(0, 3, 1, 4, 2).reshape(128, hl * k, wl * k) + bias[:, None, None]
+
+
 def test_bev_project_matches_concat_of_blocks_bitwise():
+    # pins the arithmetic bit for bit: the large block is the pad-2 conv
+    # with the flipped, in/out-swapped kernel less its rim (a plain pad-1
+    # conv reassociates the sums and moves bits at the pipeline's 48x48),
+    # the others one GEMM and a tile transpose
     rng = np.random.default_rng(8)
-    h, w = 8, 12
-    ms = MultiScaleFeatures(rng.normal(size=(64, h, w)),
-                            rng.normal(size=(128, h // 2, w // 2)),
-                            rng.normal(size=(256, h // 4, w // 4)))
-    wts = default_bevproj_weights(seed=2)
-    for name in ("bevproj.large.bias", "bevproj.middle.bias", "bevproj.small.bias"):
-        wts[name] = rng.normal(size=wts[name].shape)
-    blocks = [
-        transposed_conv2d(ms.large, ConvSpec(64, 128, 3, 3, wts["bevproj.large.weight"],
-                                             bias=wts["bevproj.large.bias"], padding=1)),
-        transposed_conv2d(ms.middle, ConvSpec(128, 128, 2, 2, wts["bevproj.middle.weight"],
-                                              bias=wts["bevproj.middle.bias"], stride=2)),
-        transposed_conv2d(ms.small, ConvSpec(256, 128, 4, 4, wts["bevproj.small.weight"],
-                                             bias=wts["bevproj.small.bias"], stride=4)),
-    ]
-    want = np.concatenate(blocks)
+    h, w = 48, 48
+    ms, wts = _random_projection_inputs(rng, h, w, seed=2)
+    wflip = wts["bevproj.large.weight"].transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+    large = conv2d(ms.large, ConvSpec(128, 64, 3, 3, wflip, bias=wts["bevproj.large.bias"],
+                                      padding=2))
+    want = np.concatenate([
+        large[:, 1:-1, 1:-1],
+        _tiled_block(ms.middle, wts["bevproj.middle.weight"], wts["bevproj.middle.bias"]),
+        _tiled_block(ms.small, wts["bevproj.small.weight"], wts["bevproj.small.bias"]),
+    ])
     got = bev_project(ms, wts)
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 

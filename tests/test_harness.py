@@ -61,7 +61,7 @@ from cpalign.instance_fusion import (
     struct_conv,
     verification_weights,
 )
-from cpalign.numerics import ConvSpec, ShapeError, conv2d
+from cpalign.numerics import ConvSpec, ShapeError, conv2d, save_weights
 from cpalign.pointcloud import OrientedBox
 
 
@@ -1223,6 +1223,20 @@ def test_build_weights_cover_all_stages_and_roundtrip(tmp_path):
             loaded["fg.conv1.weight"][0, 0, 0, 0] = 1.0
         with pytest.raises(ValueError):
             loaded["ifam.struct.weight"] *= 2.0
+        with pytest.raises(TypeError):
+            loaded["ifam.eps"] = np.array([5.0])
+
+
+def test_shared_weights_mapping_rejects_item_assignment():
+    # a name rebound in the cached mapping once reached every later build
+    w = build_pipeline_weights(0)
+    eps = w["ifam.eps"]
+    with pytest.raises(TypeError):
+        w["ifam.eps"] = np.array([5.0])
+    with pytest.raises(TypeError):
+        del w["ifam.eps"]
+    assert build_pipeline_weights(0)["ifam.eps"] is eps
+    np.testing.assert_array_equal(eps, pipeline._build_weights(0, "sum")["ifam.eps"])
 
 
 def test_pipeline_options_validation():
@@ -1307,8 +1321,7 @@ def test_cli_bench_json(tmp_path, capsys):
     assert main(["bench", "--kernels", "--repeats", "1", "--out", str(out)]) == 0
     timings = json.loads(out.read_text())["kernel_timings"]
     assert set(timings) == {"conv2d.depthwise_ms", "conv2d.pointwise_ms",
-                            "conv2d.im2col_ms", "tconv2d.stride_eq_kernel_ms",
-                            "tconv2d.stride1_ms", "bilinear_gather_ms",
+                            "conv2d.im2col_ms", "bilinear_gather_ms",
                             "fps_order_ms"}
     assert all(v > 0 for v in timings.values())
 
@@ -1413,6 +1426,7 @@ def _exit_code(argv):
     (["gen", "--duration", "nan"], "duration must be non-negative and finite, got nan"),
     (["run", "--threshold", "nan"], "detector_threshold must be in (0, 1], got nan"),
     (["run", "--threshold", "0"], "detector_threshold must be in (0, 1], got 0.0"),
+    (["run", "--ideal-mode", "global"], "unrecognized arguments: --ideal-mode global"),
 ])
 def test_cli_bad_flag_value_exits_2_naming_it(tmp_path, capsys, argv, named):
     out = tmp_path / "out"
@@ -1447,21 +1461,34 @@ def test_cli_bad_render_config_exits_2(tmp_path, capsys, section, values, named)
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["run", "sweep"])
-@pytest.mark.parametrize("flags,key", [
-    (["--codec", "fp16"], "$.options.codec"),
-    (["--variant", "literal"], "$.options.stage2_variant"),
-    (["--weight-seed", "1"], "$.options.weight_seed"),
-    (["--no-ptam"], "$.options.ptam"),
-    (["--threshold", "0.5"], "$.options.detector_threshold"),
-    (["--template", "straight"], "$.scenario.template"),
-    (["--seed", "0"], "$.scenario.seed"),
-    (["--scenario", "scn.json"], "$.scenario"),
-], ids=["codec", "variant", "weight-seed", "no-ptam", "threshold", "template", "seed",
-        "scenario"])
+_CONFIG_CLASHES = [
+    ("codec", ["--codec", "fp16"], "$.options.codec"),
+    ("variant", ["--variant", "literal"], "$.options.stage2_variant"),
+    ("weight-seed", ["--weight-seed", "1"], "$.options.weight_seed"),
+    ("no-ptam", ["--no-ptam"], "$.options.ptam"),
+    ("threshold", ["--threshold", "0.5"], "$.options.detector_threshold"),
+    ("template", ["--template", "straight"], "$.scenario.template"),
+    ("seed", ["--seed", "0"], "$.scenario.seed"),
+    ("scenario", ["--scenario", "scn.json"], "$.scenario"),
+]
+
+# the sweep grid flags exist on sweep only; run's --t is its evaluation time
+_SWEEP_CLASHES = [
+    ("taus-ms", ["--taus-ms", "100"], "$.sweep.taus_ms"),
+    ("sigmas", ["--sigmas", "0.5:1"], "$.sweep.sigmas"),
+    ("t", ["--t", "0.8"], "$.sweep.t"),
+]
+
+
+@pytest.mark.parametrize("command,flags,key", [
+    pytest.param(command, flags, key, id=f"{name}-{command}")
+    for name, flags, key in _CONFIG_CLASHES for command in ("run", "sweep")
+] + [pytest.param("sweep", flags, key, id=f"{name}-sweep")
+     for name, flags, key in _SWEEP_CLASHES])
 def test_cli_flag_with_config_exits_2_naming_the_key(tmp_path, capsys, command, flags, key):
     # a config file states the whole run: a flag beside it was once dropped
-    # without a word (--codec fp16 reported the config's int8)
+    # without a word (--codec fp16 reported the config's int8, --taus-ms
+    # 100 ran in place of the config's grid)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"options": {"codec": "int8"}}))
     out = tmp_path / "out"
@@ -1470,6 +1497,34 @@ def test_cli_flag_with_config_exits_2_naming_the_key(tmp_path, capsys, command, 
     assert f"{flags[0]} cannot be combined with --config: set {key} in the config" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_weights_archive_with_a_weight_option_exits_2(tmp_path, capsys, command):
+    # the archive once won without a word over --weight-seed 3
+    archive = tmp_path / "w.cpaw"
+    save_weights(build_pipeline_weights(0), archive)
+    out = tmp_path / "out"
+    base = [command, "--weights", str(archive), "--out", str(out)]
+    assert _exit_code(base + ["--weight-seed", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "--weights cannot be combined with --weight-seed: the archive sets" in err
+    cfg = tmp_path / "cfg.json"
+    for key, value in (("weight_seed", 3), ("combine", "concat")):
+        cfg.write_text(json.dumps({"options": {key: value, "codec": "int8"}}))
+        assert _exit_code(base + ["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert (f"--weights cannot be combined with $.options.{key} in the config "
+                "file: the archive sets every weight") in err
+        assert "Traceback" not in err
+    assert not out.exists()
+    # the archive beside any other option is fine
+    from cpalign import cli
+    cfg.write_text(json.dumps({"options": {"codec": "int8"}}))
+    args = cli.build_parser().parse_args(base + ["--config", str(cfg)])
+    assert cli._load_setup(args)[3] == PipelineOptions(codec="int8")
+    args = cli.build_parser().parse_args(base + ["--codec", "fp16"])
+    assert cli._load_setup(args)[3] == PipelineOptions(codec="fp16")
 
 
 def test_cli_unset_option_flags_keep_the_option_defaults():

@@ -16,7 +16,6 @@ from cpalign.numerics import (
     mlp_forward,
     save_weights,
     sigmoid,
-    transposed_conv2d,
 )
 
 
@@ -44,30 +43,6 @@ def conv2d_oracle(x, w, bias, stride, padding, groups):
     return out
 
 
-def tconv2d_oracle(t, w, bias, stride, padding, groups):
-    """Scatter each input value through the kernel, then crop the padding."""
-    cout, cing, kh, kw = w.shape
-    cin = cing * groups
-    _, ht, wt = t.shape
-    ho = (ht - 1) * stride - 2 * padding + kh
-    wo = (wt - 1) * stride - 2 * padding + kw
-    z = np.zeros((cin, ho + 2 * padding, wo + 2 * padding))
-    og = cout // groups
-    for oc in range(cout):
-        g = oc // og
-        for ty in range(ht):
-            for tx in range(wt):
-                for icl in range(cing):
-                    for ky in range(kh):
-                        for kx in range(kw):
-                            z[g * cing + icl, ty * stride + ky, tx * stride + kx] += (
-                                w[oc, icl, ky, kx] * t[oc, ty, tx])
-    out = z[:, padding:padding + ho, padding:padding + wo]
-    if bias is not None:
-        out = out + bias[:, None, None]
-    return out
-
-
 CONV_CASES = [
     # (cin, cout, kh, kw, stride, padding, groups, h, w)
     (1, 1, 1, 1, 1, 0, 1, 3, 3),
@@ -82,8 +57,8 @@ CONV_CASES = [
     (6, 6, 3, 3, 2, 1, 6, 9, 8),      # depthwise stride 2
     (70, 70, 3, 3, 1, 1, 70, 5, 6),   # depthwise, channels past one block
     (3, 6, 3, 3, 1, 1, 3, 5, 5),      # channel-multiplier grouped
-    (5, 3, 4, 4, 4, 0, 1, 8, 12),     # stride = kernel, tconv tiled route
-    (4, 6, 3, 3, 1, 0, 1, 5, 7),      # stride 1 unpadded, tconv full-conv route
+    (5, 3, 4, 4, 4, 0, 1, 8, 12),     # stride = kernel
+    (4, 6, 3, 3, 1, 0, 1, 5, 7),      # stride 1 unpadded
     (8, 1, 3, 3, 1, 1, 1, 100, 80),   # im2col columns past one band, ragged last band
 ]
 
@@ -113,43 +88,6 @@ def test_conv2d_matches_loop_oracle(cin, cout, kh, kw, stride, padding, groups, 
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("cin,cout,kh,kw,stride,padding,groups,h,w", CONV_CASES)
-def test_transposed_conv2d_matches_scatter_oracle(cin, cout, kh, kw, stride,
-                                                  padding, groups, h, w):
-    rng = np.random.default_rng(hash((cout, kh, kw, stride, padding)) % 2**32)
-    spec_probe = ConvSpec(cout, cin, kh, kw, np.zeros((cout, cin // groups, kh, kw)),
-                          stride=stride, padding=padding, groups=groups)
-    ht, wt_ = spec_probe.conv_output_hw(h, w)
-    t = rng.normal(size=(cout, ht, wt_))
-    wt = rng.normal(size=(cout, cin // groups, kh, kw))
-    b = rng.normal(size=cin)
-    spec = ConvSpec(cout, cin, kh, kw, wt, bias=b, stride=stride,
-                    padding=padding, groups=groups)
-    got = transposed_conv2d(t, spec)
-    want = tconv2d_oracle(t, wt, b, stride, padding, groups)
-    assert got.shape == want.shape
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-
-
-@pytest.mark.parametrize("cin,cout,kh,kw,stride,padding,groups,h,w", CONV_CASES)
-def test_transposed_conv2d_is_adjoint_of_conv2d(cin, cout, kh, kw, stride,
-                                                padding, groups, h, w):
-    rng = np.random.default_rng(7)
-    wt = rng.normal(size=(cout, cin // groups, kh, kw))
-    spec = ConvSpec(cout, cin, kh, kw, wt, stride=stride, padding=padding,
-                    groups=groups)
-    # adjointness pairs exact geometries: snap dims so the conv tiles the
-    # input with no floor-division remainder
-    h = kh - 2 * padding + stride * ((h + 2 * padding - kh) // stride)
-    w = kw - 2 * padding + stride * ((w + 2 * padding - kw) // stride)
-    x = rng.normal(size=(cin, h, w))
-    y = conv2d(x, spec)
-    t = rng.normal(size=y.shape)
-    lhs = float(np.vdot(y, t))
-    rhs = float(np.vdot(x, transposed_conv2d(t, spec)))
-    assert lhs == pytest.approx(rhs, rel=1e-10)
-
-
 @pytest.mark.parametrize("activation", ["none", "relu", "sigmoid"])
 @pytest.mark.parametrize("cin,cout,kh,kw,stride,padding,groups,h,w", CONV_CASES)
 def test_conv_epilogue_leaves_input_alone(cin, cout, kh, kw, stride, padding,
@@ -158,33 +96,22 @@ def test_conv_epilogue_leaves_input_alone(cin, cout, kh, kw, stride, padding,
     # the kernel's own fresh result
     rng = np.random.default_rng(11)
     wt = rng.normal(size=(cout, cin // groups, kh, kw))
-    fwd = ConvSpec(cout, cin, kh, kw, wt, bias=rng.normal(size=cout),
-                   stride=stride, padding=padding, groups=groups,
-                   activation=activation)
-    adj = ConvSpec(cout, cin, kh, kw, wt, bias=rng.normal(size=cin),
-                   stride=stride, padding=padding, groups=groups,
-                   activation=activation)
+    spec = ConvSpec(cout, cin, kh, kw, wt, bias=rng.normal(size=cout),
+                    stride=stride, padding=padding, groups=groups,
+                    activation=activation)
     x = rng.normal(size=(cin, h, w))
-    t = rng.normal(size=(cout,) + fwd.conv_output_hw(h, w))
-    for op, spec, arg in ((conv2d, fwd, x), (transposed_conv2d, adj, t)):
-        before = arg.copy()
-        out = op(arg, spec)
-        np.testing.assert_array_equal(arg, before)
-        assert not np.shares_memory(out, arg)
-        assert not np.shares_memory(out, spec.weights)
-        assert not np.shares_memory(out, spec.bias)
+    before = x.copy()
+    out = conv2d(x, spec)
+    np.testing.assert_array_equal(x, before)
+    assert not np.shares_memory(out, x)
+    assert not np.shares_memory(out, spec.weights)
+    assert not np.shares_memory(out, spec.bias)
 
 
 def test_conv2d_identity_kernel_example():
     x = np.ones((1, 2, 2))
     spec = ConvSpec(1, 1, 1, 1, np.array([2.0]))
     np.testing.assert_array_equal(conv2d(x, spec), 2.0 * np.ones((1, 2, 2)))
-
-
-def test_transposed_conv2d_stride2_broadcast_example():
-    t = np.ones((1, 1, 1))
-    spec = ConvSpec(1, 1, 2, 2, np.ones(4), stride=2)
-    np.testing.assert_array_equal(transposed_conv2d(t, spec), np.ones((1, 2, 2)))
 
 
 def test_conv2d_linearity():
