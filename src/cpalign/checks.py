@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .domain_align import (
     GRL_GAMMA,
+    ForegroundHead,
     Pose2,
     domain_loss_and_grads,
     foreground_estimate,
@@ -30,7 +31,7 @@ from .featurizer import (
 from .harness.codec import encode_decode
 from .harness.pipeline import (
     PipelineOptions,
-    _scale_geometry,
+    _ideal_fields,
     build_pipeline_weights,
     sweep,
 )
@@ -39,7 +40,6 @@ from .harness.scenario import (
     ObjectTrack,
     RenderConfig,
     Scenario,
-    ideal_motion_field,
     render_pointcloud,
 )
 from .instance_fusion import (
@@ -182,16 +182,14 @@ def check_delay_compensation() -> CheckResult:
         tau = tau_ms / 1000.0
         ms_prev, ms_latest = feats(t - tau - 0.1), feats(t - tau)
         ctx = DelayContext(tau=tau, frame_interval=0.1, xi_mode="oracle")
+        # the footprint fields the pipeline runs under ideal motion
+        f1 = _ideal_fields(scn, "collab", t - tau - 0.1, t - tau, bev)
+        f2 = _ideal_fields(scn, "collab", t - tau, t, bev)
         for s in range(3):
-            ox, oy, cell, h, w = _scale_geometry(bev, s)
-            f1 = ideal_motion_field(scn, "collab", t - tau - 0.1, t - tau,
-                                    ox, oy, cell, h, w, "global")
-            f2 = ideal_motion_field(scn, "collab", t - tau, t,
-                                    ox, oy, cell, h, w, "global")
             inter, mf1 = ptam_stage1(ms_prev.scales[s], ms_latest.scales[s],
-                                     override=f1)
+                                     override=f1[s])
             aligned, _, _ = ptam_stage2(ms_latest.scales[s], inter, mf1, ctx,
-                                        override=f2)
+                                        override=f2[s])
             worst = max(worst, float(np.abs(aligned - ms_gt.scales[s]).max()))
             if s == 0:
                 pre = float(np.mean(temporal_loss(
@@ -502,7 +500,8 @@ def _folded_foreground_dev(rng) -> float:
                    + weights["fg.affine.shift"][:, None, None], 0.0)
     literal = conv2d(h, ConvSpec(1, mid, 1, 1, weights["fg.conv2.weight"],
                                  bias=weights["fg.conv2.bias"], activation="sigmoid"))
-    return float(np.abs(foreground_estimate(projected, ms, weights) - literal).max())
+    head = ForegroundHead.from_weights(weights)
+    return float(np.abs(foreground_estimate(projected, ms, head) - literal).max())
 
 
 def _split_motion_dev(rng) -> float:

@@ -17,7 +17,6 @@ import numpy as np
 from . import kernels
 from .numerics import (
     ConvSpec,
-    FrozenMemo,
     ShapeError,
     conv2d,
     ensure_tensor3,
@@ -93,8 +92,6 @@ def default_foreground_weights(channels: int, seed: int = 0) -> dict:
 #: bev_project emits three blocks of this many channels: large, middle, small.
 _PROJECTED_BLOCK = 128
 
-_FOLD_MEMO = FrozenMemo()
-
 
 def _phase_taps(phase: int, stride: int) -> list:
     """(low-res offset, sub-pixel) that each 3x3 tap row of an output phase reads.
@@ -148,24 +145,51 @@ def _fold_tiled(w1: np.ndarray, wt: np.ndarray) -> list:
 
 
 @dataclass
-class _ForegroundFold:
-    """fg.conv1 split by projected block, the tiled blocks folded."""
+class ForegroundHead:
+    """The foreground estimator's weights in the form
+    :func:`foreground_estimate` runs: fg.conv1 split by projected block,
+    the two tiled blocks folded onto the low-res scales they tile."""
 
     large: np.ndarray     # (mid, 128, 3, 3): conv over the large block as is
     middle: list          # _fold_tiled groups over the middle scale
     small: list           # _fold_tiled groups over the small scale
     tap_bias: np.ndarray  # (mid, 3, 3): each tap applied to the tconv biases
+    bias: np.ndarray      # (mid, 1, 1): fg.conv1.bias
+    scale: np.ndarray     # (mid, 1, 1): the frozen affine
+    shift: np.ndarray     # (mid, 1, 1)
+    conv2: ConvSpec       # mid -> 1, 1x1, sigmoid
 
-
-def _fold_foreground(w1, wm, bm, ws, bs) -> _ForegroundFold:
-    k = _PROJECTED_BLOCK
-    return _ForegroundFold(
-        large=np.ascontiguousarray(w1[:, :k]),
-        middle=_fold_tiled(w1[:, k:2 * k], wm),
-        small=_fold_tiled(w1[:, 2 * k:], ws),
-        tap_bias=(np.einsum("ocyx,c->oyx", w1[:, k:2 * k], bm)
-                  + np.einsum("ocyx,c->oyx", w1[:, 2 * k:], bs)),
-    )
+    @classmethod
+    def from_weights(cls, weights: dict) -> "ForegroundHead":
+        """Fold the fg.* weights with the bev projection's tconv weights; a
+        tensor that does not fit 384 projected channels raises ShapeError."""
+        w1, b1, scale, shift, w2, b2 = require_weights(
+            weights, FOREGROUND_WEIGHT_NAMES, "foreground estimator weights")
+        _, _, wm, bm, ws, bs = require_weights(
+            weights, BEVPROJ_WEIGHT_NAMES, "bev projection weights")
+        k = _PROJECTED_BLOCK
+        c = 3 * k
+        if w1.size % (c * 9):
+            raise ShapeError(f"foreground conv1 weights of size {w1.size} do not "
+                             f"fit input with {c} channels")
+        mid = w1.size // (c * 9)
+        for name, arr in zip(FOREGROUND_WEIGHT_NAMES[1:4], (b1, scale, shift)):
+            if arr.size != mid:
+                raise ShapeError(f"{name} has {arr.size} entries, needs {mid}")
+        w1 = w1.reshape(mid, c, 3, 3)
+        # the tconv geometry bev_project uses: middle 128 -> 128 and small
+        # 256 -> 128 channels, stride = kernel = 2 and 4
+        return cls(
+            large=np.ascontiguousarray(w1[:, :k]),
+            middle=_fold_tiled(w1[:, k:2 * k], wm.reshape(k, k, 2, 2)),
+            small=_fold_tiled(w1[:, 2 * k:], ws.reshape(2 * k, k, 4, 4)),
+            tap_bias=(np.einsum("ocyx,c->oyx", w1[:, k:2 * k], bm.ravel())
+                      + np.einsum("ocyx,c->oyx", w1[:, 2 * k:], bs.ravel())),
+            bias=b1.reshape(mid, 1, 1),
+            scale=scale.reshape(mid, 1, 1),
+            shift=shift.reshape(mid, 1, 1),
+            conv2=ConvSpec(1, mid, 1, 1, w2, bias=b2, activation="sigmoid"),
+        )
 
 
 def _in_canvas(n: int) -> np.ndarray:
@@ -190,12 +214,12 @@ def _add_tiled(h: np.ndarray, low: np.ndarray, groups: list) -> None:
 
 
 def foreground_estimate(projected: np.ndarray, scales: MultiScaleFeatures,
-                        weights: dict) -> np.ndarray:
+                        head: ForegroundHead) -> np.ndarray:
     """Per-cell foreground confidence in (0, 1), shape (1, H, W).
 
     A 3x3 conv halves the 384 projected channels, a frozen per-channel
     affine stands in for batch normalization, relu, then a 1x1 conv and a
-    sigmoid squash to one channel.
+    sigmoid squash to one channel, as ``ForegroundHead`` holds them.
 
     ``projected`` is ``bev_project(scales, weights)``. Its middle and small
     blocks are stride = kernel transposed convs of ``scales``, so the 3x3
@@ -214,40 +238,18 @@ def foreground_estimate(projected: np.ndarray, scales: MultiScaleFeatures,
             f"scales at {scales.large.shape[1:]} do not match the projected "
             f"grid ({hh}, {ww})"
         )
-    w1, b1, scale, shift, w2, b2 = require_weights(
-        weights, FOREGROUND_WEIGHT_NAMES, "foreground estimator weights")
-    _, _, wm, bm, ws, bs = require_weights(
-        weights, BEVPROJ_WEIGHT_NAMES, "bev projection weights")
-    if w1.size % (c * 9):
-        raise ShapeError(
-            f"foreground conv1 weights of size {w1.size} do not fit input "
-            f"with {c} channels"
-        )
-    mid = w1.size // (c * 9)
-    scale = np.asarray(scale, dtype=np.float64).ravel()
-    shift = np.asarray(shift, dtype=np.float64).ravel()
-    if scale.size != mid or shift.size != mid:
-        raise ShapeError(
-            f"affine params must have {mid} entries, got {scale.size}/{shift.size}"
-        )
-    # the tconv geometry bev_project uses: middle 128 -> 128 and small
-    # 256 -> 128 channels, stride = kernel = 2 and 4
-    fold = _FOLD_MEMO.get("foreground", (w1, wm, bm, ws, bs), lambda: _fold_foreground(
-        w1.reshape(mid, c, 3, 3), wm.reshape(k, k, 2, 2), bm.ravel(),
-        ws.reshape(2 * k, k, 4, 4), bs.ravel()))
-
     xpad = np.zeros((k, hh + 2, ww + 2))
     xpad[:, 1:hh + 1, 1:ww + 1] = projected[:k]
-    h = kernels.conv2d_core(xpad, fold.large, 1, 1)
-    _add_tiled(h, scales.middle, fold.middle)
-    _add_tiled(h, scales.small, fold.small)
-    bias = np.matmul(_in_canvas(hh).T, fold.tap_bias @ _in_canvas(ww))
-    bias += b1.reshape(mid, 1, 1)
+    h = kernels.conv2d_core(xpad, head.large, 1, 1)
+    _add_tiled(h, scales.middle, head.middle)
+    _add_tiled(h, scales.small, head.small)
+    bias = np.matmul(_in_canvas(hh).T, head.tap_bias @ _in_canvas(ww))
+    bias += head.bias
     h += bias
-    h *= scale[:, None, None]
-    h += shift[:, None, None]
+    h *= head.scale
+    h += head.shift
     np.maximum(h, 0.0, out=h)
-    return conv2d(h, ConvSpec(1, mid, 1, 1, w2, bias=b2, activation="sigmoid"))
+    return conv2d(h, head.conv2)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from typing import Mapping
 import numpy as np
 
 from ..domain_align import (
+    ForegroundHead,
     Pose2,
     default_discriminator_weights,
     default_foreground_weights,
@@ -56,7 +57,7 @@ from ..instance_fusion import (
     fusion_term,
     refine_instance,
 )
-from ..numerics import ShapeError, freeze_weights, he_normal, require_weights
+from ..numerics import ShapeError, freeze_weights, he_normal
 from ..opcount import OpCounter, count_similarity_ops
 from ..pointcloud import PhdConfig, phd_apply
 from ..temporal_align import (
@@ -136,10 +137,10 @@ def build_pipeline_weights(seed: int = 0, combine: str = "sum") -> Mapping[str, 
     """One flat name -> array mapping covering every stage of the pipeline.
 
     The mapping and its arrays are read-only (:func:`freeze_weights`), so
-    every caller can share the cached mapping and the values derived from
-    it once per weights (the folded foreground head, the motion specs, the
-    fusion terms). Threads share the cache: the first to ask for a key
-    builds it under a lock, so every thread gets the same mapping object.
+    every caller can share the cached mapping, and every :class:`RunContext`
+    under it the values derived from it. Threads share the cache: the first
+    to ask for a key builds it under a lock, so every thread gets the same
+    mapping object.
     """
     key = (seed, combine)
     with _WEIGHT_LOCK:
@@ -214,53 +215,13 @@ class RunReport:
         return out
 
 
-def _scale_geometry(bev: BevSpec, scale_idx: int):
-    f = 1 << scale_idx
-    return (bev.origin_x, bev.origin_y, bev.cell * f,
-            bev.height // f, bev.width // f)
+class _Memo:
+    """Values built once each, also across threads; with ``keep=False``
+    nothing is kept and every claim is fresh."""
 
-
-class RunContext:
-    """The scene, weights, BEV grid and renderer that a set of runs share,
-    with what is built from them once.
-
-    The specs derived from the weights are built here: the struct kernels,
-    the verification gate, the xi predictor, and the fusion terms over the
-    scenario's agents. With ``memo`` the context also keeps what its runs
-    build: featurizations, the ego's view and its fusion term. Every entry
-    depends on the four inputs, so a run under any other one is refused
-    (:meth:`check`); scenario and weights are compared by identity, the
-    specs by value. Without ``memo`` every claim is fresh, so a lone run's
-    builds die with it.
-    """
-
-    def __init__(self, scenario: Scenario, weights: dict, bev: BevSpec,
-                 render_cfg: RenderConfig, memo: bool = True):
-        self.scenario = scenario
-        self.weights = weights
-        self.bev = bev
-        self.render_cfg = render_cfg
-        base, biases = require_weights(
-            weights, ("ifam.struct.weight", "ifam.struct.bias"), "struct conv weights")
-        c = PROJECTED_CHANNELS
-        self.struct = StructKernels(base=base.reshape(c, 3, 3), biases=biases.reshape(5, c))
-        self.verification = VerificationSpec.from_weights(weights)
-        self.xi_spec = XiPredictorSpec.from_weights(weights, "ptam.")
-        # the detector reads only the fused map's leading channels
-        self.fold = fusion_fold(weights, len(scenario.agents), ENERGY_CHANNELS)
-        self.entries = {} if memo else None
+    def __init__(self, keep: bool = True):
+        self.entries = {} if keep else None
         self._lock = threading.Lock()
-
-    def check(self, scenario, weights, bev, render_cfg) -> None:
-        """Raise unless a run under these inputs may use this context."""
-        if scenario is not self.scenario:
-            raise ShapeError("cache was filled for another scenario object")
-        if weights is not self.weights:
-            raise ShapeError("cache was filled under another weights object")
-        if bev != self.bev:
-            raise ShapeError(f"cache was filled under {self.bev}, not {bev}")
-        if render_cfg != self.render_cfg:
-            raise ShapeError(f"cache was filled under {self.render_cfg}, not {render_cfg}")
 
     def claim(self, keys) -> tuple:
         """``(slots, mine)``: one ``Future`` per memo key, claimed together.
@@ -269,7 +230,6 @@ class RunContext:
         all. If they are, the caller gets their Futures, done or not, and
         ``mine`` is False. Otherwise the caller gets fresh Futures, already
         in the memo, and must fill every one or hand them to :meth:`fail`.
-        Without a memo every claim is fresh.
         """
         with self._lock:
             if self.entries is not None and all(k in self.entries for k in keys):
@@ -309,6 +269,99 @@ class RunContext:
                 raise
         return slot.result()
 
+
+#: the 4 frozen weight sets last used -> (a copy of the mapping, the memo
+#: of what contexts derive from it), least recently used first
+_DERIVED = {}
+_DERIVED_LOCK = threading.Lock()
+
+
+def _derived_memo(weights) -> tuple:
+    """``(source, memo)``: what contexts derive ``weights``' values from, and
+    the memo that keeps them.
+
+    A set whose arrays are all read-only and own their data cannot change:
+    it is keyed by its names and the ids of its arrays, which its entry
+    keeps alive, and every context under it shares one memo. Any other set
+    gets a fresh memo, so each context derives it afresh.
+    """
+    items = tuple(weights.items())
+    if not all(isinstance(a, np.ndarray) and not a.flags.writeable and a.flags.owndata
+               for _, a in items):
+        return weights, _Memo()
+    key = tuple((name, id(a)) for name, a in items)
+    with _DERIVED_LOCK:
+        entry = _DERIVED.pop(key, None) or (dict(items), _Memo())
+        _DERIVED[key] = entry
+        while len(_DERIVED) > 4:
+            del _DERIVED[next(iter(_DERIVED))]
+    return entry
+
+
+class RunContext(_Memo):
+    """The scene, weights, BEV grid and renderer that a set of runs share,
+    with what is built from them once.
+
+    Everything derived from the weights is built here on first use (the
+    foreground head, the IFAM and PTAM specs, the fusion terms over the
+    scenario's agents), shared by all contexts under the same frozen
+    weights (:func:`_derived_memo`). With ``memo`` the context also keeps
+    what its runs build: featurizations, the ego's view and its fusion
+    term. Every entry depends on the four inputs, so a run under any other
+    one is refused (:meth:`check`); scenario and weights are compared by
+    identity, the specs by value. Without ``memo`` every claim is fresh,
+    so a lone run's builds die with it.
+    """
+
+    def __init__(self, scenario: Scenario, weights: dict, bev: BevSpec,
+                 render_cfg: RenderConfig, memo: bool = True):
+        super().__init__(keep=memo)
+        self.scenario = scenario
+        self.weights = weights
+        self.bev = bev
+        self.render_cfg = render_cfg
+        self._source, self._derived = _derived_memo(weights)
+
+    def _derive(self, key, build, *args):
+        return self._derived.memo(key, lambda: build(self._source, *args))
+
+    @property
+    def head(self) -> ForegroundHead:
+        return self._derive("head", ForegroundHead.from_weights)
+
+    @property
+    def struct(self) -> StructKernels:
+        return self._derive("struct", StructKernels.from_weights, PROJECTED_CHANNELS)
+
+    @property
+    def verification(self) -> VerificationSpec:
+        return self._derive("verification", VerificationSpec.from_weights)
+
+    @property
+    def xi_spec(self) -> XiPredictorSpec:
+        return self._derive("xi", XiPredictorSpec.from_weights, "ptam.")
+
+    @property
+    def fold(self):
+        # the detector reads only the fused map's leading channels
+        n = len(self.scenario.agents)
+        return self._derive(("fold", n), fusion_fold, n, ENERGY_CHANNELS)
+
+    def motion_specs(self) -> list:
+        return [self._derive(("motion", s), MotionEstimatorSpec.from_weights,
+                             f"ptam.motion.s{s}.") for s in range(len(SCALE_CHANNELS))]
+
+    def check(self, scenario, weights, bev, render_cfg) -> None:
+        """Raise unless a run under these inputs may use this context."""
+        if scenario is not self.scenario:
+            raise ShapeError("cache was filled for another scenario object")
+        if weights is not self.weights:
+            raise ShapeError("cache was filled under another weights object")
+        if bev != self.bev:
+            raise ShapeError(f"cache was filled under {self.bev}, not {bev}")
+        if render_cfg != self.render_cfg:
+            raise ShapeError(f"cache was filled under {self.render_cfg}, not {render_cfg}")
+
     def featurize(self, agent_id, t, phd) -> MultiScaleFeatures:
         """One agent's backbone features at t, memoized by frame.
 
@@ -341,13 +394,11 @@ def _noisy_pose(pose: Pose2, scenario, frame_idx, agent_idx, opts) -> Pose2:
     return Pose2(pose.x + dx, pose.y + dy, pose.yaw + dyaw)
 
 
-def _ideal_fields(scenario, agent_id, src_t, dst_t, bev):
-    fields = []
-    for s in range(len(SCALE_CHANNELS)):
-        ox, oy, cell, h, w = _scale_geometry(bev, s)
-        fields.append(ideal_motion_field(scenario, agent_id, src_t, dst_t,
-                                         ox, oy, cell, h, w))
-    return fields
+def _ideal_fields(scenario, agent_id, src_t, dst_t, bev) -> list:
+    """The ideal motion field on each scale's grid, halved per scale."""
+    return [ideal_motion_field(scenario, agent_id, src_t, dst_t, bev.origin_x,
+                               bev.origin_y, bev.cell * (1 << s), bev.height >> s,
+                               bev.width >> s) for s in range(len(SCALE_CHANNELS))]
 
 
 _LANE_LOCK = threading.Lock()
@@ -438,7 +489,7 @@ def _ego_lane(run: _Run, view: Future, term: Future) -> None:
     ctx = run.ctx
     ms = ctx.featurize(ctx.scenario.agents[0].agent_id, run.t, run.opts.phd)
     h = bev_project(ms, ctx.weights)
-    m = foreground_estimate(h, ms, ctx.weights)
+    m = foreground_estimate(h, ms, ctx.head)
     del ms
     logits = discriminator_forward(h, ctx.weights)
     view.set_result((h, m, logits))
@@ -542,7 +593,7 @@ def _project_collaborator(run: _Run, j, agent, ms_aligned):
     """Projected features and foreground, resampled into the ego frame."""
     ctx = run.ctx
     h = bev_project(ms_aligned, ctx.weights)
-    m = foreground_estimate(h, ms_aligned, ctx.weights)
+    m = foreground_estimate(h, ms_aligned, ctx.head)
     pose = _noisy_pose(agent_pose_at(ctx.scenario, agent, run.t - run.tau),
                        ctx.scenario, run.k_eval, j, run.opts)
     h_proj, valid = transform_to_ego(h, pose, run.ego_pose, ctx.bev)
@@ -627,9 +678,8 @@ def run_pipeline(scenario: Scenario, t: float, tau: float,
                            xi_mode=opts.xi_mode),
         ego_pose=agent_pose_at(scenario, ego, t),
         # ideal motion overrides every estimate, so only learned motion needs specs
-        motion_specs=[MotionEstimatorSpec.from_weights(weights, f"ptam.motion.s{i}.")
-                      if opts.motion_mode == "learned" else None
-                      for i in range(len(SCALE_CHANNELS))],
+        motion_specs=(context.motion_specs() if opts.motion_mode == "learned"
+                      else [None] * len(SCALE_CHANNELS)),
     )
     counter = OpCounter()
     keys = _ego_keys(run)

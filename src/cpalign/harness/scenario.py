@@ -291,51 +291,35 @@ _FOOTPRINT_DILATE = 3  # cells by which the footprint motion grows each box
 
 def ideal_motion_field(scenario: Scenario, agent_id: str, src_t: float,
                        dst_t: float, origin_x: float, origin_y: float,
-                       cell: float, h: int, w: int,
-                       mode: str = "footprint") -> MotionField:
+                       cell: float, h: int, w: int) -> MotionField:
     """Ground-truth one-frame displacement field on an agent-frame grid.
 
     Values are the per-frame step of each track in cell units, measured at the
     destination time, so scaling by the frame count of the gap reproduces the
-    full displacement.  "footprint" stamps each track's step over the union of
-    its source and destination footprints (dilated by three cells to cover
+    full displacement.  Each track's step is stamped over the union of its
+    source and destination footprints (dilated by three cells to cover
     feature bleed from small convolutions); everywhere else the displacement
-    is zero, which keeps static structure pinned.  "global" writes one shared step into every cell
-    and requires all tracks to agree on it.
+    is zero, which keeps static structure pinned.
     """
-    if mode not in ("footprint", "global"):
-        raise ShapeError(f"unknown ideal motion mode {mode!r}")
     if not scenario.objects:
         raise ShapeError("scenario has no objects to derive motion from")
     agent = scenario.agent(agent_id)
     pose = agent_pose_at(scenario, agent, dst_t)
     dt = scenario.frame_interval
     dp = np.zeros((2, h, w))
-    steps = []
     for track in scenario.objects:
         b_dst = object_box_at(scenario, track, dst_t)
         b_pre = object_box_at(scenario, track, dst_t - dt)
         d_world = np.array([[b_dst.cx, b_dst.cy], [b_pre.cx, b_pre.cy]])
         d_local = pose.to_local(d_world)
         step = (d_local[0] - d_local[1]) / cell
-        steps.append(step)
-        if mode == "footprint":
-            b_src = object_box_at(scenario, track, src_t)
-            m = (_footprint_cells(_box_in_agent_frame(b_src, pose),
-                                  origin_x, origin_y, cell, h, w,
-                                  _FOOTPRINT_DILATE)
-                 | _footprint_cells(_box_in_agent_frame(b_dst, pose),
-                                    origin_x, origin_y, cell, h, w,
-                                    _FOOTPRINT_DILATE))
-            dp[0][m] = step[0]
-            dp[1][m] = step[1]
-    if mode == "global":
-        base = steps[0]
-        for s in steps[1:]:
-            if np.max(np.abs(s - base)) > 1e-9:
-                raise ShapeError("global ideal motion needs a shared velocity")
-        dp[0].fill(base[0])
-        dp[1].fill(base[1])
+        b_src = object_box_at(scenario, track, src_t)
+        m = (_footprint_cells(_box_in_agent_frame(b_src, pose),
+                              origin_x, origin_y, cell, h, w, _FOOTPRINT_DILATE)
+             | _footprint_cells(_box_in_agent_frame(b_dst, pose),
+                                origin_x, origin_y, cell, h, w, _FOOTPRINT_DILATE))
+        dp[0][m] = step[0]
+        dp[1][m] = step[1]
     w_map = np.full((1, h, w), np.nextafter(1.0, 0.0))
     return MotionField(dp=dp, w=w_map)
 

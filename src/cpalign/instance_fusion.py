@@ -18,7 +18,6 @@ import numpy as np
 from .featurizer import BevSpec, box_footprint_mask
 from .numerics import (
     ConvSpec,
-    FrozenMemo,
     ShapeError,
     conv2d,
     ensure_tensor3,
@@ -33,6 +32,7 @@ BLEND_BLOCK = 1 << 15
 #: Channels per block of the struct conv, each zero-padded on its own.
 STRUCT_BLOCK = 64
 STRUCT_BANKS = ("vanilla", "center_surround", "horizontal", "vertical", "angular")
+STRUCT_WEIGHT_NAMES = ("ifam.struct.weight", "ifam.struct.bias")
 
 
 def foreground_features(features: np.ndarray, fg_map: np.ndarray) -> np.ndarray:
@@ -79,6 +79,17 @@ class StructKernels:
                 raise ShapeError(
                     f"bank biases must be (5, {c}), got {self.biases.shape}"
                 )
+
+    @classmethod
+    def from_weights(cls, weights: dict, channels: int) -> "StructKernels":
+        """The base bank and the bank biases over ``channels`` channels; a
+        tensor of any other size raises :class:`ShapeError` naming it."""
+        arrays = require_weights(weights, STRUCT_WEIGHT_NAMES, "struct conv weights")
+        shapes = ((channels, 3, 3), (5, channels))
+        for name, arr, shape in zip(STRUCT_WEIGHT_NAMES, arrays, shapes):
+            if arr.size != math.prod(shape):
+                raise ShapeError(f"{name} has {arr.size} values, needs {math.prod(shape)}")
+        return cls(*(arr.reshape(shape) for arr, shape in zip(arrays, shapes)))
 
     @property
     def channels(self) -> int:
@@ -418,9 +429,6 @@ def fuse_agents(features: list, weights: dict) -> np.ndarray:
     return state
 
 
-_FUSION_MEMO = FrozenMemo()
-
-
 @dataclass(frozen=True)
 class FusionFold:
     """:func:`fuse_agents` over a fixed number of agents, one term per agent.
@@ -435,28 +443,11 @@ class FusionFold:
     terms: tuple  # ConvSpec per agent; the ego's carries c as its bias
 
 
-def _build_fusion_fold(wf, bf, n_agents: int, rows: int) -> FusionFold:
-    c = bf.size
-    w = wf.reshape(c, 2 * c)
-    w1, w2 = w[:, :c], w[:, c:]
-    powers = [np.eye(c)[:rows]]            # W1^j, leading rows only
-    for _ in range(n_agents - 1):
-        powers.append(powers[-1] @ w1)
-    offset = np.zeros(rows)
-    for p in powers[:-1]:
-        offset += p @ bf
-    mats = [powers[-1]] + [powers[n_agents - 1 - k] @ w2 for k in range(1, n_agents)]
-    return FusionFold(terms=tuple(
-        ConvSpec(rows, c, 1, 1, a, bias=offset if k == 0 else None)
-        for k, a in enumerate(mats)))
-
-
 def fusion_fold(weights: dict, n_agents: int, rows: int | None = None) -> FusionFold:
     """The per-agent terms of :func:`fuse_agents` over ``n_agents`` maps.
 
     ``rows`` keeps only the leading output channels, for a reader that uses
-    no others. Built once per read-only fusion weights, agent count and
-    row count.
+    no others.
     """
     if n_agents < 1:
         raise ShapeError("fusion needs at least one agent")
@@ -467,8 +458,18 @@ def fusion_fold(weights: dict, n_agents: int, rows: int | None = None) -> Fusion
     rows = c if rows is None else rows
     if not 0 < rows <= c:
         raise ShapeError(f"fusion rows must lie in 1..{c}, got {rows}")
-    return _FUSION_MEMO.get(f"fusion/{n_agents}/{rows}", (wf, bf),
-                            lambda: _build_fusion_fold(wf, bf.ravel(), n_agents, rows))
+    w = wf.reshape(c, 2 * c)
+    w1, w2 = w[:, :c], w[:, c:]
+    powers = [np.eye(c)[:rows]]            # W1^j, leading rows only
+    for _ in range(n_agents - 1):
+        powers.append(powers[-1] @ w1)
+    offset = np.zeros(rows)
+    for p in powers[:-1]:
+        offset += p @ bf.ravel()
+    mats = [powers[-1]] + [powers[n_agents - 1 - k] @ w2 for k in range(1, n_agents)]
+    return FusionFold(terms=tuple(
+        ConvSpec(rows, c, 1, 1, a, bias=offset if k == 0 else None)
+        for k, a in enumerate(mats)))
 
 
 def fusion_term(features: np.ndarray, fold: FusionFold, k: int) -> np.ndarray:

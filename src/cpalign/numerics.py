@@ -8,7 +8,6 @@ padding (no kernel flip).
 from __future__ import annotations
 
 import struct
-import threading
 import types
 from dataclasses import dataclass, field
 from typing import BinaryIO, Mapping, Sequence
@@ -248,39 +247,6 @@ def freeze_weights(weights: Mapping[str, np.ndarray]) -> Mapping[str, np.ndarray
         arr.flags.writeable = False
         out[name] = arr
     return types.MappingProxyType(out)
-
-
-class FrozenMemo:
-    """Values derived from weight arrays, built once per set of arrays.
-
-    Only read-only arrays that own their data are keyed, by identity:
-    nothing can change them in place, so a value derived from them cannot
-    go stale. Any other array (a caller's writable dict, a converted copy)
-    gets a fresh build on every call. The memo holds its ``size`` most
-    recently used entries and the arrays they were built from.
-
-    Threads share it: a lock held through the build makes a second thread
-    that asks for the same key wait for the first build and get its value.
-    """
-
-    def __init__(self, size: int = 4):
-        self.size = size
-        self._entries: dict = {}
-        self._lock = threading.Lock()
-
-    def get(self, tag: str, arrays: Sequence[np.ndarray], build):
-        if not all(not a.flags.writeable and a.flags.owndata for a in arrays):
-            return build()
-        key = (tag,) + tuple(id(a) for a in arrays)
-        with self._lock:
-            # an entry keeps its arrays alive, so their ids cannot be reused
-            hit = self._entries.pop(key, None)
-            if hit is None:
-                hit = (tuple(arrays), build())
-            self._entries[key] = hit
-            while len(self._entries) > self.size:
-                del self._entries[next(iter(self._entries))]
-            return hit[1]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ import numpy as np
 from . import kernels
 from .numerics import (
     ConvSpec,
-    FrozenMemo,
     MlpSpec,
     ShapeError,
     conv2d,
@@ -110,13 +109,10 @@ class MotionEstimatorSpec:
 
     @classmethod
     def from_weights(cls, weights: dict, prefix: str) -> "MotionEstimatorSpec":
-        """Build from named weights; built once per set of read-only arrays."""
-        names = [prefix + n for n in cls.NAMES]
-        arrays = require_weights(weights, names, f"motion estimator weights {prefix!r}")
-        return _SPEC_MEMO.get("motion", arrays, lambda: cls._build(prefix, *arrays))
-
-    @classmethod
-    def _build(cls, prefix, ew, eb, tw, tb, dw, db, ww, wb) -> "MotionEstimatorSpec":
+        """Build from the weights named ``prefix`` + :attr:`NAMES`."""
+        ew, eb, tw, tb, dw, db, ww, wb = require_weights(
+            weights, [prefix + n for n in cls.NAMES],
+            f"motion estimator weights {prefix!r}")
         if ew.size % 18:
             raise ShapeError(f"{prefix}enc.weight size {ew.size} is not a 2C->C 3x3 stack")
         c = int(round(math.sqrt(ew.size / 18.0)))
@@ -131,10 +127,6 @@ class MotionEstimatorSpec:
             heads=mk(3, c, np.concatenate([dw.reshape(2, c, 3, 3), ww.reshape(1, c, 3, 3)]),
                      np.concatenate([db.ravel(), wb.ravel()])),
         )
-
-
-#: three scale specs for each of up to four weight sets
-_SPEC_MEMO = FrozenMemo(size=12)
 
 
 def default_motion_weights(channels: int, seed: int = 0, prefix: str = "") -> dict:

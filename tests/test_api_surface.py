@@ -1,15 +1,18 @@
-"""Every public top-level function and class of the package has a caller.
+"""The package's surface: every public name has a caller, and the stage
+modules hold no state.
 
-The package is parsed with :mod:`ast`, not imported. A public name (one
-without a leading underscore) defined at the top level of a module counts
-as used when some top-level statement of ``src/cpalign`` other than its own
-definition reads it, as a bare name or as an attribute. Re-exports in a
-package ``__init__`` do not count, and neither do reads from inside a
-definition that is itself unused, so a helper that only an unused helper
-calls is reported too.
+For the callers, the package is parsed with :mod:`ast`, not imported. A
+public name (one without a leading underscore) defined at the top level of
+a module counts as used when some top-level statement of ``src/cpalign``
+other than its own definition reads it, as a bare name or as an attribute.
+Re-exports in a package ``__init__`` do not count, and neither do reads
+from inside a definition that is itself unused, so a helper that only an
+unused helper calls is reported too.
 """
 
 import ast
+import importlib
+import threading
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cpalign"
@@ -55,3 +58,33 @@ def unused_public_names(root: Path = SRC) -> list:
 
 def test_every_public_name_has_a_caller_in_the_package():
     assert unused_public_names() == []
+
+
+#: Modules of pure functions over explicit weights and specs: whatever is
+#: derived from the weights is cached in one place, harness.pipeline.
+STATELESS_MODULES = ("numerics", "kernels", "featurizer", "pointcloud", "domain_align",
+                     "temporal_align", "instance_fusion", "opcount")
+
+
+def _stateful(value) -> bool:
+    """A dict, list, set or lock, or an object of the package's own classes
+    (such as a memo) that holds one in a field."""
+    kinds = (dict, list, set, type(threading.Lock()), type(threading.RLock()))
+    if isinstance(value, kinds):
+        return True
+    return (type(value).__module__.startswith("cpalign.")
+            and any(isinstance(v, kinds) for v in getattr(value, "__dict__", {}).values()))
+
+
+def test_stage_modules_hold_no_state():
+    for name in STATELESS_MODULES:
+        tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module}
+        assert not {m for m in imported if m.split(".")[0] == "threading"}, name
+        module = importlib.import_module(f"cpalign.{name}")
+        state = [key for key, value in vars(module).items()
+                 if not key.startswith("__") and _stateful(value)]
+        assert state == [], (name, state)

@@ -5,6 +5,7 @@ import pytest
 
 from cpalign.domain_align import (
     GRL_GAMMA,
+    ForegroundHead,
     Pose2,
     complete_voids,
     default_discriminator_weights,
@@ -22,7 +23,7 @@ from cpalign.featurizer import (
     bev_project,
     default_bevproj_weights,
 )
-from cpalign.numerics import ConvSpec, ShapeError, conv2d, freeze_weights, sigmoid
+from cpalign.numerics import ConvSpec, ShapeError, conv2d, sigmoid
 
 
 def fd_gradient(fn, x, h=1e-6):
@@ -76,27 +77,35 @@ def test_foreground_estimate_range_and_shapes():
     rng = np.random.default_rng(1)
     ms, w = _fg_inputs(rng, 8, 8, seed=3)
     proj = bev_project(ms, w)
-    m = foreground_estimate(proj, ms, w)
+    head = ForegroundHead.from_weights(w)
+    m = foreground_estimate(proj, ms, head)
     assert m.shape == (1, 8, 8)
     assert (m > 0).all() and (m < 1).all()
-    np.testing.assert_array_equal(m, foreground_estimate(proj, ms, w))
+    np.testing.assert_array_equal(m, foreground_estimate(proj, ms, head))
+    with pytest.raises(ShapeError, match="do not match the projected grid"):
+        foreground_estimate(proj[:, :4], ms, head)
 
 
 def test_foreground_estimate_zero_weights_give_half():
     rng = np.random.default_rng(0)
     ms, w = _fg_inputs(rng, 8, 8, seed=0)
     w = {n: np.zeros_like(v) for n, v in w.items()}
-    m = foreground_estimate(bev_project(ms, w), ms, w)
+    m = foreground_estimate(bev_project(ms, w), ms, ForegroundHead.from_weights(w))
     np.testing.assert_array_equal(m, 0.5 * np.ones((1, 8, 8)))
 
 
 def test_foreground_estimate_missing_weights():
+    # the head checks every tensor once, when it is built
     rng = np.random.default_rng(0)
-    ms, w = _fg_inputs(rng, 4, 4, seed=0)
-    proj = bev_project(ms, w)
+    _, w = _fg_inputs(rng, 4, 4, seed=0)
+    for name, bad in (("fg.conv1.bias", np.zeros(191)), ("fg.affine.shift", np.zeros(5))):
+        with pytest.raises(ShapeError, match=f"{name} has {bad.size} entries, needs 192"):
+            ForegroundHead.from_weights(w | {name: bad})
+    with pytest.raises(ShapeError, match="do not fit input with 384 channels"):
+        ForegroundHead.from_weights(w | {"fg.conv1.weight": np.zeros((192, 383, 3, 3))})
     del w["fg.affine.scale"]
     with pytest.raises(KeyError, match="fg.affine.scale"):
-        foreground_estimate(proj, ms, w)
+        ForegroundHead.from_weights(w)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -109,7 +118,7 @@ def test_folded_foreground_matches_literal_conv(seed):
         if name.endswith(".bias") or name.startswith("fg.affine"):
             w[name] = rng.normal(size=w[name].shape)
     w["fg.conv2.weight"] = 0.1 * w["fg.conv2.weight"]
-    frozen = freeze_weights(w)
+    head = ForegroundHead.from_weights(w)
     for h, wd in ((8, 8), (8, 12), (48, 48)):
         ms = MultiScaleFeatures(rng.normal(size=(64, h, wd)),
                                 rng.normal(size=(128, h // 2, wd // 2)),
@@ -117,23 +126,8 @@ def test_folded_foreground_matches_literal_conv(seed):
         proj = bev_project(ms, w)
         want = literal_foreground(proj, w)
         assert 0.05 < want.min() and want.max() < 0.95
-        np.testing.assert_allclose(foreground_estimate(proj, ms, frozen), want,
+        np.testing.assert_allclose(foreground_estimate(proj, ms, head), want,
                                    rtol=1e-12, atol=1e-12)
-
-
-def test_foreground_fold_is_not_served_stale():
-    # a writable dict mutated in place between calls gets a fresh fold
-    rng = np.random.default_rng(7)
-    ms, w = _fg_inputs(rng, 8, 8, seed=0)
-    w["fg.conv2.weight"] = 0.1 * w["fg.conv2.weight"]
-    first = foreground_estimate(bev_project(ms, w), ms, w)
-    w["bevproj.small.weight"] *= -2.0
-    w["fg.conv1.weight"][:, 200] += 0.5
-    proj = bev_project(ms, w)
-    again = foreground_estimate(proj, ms, w)
-    assert np.abs(again - first).max() > 1e-3
-    np.testing.assert_allclose(again, literal_foreground(proj, w),
-                               rtol=1e-12, atol=1e-12)
 
 
 def test_transform_identity_poses_is_exact():

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import cpalign
 from cpalign.domain_align import Pose2
 from cpalign.harness import detect, pipeline
-from cpalign.featurizer import BevSpec
+from cpalign.featurizer import BevSpec, bev_project
 from cpalign.harness.codec import CodecConfig, encode_decode, transmit_tensors
 from cpalign.harness.config import ConfigError, load_config
 from cpalign.harness.detect import (
@@ -61,7 +61,7 @@ from cpalign.instance_fusion import (
     struct_conv,
     verification_weights,
 )
-from cpalign.numerics import ConvSpec, ShapeError, conv2d, save_weights
+from cpalign.numerics import ConvSpec, ShapeError, conv2d, freeze_weights, save_weights
 from cpalign.pointcloud import OrientedBox
 
 
@@ -322,23 +322,6 @@ def test_ideal_motion_footprint_stamps_only_track_cells():
     np.testing.assert_allclose(mf.dp[0][stamped], 1.0, rtol=0, atol=1e-12)
     assert np.all(mf.dp[1] == 0.0)
     assert np.all((mf.w > 0.0) & (mf.w < 1.0))
-
-
-def test_ideal_motion_global_requires_shared_velocity():
-    scn = generate_scenario("crossing", seed=0)
-    with pytest.raises(ShapeError):
-        ideal_motion_field(scn, "ego", 0.2, 0.4, -9.6, -9.6, 0.4, 48, 48,
-                           mode="global")
-    solo = _simple_scenario()
-    mf = ideal_motion_field(solo, "ego", 0.2, 0.4, -9.6, -9.6, 0.4, 48, 48,
-                            mode="global")
-    np.testing.assert_allclose(mf.dp[0], 1.0, rtol=0, atol=1e-12)
-
-
-def test_ideal_motion_unknown_mode():
-    with pytest.raises(ShapeError):
-        ideal_motion_field(_simple_scenario(), "ego", 0.0, 0.1,
-                           -9.6, -9.6, 0.4, 48, 48, mode="exact")
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +609,7 @@ def test_run_pipeline_stale_cosine_pre_equals_post():
 def test_run_pipeline_alternating_weight_seeds():
     # values derived once per frozen weights (the folded foreground head,
     # the motion specs) must follow the weights of each call: every run
-    # matches one under writable copies, which are folded afresh per call
+    # matches one under writable copies, which each context derives afresh
     scn = _fast_scene()
 
     def run(seed, weights=None):
@@ -1016,30 +999,135 @@ def test_sweep_passes_every_option_to_both_runs():
     assert got["cosine_post"] != plain.cosine_post
 
 
-def test_sweep_builds_each_spec_once(monkeypatch):
-    # the specs derived from the weights belong to the run context: a lone
-    # run and a whole sweep each build them once, not once per run or per
-    # IFAM refinement
-    builds = {"verification": 0, "xi": 0, "struct": 0}
+def _fresh_weights(seed=0):
+    """Frozen weights no context has seen: copies of the built ones."""
+    return freeze_weights({n: a.copy() for n, a in build_pipeline_weights(seed).items()})
+
+
+def _count_builds(monkeypatch) -> dict:
+    """Count every build of a value that RunContext derives from the weights."""
+    builds = {}
 
     def counted(name, build):
         def wrapped(*args, **kwargs):
-            builds[name] += 1
+            builds[name] = builds.get(name, 0) + 1
             return build(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(pipeline.VerificationSpec, "from_weights", staticmethod(
-        counted("verification", pipeline.VerificationSpec.from_weights)))
-    monkeypatch.setattr(pipeline.XiPredictorSpec, "from_weights", staticmethod(
-        counted("xi", pipeline.XiPredictorSpec.from_weights)))
-    monkeypatch.setattr(pipeline, "StructKernels", counted("struct", StructKernels))
-    scn = _fast_scene()
-    run_pipeline(scn, 0.8, 0.2, PipelineOptions(phd=False), bev=_BEV_SMALL)
-    assert builds == {"verification": 1, "xi": 1, "struct": 1}
-    builds.update(dict.fromkeys(builds, 0))
-    rows = sweep(scn, [0, 200], PipelineOptions(phd=False), bev=_BEV_SMALL)
+    for name, owner in (("head", pipeline.ForegroundHead), ("struct", StructKernels),
+                        ("verification", VerificationSpec),
+                        ("xi", pipeline.XiPredictorSpec),
+                        ("motion", pipeline.MotionEstimatorSpec)):
+        monkeypatch.setattr(owner, "from_weights",
+                            staticmethod(counted(name, owner.from_weights)))
+    monkeypatch.setattr(pipeline, "fusion_fold", counted("fold", pipeline.fusion_fold))
+    return builds
+
+
+_ORACLE_BUILDS = {"head": 1, "struct": 1, "verification": 1, "xi": 1, "fold": 1}
+
+
+def test_sweep_builds_each_spec_once(monkeypatch):
+    # the values derived from the weights belong to the run contexts, not to
+    # each run or IFAM refinement: a lone run builds each once, a sweep under
+    # the same frozen weights builds none, and one under writable weights
+    # builds each once, in its one context
+    builds = _count_builds(monkeypatch)
+    scn, weights = _fast_scene(), _fresh_weights()
+    run_pipeline(scn, 0.8, 0.2, PipelineOptions(phd=False), weights, _BEV_SMALL)
+    assert builds == _ORACLE_BUILDS
+    rows = sweep(scn, [0, 200], PipelineOptions(phd=False), weights=weights, bev=_BEV_SMALL)
     assert len(rows) == 2 * 10
-    assert builds == {"verification": 1, "xi": 1, "struct": 1}
+    assert builds == _ORACLE_BUILDS
+    builds.clear()
+    writable = {n: a.copy() for n, a in weights.items()}
+    assert sweep(scn, [0, 200], PipelineOptions(phd=False), weights=writable,
+                 bev=_BEV_SMALL) == rows
+    assert builds == _ORACLE_BUILDS
+
+
+def test_lone_runs_build_each_derived_value_once_per_frozen_weights(monkeypatch):
+    # every single_pass and fleet_lossy op is a lone run with a fresh
+    # context: what is derived from the weights must outlive it
+    builds = _count_builds(monkeypatch)
+    scn, weights = _fast_scene(), _fresh_weights()
+    opts = PipelineOptions(phd=False, motion_mode="learned", xi_mode="learned")
+    first, second = (run_pipeline(scn, 0.8, 0.2, opts, weights, _BEV_SMALL)
+                     for _ in range(2))
+    assert _report_dict(first) == _report_dict(second)
+    assert builds == _ORACLE_BUILDS | {"motion": 3}
+
+
+def test_ideal_motion_builds_no_motion_spec(monkeypatch):
+    # ideal motion overrides every estimate: its encoder split is not made
+    builds = _count_builds(monkeypatch)
+    run_pipeline(_fast_scene(), 0.8, 0.2, PipelineOptions(phd=False, xi_mode="learned"),
+                 _fresh_weights(), _BEV_SMALL)
+    assert builds == _ORACLE_BUILDS
+
+
+def test_writable_weights_changed_in_place_give_the_fresh_result():
+    # a writable mapping is derived afresh for each context, so a change in
+    # place between two lone runs reaches the second
+    scn, opts = _fast_scene(), PipelineOptions(phd=False)
+    w = {n: a.copy() for n, a in build_pipeline_weights(0).items()}
+    w["fg.conv2.weight"] *= 0.1  # keeps the sigmoid off its tails
+    first = run_pipeline(scn, 0.8, 0.2, opts, w, _BEV_SMALL, collect=True)
+    w["bevproj.small.weight"] *= -2.0
+    w["fg.conv1.weight"][:, 200] += 0.5
+    w["ifam.struct.weight"] *= 0.5
+    w["ifam.fuse.weight"][:, 400] += 0.5
+    again = run_pipeline(scn, 0.8, 0.2, opts, w, _BEV_SMALL, collect=True)
+    got = again.maps["ego_foreground"]
+    assert np.abs(got - first.maps["ego_foreground"]).max() > 1e-3
+    # the foreground head as written: one 3x3 conv over all 384 channels
+    ms = RunContext(scn, w, _BEV_SMALL, RenderConfig()).featurize("ego", 0.8, False)
+    h = conv2d(bev_project(ms, w), ConvSpec(192, 384, 3, 3, w["fg.conv1.weight"],
+                                            bias=w["fg.conv1.bias"], padding=1))
+    h = np.maximum(h * w["fg.affine.scale"][:, None, None]
+                   + w["fg.affine.shift"][:, None, None], 0.0)
+    want = conv2d(h, ConvSpec(1, 192, 1, 1, w["fg.conv2.weight"],
+                              bias=w["fg.conv2.bias"], activation="sigmoid"))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    # every other derived value followed too: a run under fresh copies agrees
+    copied = run_pipeline(scn, 0.8, 0.2, opts, {n: a.copy() for n, a in w.items()},
+                          _BEV_SMALL, collect=True)
+    assert _report_dict(copied) == _report_dict(again)
+    assert copied.maps["detection"].tobytes() == again.maps["detection"].tobytes()
+
+
+def test_contexts_on_cold_frozen_weights_build_the_head_once(monkeypatch):
+    weights, scn = _fresh_weights(), _fast_scene()
+    build = pipeline.ForegroundHead.from_weights
+    builds = []
+
+    def slow(w):
+        builds.append(1)
+        time.sleep(0.05)  # every other thread asks while this one builds
+        return build(w)
+
+    monkeypatch.setattr(pipeline.ForegroundHead, "from_weights", staticmethod(slow))
+    n = 8
+    barrier = threading.Barrier(n)
+    got = [None] * n
+
+    def ask(i):
+        barrier.wait(60)
+        got[i] = RunContext(scn, weights, _BEV_SMALL, RenderConfig(), memo=False).head
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(i,)) for i in range(n)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(builds) == 1
+    assert got[0] is not None and all(head is got[0] for head in got)
 
 
 def test_concurrent_runs_share_memo_and_build_each_key_once(monkeypatch):
@@ -1525,6 +1613,24 @@ def test_cli_weights_archive_with_a_weight_option_exits_2(tmp_path, capsys, comm
     assert cli._load_setup(args)[3] == PipelineOptions(codec="int8")
     args = cli.build_parser().parse_args(base + ["--codec", "fp16"])
     assert cli._load_setup(args)[3] == PipelineOptions(codec="fp16")
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("name,shape,needs", [
+    ("ifam.struct.weight", (256, 3, 3), 3456),
+    ("ifam.struct.bias", (5, 380), 1920),
+])
+def test_cli_missized_struct_weights_exit_2(tmp_path, capsys, command, name, shape, needs):
+    # a bare reshape once ended such an archive in a ValueError traceback
+    archive = tmp_path / "w.cpaw"
+    save_weights(dict(build_pipeline_weights(0)) | {name: np.zeros(shape)}, archive)
+    out = tmp_path / "out"
+    delays = ["--tau-ms", "100"] if command == "run" else ["--taus-ms", "100"]
+    assert _exit_code([command, "--weights", str(archive), *delays, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{name} has {np.prod(shape)} values, needs {needs}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_unset_option_flags_keep_the_option_defaults():

@@ -20,7 +20,7 @@ from cpalign.instance_fusion import (
     verification_weights,
     verified_blend,
 )
-from cpalign.numerics import ConvSpec, ShapeError, conv2d, ensure_tensor3, freeze_weights
+from cpalign.numerics import ConvSpec, ShapeError, conv2d, ensure_tensor3
 from cpalign.pointcloud import OrientedBox
 
 
@@ -50,6 +50,19 @@ def test_struct_kernel_invariants():
     ang = k.angular()
     np.testing.assert_array_equal(
         ang, k.base - np.rot90(k.base, k=1, axes=(1, 2)))
+
+
+def test_struct_kernels_from_weights_names_a_missized_tensor():
+    rng = np.random.default_rng(4)
+    w = {"ifam.struct.weight": rng.normal(size=(6, 3, 3)),
+         "ifam.struct.bias": rng.normal(size=(5, 6))}
+    k = StructKernels.from_weights(w, 6)
+    np.testing.assert_array_equal(k.base, w["ifam.struct.weight"])
+    np.testing.assert_array_equal(k.biases, w["ifam.struct.bias"])
+    with pytest.raises(ShapeError, match="ifam.struct.weight has 54 values, needs 72"):
+        StructKernels.from_weights(w, 8)
+    with pytest.raises(ShapeError, match="ifam.struct.bias has 25 values, needs 30"):
+        StructKernels.from_weights(w | {"ifam.struct.bias": np.zeros((5, 5))}, 6)
 
 
 def test_struct_conv_fused_equals_separate():
@@ -376,20 +389,10 @@ def test_fusion_fold_matches_literal_fuse_agents(n):
                                rtol=1e-12, atol=1e-12)
     for t in terms[1:]:
         np.testing.assert_array_equal(t, np.zeros_like(t))
-
-
-def test_fusion_fold_built_once_per_frozen_weights():
-    weights = _random_fuse_weights(8, seed=4)
-    frozen = freeze_weights({name: a.copy() for name, a in weights.items()})
-    assert fusion_fold(frozen, 3) is fusion_fold(frozen, 3)
-    assert fusion_fold(frozen, 3) is not fusion_fold(frozen, 2)
-    assert fusion_fold(frozen, 3, 4) is not fusion_fold(frozen, 3)
-    # writable weights may change in place, so they are folded per call
-    assert fusion_fold(weights, 3) is not fusion_fold(weights, 3)
     with pytest.raises(ShapeError):
-        fusion_fold(frozen, 0)
+        fusion_fold(weights, 0)
     with pytest.raises(ShapeError):
-        fusion_fold(frozen, 2, rows=9)
+        fusion_fold(weights, n, rows=c + 1)
 
 
 def test_foreground_loss_perfect_prediction_small():

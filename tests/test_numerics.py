@@ -1,6 +1,4 @@
 import io
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -254,63 +252,3 @@ def test_archive_errors_name_offending_tensor(tmp_path):
 def test_require_weights_lists_all_missing():
     with pytest.raises(KeyError, match="a.bias.*a.weight"):
         numerics.require_weights({"x": 1}, ["a.weight", "a.bias", "x"], "probe")
-
-
-def test_frozen_memo_keys_only_frozen_arrays():
-    memo = numerics.FrozenMemo(size=2)
-    builds = []
-
-    def build():
-        builds.append(1)
-        return len(builds)
-
-    writable = np.ones(3)
-    assert memo.get("t", [writable], build) == 1
-    assert memo.get("t", [writable], build) == 2  # writable: built every call
-    frozen = numerics.freeze_weights({"a": np.ones(3), "b": np.arange(6.0)[::2]})
-    assert frozen["b"].flags.owndata  # a view is copied before freezing
-    assert memo.get("t", [frozen["a"]], build) == 3
-    assert memo.get("t", [frozen["a"]], build) == 3
-    assert memo.get("t", [frozen["b"]], build) == 4
-    assert memo.get("u", [frozen["a"]], build) == 5  # evicts ("t", a)
-    assert memo.get("t", [frozen["a"]], build) == 6
-    # read-only view of a writable base: its data can still change
-    view = np.ones(3)[:]
-    view.flags.writeable = False
-    assert memo.get("t", [view], build) == 7
-    assert memo.get("t", [view], build) == 8
-
-
-def test_frozen_memo_builds_each_key_once_across_threads():
-    # every thread asks for the same frozen arrays at once; a build that is
-    # slow enough to be caught mid-way must still run once, and every
-    # thread must get its value
-    frozen = numerics.freeze_weights({"a": np.ones(3), "b": np.zeros(2)})
-    arrays = [frozen["a"], frozen["b"]]
-    memo = numerics.FrozenMemo()
-    builds = []
-    start = threading.Barrier(8)
-    got = [None] * 8
-
-    def build():
-        builds.append(1)
-        threading.Event().wait(0.05)
-        return object()
-
-    def worker(i):
-        start.wait()
-        got[i] = memo.get("fold", arrays, build)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    assert len(builds) == 1
-    assert got[0] is not None and all(g is got[0] for g in got)
