@@ -58,9 +58,16 @@ from .instance_fusion import (
 )
 from .numerics import ConvSpec, conv2d
 from .opcount import OpCounter, count_similarity_ops, window_grid_counts
-from .pointcloud import OrientedBox, PhdConfig, fps, phd_apply
+from .pointcloud import (
+    PHD_INNER_KEEP,
+    PHD_INNER_SCALE,
+    PHD_OUTER_KEEP,
+    OrientedBox,
+    fps,
+    phd_apply,
+)
 from .temporal_align import (
-    DelayContext,
+    WINDOW,
     MotionEstimatorSpec,
     default_motion_weights,
     estimate_motion,
@@ -181,21 +188,21 @@ def check_delay_compensation() -> CheckResult:
     for tau_ms in (100, 200, 300, 400, 500):
         tau = tau_ms / 1000.0
         ms_prev, ms_latest = feats(t - tau - 0.1), feats(t - tau)
-        ctx = DelayContext(tau=tau, frame_interval=0.1, xi_mode="oracle")
         # the footprint fields the pipeline runs under ideal motion
         f1 = _ideal_fields(scn, "collab", t - tau - 0.1, t - tau, bev)
         f2 = _ideal_fields(scn, "collab", t - tau, t, bev)
         for s in range(3):
             inter, mf1 = ptam_stage1(ms_prev.scales[s], ms_latest.scales[s],
                                      override=f1[s])
-            aligned, _, _ = ptam_stage2(ms_latest.scales[s], inter, mf1, ctx,
+            # no xi spec: oracle xi, the delay in frame intervals
+            aligned, _, _ = ptam_stage2(ms_latest.scales[s], inter, mf1, tau / 0.1,
                                         override=f2[s])
             worst = max(worst, float(np.abs(aligned - ms_gt.scales[s]).max()))
             if s == 0:
                 pre = float(np.mean(temporal_loss(
-                    ms_latest.scales[0], ms_gt.scales[0], 16).window_cosines))
+                    ms_latest.scales[0], ms_gt.scales[0], WINDOW).window_cosines))
                 post = float(np.mean(temporal_loss(
-                    aligned, ms_gt.scales[0], 16).window_cosines))
+                    aligned, ms_gt.scales[0], WINDOW).window_cosines))
                 improvements.append(post > pre)
     ok = worst <= 1e-6 and all(improvements)
     return _result("delay-compensation", ok,
@@ -330,9 +337,7 @@ def check_downsample_contract() -> CheckResult:
     far = np.concatenate([rng.uniform(30, 40, size=(40, 3)),
                           rng.uniform(size=(40, 1))], axis=1)
     cloud = np.concatenate([inside_a, far[:20], inside_b, far[20:]], axis=0)
-    cfg = PhdConfig(distance_threshold=50.0, max_boxes=2, inner_scale=0.5,
-                    inner_keep=0.6, outer_keep=0.8, seed=1)
-    out = phd_apply(cloud, [box_a, box_b], (0.0, 0.0), cfg)
+    out = phd_apply(cloud, [box_a, box_b], (0.0, 0.0), 1)
 
     kept_rows = {tuple(r) for r in out}
     far_ok = all(tuple(r) in kept_rows for r in far)
@@ -340,11 +345,11 @@ def check_downsample_contract() -> CheckResult:
     expected = cloud.shape[0]
     for box in (box_a, box_b):
         member = box.contains(cloud[:, :3])
-        inner = box.scaled(cfg.inner_scale).contains(cloud[:, :3]) & member
+        inner = box.scaled(PHD_INNER_SCALE).contains(cloud[:, :3]) & member
         outer = member & ~inner
         expected -= int(member.sum())
-        expected += (math.ceil(cfg.inner_keep * inner.sum())
-                     + math.ceil(cfg.outer_keep * outer.sum()))
+        expected += (math.ceil(PHD_INNER_KEEP * inner.sum())
+                     + math.ceil(PHD_OUTER_KEEP * outer.sum()))
     count_ok = out.shape[0] == expected
 
     order = [np.nonzero((cloud == r).all(axis=1))[0][0] for r in out]

@@ -76,7 +76,6 @@ _OPTION_FLAGS = (
                                                 help="collaborator heading noise, degrees")),
     ("--threshold", "detector_threshold",
      dict(type=float, help="detector threshold on the normalized energy map")),
-    ("--window", "window", dict(type=int)),
     ("--weight-seed", "weight_seed", dict(type=int)),
 )
 

@@ -245,19 +245,27 @@ def bev_project(features: MultiScaleFeatures, weights: dict) -> np.ndarray:
     return out
 
 
-def box_footprint_mask(boxes: list, spec: BevSpec) -> np.ndarray:
-    """Bool (H, W): cells whose center lies in any closed box footprint."""
-    h, w = spec.height, spec.width
-    mask = np.zeros((h, w), dtype=bool)
+def box_footprint_mask(boxes: list, origin_x: float, origin_y: float, cell: float,
+                       height: int, width: int, pad_cells: int = 0) -> np.ndarray:
+    """Bool (height, width): cells whose center lies in any closed box
+    footprint, each box grown by ``pad_cells`` cells on every side.
+
+    The grid is given explicitly, so any scale of the pyramid can be
+    rasterised, not only a :class:`BevSpec`.
+    """
+    mask = np.zeros((height, width), dtype=bool)
     if not boxes:
         return mask
-    cx, cy = spec.cell_centers()
+    xs = origin_x + (np.arange(width) + 0.5) * cell
+    ys = origin_y + (np.arange(height) + 0.5) * cell
+    cx, cy = np.meshgrid(xs, ys)
     pts = np.stack([cx.ravel(), cy.ravel()], axis=1)
     for box in boxes:
         d = pts - np.array([box.cx, box.cy])
         c, s = math.cos(box.yaw), math.sin(box.yaw)
         lx = c * d[:, 0] + s * d[:, 1]
         ly = -s * d[:, 0] + c * d[:, 1]
-        inside = (np.abs(lx) <= box.length / 2.0) & (np.abs(ly) <= box.width / 2.0)
-        mask |= inside.reshape(h, w)
+        inside = ((np.abs(lx) <= (box.length + 2.0 * pad_cells * cell) / 2.0)
+                  & (np.abs(ly) <= (box.width + 2.0 * pad_cells * cell) / 2.0))
+        mask |= inside.reshape(height, width)
     return mask

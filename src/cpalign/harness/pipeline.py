@@ -16,6 +16,7 @@ per lane at a time, and tabulates the metrics.
 import csv
 import functools
 import math
+import numbers
 import threading
 import time
 from concurrent import futures
@@ -59,9 +60,9 @@ from ..instance_fusion import (
 )
 from ..numerics import ShapeError, freeze_weights, he_normal
 from ..opcount import OpCounter, count_similarity_ops
-from ..pointcloud import PhdConfig, phd_apply
+from ..pointcloud import phd_apply
 from ..temporal_align import (
-    DelayContext,
+    WINDOW,
     MotionEstimatorSpec,
     MotionField,
     XiPredictorSpec,
@@ -86,6 +87,7 @@ from .scenario import (
 SCALE_CHANNELS = (64, 128, 256)
 PROJECTED_CHANNELS = 384
 _NOISE_TAG = 0x906E
+_NOISE_SEED = 1  # the pose-noise stream: fixed, in its own slot of the seed sequence
 _STRUCT_TAG = 0x57C
 _W_CLIP = 1e-6
 
@@ -104,16 +106,20 @@ class PipelineOptions:
     sigma_local: float = 0.0
     sigma_head_deg: float = 0.0
     detector_threshold: float = 0.5
-    window: int = 16
     combine: str = "sum"             # sum | concat: the default weights' IFAM mode
     weight_seed: int = 0
-    noise_seed: int = 1
 
     def __post_init__(self):
+        for name in ("ptam", "phd", "phd_collaborators"):
+            if not isinstance(getattr(self, name), bool):
+                raise ShapeError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if self.xi_mode not in ("oracle", "learned"):
             raise ShapeError(f"unknown xi mode {self.xi_mode!r}")
         if self.motion_mode not in ("ideal", "learned"):
             raise ShapeError(f"unknown motion mode {self.motion_mode!r}")
+        if self.stage2_variant not in ("scaled", "literal"):
+            raise ShapeError(f"stage2_variant must be 'scaled' or 'literal', "
+                             f"got {self.stage2_variant!r}")
         if self.combine not in ("sum", "concat"):
             raise ShapeError(f"unknown combine mode {self.combine!r}")
         for name in ("sigma_local", "sigma_head_deg"):
@@ -124,8 +130,10 @@ class PipelineOptions:
         if not 0.0 < self.detector_threshold <= 1.0:
             raise ShapeError(
                 f"detector_threshold must be in (0, 1], got {self.detector_threshold}")
-        if self.window < 1:
-            raise ShapeError(f"window must be at least 1, got {self.window}")
+        seed = self.weight_seed
+        if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool)
+                and seed >= 0):
+            raise ShapeError(f"weight_seed must be a non-negative integer, got {seed!r}")
         CodecConfig(self.codec)  # validates the mode
 
 
@@ -165,6 +173,8 @@ def _build_weights(seed: int, combine: str) -> Mapping[str, np.ndarray]:
     weights.update(default_verification_weights(PROJECTED_CHANNELS, seed))
     weights.update(default_aggregate_weights(PROJECTED_CHANNELS, seed, combine))
     weights.update(default_fuse_weights(PROJECTED_CHANNELS, seed))
+    for arr in weights.values():  # ours alone: freeze_weights keeps them uncopied
+        arr.flags.writeable = False
     return freeze_weights(weights)
 
 
@@ -365,20 +375,25 @@ class RunContext(_Memo):
     def featurize(self, agent_id, t, phd) -> MultiScaleFeatures:
         """One agent's backbone features at t, memoized by frame.
 
-        An agent whose cloud is empty once rendered (and downsampled)
-        raises :class:`ShapeError` naming the agent and the frame.
+        An agent whose rendered cloud holds NaN or +-inf, or is empty once
+        rendered (and downsampled), raises :class:`ShapeError` naming the
+        agent and the frame.
         """
         frame = self.scenario.frame_index(t)
 
+        def refuse(what):
+            return ShapeError(f"agent {agent_id!r} has {what} point cloud "
+                              f"at frame {frame} (t = {t:g} s)")
+
         def build():
             cloud = render_pointcloud(self.scenario, agent_id, t, self.render_cfg)
+            if not np.isfinite(cloud).all():
+                raise refuse("a non-finite")
             if phd:
                 boxes = scenario_boxes_local(self.scenario, agent_id, t)
-                cloud = phd_apply(cloud, boxes, (0.0, 0.0),
-                                  PhdConfig(seed=self.scenario.seed))
+                cloud = phd_apply(cloud, boxes, (0.0, 0.0), self.scenario.seed)
             if cloud.shape[0] == 0:
-                raise ShapeError(f"agent {agent_id!r} has an empty point cloud "
-                                 f"at frame {frame} (t = {t:g} s)")
+                raise refuse("an empty")
             return backbone_forward(pillar_encode(cloud, self.bev), self.weights)
 
         return self.memo(("ms", agent_id, frame, phd), build)
@@ -388,7 +403,7 @@ def _noisy_pose(pose: Pose2, scenario, frame_idx, agent_idx, opts) -> Pose2:
     if opts.sigma_local == 0.0 and opts.sigma_head_deg == 0.0:
         return pose
     rng = np.random.default_rng(np.random.SeedSequence(
-        [scenario.seed, _NOISE_TAG, opts.noise_seed, frame_idx, agent_idx]))
+        [scenario.seed, _NOISE_TAG, _NOISE_SEED, frame_idx, agent_idx]))
     dx, dy = rng.normal(0.0, opts.sigma_local, size=2) if opts.sigma_local else (0.0, 0.0)
     dyaw = rng.normal(0.0, math.radians(opts.sigma_head_deg)) if opts.sigma_head_deg else 0.0
     return Pose2(pose.x + dx, pose.y + dy, pose.yaw + dyaw)
@@ -454,9 +469,10 @@ class _Run:
     opts: PipelineOptions
     collect: bool
     k_eval: int
-    delay: DelayContext
+    delay_frames: float
     ego_pose: Pose2
     motion_specs: list
+    xi_spec: XiPredictorSpec | None
 
 
 @dataclass
@@ -565,7 +581,7 @@ def _align_collaborator(run: _Run, agent_id, shipped: Future, counter):
             mf1 = MotionField(dp=received[f"s{s}.dp"], w=w_rx)
             aligned, _, xi = ptam_stage2(
                 received[f"s{s}.latest"], received[f"s{s}.inter"], mf1,
-                run.delay, run.motion_specs[s], ctx.xi_spec, ideal2[s],
+                run.delay_frames, run.motion_specs[s], run.xi_spec, ideal2[s],
                 opts.stage2_variant)
             aligned_scales.append(aligned)
             xi_report.append(xi)
@@ -576,11 +592,11 @@ def _align_collaborator(run: _Run, agent_id, shipped: Future, counter):
                                         received["s2.latest"])
 
     ms_gt = ctx.featurize(agent_id, run.t, opts.phd_collaborators)
-    tl = temporal_loss(ms_aligned.large, ms_gt.large, opts.window, counter)
+    tl = temporal_loss(ms_aligned.large, ms_gt.large, WINDOW, counter)
     cos_post = float(np.mean(tl.window_cosines))
     if opts.ptam:
         cos_pre = float(np.mean(window_cosines(
-            received["s0.latest"], ms_gt.large, opts.window)[0]))
+            received["s0.latest"], ms_gt.large, WINDOW)[0]))
     else:
         # unaligned, the large scale compared above is the received one
         cos_pre = cos_post
@@ -674,12 +690,13 @@ def run_pipeline(scenario: Scenario, t: float, tau: float,
     ego = scenario.agents[0]
     run = _Run(
         ctx=context, t=t, tau=tau, opts=opts, collect=collect, k_eval=k_eval,
-        delay=DelayContext(tau=tau, frame_interval=scenario.frame_interval,
-                           xi_mode=opts.xi_mode),
+        delay_frames=tau / scenario.frame_interval,
         ego_pose=agent_pose_at(scenario, ego, t),
-        # ideal motion overrides every estimate, so only learned motion needs specs
+        # ideal motion overrides every estimate, so only learned motion needs
+        # specs; without a xi spec, xi is the oracle delay_frames
         motion_specs=(context.motion_specs() if opts.motion_mode == "learned"
                       else [None] * len(SCALE_CHANNELS)),
+        xi_spec=context.xi_spec if opts.xi_mode == "learned" else None,
     )
     counter = OpCounter()
     keys = _ego_keys(run)
@@ -723,7 +740,7 @@ def run_pipeline(scenario: Scenario, t: float, tau: float,
 
     mse_all = [e for c in collabs for e in c.mse]
     expected = count_similarity_ops(SCALE_CHANNELS[0], bev.height, bev.width,
-                                    opts.window, mode="blockwise")
+                                    WINDOW, mode="blockwise")
     first = collabs[0] if collabs else None
     report = RunReport(
         tau_ms=tau * 1000.0, t=t, ptam=opts.ptam, codec=opts.codec,

@@ -16,6 +16,7 @@ import numpy as np
 from dataclasses import dataclass, asdict
 
 from ..domain_align import Pose2
+from ..featurizer import box_footprint_mask
 from ..numerics import ShapeError
 from ..pointcloud import OrientedBox, normalize_angle
 from ..temporal_align import MotionField
@@ -127,18 +128,24 @@ def scenario_boxes_at(scenario: Scenario, t: float) -> list:
     return [object_box_at(scenario, tr, t) for tr in scenario.objects]
 
 
+#: Renderer settings that no run varies: the fewest points an object gets,
+#: the share of an object's points drawn inside its box rather than on its
+#: shell, and the ground plane's point count, square side (m) and height
+#: noise (m).
+MIN_POINTS = 8
+INTERIOR_FRACTION = 0.2
+GROUND_POINTS = 400
+GROUND_EXTENT = 20.0
+GROUND_Z_SIGMA = 0.02
+
+
 @dataclass
 class RenderConfig:
-    """Point budget and ground plane settings for the renderer."""
+    """Point budget of the renderer, and whether it draws the ground."""
 
     density: float = 6000.0      # points = density / distance^2, then clipped
-    min_points: int = 8
     max_points: int = 500
-    interior_fraction: float = 0.2
     include_ground: bool = True
-    ground_points: int = 400
-    ground_extent: float = 20.0
-    ground_z_sigma: float = 0.02
 
     def __post_init__(self):
         def need(ok, name, want):
@@ -150,24 +157,15 @@ class RenderConfig:
             return (isinstance(value, kind) and not isinstance(value, bool)
                     and math.isfinite(value))
 
-        for name in ("min_points", "max_points", "ground_points"):
-            need(number(name, numbers.Integral) and getattr(self, name) >= 0, name,
-                 "a non-negative integer")
-        need(self.max_points >= self.min_points, "max_points",
-             f"at least min_points={self.min_points}")
+        need(number("max_points", numbers.Integral) and self.max_points >= MIN_POINTS,
+             "max_points", f"an integer of at least {MIN_POINTS}")
         need(number("density") and self.density > 0.0, "density", "positive and finite")
-        need(number("interior_fraction") and 0.0 <= self.interior_fraction <= 1.0,
-             "interior_fraction", "in [0, 1]")
         need(isinstance(self.include_ground, bool), "include_ground", "true or false")
-        need(number("ground_extent") and self.ground_extent > 0.0, "ground_extent",
-             "positive and finite")
-        need(number("ground_z_sigma") and self.ground_z_sigma >= 0.0, "ground_z_sigma",
-             "non-negative and finite")
 
 
-def _object_local_points(rng, box: OrientedBox, n: int, interior_fraction: float):
+def _object_local_points(rng, box: OrientedBox, n: int, inside: float):
     """Sample body-frame points on the box shell plus a sprinkle inside."""
-    n_in = int(round(n * interior_fraction))
+    n_in = int(round(n * inside))
     n_surf = n - n_in
     hl, hw, hh = box.length / 2.0, box.width / 2.0, box.height / 2.0
     # faces: +x, -x, +y, -y, top; weighted by area
@@ -205,22 +203,22 @@ def _frozen_object_samples(scenario: Scenario, agent_idx: int, cfg: RenderConfig
         b0 = track.box
         d = math.hypot(b0.cx - agent.pose.x, b0.cy - agent.pose.y)
         d = max(d, 1.0)
-        n = int(np.clip(round(cfg.density / (d * d)), cfg.min_points, cfg.max_points))
+        n = int(np.clip(round(cfg.density / (d * d)), MIN_POINTS, cfg.max_points))
         rng = np.random.default_rng(
             np.random.SeedSequence([scenario.seed, _RENDER_TAG, agent_idx, oi]))
-        samples.append(_object_local_points(rng, b0, n, cfg.interior_fraction))
+        samples.append(_object_local_points(rng, b0, n, INTERIOR_FRACTION))
     return samples
 
 
-def _ground_points(scenario: Scenario, agent_idx: int, cfg: RenderConfig):
+def _ground_plane(scenario: Scenario, agent_idx: int):
     agent = scenario.agents[agent_idx]
     rng = np.random.default_rng(
         np.random.SeedSequence([scenario.seed, _GROUND_TAG, agent_idx]))
-    half = cfg.ground_extent / 2.0
-    xy = rng.uniform(-half, half, size=(cfg.ground_points, 2))
+    half = GROUND_EXTENT / 2.0
+    xy = rng.uniform(-half, half, size=(GROUND_POINTS, 2))
     xy += np.array([agent.pose.x, agent.pose.y])
-    z = rng.normal(0.0, cfg.ground_z_sigma, size=(cfg.ground_points, 1))
-    inten = rng.uniform(0.05, 0.25, size=(cfg.ground_points, 1))
+    z = rng.normal(0.0, GROUND_Z_SIGMA, size=(GROUND_POINTS, 1))
+    inten = rng.uniform(0.05, 0.25, size=(GROUND_POINTS, 1))
     return np.concatenate([xy, z, inten], axis=1)
 
 
@@ -243,8 +241,8 @@ def render_pointcloud(scenario: Scenario, agent_id: str, t: float,
         world[:, 2] = local[:, 2] + box.cz
         world[:, 3] = local[:, 3]
         chunks.append(world)
-    if cfg.include_ground and cfg.ground_points > 0:
-        chunks.append(_ground_points(scenario, agent_idx, cfg))
+    if cfg.include_ground:
+        chunks.append(_ground_plane(scenario, agent_idx))
     if not chunks:
         return np.zeros((0, 4))
     world = np.concatenate(chunks, axis=0)
@@ -266,24 +264,6 @@ def scenario_boxes_local(scenario: Scenario, agent_id: str, t: float) -> list:
     agent = scenario.agent(agent_id)
     pose = agent_pose_at(scenario, agent, t)
     return [_box_in_agent_frame(b, pose) for b in scenario_boxes_at(scenario, t)]
-
-
-def _footprint_cells(box: OrientedBox, origin_x, origin_y, cell, h, w,
-                     pad_cells: int) -> np.ndarray:
-    """Closed footprint membership of cell centers on an arbitrary grid."""
-    grown = OrientedBox(box.cx, box.cy, box.cz,
-                        box.length + 2.0 * pad_cells * cell,
-                        box.width + 2.0 * pad_cells * cell,
-                        box.height, box.yaw)
-    ii, jj = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    cx = origin_x + (jj + 0.5) * cell
-    cy = origin_y + (ii + 0.5) * cell
-    pts = np.stack([cx.ravel(), cy.ravel()], axis=1)
-    local = grown.to_local(np.concatenate(
-        [pts, np.full((pts.shape[0], 1), grown.cz)], axis=1))
-    inside = ((np.abs(local[:, 0]) <= grown.length / 2.0)
-              & (np.abs(local[:, 1]) <= grown.width / 2.0))
-    return inside.reshape(h, w)
 
 
 _FOOTPRINT_DILATE = 3  # cells by which the footprint motion grows each box
@@ -314,10 +294,9 @@ def ideal_motion_field(scenario: Scenario, agent_id: str, src_t: float,
         d_local = pose.to_local(d_world)
         step = (d_local[0] - d_local[1]) / cell
         b_src = object_box_at(scenario, track, src_t)
-        m = (_footprint_cells(_box_in_agent_frame(b_src, pose),
-                              origin_x, origin_y, cell, h, w, _FOOTPRINT_DILATE)
-             | _footprint_cells(_box_in_agent_frame(b_dst, pose),
-                                origin_x, origin_y, cell, h, w, _FOOTPRINT_DILATE))
+        m = box_footprint_mask([_box_in_agent_frame(b_src, pose),
+                                _box_in_agent_frame(b_dst, pose)],
+                               origin_x, origin_y, cell, h, w, _FOOTPRINT_DILATE)
         dp[0][m] = step[0]
         dp[1][m] = step[1]
     w_map = np.full((1, h, w), np.nextafter(1.0, 0.0))

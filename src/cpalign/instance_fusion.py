@@ -506,7 +506,8 @@ def foreground_loss(pred: np.ndarray, boxes: list,
         )
     if np.any(pred < 0.0) or np.any(pred > 1.0):
         raise ShapeError("foreground predictions must lie in [0, 1]")
-    y = box_footprint_mask(boxes, spec).astype(np.float64)[None]
+    y = box_footprint_mask(boxes, spec.origin_x, spec.origin_y, spec.cell,
+                           spec.height, spec.width).astype(np.float64)[None]
     norm = max(float(y.sum()), 1.0)
     w = (FOREGROUND_CELL_WEIGHT * y + BACKGROUND_CELL_WEIGHT * (1.0 - y)) / norm
     p = np.clip(pred, _P_CLAMP, 1.0 - _P_CLAMP)

@@ -235,16 +235,17 @@ def require_weights(weights: Mapping[str, np.ndarray], names: Sequence[str],
 def freeze_weights(weights: Mapping[str, np.ndarray]) -> Mapping[str, np.ndarray]:
     """Read-only name -> float64 array mapping, in input order.
 
-    Each array is read-only and owns its data: arrays that already qualify
-    are kept, views and other dtypes are copied first, so no caller can
-    reach the data through a writable base.
+    Each array is read-only and owns its data. A float64 array that already
+    qualifies is kept; anything else (a writable array, a view, another
+    dtype) is copied, so the caller's own arrays stay as they were and no
+    caller can reach the data through a writable base.
     """
     out = {}
     for name, arr in weights.items():
-        arr = np.asarray(arr, dtype=np.float64)
-        if not arr.flags.owndata:
-            arr = arr.copy()
-        arr.flags.writeable = False
+        if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
+                and arr.flags.owndata and not arr.flags.writeable):
+            arr = np.array(arr, dtype=np.float64)
+            arr.flags.writeable = False
         out[name] = arr
     return types.MappingProxyType(out)
 
@@ -346,5 +347,6 @@ def _read_archive(fh: BinaryIO) -> Mapping[str, np.ndarray]:
         arr = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float64)
         if not np.all(np.isfinite(arr)):
             raise ArchiveError(f"tensor {name!r} contains non-finite values")
+        arr.flags.writeable = False  # ours alone: freeze_weights keeps it uncopied
         out[name] = arr
     return freeze_weights(out)

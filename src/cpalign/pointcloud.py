@@ -91,40 +91,28 @@ class OrientedBox:
         return local @ rot.T + np.array([self.cx, self.cy])
 
 
-@dataclass
-class PhdConfig:
-    """Knobs for the proximal downsampling pass."""
-
-    distance_threshold: float = 50.0   # planar metres from the agent
-    max_boxes: int = 2                 # proximal boxes processed per frame
-    inner_scale: float = 0.5           # alpha, concentric inner box factor
-    inner_keep: float = 0.6            # FPS ratio inside the inner box
-    outer_keep: float = 0.8            # FPS ratio for the outer shell
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.distance_threshold <= 0:
-            raise ShapeError("distance_threshold must be positive")
-        if self.max_boxes < 1:
-            raise ShapeError("max_boxes must be at least 1")
-        if not 0.0 < self.inner_scale < 1.0:
-            raise ShapeError("inner_scale must lie in (0, 1)")
-        for r in (self.inner_keep, self.outer_keep):
-            if not 0.0 < r <= 1.0:
-                raise ShapeError("keep ratios must lie in (0, 1]")
+#: Proximal hierarchical downsampling, fixed as in the paper: at most
+#: PHD_MAX_BOXES boxes within PHD_DISTANCE planar metres of the agent, each
+#: split at the alpha = PHD_INNER_SCALE concentric box, its inner box and
+#: outer shell kept at these FPS ratios.
+PHD_DISTANCE = 50.0
+PHD_MAX_BOXES = 2
+PHD_INNER_SCALE = 0.5
+PHD_INNER_KEEP = 0.6
+PHD_OUTER_KEEP = 0.8
 
 
-def select_proximal(boxes: list, agent_xy, cfg: PhdConfig) -> list:
-    """Indices of boxes within the planar distance threshold, at most
-    cfg.max_boxes of them, chosen uniformly without replacement (seeded by
-    cfg.seed) when more qualify. Always returned in ascending index order."""
+def select_proximal(boxes: list, agent_xy, seed: int) -> list:
+    """Indices of boxes within PHD_DISTANCE, at most PHD_MAX_BOXES of them,
+    chosen uniformly without replacement (seeded by ``seed``) when more
+    qualify. Always returned in ascending index order."""
     ax, ay = float(agent_xy[0]), float(agent_xy[1])
     near = [i for i, b in enumerate(boxes)
-            if math.hypot(b.cx - ax, b.cy - ay) <= cfg.distance_threshold]
-    if len(near) <= cfg.max_boxes:
+            if math.hypot(b.cx - ax, b.cy - ay) <= PHD_DISTANCE]
+    if len(near) <= PHD_MAX_BOXES:
         return near
-    chosen = np.random.default_rng(cfg.seed).choice(len(near), size=cfg.max_boxes,
-                                                    replace=False)
+    chosen = np.random.default_rng(seed).choice(len(near), size=PHD_MAX_BOXES,
+                                                replace=False)
     return sorted(near[int(i)] for i in chosen)
 
 
@@ -165,20 +153,20 @@ def fps(points: np.ndarray, ratio: float) -> np.ndarray:
     return np.sort(picks)
 
 
-def phd_apply(cloud: np.ndarray, boxes: list, agent_xy, cfg: PhdConfig) -> np.ndarray:
+def phd_apply(cloud: np.ndarray, boxes: list, agent_xy, seed: int) -> np.ndarray:
     """Proximal hierarchical downsampling of one cloud.
 
-    Thins the points of at most cfg.max_boxes near-range boxes (inner and
-    outer regions FPS-reduced with their own ratios) and passes every other
-    point through untouched, preserving the original ordering. A point that
-    falls inside several selected boxes is owned by the first selected box
-    that contains it.
+    Thins the points of the near-range boxes :func:`select_proximal` picks
+    under ``seed`` (inner and outer regions FPS-reduced with their own
+    ratios) and passes every other point through untouched, preserving the
+    original ordering. A point that falls inside several selected boxes is
+    owned by the first selected box that contains it.
     """
     cloud = ensure_cloud(cloud)
     n = cloud.shape[0]
     if n == 0 or not boxes:
         return cloud.copy()
-    selected = select_proximal(boxes, agent_xy, cfg)
+    selected = select_proximal(boxes, agent_xy, seed)
     keep = np.ones(n, dtype=bool)
     owner = np.full(n, -1, dtype=np.int64)
     for bi in selected:
@@ -189,10 +177,10 @@ def phd_apply(cloud: np.ndarray, boxes: list, agent_xy, cfg: PhdConfig) -> np.nd
         if owned.size == 0:
             continue
         sub = cloud[owned]
-        inner_local, outer_local = partition_regions(sub, boxes[bi], cfg.inner_scale)
+        inner_local, outer_local = partition_regions(sub, boxes[bi], PHD_INNER_SCALE)
         keep[owned] = False
-        for local_idx, ratio in ((inner_local, cfg.inner_keep),
-                                 (outer_local, cfg.outer_keep)):
+        for local_idx, ratio in ((inner_local, PHD_INNER_KEEP),
+                                 (outer_local, PHD_OUTER_KEEP)):
             if local_idx.size:
                 kept_local = local_idx[fps(sub[local_idx], ratio)]
                 keep[owned[kept_local]] = True

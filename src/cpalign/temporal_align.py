@@ -64,29 +64,6 @@ class MotionField:
 
 
 @dataclass
-class DelayContext:
-    """Transmission delay bookkeeping. tau and frame_interval share units."""
-
-    tau: float
-    frame_interval: float = 0.1
-    xi_mode: str = "learned"
-
-    def __post_init__(self):
-        if self.frame_interval <= 0:
-            raise ShapeError("frame interval must be positive")
-        if self.tau < 0:
-            raise ShapeError("delay must be non-negative")
-        if self.xi_mode not in ("learned", "oracle"):
-            raise ShapeError(
-                f"xi_mode must be 'learned' or 'oracle', got {self.xi_mode!r}"
-            )
-
-    @property
-    def delay_frames(self) -> float:
-        return self.tau / self.frame_interval
-
-
-@dataclass
 class MotionEstimatorSpec:
     """Shared encoder over (frame, frame difference) pairs plus two heads.
 
@@ -284,29 +261,27 @@ def delay_embedding(delay_frames: float, dim: int = XI_EMBED_DIM) -> np.ndarray:
     return emb
 
 
-def predict_xi(stage1: MotionField, stage2: MotionField, ctx: DelayContext,
+def predict_xi(stage1: MotionField, stage2: MotionField, delay_frames: float,
                spec: XiPredictorSpec | None = None) -> float:
     """Temporal scaling factor, >= 0 via a final relu.
 
-    Oracle mode returns tau / frame_interval exactly and reads no spec.
-    Learned mode encodes the confidence-weighted motion difference between
-    the two stages, global-average-pools it, adds a sinusoidal embedding of
-    the measured delay, and regresses xi with a small MLP.
+    Without a spec this is oracle xi: the delay in frame intervals, exactly.
+    With one, xi is learned: the confidence-weighted motion difference
+    between the two stages is encoded, global-average-pooled, added to a
+    sinusoidal embedding of the measured delay, and regressed by a small MLP.
     """
-    if ctx.xi_mode == "oracle":
-        return ctx.delay_frames
+    if spec is None:
+        return delay_frames
     if stage1.dp.shape != stage2.dp.shape:
         raise ShapeError(
             f"stage motion shapes differ: {stage1.dp.shape} vs {stage2.dp.shape}"
         )
-    if spec is None:
-        raise ShapeError("learned xi needs an XiPredictorSpec")
     dm = stage2.dp * stage2.w - stage1.dp * stage1.w
     h = conv2d(dm, spec.conv0)
     for conv_a, conv_b in spec.res:
         h = relu(h + conv2d(conv2d(h, conv_a), conv_b))
     f_m = h.mean(axis=(1, 2))
-    f_t = f_m + delay_embedding(ctx.delay_frames, f_m.size)
+    f_t = f_m + delay_embedding(delay_frames, f_m.size)
     out = mlp_forward(np.concatenate([f_m, f_t]), spec.mlp)
     return float(max(out[0], 0.0))
 
@@ -328,7 +303,7 @@ def ptam_stage1(previous: np.ndarray, latest: np.ndarray,
 
 
 def ptam_stage2(latest: np.ndarray, inter: np.ndarray, stage1_field: MotionField,
-                ctx: DelayContext, spec: MotionEstimatorSpec | None = None,
+                delay_frames: float, spec: MotionEstimatorSpec | None = None,
                 xi_spec: XiPredictorSpec | None = None,
                 override: MotionField | None = None,
                 variant: str = "scaled") -> tuple[np.ndarray, MotionField, float]:
@@ -336,13 +311,15 @@ def ptam_stage2(latest: np.ndarray, inter: np.ndarray, stage1_field: MotionField
 
     variant "scaled" warps by xi times the re-estimated motion; variant
     "literal" reuses the stage-1 displacement unscaled. ``override``
-    replaces the re-estimate, and ``xi_spec`` is needed for learned xi only.
+    replaces the re-estimate. ``delay_frames`` is the delay in frame
+    intervals; ``xi_spec`` predicts xi from it, and without one xi is oracle
+    (:func:`predict_xi`).
     """
     if variant not in ("scaled", "literal"):
         raise ShapeError(f"unknown stage-2 variant {variant!r}")
     mf = override if override is not None else estimate_motion(inter, latest, spec)
     if variant == "scaled":
-        xi = predict_xi(stage1_field, mf, ctx, xi_spec)
+        xi = predict_xi(stage1_field, mf, delay_frames, xi_spec)
         aligned = warp_features(inter, mf.dp, xi, mf.w)
     else:
         xi = 1.0
@@ -353,6 +330,10 @@ def ptam_stage2(latest: np.ndarray, inter: np.ndarray, stage1_field: MotionField
 # ---------------------------------------------------------------------------
 # dual-window cosine objective
 # ---------------------------------------------------------------------------
+
+#: Window side l of the dual-window cosine, fixed as in the paper.
+WINDOW = 16
+
 
 def window_partition(height: int, width: int, window: int) -> tuple[np.ndarray, np.ndarray]:
     """Anchor coordinates (row, col) of the two window tilings.

@@ -263,7 +263,8 @@ def test_multiscale_validation():
 def test_box_footprint_mask_axis_aligned_exact():
     spec = BevSpec.centered(4.0, 4.0, cell=0.5)
     box = OrientedBox(0.0, 0.0, 0.0, 2.0, 1.0, 1.0)
-    mask = box_footprint_mask([box], spec)
+    mask = box_footprint_mask([box], spec.origin_x, spec.origin_y, spec.cell,
+                              spec.height, spec.width)
     rows, cols = np.nonzero(mask)
     # footprint x in [-1, 1], y in [-0.5, 0.5]: centers at +-0.75, +-0.25 (x)
     assert sorted(set(cols)) == [2, 3, 4, 5]
@@ -272,7 +273,25 @@ def test_box_footprint_mask_axis_aligned_exact():
 
 
 def test_box_footprint_mask_rotation():
-    spec = BevSpec.centered(6.0, 6.0, cell=0.5)
-    long_x = box_footprint_mask([OrientedBox(0, 0, 0, 4.0, 1.0, 1.0, yaw=0.0)], spec)
-    long_y = box_footprint_mask([OrientedBox(0, 0, 0, 4.0, 1.0, 1.0, yaw=math.pi / 2)], spec)
+    grid = (-3.0, -3.0, 0.5, 12, 12)
+    long_x = box_footprint_mask([OrientedBox(0, 0, 0, 4.0, 1.0, 1.0, yaw=0.0)], *grid)
+    long_y = box_footprint_mask([OrientedBox(0, 0, 0, 4.0, 1.0, 1.0, yaw=math.pi / 2)], *grid)
     np.testing.assert_array_equal(long_y, long_x.T)
+
+
+def test_box_footprint_mask_padding_and_any_grid():
+    # a 5 x 7 grid, which no BevSpec allows, and a rotated box
+    grid = (-1.4, -1.0, 0.4, 5, 7)
+    box = OrientedBox(0.1, 0.0, 0.5, 1.0, 0.6, 1.0, yaw=0.4)
+    padded = box_footprint_mask([box], *grid, pad_cells=2)
+    grown = OrientedBox(0.1, 0.0, 0.5, 1.0 + 2.0 * 2 * 0.4, 0.6 + 2.0 * 2 * 0.4, 1.0,
+                        yaw=0.4)
+    np.testing.assert_array_equal(padded, box_footprint_mask([grown], *grid))
+    plain = box_footprint_mask([box], *grid)
+    assert padded.shape == (5, 7) and plain.sum() < padded.sum()
+    assert not np.any(plain & ~padded)
+    # several boxes give the union of their footprints
+    other = OrientedBox(-1.0, 0.6, 0.5, 0.4, 0.4, 1.0)
+    np.testing.assert_array_equal(box_footprint_mask([box, other], *grid),
+                                  plain | box_footprint_mask([other], *grid))
+    assert not box_footprint_mask([], *grid).any()

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -195,12 +196,13 @@ def test_render_density_falls_with_distance():
     near = ObjectTrack(OrientedBox(3.0, 0.0, 0.8, 4.2, 1.8, 1.6))
     far = ObjectTrack(OrientedBox(9.0, 0.0, 0.8, 4.2, 1.8, 1.6))
     scn = _simple_scenario(objects=[near, far])
-    cfg = RenderConfig(include_ground=False, min_points=1)
+    cfg = RenderConfig(include_ground=False)
     cloud = render_pointcloud(scn, "ego", 0.0, cfg)
     n_near = int(np.sum(cloud[:, 0] < 6.0))
     n_far = cloud.shape[0] - n_near
-    # 1/d^2 scaling: distances 3 versus 9 give a 9x point ratio
-    assert n_near > 4 * n_far
+    # 1/d^2 scaling: distances 3 versus 9 give 667 and 74 points, the near
+    # count clipped to max_points = 500
+    assert (n_near, n_far) == (500, 74)
 
 
 def test_render_ground_static_in_world():
@@ -296,6 +298,11 @@ def test_non_finite_time_or_delay_names_it(bad):
         run_pipeline(scn, 0.8, bad, PipelineOptions(phd=False), bev=_BEV_SMALL)
 
 
+#: Renderer settings that are harness.scenario constants, not RenderConfig fields.
+_FIXED_RENDER = ("min_points", "interior_fraction", "ground_points", "ground_extent",
+                 "ground_z_sigma")
+
+
 @pytest.mark.parametrize("field,bad", [
     ("density", math.nan), ("density", 0.0), ("density", math.inf),
     ("min_points", -5), ("min_points", 2.5), ("max_points", 3),
@@ -304,10 +311,27 @@ def test_non_finite_time_or_delay_names_it(bad):
     ("ground_points", -3), ("ground_points", True),
     ("ground_extent", math.inf), ("ground_extent", 0.0),
     ("ground_z_sigma", -0.1), ("ground_z_sigma", math.nan),
+    ("max_points", 2.5), ("max_points", True), ("include_ground", 1),
 ])
 def test_render_config_names_the_bad_field(field, bad):
+    if field in _FIXED_RENDER:
+        # a fixed setting is no field: setting it at all is refused by name
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
+            RenderConfig(**{field: bad})
+        return
     with pytest.raises(ShapeError, match=f"^{field} must be .*, got {re.escape(repr(bad))}$"):
         RenderConfig(**{field: bad})
+
+
+def test_fixed_render_settings():
+    from cpalign.harness import scenario
+    assert (scenario.MIN_POINTS, scenario.INTERIOR_FRACTION, scenario.GROUND_POINTS,
+            scenario.GROUND_EXTENT, scenario.GROUND_Z_SIGMA) == (8, 0.2, 400, 20.0, 0.02)
+    assert RenderConfig() == RenderConfig(density=6000.0, max_points=500,
+                                          include_ground=True)
+    ground = render_pointcloud(_simple_scenario(objects=[]), "ego", 0.0)
+    assert ground.shape == (400, 4)
+    assert np.abs(ground[:, :2]).max() <= 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +415,8 @@ def test_detector_recovers_painted_boxes_exactly():
     gt = [OrientedBox(-2.0, -2.0, 0.5, 2.4, 1.6, 1.0),
           OrientedBox(3.2, 2.4, 0.5, 3.2, 0.8, 1.0)]
     from cpalign.featurizer import box_footprint_mask
-    dmap = box_footprint_mask(gt, spec).astype(float)[None]
+    dmap = box_footprint_mask(gt, spec.origin_x, spec.origin_y, spec.cell, spec.height,
+                              spec.width).astype(float)[None]
     report = evaluate_detection(dmap, gt, spec, threshold=0.5)
     assert report.ap[0.5] == pytest.approx(1.0)
     assert report.ap[0.7] == pytest.approx(1.0)
@@ -980,8 +1005,7 @@ def test_run_pipeline_reads_the_combine_mode_from_the_weights():
 
 def test_sweep_passes_every_option_to_both_runs():
     scn = _fast_scene()
-    opts = PipelineOptions(phd=False, stage2_variant="literal", window=8,
-                           detector_threshold=0.4, noise_seed=3)
+    opts = PipelineOptions(phd=False, stage2_variant="literal", detector_threshold=0.4)
     rows = sweep(scn, [200], opts, sigmas=((0.1, 1.0),), t=0.8, bev=_BEV_SMALL)
     got = {r["metric"]: r["value"] for r in rows}
     on, off = (run_pipeline(scn, 0.8, 0.2, replace(opts, ptam=ptam, sigma_local=0.1,
@@ -992,7 +1016,7 @@ def test_sweep_passes_every_option_to_both_runs():
     assert got["domain_loss"] == on.domain_loss
     assert got["mean_iou_ptam"] == on.mean_matched_iou
     assert got["mean_iou_baseline"] == off.mean_matched_iou
-    # the non-default window and stage-2 variant did reach the runs
+    # the non-default stage-2 variant did reach the runs
     plain = run_pipeline(scn, 0.8, 0.2, PipelineOptions(phd=False, sigma_local=0.1,
                                                         sigma_head_deg=1.0),
                          bev=_BEV_SMALL)
@@ -1024,7 +1048,8 @@ def _count_builds(monkeypatch) -> dict:
     return builds
 
 
-_ORACLE_BUILDS = {"head": 1, "struct": 1, "verification": 1, "xi": 1, "fold": 1}
+#: oracle xi reads no xi spec, so none is built; learned xi builds one
+_ORACLE_BUILDS = {"head": 1, "struct": 1, "verification": 1, "fold": 1}
 
 
 def test_sweep_builds_each_spec_once(monkeypatch):
@@ -1055,7 +1080,7 @@ def test_lone_runs_build_each_derived_value_once_per_frozen_weights(monkeypatch)
     first, second = (run_pipeline(scn, 0.8, 0.2, opts, weights, _BEV_SMALL)
                      for _ in range(2))
     assert _report_dict(first) == _report_dict(second)
-    assert builds == _ORACLE_BUILDS | {"motion": 3}
+    assert builds == _ORACLE_BUILDS | {"xi": 1, "motion": 3}
 
 
 def test_ideal_motion_builds_no_motion_spec(monkeypatch):
@@ -1063,7 +1088,7 @@ def test_ideal_motion_builds_no_motion_spec(monkeypatch):
     builds = _count_builds(monkeypatch)
     run_pipeline(_fast_scene(), 0.8, 0.2, PipelineOptions(phd=False, xi_mode="learned"),
                  _fresh_weights(), _BEV_SMALL)
-    assert builds == _ORACLE_BUILDS
+    assert builds == _ORACLE_BUILDS | {"xi": 1}
 
 
 def test_writable_weights_changed_in_place_give_the_fresh_result():
@@ -1208,11 +1233,11 @@ def test_sweep_stage_failure_propagates(monkeypatch):
     want = sweep(scn, [0, 200], opts, bev=_BEV_SMALL)
     stage2 = pipeline.ptam_stage2
 
-    def faulty(latest, inter, mf1, delay, *args, **kwargs):
+    def faulty(latest, inter, mf1, delay_frames, *args, **kwargs):
         # fails in one grid point only: the aligned run at 200 ms
-        if delay.tau == 0.2:
+        if delay_frames == 0.2 / scn.frame_interval:
             raise _LaneFault("ptam_stage2")
-        return stage2(latest, inter, mf1, delay, *args, **kwargs)
+        return stage2(latest, inter, mf1, delay_frames, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "ptam_stage2", faulty)
     runner = pipeline.run_pipeline
@@ -1315,6 +1340,17 @@ def test_build_weights_cover_all_stages_and_roundtrip(tmp_path):
             loaded["ifam.eps"] = np.array([5.0])
 
 
+def test_building_weights_copies_no_tensor():
+    # the weight set is built once: a copy on freezing would hold it twice
+    tracemalloc.start()
+    try:
+        w = pipeline._build_weights(7, "sum")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * sum(a.nbytes for a in w.values())
+
+
 def test_shared_weights_mapping_rejects_item_assignment():
     # a name rebound in the cached mapping once reached every later build
     w = build_pipeline_weights(0)
@@ -1341,6 +1377,23 @@ def test_pipeline_options_validation():
                 f"detector_threshold must be in (0, 1], got {bad}")):
             PipelineOptions(detector_threshold=bad)
     assert PipelineOptions(detector_threshold=1.0).detector_threshold == 1.0
+    with pytest.raises(ShapeError, match=re.escape(
+            "stage2_variant must be 'scaled' or 'literal', got 'bogus'")):
+        PipelineOptions(stage2_variant="bogus", ptam=False)
+    for name in ("ptam", "phd", "phd_collaborators"):
+        for bad in ("no", 1, None):
+            with pytest.raises(ShapeError, match=re.escape(
+                    f"{name} must be true or false, got {bad!r}")):
+                PipelineOptions(**{name: bad})
+    for bad in (-1, 1.5, True, "0"):
+        with pytest.raises(ShapeError, match=re.escape(
+                f"weight_seed must be a non-negative integer, got {bad!r}")):
+            PipelineOptions(weight_seed=bad)
+    assert PipelineOptions(weight_seed=np.int64(3)).weight_seed == 3
+    # the fixed settings are no options
+    for name in ("window", "noise_seed"):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            PipelineOptions(**{name: 8})
 
 
 # ---------------------------------------------------------------------------
@@ -1495,6 +1548,36 @@ def test_cli_empty_agent_cloud_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _overflowing_document() -> dict:
+    """A finite scenario document whose first car, at cx = vx = 1e308,
+    overflows to inf from frame 8 on."""
+    doc = scenario_to_dict(generate_scenario("straight"))
+    doc["objects"][0]["box"]["cx"] = 1e308
+    doc["objects"][0]["vx"] = 1e308
+    return doc
+
+
+@pytest.mark.parametrize("phd", [False, True])
+def test_featurize_rejects_a_non_finite_agent_cloud(phd):
+    # the error once came from deep in the stage that first read the cloud,
+    # naming neither the agent nor the frame
+    scn = scenario_from_dict(_overflowing_document())
+    assert np.isfinite(render_pointcloud(scn, "collab", 0.7)).all()
+    ctx = RunContext(scn, build_pipeline_weights(0), _BEV_SMALL, RenderConfig())
+    with pytest.raises(ShapeError, match=re.escape(
+            "agent 'collab' has a non-finite point cloud at frame 8 (t = 0.8 s)")):
+        ctx.featurize("collab", 0.8, phd)
+
+
+def test_cli_non_finite_agent_cloud_exits_2(tmp_path, capsys):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(_overflowing_document()))
+    assert _exit_code(["run", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"agent '(ego|collab)' has a non-finite point cloud at frame \d+ ", err)
+    assert "Traceback" not in err
+
+
 def _exit_code(argv):
     from cpalign.cli import main
     try:
@@ -1507,7 +1590,8 @@ def _exit_code(argv):
     (["run", "--tau-ms", "-100"], "got -0.1 s"),
     (["run", "--tau-ms", "nan"], "time nan"),
     (["run", "--t", "0.85"], "time 0.85"),
-    (["run", "--window", "0"], "window must be at least 1, got 0"),
+    pytest.param(["run", "--window", "8"], "unrecognized arguments: --window 8",
+                 id="window-flag-removed"),
     (["sweep", "--taus-ms", "0,abc"], "'abc' is not a number"),
     (["sweep", "--taus-ms", ","], "',' names no delay"),
     (["sweep", "--sigmas", "0:x"], "'x' is not a number"),
@@ -1515,6 +1599,8 @@ def _exit_code(argv):
     (["run", "--threshold", "nan"], "detector_threshold must be in (0, 1], got nan"),
     (["run", "--threshold", "0"], "detector_threshold must be in (0, 1], got 0.0"),
     (["run", "--ideal-mode", "global"], "unrecognized arguments: --ideal-mode global"),
+    (["run", "--weight-seed", "-1"], "weight_seed must be a non-negative integer, got -1"),
+    (["sweep", "--weight-seed", "-1"], "weight_seed must be a non-negative integer, got -1"),
 ])
 def test_cli_bad_flag_value_exits_2_naming_it(tmp_path, capsys, argv, named):
     out = tmp_path / "out"
@@ -1539,13 +1625,25 @@ def _bad_section(section, values, named, i):
     _bad_section("render", {"ground_points": -3}, "ground_points", 4),
     _bad_section("options", {"detector_threshold": math.nan}, "detector_threshold", 0),
     _bad_section("options", {"detector_threshold": 1.5}, "detector_threshold", 1),
+    _bad_section("options", {"window": 8}, "window", 2),
+    _bad_section("options", {"noise_seed": -3, "sigma_local": 0.2}, "noise_seed", 3),
+    _bad_section("options", {"stage2_variant": "bogus", "ptam": False}, "stage2_variant", 4),
+    _bad_section("options", {"ptam": "no"}, "ptam", 5),
+    _bad_section("options", {"phd": 1}, "phd", 6),
+    _bad_section("options", {"phd_collaborators": "yes"}, "phd_collaborators", 7),
+    _bad_section("options", {"weight_seed": -1}, "weight_seed", 8),
+    _bad_section("render", {"max_points": 2}, "max_points", 5),
 ])
 def test_cli_bad_render_config_exits_2(tmp_path, capsys, section, values, named):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({section: values}))
     assert _exit_code(["run", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert f"$.{section}: {named} must be" in err
+    if named in _FIXED_RENDER + ("window", "noise_seed"):
+        # a fixed setting is no key of its section
+        assert f"$.{section}.{named}: unknown key" in err
+    else:
+        assert f"$.{section}: {named} must be" in err
     assert "Traceback" not in err
 
 

@@ -399,7 +399,8 @@ def test_foreground_loss_perfect_prediction_small():
     spec = BevSpec.centered(4.0, 4.0, cell=0.5)
     boxes = [OrientedBox(0, 0, 0, 2.0, 1.0, 1.0)]
     from cpalign.featurizer import box_footprint_mask
-    y = box_footprint_mask(boxes, spec).astype(np.float64)[None]
+    y = box_footprint_mask(boxes, spec.origin_x, spec.origin_y, spec.cell, spec.height,
+                           spec.width).astype(np.float64)[None]
     # confident correct predictions drive the loss toward zero
     p = np.clip(y, 1e-7, 1 - 1e-7)
     loss, grad = foreground_loss(p, boxes, spec)

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cpalign.numerics import (
     MlpSpec,
     ShapeError,
     conv2d,
+    freeze_weights,
     load_weights,
     mlp_forward,
     save_weights,
@@ -247,6 +249,46 @@ def test_archive_errors_name_offending_tensor(tmp_path):
         load_weights(io.BytesIO(blob[:4] + b"\x09\x00" + blob[6:]))
     with pytest.raises(ArchiveError, match="non-finite"):
         save_weights({"bad": np.array([np.inf])}, io.BytesIO())
+
+
+def test_freeze_weights_leaves_the_callers_arrays_alone():
+    # freezing once set writeable=False on the caller's own arrays
+    own = np.arange(4.0)
+    base = np.arange(6.0)
+    view = base[1:5]
+    single = np.ones(3, dtype=np.float32)
+    frozen = freeze_weights({"own": own, "view": view, "single": single})
+    for arr in (own, base, view, single):
+        assert arr.flags.writeable
+    own[0] = 10.0
+    base[1] = 10.0
+    single[0] = 10.0
+    np.testing.assert_array_equal(frozen["own"], [0.0, 1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(frozen["view"], [1.0, 2.0, 3.0, 4.0])
+    np.testing.assert_array_equal(frozen["single"], [1.0, 1.0, 1.0])
+    for arr in frozen.values():
+        assert arr.dtype == np.float64
+        assert not arr.flags.writeable and arr.flags.owndata
+    # an array that is already frozen is kept as it is, not copied
+    again = freeze_weights(frozen)
+    assert all(again[k] is frozen[k] for k in frozen)
+
+
+def test_loading_weights_copies_no_tensor():
+    # each loaded tensor is made once: a copy on freezing would hold two
+    n = 1 << 20
+    buf = io.BytesIO()
+    save_weights({"big": np.ones(n, dtype=np.float32)}, buf)
+    buf.seek(0)
+    tracemalloc.start()
+    try:
+        loaded = load_weights(buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the float64 tensor (8n bytes) beside its float32 payload (4n), no more
+    assert peak < 1.25 * 12 * n
+    assert not loaded["big"].flags.writeable and loaded["big"].flags.owndata
 
 
 def test_require_weights_lists_all_missing():

@@ -6,8 +6,12 @@ import pytest
 from cpalign import kernels
 from cpalign.numerics import ShapeError
 from cpalign.pointcloud import (
+    PHD_DISTANCE,
+    PHD_INNER_KEEP,
+    PHD_INNER_SCALE,
+    PHD_MAX_BOXES,
+    PHD_OUTER_KEEP,
     OrientedBox,
-    PhdConfig,
     fps,
     partition_regions,
     phd_apply,
@@ -122,18 +126,19 @@ def test_partition_regions_respects_yaw():
 
 
 def test_select_proximal_threshold_and_cap():
-    cfg = PhdConfig(distance_threshold=10.0, max_boxes=2, seed=3)
-    boxes = [OrientedBox(d, 0, 0, 1, 1, 1) for d in (2.0, 5.0, 9.0, 30.0)]
-    assert select_proximal(boxes[:2] + boxes[3:], (0, 0), cfg) == [0, 1]
-    picked = select_proximal(boxes, (0, 0), cfg)
+    assert (PHD_DISTANCE, PHD_MAX_BOXES) == (50.0, 2)
+    boxes = [OrientedBox(d, 0, 0, 1, 1, 1) for d in (2.0, 5.0, 9.0, 60.0)]
+    assert select_proximal(boxes[:2] + boxes[3:], (0, 0), 3) == [0, 1]
+    picked = select_proximal(boxes, (0, 0), 3)
     assert len(picked) == 2
     assert picked == sorted(picked)
     assert set(picked) <= {0, 1, 2}
     # deterministic under a fixed seed
-    assert picked == select_proximal(boxes, (0, 0), cfg)
-    # boundary distance is inclusive
-    cfg1 = PhdConfig(distance_threshold=10.0, max_boxes=4)
-    assert select_proximal([OrientedBox(10.0, 0, 0, 1, 1, 1)], (0, 0), cfg1) == [0]
+    assert picked == select_proximal(boxes, (0, 0), 3)
+    # boundary distance is inclusive, and measured from the agent
+    assert select_proximal([OrientedBox(50.0, 0, 0, 1, 1, 1)], (0, 0), 0) == [0]
+    assert select_proximal([OrientedBox(50.5, 0, 0, 1, 1, 1)], (0, 0), 0) == []
+    assert select_proximal([OrientedBox(50.5, 0, 0, 1, 1, 1)], (0.5, 0), 0) == [0]
 
 
 def test_phd_apply_counts_and_passthrough():
@@ -145,11 +150,10 @@ def test_phd_apply_counts_and_passthrough():
     far_pts = random_cloud(rng, 25, scale=0.5)
     far_pts[:, 0] += 100.0                                 # beyond threshold, untouched
     cloud = np.concatenate([inner_pts, shell_pts, far_pts])
-    cfg = PhdConfig(distance_threshold=50.0, inner_scale=0.5,
-                    inner_keep=0.6, outer_keep=0.8)
-    inner_idx, outer_idx = partition_regions(cloud, box, cfg.inner_scale)
+    assert (PHD_INNER_SCALE, PHD_INNER_KEEP, PHD_OUTER_KEEP) == (0.5, 0.6, 0.8)
+    inner_idx, outer_idx = partition_regions(cloud, box, PHD_INNER_SCALE)
     n_untouched = cloud.shape[0] - len(inner_idx) - len(outer_idx)
-    out = phd_apply(cloud, [box], (0.0, 0.0), cfg)
+    out = phd_apply(cloud, [box], (0.0, 0.0), 0)
     expected = (math.ceil(0.6 * len(inner_idx)) + math.ceil(0.8 * len(outer_idx))
                 + n_untouched)
     assert out.shape == (expected, 4)
@@ -165,12 +169,11 @@ def test_phd_apply_counts_and_passthrough():
 def test_phd_apply_empty_region_and_no_boxes():
     rng = np.random.default_rng(2)
     cloud = random_cloud(rng, 12, scale=0.2)
-    cfg = PhdConfig()
-    np.testing.assert_array_equal(phd_apply(cloud, [], (0, 0), cfg), cloud)
+    np.testing.assert_array_equal(phd_apply(cloud, [], (0, 0), 0), cloud)
     # a box containing no points changes nothing
     empty_box = OrientedBox(20.0, 0, 0, 1, 1, 1)
-    np.testing.assert_array_equal(phd_apply(cloud, [empty_box], (0, 0), cfg), cloud)
-    assert phd_apply(np.empty((0, 4)), [empty_box], (0, 0), cfg).shape == (0, 4)
+    np.testing.assert_array_equal(phd_apply(cloud, [empty_box], (0, 0), 0), cloud)
+    assert phd_apply(np.empty((0, 4)), [empty_box], (0, 0), 0).shape == (0, 4)
 
 
 def test_phd_apply_overlapping_boxes_first_owner_wins():
@@ -179,10 +182,16 @@ def test_phd_apply_overlapping_boxes_first_owner_wins():
     cloud[:, 0] = np.linspace(-1.0, 1.0, 20)
     a = OrientedBox(-0.5, 0, 0, 2.0, 2.0, 2.0)
     b = OrientedBox(0.5, 0, 0, 2.0, 2.0, 2.0)
-    cfg = PhdConfig(inner_keep=0.5, outer_keep=0.5, inner_scale=0.5)
-    out = phd_apply(cloud, [a, b], (0.0, 0.0), cfg)
-    # all 20 points fall in a box; roughly half survive, none duplicated
-    assert out.shape[0] < 20
+    out = phd_apply(cloud, [a, b], (0.0, 0.0), 0)
+    # all 20 points fall in a box; each owner thins its own share once, so
+    # the survivors are the sum of four ceil(ratio * n) counts, none duplicated
+    owner_a = a.contains(cloud[:, :3])
+    expected = 0
+    for box, owned in ((a, cloud[owner_a]), (b, cloud[~owner_a])):
+        inner, outer = partition_regions(owned, box, PHD_INNER_SCALE)
+        expected += (math.ceil(PHD_INNER_KEEP * len(inner))
+                     + math.ceil(PHD_OUTER_KEEP * len(outer)))
+    assert out.shape[0] == expected < 20
     assert len({tuple(r) for r in out}) == out.shape[0]
 
 
@@ -192,7 +201,3 @@ def test_box_yaw_normalization_and_validation():
     assert abs(OrientedBox(0, 0, 0, 1, 1, 1, yaw=2 * math.pi).yaw) < 1e-12
     with pytest.raises(ShapeError):
         OrientedBox(0, 0, 0, 0.0, 1, 1)
-    with pytest.raises(ShapeError):
-        PhdConfig(inner_scale=1.0)
-    with pytest.raises(ShapeError):
-        PhdConfig(outer_keep=0.0)

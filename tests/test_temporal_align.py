@@ -6,7 +6,6 @@ import pytest
 from cpalign.numerics import ConvSpec, ShapeError, conv2d, sigmoid
 from cpalign.opcount import OpCounter, count_similarity_ops, window_grid_counts
 from cpalign.temporal_align import (
-    DelayContext,
     MotionEstimatorSpec,
     MotionField,
     XiPredictorSpec,
@@ -174,10 +173,12 @@ def test_delay_embedding_structure():
 
 
 def test_predict_xi_oracle_mode():
-    ctx = DelayContext(tau=0.5, frame_interval=0.1, xi_mode="oracle")
+    # without a spec xi is the oracle: the delay in frame intervals, exactly
     f = constant_field(4, 4, 0.0, 0.0)
-    assert predict_xi(f, f, ctx) == pytest.approx(5.0)
-    assert DelayContext(0.0, 0.1, "oracle").delay_frames == 0.0
+    assert predict_xi(f, f, 0.5 / 0.1) == 0.5 / 0.1
+    assert predict_xi(f, f, 0.0) == 0.0
+    # and the fields are not read: their shapes need not even agree
+    assert predict_xi(f, constant_field(3, 5, 1.0, 0.0), 2.5) == 2.5
 
 
 def test_predict_xi_learned_deterministic_and_nonnegative():
@@ -185,14 +186,15 @@ def test_predict_xi_learned_deterministic_and_nonnegative():
     h = w = 6
     f1 = MotionField(rng.normal(size=(2, h, w)), rng.uniform(0.3, 0.7, (1, h, w)))
     f2 = MotionField(rng.normal(size=(2, h, w)), rng.uniform(0.3, 0.7, (1, h, w)))
-    ctx = DelayContext(tau=0.3, frame_interval=0.1)
     spec = XiPredictorSpec.from_weights(default_xi_weights(4), "")
-    xi_a = predict_xi(f1, f2, ctx, spec)
-    xi_b = predict_xi(f1, f2, ctx, spec)
+    xi_a = predict_xi(f1, f2, 3.0, spec)
+    xi_b = predict_xi(f1, f2, 3.0, spec)
     assert xi_a == xi_b >= 0.0
     # zero weights collapse to relu(0) = 0
     zero = {k: np.zeros_like(v) for k, v in default_xi_weights().items()}
-    assert predict_xi(f1, f2, ctx, XiPredictorSpec.from_weights(zero, "")) == 0.0
+    assert predict_xi(f1, f2, 3.0, XiPredictorSpec.from_weights(zero, "")) == 0.0
+    with pytest.raises(ShapeError, match="stage motion shapes differ"):
+        predict_xi(f1, constant_field(3, 5, 1.0, 0.0), 3.0, spec)
 
 
 def test_xi_weight_names():
@@ -211,12 +213,10 @@ def test_missing_spec_raises_unless_nothing_reads_it():
     with pytest.raises(ShapeError, match="MotionEstimatorSpec"):
         ptam_stage1(frame, frame)
     with pytest.raises(ShapeError, match="MotionEstimatorSpec"):
-        ptam_stage2(frame, frame, f, DelayContext(0.3, 0.1, "oracle"))
-    with pytest.raises(ShapeError, match="XiPredictorSpec"):
-        ptam_stage2(frame, frame, f, DelayContext(0.3, 0.1), override=f)
-    # an override stands in for the motion spec, oracle xi for the xi spec
-    _, _, xi = ptam_stage2(frame, frame, f, DelayContext(0.3, 0.1, "oracle"), override=f)
-    assert xi == pytest.approx(3.0)
+        ptam_stage2(frame, frame, f, 3.0)
+    # an override stands in for the motion spec; without a xi spec xi is oracle
+    _, _, xi = ptam_stage2(frame, frame, f, 3.0, override=f)
+    assert xi == 3.0
 
 
 def test_stage1_advances_older_frame_one_interval():
@@ -238,10 +238,9 @@ def test_two_stage_alignment_matches_derived_transport():
     prev[0, 6, 2] = 1.0
     latest = np.zeros((1, h, w))
     latest[0, 6, 3] = 1.0
-    ctx = DelayContext(tau=0.2, frame_interval=0.1, xi_mode="oracle")
     ov = unit_field(h, w, 1.0, 0.0)
     inter, mf1 = ptam_stage1(prev, latest, override=ov)
-    aligned, _, xi = ptam_stage2(latest, inter, mf1, ctx, override=ov)
+    aligned, _, xi = ptam_stage2(latest, inter, mf1, 0.2 / 0.1, override=ov)
     assert xi == pytest.approx(2.0)
     # stage 1 output sits where the latest frame sits
     assert inter[0, 6, 3] == pytest.approx(1.0, rel=1e-9)
@@ -255,11 +254,10 @@ def test_zero_delay_reduces_to_confidence_scaled_inter():
     h = w = 8
     prev = rng.normal(size=(2, h, w))
     latest = rng.normal(size=(2, h, w))
-    ctx = DelayContext(tau=0.0, frame_interval=0.1, xi_mode="oracle")
     ov1 = unit_field(h, w, 0.25, -0.5)
     ov2 = unit_field(h, w, 0.75, 0.3)
     inter, mf1 = ptam_stage1(prev, latest, override=ov1)
-    aligned, _, _ = ptam_stage2(latest, inter, mf1, ctx, override=ov2)
+    aligned, _, _ = ptam_stage2(latest, inter, mf1, 0.0, override=ov2)
     np.testing.assert_allclose(aligned, inter * ov2.w, rtol=1e-12)
 
 
@@ -269,11 +267,10 @@ def test_stage2_literal_variant_reuses_stage1_displacement():
     prev[0, 4, 1] = 1.0
     latest = np.zeros((1, h, w))
     latest[0, 4, 2] = 1.0
-    ctx = DelayContext(tau=0.5, frame_interval=0.1, xi_mode="oracle")
     ov1 = unit_field(h, w, 1.0, 0.0)
     ov2 = unit_field(h, w, 3.0, 0.0)  # would move 3 * xi cells if scaled
     aligned, _, xi = ptam_stage2(latest, warp_features(prev, ov1.dp, 1.0, ov1.w),
-                                 ov1, ctx, override=ov2, variant="literal")
+                                 ov1, 0.5 / 0.1, override=ov2, variant="literal")
     assert xi == 1.0
     # literal variant moved by stage-1 displacement (1 cell), not xi * 3
     assert aligned[0, 4, 3] == pytest.approx(1.0, rel=1e-9)
