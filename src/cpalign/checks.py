@@ -31,7 +31,6 @@ from .featurizer import (
 from .harness.codec import encode_decode
 from .harness.pipeline import (
     PipelineOptions,
-    _ideal_fields,
     build_pipeline_weights,
     sweep,
 )
@@ -40,6 +39,7 @@ from .harness.scenario import (
     ObjectTrack,
     RenderConfig,
     Scenario,
+    ideal_motion_field,
     render_pointcloud,
 )
 from .instance_fusion import (
@@ -188,15 +188,13 @@ def check_delay_compensation() -> CheckResult:
     for tau_ms in (100, 200, 300, 400, 500):
         tau = tau_ms / 1000.0
         ms_prev, ms_latest = feats(t - tau - 0.1), feats(t - tau)
-        # the footprint fields the pipeline runs under ideal motion
-        f1 = _ideal_fields(scn, "collab", t - tau - 0.1, t - tau, bev)
-        f2 = _ideal_fields(scn, "collab", t - tau, t, bev)
         for s in range(3):
-            inter, mf1 = ptam_stage1(ms_prev.scales[s], ms_latest.scales[s],
-                                     override=f1[s])
+            # the footprint fields the pipeline runs under ideal motion
+            mf1 = ideal_motion_field(scn, "collab", t - tau - 0.1, t - tau, bev, s)
+            mf2 = ideal_motion_field(scn, "collab", t - tau, t, bev, s)
+            inter = ptam_stage1(ms_prev.scales[s], mf1)
             # no xi spec: oracle xi, the delay in frame intervals
-            aligned, _, _ = ptam_stage2(ms_latest.scales[s], inter, mf1, tau / 0.1,
-                                        override=f2[s])
+            aligned, _ = ptam_stage2(inter, mf1, mf2, tau / 0.1)
             worst = max(worst, float(np.abs(aligned - ms_gt.scales[s]).max()))
             if s == 0:
                 pre = float(np.mean(temporal_loss(

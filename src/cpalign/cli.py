@@ -31,6 +31,12 @@ def _number(text: str) -> float:
         raise argparse.ArgumentTypeError(f"{text.strip()!r} is not a number") from None
 
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text.strip()!r}")
+    return int(text)
+
+
 def _taus_ms(text: str) -> list:
     """``--taus-ms``: a comma list of delays in milliseconds."""
     taus = [_number(v) for v in text.split(",") if v.strip()]
@@ -237,6 +243,9 @@ def _bench_kernels(repeats: int) -> dict:
 
 
 def _cmd_bench(args) -> int:
+    if args.window > min(args.height, args.width):
+        raise ConfigError(f"--window {args.window} exceeds the {args.height}x{args.width} "
+                          "grid of --height and --width")
     ops_global = count_similarity_ops(args.channels, args.height, args.width,
                                       mode="global")
     ops_block = count_similarity_ops(args.channels, args.height, args.width,
@@ -314,13 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_bench = sub.add_parser("bench", help="operation budgets and kernel timing")
-    p_bench.add_argument("--channels", type=int, default=64)
-    p_bench.add_argument("--height", type=int, default=256)
-    p_bench.add_argument("--width", type=int, default=128)
-    p_bench.add_argument("--window", type=int, default=16)
+    p_bench.add_argument("--channels", type=_positive_int, default=64)
+    p_bench.add_argument("--height", type=_positive_int, default=256)
+    p_bench.add_argument("--width", type=_positive_int, default=128)
+    p_bench.add_argument("--window", type=_positive_int, default=16)
     p_bench.add_argument("--kernels", action="store_true",
                          help="time each kernel, one case per conv dispatch class")
-    p_bench.add_argument("--repeats", type=int, default=5)
+    p_bench.add_argument("--repeats", type=_positive_int, default=5)
     p_bench.add_argument("--out")
     p_bench.set_defaults(fn=_cmd_bench)
 

@@ -76,11 +76,13 @@ class BevSpec:
         return cx, cy
 
     def point_cells(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows, cols and an in-bounds mask for planar points (N, 2)."""
-        cols = np.floor((xy[:, 0] - self.origin_x) / self.cell).astype(np.int64)
-        rows = np.floor((xy[:, 1] - self.origin_y) / self.cell).astype(np.int64)
+        """Rows and cols of the in-bounds planar points (N, 2), and the mask
+        that picks them; a point so far out that it overflows is dropped."""
+        with np.errstate(over="ignore"):  # inf fails the float bounds test
+            cols = np.floor((xy[:, 0] - self.origin_x) / self.cell)
+            rows = np.floor((xy[:, 1] - self.origin_y) / self.cell)
         ok = (cols >= 0) & (cols < self.width) & (rows >= 0) & (rows < self.height)
-        return rows, cols, ok
+        return rows[ok].astype(np.int64), cols[ok].astype(np.int64), ok
 
 
 def pillar_encode(cloud: np.ndarray, spec: BevSpec) -> np.ndarray:
@@ -98,7 +100,6 @@ def pillar_encode(cloud: np.ndarray, spec: BevSpec) -> np.ndarray:
     rows, cols, ok = spec.point_cells(cloud[:, :2])
     if not ok.any():
         return out
-    rows, cols = rows[ok], cols[ok]
     pts = cloud[ok]
     ccx = spec.origin_x + (cols + 0.5) * spec.cell
     ccy = spec.origin_y + (rows + 0.5) * spec.cell

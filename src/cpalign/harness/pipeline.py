@@ -68,6 +68,7 @@ from ..temporal_align import (
     XiPredictorSpec,
     default_motion_weights,
     default_xi_weights,
+    estimate_motion,
     ptam_stage1,
     ptam_stage2,
     temporal_loss,
@@ -94,7 +95,11 @@ _W_CLIP = 1e-6
 
 @dataclass
 class PipelineOptions:
-    """Run-level switches; everything defaults to the clean oracle setup."""
+    """Run-level switches; everything defaults to the clean oracle setup.
+
+    At the default weights learned motion and xi are a cost model, not an
+    estimator: every field is dp = 0, w = sigmoid(4), and xi = 0 at seed 0.
+    """
 
     ptam: bool = True
     xi_mode: str = "oracle"          # oracle | learned
@@ -357,9 +362,9 @@ class RunContext(_Memo):
         n = len(self.scenario.agents)
         return self._derive(("fold", n), fusion_fold, n, ENERGY_CHANNELS)
 
-    def motion_specs(self) -> list:
-        return [self._derive(("motion", s), MotionEstimatorSpec.from_weights,
-                             f"ptam.motion.s{s}.") for s in range(len(SCALE_CHANNELS))]
+    def motion_spec(self, s: int) -> MotionEstimatorSpec:
+        return self._derive(("motion", s), MotionEstimatorSpec.from_weights,
+                            f"ptam.motion.s{s}.")
 
     def check(self, scenario, weights, bev, render_cfg) -> None:
         """Raise unless a run under these inputs may use this context."""
@@ -407,13 +412,6 @@ def _noisy_pose(pose: Pose2, scenario, frame_idx, agent_idx, opts) -> Pose2:
     dx, dy = rng.normal(0.0, opts.sigma_local, size=2) if opts.sigma_local else (0.0, 0.0)
     dyaw = rng.normal(0.0, math.radians(opts.sigma_head_deg)) if opts.sigma_head_deg else 0.0
     return Pose2(pose.x + dx, pose.y + dy, pose.yaw + dyaw)
-
-
-def _ideal_fields(scenario, agent_id, src_t, dst_t, bev) -> list:
-    """The ideal motion field on each scale's grid, halved per scale."""
-    return [ideal_motion_field(scenario, agent_id, src_t, dst_t, bev.origin_x,
-                               bev.origin_y, bev.cell * (1 << s), bev.height >> s,
-                               bev.width >> s) for s in range(len(SCALE_CHANNELS))]
 
 
 _LANE_LOCK = threading.Lock()
@@ -471,8 +469,6 @@ class _Run:
     k_eval: int
     delay_frames: float
     ego_pose: Pose2
-    motion_specs: list
-    xi_spec: XiPredictorSpec | None
 
 
 @dataclass
@@ -513,6 +509,15 @@ def _ego_lane(run: _Run, view: Future, term: Future) -> None:
     term.set_result(fusion_term(refined, ctx.fold, 0))
 
 
+def _motion(run: _Run, s, agent_id, src_t, dst_t, newer, older) -> MotionField:
+    """The one choice of the field PTAM warps scale ``s`` by, src_t to dst_t:
+    the scene's ideal field, or the estimate from the two frames."""
+    ctx = run.ctx
+    if run.opts.motion_mode == "ideal":
+        return ideal_motion_field(ctx.scenario, agent_id, src_t, dst_t, ctx.bev, s)
+    return estimate_motion(newer, older, ctx.motion_spec(s))
+
+
 def _ship_stage1(run: _Run, agent_id, ms_latest):
     """The collaborator's side: PTAM stage 1 and the channel. Returns the
     received tensors and their errors; the payload dies here."""
@@ -521,11 +526,10 @@ def _ship_stage1(run: _Run, agent_id, ms_latest):
     payload = {}
     if opts.ptam:
         ms_prev = ctx.featurize(agent_id, t_prev, opts.phd_collaborators)
-        ideal1 = (_ideal_fields(ctx.scenario, agent_id, t_prev, run.t - run.tau, ctx.bev)
-                  if opts.motion_mode == "ideal" else [None] * 3)
         for s in range(len(SCALE_CHANNELS)):
-            inter, mf1 = ptam_stage1(ms_prev.scales[s], ms_latest.scales[s],
-                                     run.motion_specs[s], ideal1[s])
+            mf1 = _motion(run, s, agent_id, t_prev, run.t - run.tau,
+                          ms_latest.scales[s], ms_prev.scales[s])
+            inter = ptam_stage1(ms_prev.scales[s], mf1)
             payload[f"s{s}.latest"] = ms_latest.scales[s]
             payload[f"s{s}.inter"] = inter
             payload[f"s{s}.dp"] = mf1.dp
@@ -571,18 +575,19 @@ def _align_collaborator(run: _Run, agent_id, shipped: Future, counter):
     received, errors = shipped.result().pop()
     xi_report = []
     if opts.ptam:
-        ideal2 = (_ideal_fields(ctx.scenario, agent_id, run.t - run.tau, run.t, ctx.bev)
-                  if opts.motion_mode == "ideal" else [None] * 3)
+        # without a xi spec, xi is the oracle delay_frames
+        xi_spec = ctx.xi_spec if opts.xi_mode == "learned" else None
         aligned_scales = []
         for s in range(len(SCALE_CHANNELS)):
             w_rx = received[f"s{s}.w"]
             if opts.codec != "identity":
                 w_rx = np.clip(w_rx, _W_CLIP, 1.0 - _W_CLIP)
             mf1 = MotionField(dp=received[f"s{s}.dp"], w=w_rx)
-            aligned, _, xi = ptam_stage2(
-                received[f"s{s}.latest"], received[f"s{s}.inter"], mf1,
-                run.delay_frames, run.motion_specs[s], run.xi_spec, ideal2[s],
-                opts.stage2_variant)
+            inter = received[f"s{s}.inter"]
+            mf2 = _motion(run, s, agent_id, run.t - run.tau, run.t, inter,
+                          received[f"s{s}.latest"])
+            aligned, xi = ptam_stage2(inter, mf1, mf2, run.delay_frames, xi_spec,
+                                      opts.stage2_variant)
             aligned_scales.append(aligned)
             xi_report.append(xi)
         ms_aligned = MultiScaleFeatures(*aligned_scales)
@@ -692,11 +697,6 @@ def run_pipeline(scenario: Scenario, t: float, tau: float,
         ctx=context, t=t, tau=tau, opts=opts, collect=collect, k_eval=k_eval,
         delay_frames=tau / scenario.frame_interval,
         ego_pose=agent_pose_at(scenario, ego, t),
-        # ideal motion overrides every estimate, so only learned motion needs
-        # specs; without a xi spec, xi is the oracle delay_frames
-        motion_specs=(context.motion_specs() if opts.motion_mode == "learned"
-                      else [None] * len(SCALE_CHANNELS)),
-        xi_spec=context.xi_spec if opts.xi_mode == "learned" else None,
     )
     counter = OpCounter()
     keys = _ego_keys(run)

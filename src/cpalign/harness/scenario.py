@@ -16,7 +16,7 @@ import numpy as np
 from dataclasses import dataclass, asdict
 
 from ..domain_align import Pose2
-from ..featurizer import box_footprint_mask
+from ..featurizer import BevSpec, box_footprint_mask
 from ..numerics import ShapeError
 from ..pointcloud import OrientedBox, normalize_angle
 from ..temporal_align import MotionField
@@ -270,13 +270,14 @@ _FOOTPRINT_DILATE = 3  # cells by which the footprint motion grows each box
 
 
 def ideal_motion_field(scenario: Scenario, agent_id: str, src_t: float,
-                       dst_t: float, origin_x: float, origin_y: float,
-                       cell: float, h: int, w: int) -> MotionField:
+                       dst_t: float, bev: BevSpec, scale: int = 0) -> MotionField:
     """Ground-truth one-frame displacement field on an agent-frame grid.
 
-    Values are the per-frame step of each track in cell units, measured at the
-    destination time, so scaling by the frame count of the gap reproduces the
-    full displacement.  Each track's step is stamped over the union of its
+    The grid is ``bev`` at pyramid level ``scale``: the same origin, the
+    cell doubled and the height and width halved per level. Values are the
+    per-frame step of each track in cell units, measured at the destination
+    time, so scaling by the frame count of the gap reproduces the full
+    displacement.  Each track's step is stamped over the union of its
     source and destination footprints (dilated by three cells to cover
     feature bleed from small convolutions); everywhere else the displacement
     is zero, which keeps static structure pinned.
@@ -286,6 +287,8 @@ def ideal_motion_field(scenario: Scenario, agent_id: str, src_t: float,
     agent = scenario.agent(agent_id)
     pose = agent_pose_at(scenario, agent, dst_t)
     dt = scenario.frame_interval
+    cell = bev.cell * (1 << scale)
+    h, w = bev.height >> scale, bev.width >> scale
     dp = np.zeros((2, h, w))
     for track in scenario.objects:
         b_dst = object_box_at(scenario, track, dst_t)
@@ -296,7 +299,7 @@ def ideal_motion_field(scenario: Scenario, agent_id: str, src_t: float,
         b_src = object_box_at(scenario, track, src_t)
         m = box_footprint_mask([_box_in_agent_frame(b_src, pose),
                                 _box_in_agent_frame(b_dst, pose)],
-                               origin_x, origin_y, cell, h, w, _FOOTPRINT_DILATE)
+                               bev.origin_x, bev.origin_y, cell, h, w, _FOOTPRINT_DILATE)
         dp[0][m] = step[0]
         dp[1][m] = step[1]
     w_map = np.full((1, h, w), np.nextafter(1.0, 0.0))

@@ -1,12 +1,13 @@
 """Progressive two-stage temporal alignment of delayed collaborator features.
 
 A collaborator shares features captured at t - tau together with the frame
-one interval before, t - tau - dt. Stage 1 estimates a per-cell motion
-field between the two frames and advances the older frame by exactly one
-interval. Stage 2 re-estimates motion against the result and advances it by
-a temporal scaling factor xi (ideally tau / dt, predicted from the motion
-fields and an embedding of the measured delay), landing the features on the
-ego's current timestamp.
+one interval before, t - tau - dt. Stage 1 advances the older frame by
+exactly one interval of a per-cell motion field between the two frames.
+Stage 2 advances the result by a second field, between it and the latest
+frame, times a temporal scaling factor xi (ideally tau / dt, predicted from
+the two fields and an embedding of the measured delay), landing the
+features on the ego's current timestamp. Each stage takes the field it
+warps by; :func:`estimate_motion` is the learned source of one.
 
 Warping is destination-indexed: out(y) = w(y) * F(y - xi * dp(y)) with
 bilinear interpolation and zero reads outside the grid, so integer
@@ -141,8 +142,6 @@ def estimate_motion(latest: np.ndarray, previous: np.ndarray,
         raise ShapeError(
             f"frame shapes differ: {latest.shape} vs {previous.shape}"
         )
-    if spec is None:
-        raise ShapeError("motion estimation needs a MotionEstimatorSpec")
     if latest.shape[0] != spec.channels:
         raise ShapeError(
             f"motion estimator built for {spec.channels} channels, got "
@@ -290,41 +289,29 @@ def predict_xi(stage1: MotionField, stage2: MotionField, delay_frames: float,
 # two-stage alignment
 # ---------------------------------------------------------------------------
 
-def ptam_stage1(previous: np.ndarray, latest: np.ndarray,
-                spec: MotionEstimatorSpec | None = None,
-                override: MotionField | None = None) -> tuple[np.ndarray, MotionField]:
-    """Advance the older frame by one interval of estimated motion.
-
-    ``override`` replaces the estimate; without it ``spec`` is required.
-    """
-    mf = override if override is not None else estimate_motion(latest, previous, spec)
-    inter = warp_features(previous, mf.dp, 1.0, mf.w)
-    return inter, mf
+def ptam_stage1(previous: np.ndarray, field: MotionField) -> np.ndarray:
+    """Advance the older frame by one interval of ``field``."""
+    return warp_features(previous, field.dp, 1.0, field.w)
 
 
-def ptam_stage2(latest: np.ndarray, inter: np.ndarray, stage1_field: MotionField,
-                delay_frames: float, spec: MotionEstimatorSpec | None = None,
-                xi_spec: XiPredictorSpec | None = None,
-                override: MotionField | None = None,
-                variant: str = "scaled") -> tuple[np.ndarray, MotionField, float]:
-    """Advance the stage-1 result across the remaining delay.
+def ptam_stage2(inter: np.ndarray, stage1_field: MotionField, field: MotionField,
+                delay_frames: float, xi_spec: XiPredictorSpec | None = None,
+                variant: str = "scaled") -> tuple[np.ndarray, float]:
+    """Advance the stage-1 result across the remaining delay; returns
+    ``(aligned, xi)``.
 
-    variant "scaled" warps by xi times the re-estimated motion; variant
-    "literal" reuses the stage-1 displacement unscaled. ``override``
-    replaces the re-estimate. ``delay_frames`` is the delay in frame
+    variant "scaled" warps by xi times ``field``'s displacement; variant
+    "literal" reuses the stage-1 displacement unscaled. Both sample with
+    ``field``'s confidence. ``delay_frames`` is the delay in frame
     intervals; ``xi_spec`` predicts xi from it, and without one xi is oracle
     (:func:`predict_xi`).
     """
     if variant not in ("scaled", "literal"):
         raise ShapeError(f"unknown stage-2 variant {variant!r}")
-    mf = override if override is not None else estimate_motion(inter, latest, spec)
     if variant == "scaled":
-        xi = predict_xi(stage1_field, mf, delay_frames, xi_spec)
-        aligned = warp_features(inter, mf.dp, xi, mf.w)
-    else:
-        xi = 1.0
-        aligned = warp_features(inter, stage1_field.dp, 1.0, mf.w)
-    return aligned, mf, xi
+        xi = predict_xi(stage1_field, field, delay_frames, xi_spec)
+        return warp_features(inter, field.dp, xi, field.w), xi
+    return warp_features(inter, stage1_field.dp, 1.0, field.w), 1.0
 
 
 # ---------------------------------------------------------------------------

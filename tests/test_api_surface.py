@@ -1,5 +1,5 @@
-"""The package's surface: every public name has a caller, and the stage
-modules hold no state.
+"""The package's surface: every public name has a caller, no module reads
+another's private names, and the stage modules hold no state.
 
 For the callers, the package is parsed with :mod:`ast`, not imported. A
 public name (one without a leading underscore) defined at the top level of
@@ -58,6 +58,40 @@ def unused_public_names(root: Path = SRC) -> list:
 
 def test_every_public_name_has_a_caller_in_the_package():
     assert unused_public_names() == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def cross_module_private_reads(root: Path = SRC) -> list:
+    """``module:line:name`` of every read of another module's private name.
+
+    A read is ``from m import _name``, or ``m._name`` where ``m`` is bound
+    by an import in the reading module.
+    """
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        module = path.relative_to(root).with_suffix("").as_posix().replace("/", ".")
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        modules = set()  # names the imports bind to modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    if _private(alias.name):
+                        found.append(f"{module}:{node.lineno}:{alias.name}")
+                    elif node.level and not node.module:  # from . import mod
+                        modules.add(alias.asname or alias.name)
+        found += [f"{module}:{node.lineno}:{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and _private(node.attr)
+                  and isinstance(node.value, ast.Name) and node.value.id in modules]
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    assert cross_module_private_reads() == []
 
 
 #: Modules of pure functions over explicit weights and specs: whatever is

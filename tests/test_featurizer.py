@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,20 @@ def test_pillar_encode_empty_and_out_of_range():
     assert pillar_encode(edge, spec).sum() == 0.0
     inner_edge = np.array([[-1.6, 0.0, 1.0, 0.5]])
     enc = pillar_encode(inner_edge, spec)
+    assert enc[0].sum() == 1.0 and enc[0, 4, 0] == 1.0
+
+
+def test_pillar_encode_drops_overflowing_points_without_a_warning():
+    # (x - origin) / cell overflows to inf for these finite points; the
+    # bounds test drops them before any cast to an integer cell index
+    spec = BevSpec.centered(3.2, 3.2, cell=0.4)
+    cloud = np.array([[1.7e308, 0.0, 1.0, 0.5],
+                      [0.0, -1.7e308, 1.0, 0.5],
+                      [-1.6, 0.0, 1.0, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        enc = pillar_encode(cloud, spec)
+    np.testing.assert_array_equal(enc, pillar_encode(cloud[2:], spec))
     assert enc[0].sum() == 1.0 and enc[0, 4, 0] == 1.0
 
 

@@ -339,13 +339,18 @@ def test_fixed_render_settings():
 
 def test_ideal_motion_footprint_stamps_only_track_cells():
     scn = _simple_scenario()
-    mf = ideal_motion_field(scn, "ego", 0.2, 0.4, -9.6, -9.6, 0.4, 48, 48)
-    stamped = mf.dp[0] != 0.0
-    assert 0 < stamped.sum() < 48 * 48
-    # one cell per frame along +x, nothing along +y
-    np.testing.assert_allclose(mf.dp[0][stamped], 1.0, rtol=0, atol=1e-12)
-    assert np.all(mf.dp[1] == 0.0)
-    assert np.all((mf.w > 0.0) & (mf.w < 1.0))
+    bev = BevSpec.centered(19.2, 19.2)
+    for scale in range(3):
+        mf = ideal_motion_field(scn, "ego", 0.2, 0.4, bev, scale)
+        n = 48 >> scale
+        assert mf.dp.shape == (2, n, n)
+        stamped = mf.dp[0] != 0.0
+        assert 0 < stamped.sum() < n * n
+        # one 0.4 m cell per frame along +x at full scale, halved per level
+        # as the cell doubles; nothing along +y
+        np.testing.assert_allclose(mf.dp[0][stamped], 0.5 ** scale, rtol=0, atol=1e-12)
+        assert np.all(mf.dp[1] == 0.0)
+        assert np.all((mf.w > 0.0) & (mf.w < 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -1233,11 +1238,11 @@ def test_sweep_stage_failure_propagates(monkeypatch):
     want = sweep(scn, [0, 200], opts, bev=_BEV_SMALL)
     stage2 = pipeline.ptam_stage2
 
-    def faulty(latest, inter, mf1, delay_frames, *args, **kwargs):
+    def faulty(inter, mf1, mf2, delay_frames, *args, **kwargs):
         # fails in one grid point only: the aligned run at 200 ms
         if delay_frames == 0.2 / scn.frame_interval:
             raise _LaneFault("ptam_stage2")
-        return stage2(latest, inter, mf1, delay_frames, *args, **kwargs)
+        return stage2(inter, mf1, mf2, delay_frames, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "ptam_stage2", faulty)
     runner = pipeline.run_pipeline
@@ -1601,6 +1606,14 @@ def _exit_code(argv):
     (["run", "--ideal-mode", "global"], "unrecognized arguments: --ideal-mode global"),
     (["run", "--weight-seed", "-1"], "weight_seed must be a non-negative integer, got -1"),
     (["sweep", "--weight-seed", "-1"], "weight_seed must be a non-negative integer, got -1"),
+    (["bench", "--window", "0"], "argument --window: must be a positive integer, got '0'"),
+    (["bench", "--height", "0"], "argument --height: must be a positive integer, got '0'"),
+    (["bench", "--channels", "-3"], "argument --channels: must be a positive integer, got '-3'"),
+    (["bench", "--width", "1.5"], "argument --width: must be a positive integer, got '1.5'"),
+    (["bench", "--kernels", "--repeats", "0"],
+     "argument --repeats: must be a positive integer, got '0'"),
+    (["bench", "--window", "100", "--height", "48", "--width", "48"],
+     "--window 100 exceeds the 48x48 grid of --height and --width"),
 ])
 def test_cli_bad_flag_value_exits_2_naming_it(tmp_path, capsys, argv, named):
     out = tmp_path / "out"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cpalign.harness.pipeline import SCALE_CHANNELS, build_pipeline_weights
 from cpalign.numerics import ConvSpec, ShapeError, conv2d, sigmoid
 from cpalign.opcount import OpCounter, count_similarity_ops, window_grid_counts
 from cpalign.temporal_align import (
@@ -106,6 +107,14 @@ def test_estimate_motion_zero_heads_identity_defaults():
     np.testing.assert_allclose(mf.w, sigmoid(np.array([4.0]))[0], rtol=1e-12)
     with pytest.raises(ShapeError):
         estimate_motion(a, rng.normal(size=(8, 5, 6)), spec)
+    # so do the pipeline's default weights on each of its three scales:
+    # whatever the frames, learned motion is the identity transport
+    weights = build_pipeline_weights(0)
+    for s, c in enumerate(SCALE_CHANNELS):
+        spec = MotionEstimatorSpec.from_weights(weights, f"ptam.motion.s{s}.")
+        mf = estimate_motion(rng.normal(size=(c, 4, 6)), rng.normal(size=(c, 4, 6)), spec)
+        np.testing.assert_array_equal(mf.dp, np.zeros((2, 4, 6)))
+        np.testing.assert_array_equal(mf.w, np.full((1, 4, 6), sigmoid(np.array([4.0]))[0]))
 
 
 def _literal_motion(latest, previous, w):
@@ -197,6 +206,16 @@ def test_predict_xi_learned_deterministic_and_nonnegative():
         predict_xi(f1, constant_field(3, 5, 1.0, 0.0), 3.0, spec)
 
 
+def test_learned_xi_at_the_default_weights_is_zero():
+    # learned motion at the default weights gives both stages dp = 0, so the
+    # predictor sees no motion difference; at weight seed 0 it then returns
+    # xi = 0 for every delay from 0 to 20 frames
+    spec = XiPredictorSpec.from_weights(build_pipeline_weights(0), "ptam.")
+    field = MotionField(np.zeros((2, 6, 6)), np.full((1, 6, 6), sigmoid(np.array([4.0]))[0]))
+    for delay_frames in np.linspace(0.0, 20.0, 81):
+        assert predict_xi(field, field, float(delay_frames), spec) == 0.0
+
+
 def test_xi_weight_names():
     w = default_xi_weights(prefix="ptam.")
     spec = XiPredictorSpec.from_weights(w, "ptam.")
@@ -206,25 +225,11 @@ def test_xi_weight_names():
         XiPredictorSpec.from_weights(w, "ptam.")
 
 
-def test_missing_spec_raises_unless_nothing_reads_it():
-    h = w = 5
-    frame = np.zeros((2, h, w))
-    f = constant_field(h, w, 0.0, 0.0)
-    with pytest.raises(ShapeError, match="MotionEstimatorSpec"):
-        ptam_stage1(frame, frame)
-    with pytest.raises(ShapeError, match="MotionEstimatorSpec"):
-        ptam_stage2(frame, frame, f, 3.0)
-    # an override stands in for the motion spec; without a xi spec xi is oracle
-    _, _, xi = ptam_stage2(frame, frame, f, 3.0, override=f)
-    assert xi == 3.0
-
-
 def test_stage1_advances_older_frame_one_interval():
     h = w = 8
     prev = np.zeros((1, h, w))
     prev[0, 4, 2] = 1.0
-    inter, mf = ptam_stage1(prev, np.zeros((1, h, w)),
-                            override=unit_field(h, w, 1.0, 0.0))
+    inter = ptam_stage1(prev, unit_field(h, w, 1.0, 0.0))
     # moved one column, scaled by the (nearly 1) confidence
     assert inter[0, 4, 3] == pytest.approx(1.0, rel=1e-9)
     assert abs(inter).sum() == pytest.approx(1.0, rel=1e-9)
@@ -236,11 +241,9 @@ def test_two_stage_alignment_matches_derived_transport():
     h = w = 12
     prev = np.zeros((1, h, w))
     prev[0, 6, 2] = 1.0
-    latest = np.zeros((1, h, w))
-    latest[0, 6, 3] = 1.0
     ov = unit_field(h, w, 1.0, 0.0)
-    inter, mf1 = ptam_stage1(prev, latest, override=ov)
-    aligned, _, xi = ptam_stage2(latest, inter, mf1, 0.2 / 0.1, override=ov)
+    inter = ptam_stage1(prev, ov)
+    aligned, xi = ptam_stage2(inter, ov, ov, 0.2 / 0.1)
     assert xi == pytest.approx(2.0)
     # stage 1 output sits where the latest frame sits
     assert inter[0, 6, 3] == pytest.approx(1.0, rel=1e-9)
@@ -253,11 +256,10 @@ def test_zero_delay_reduces_to_confidence_scaled_inter():
     rng = np.random.default_rng(5)
     h = w = 8
     prev = rng.normal(size=(2, h, w))
-    latest = rng.normal(size=(2, h, w))
     ov1 = unit_field(h, w, 0.25, -0.5)
     ov2 = unit_field(h, w, 0.75, 0.3)
-    inter, mf1 = ptam_stage1(prev, latest, override=ov1)
-    aligned, _, _ = ptam_stage2(latest, inter, mf1, 0.0, override=ov2)
+    inter = ptam_stage1(prev, ov1)
+    aligned, _ = ptam_stage2(inter, ov1, ov2, 0.0)
     np.testing.assert_allclose(aligned, inter * ov2.w, rtol=1e-12)
 
 
@@ -265,12 +267,10 @@ def test_stage2_literal_variant_reuses_stage1_displacement():
     h = w = 8
     prev = np.zeros((1, h, w))
     prev[0, 4, 1] = 1.0
-    latest = np.zeros((1, h, w))
-    latest[0, 4, 2] = 1.0
     ov1 = unit_field(h, w, 1.0, 0.0)
     ov2 = unit_field(h, w, 3.0, 0.0)  # would move 3 * xi cells if scaled
-    aligned, _, xi = ptam_stage2(latest, warp_features(prev, ov1.dp, 1.0, ov1.w),
-                                 ov1, 0.5 / 0.1, override=ov2, variant="literal")
+    aligned, xi = ptam_stage2(warp_features(prev, ov1.dp, 1.0, ov1.w), ov1, ov2,
+                              0.5 / 0.1, variant="literal")
     assert xi == 1.0
     # literal variant moved by stage-1 displacement (1 cell), not xi * 3
     assert aligned[0, 4, 3] == pytest.approx(1.0, rel=1e-9)
