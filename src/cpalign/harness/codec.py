@@ -4,7 +4,8 @@ Collaborators ship intermediate feature maps over a bandwidth-limited link.
 Three codecs are modelled: a lossless identity channel, float16 truncation,
 and symmetric per-tensor int8 quantization.  Each returns the decoded tensor
 plus the mean squared error introduced, so runs can report the distortion the
-alignment stages had to absorb.
+alignment stages had to absorb, and :func:`wire_bytes` gives the size a
+bundle takes on the link.
 """
 
 import numpy as np
@@ -15,6 +16,11 @@ from ..numerics import ShapeError
 _F16_MAX = float(np.finfo(np.float16).max)
 
 CODEC_MODES = ("identity", "fp16", "int8")
+
+#: Bytes per element on the link: identity ships float32, fp16 two bytes,
+#: int8 one byte plus a float32 scale per tensor.
+_ELEM_BYTES = {"identity": 4, "fp16": 2, "int8": 1}
+_INT8_SCALE_BYTES = 4
 
 
 @dataclass
@@ -50,6 +56,13 @@ def encode_decode(arr: np.ndarray, mode: str = "identity"):
             out = q * scale
     mse = float(np.mean((out - x) ** 2)) if x.size else 0.0
     return out, mse
+
+
+def wire_bytes(tensors: dict, mode: str) -> int:
+    """Payload size of one named bundle under codec ``mode``, in bytes."""
+    n = sum(int(np.size(a)) for a in tensors.values())
+    scales = _INT8_SCALE_BYTES * len(tensors) if mode == "int8" else 0
+    return n * _ELEM_BYTES[mode] + scales
 
 
 def transmit_tensors(tensors: dict, cfg: CodecConfig):

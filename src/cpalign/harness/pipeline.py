@@ -74,7 +74,7 @@ from ..temporal_align import (
     temporal_loss,
     window_cosines,
 )
-from .codec import CodecConfig, transmit_tensors
+from .codec import CodecConfig, transmit_tensors, wire_bytes
 from .detect import ENERGY_CHANNELS, detection_map, evaluate_detection
 from .scenario import (
     RenderConfig,
@@ -203,6 +203,7 @@ class RunReport:
     domain_loss: float = 0.0
     foreground_loss_value: float = 0.0
     codec_mse: float = 0.0
+    bytes_tx: int = 0
     op_counts: dict = field(default_factory=dict)
     ops_match_closed_form: bool = False
     wall_time_s: float = 0.0
@@ -221,6 +222,7 @@ class RunReport:
             "domain_loss": self.domain_loss,
             "foreground_loss": self.foreground_loss_value,
             "codec_mse": self.codec_mse,
+            "bytes_tx": self.bytes_tx,
             "ops_match_closed_form": self.ops_match_closed_form,
             "wall_time_s": self.wall_time_s,
         }
@@ -477,6 +479,7 @@ class _Collaborator:
 
     xi: list
     mse: list
+    bytes_tx: int
     cosine_pre: float
     cosine_post: float
     temporal_loss: float
@@ -518,26 +521,42 @@ def _motion(run: _Run, s, agent_id, src_t, dst_t, newer, older) -> MotionField:
     return estimate_motion(newer, older, ctx.motion_spec(s))
 
 
+def _shipped(opts: PipelineOptions, s: int) -> tuple:
+    """The one rule of what a collaborator ships of scale ``s``, in channel
+    order: exactly the tensors its receiver reads under ``opts``.
+
+    Without PTAM the latest frame is fused as received. With it the
+    receiver reads the stage-1 result; the large scale's latest frame for
+    ``cosine_pre``, and every scale's under learned motion, which estimates
+    stage 2's field from it; and the stage-1 field only under learned xi or
+    the literal variant, its only readers.
+    """
+    if not opts.ptam:
+        return ("latest",)
+    kinds = ("latest", "inter") if s == 0 or opts.motion_mode == "learned" else ("inter",)
+    if opts.xi_mode == "learned" or opts.stage2_variant == "literal":
+        kinds += ("dp", "w")
+    return kinds
+
+
 def _ship_stage1(run: _Run, agent_id, ms_latest):
     """The collaborator's side: PTAM stage 1 and the channel. Returns the
-    received tensors and their errors; the payload dies here."""
+    received tensors, their errors and the bytes they took on the channel;
+    the payload dies here."""
     opts, ctx = run.opts, run.ctx
     t_prev = run.t - run.tau - ctx.scenario.frame_interval
-    payload = {}
     if opts.ptam:
         ms_prev = ctx.featurize(agent_id, t_prev, opts.phd_collaborators)
-        for s in range(len(SCALE_CHANNELS)):
+    payload = {}
+    for s in range(len(SCALE_CHANNELS)):
+        tensors = {"latest": ms_latest.scales[s]}
+        if opts.ptam:
             mf1 = _motion(run, s, agent_id, t_prev, run.t - run.tau,
                           ms_latest.scales[s], ms_prev.scales[s])
-            inter = ptam_stage1(ms_prev.scales[s], mf1)
-            payload[f"s{s}.latest"] = ms_latest.scales[s]
-            payload[f"s{s}.inter"] = inter
-            payload[f"s{s}.dp"] = mf1.dp
-            payload[f"s{s}.w"] = mf1.w
-    else:
-        for s in range(len(SCALE_CHANNELS)):
-            payload[f"s{s}.latest"] = ms_latest.scales[s]
-    return transmit_tensors(payload, CodecConfig(opts.codec))
+            tensors.update(inter=ptam_stage1(ms_prev.scales[s], mf1), dp=mf1.dp, w=mf1.w)
+        payload.update((f"s{s}.{kind}", tensors[kind]) for kind in _shipped(opts, s))
+    return (*transmit_tensors(payload, CodecConfig(opts.codec)),
+            wire_bytes(payload, opts.codec))
 
 
 def _fill(slot: Future, result=None, exc=None) -> None:
@@ -554,8 +573,8 @@ def _fill(slot: Future, result=None, exc=None) -> None:
 
 def _sender(run: _Run, agent_id, shipped: Future) -> None:
     """A collaborator's job before the channel: its frame at t - tau, then
-    stage 1 and the codec. ``shipped`` gets ``[(received, errors)]``, a
-    one-item list the receiver pops, so the received tensors die with the
+    stage 1 and the codec. ``shipped`` gets ``[(received, errors, bytes)]``,
+    a one-item list the receiver pops, so the received tensors die with the
     receiver's use of them; or the error, if this job raises."""
     try:
         ms_latest = run.ctx.featurize(agent_id, run.t - run.tau,
@@ -572,21 +591,23 @@ def _align_collaborator(run: _Run, agent_id, shipped: Future, counter):
     sender shipped. Returns its aligned features and a record of the
     metrics; the received tensors die here."""
     opts, ctx = run.opts, run.ctx
-    received, errors = shipped.result().pop()
+    received, errors, nbytes = shipped.result().pop()
     xi_report = []
     if opts.ptam:
         # without a xi spec, xi is the oracle delay_frames
         xi_spec = ctx.xi_spec if opts.xi_mode == "learned" else None
         aligned_scales = []
         for s in range(len(SCALE_CHANNELS)):
-            w_rx = received[f"s{s}.w"]
-            if opts.codec != "identity":
-                w_rx = np.clip(w_rx, _W_CLIP, 1.0 - _W_CLIP)
-            mf1 = MotionField(dp=received[f"s{s}.dp"], w=w_rx)
-            inter = received[f"s{s}.inter"]
-            mf2 = _motion(run, s, agent_id, run.t - run.tau, run.t, inter,
-                          received[f"s{s}.latest"])
-            aligned, xi = ptam_stage2(inter, mf1, mf2, run.delay_frames, xi_spec,
+            rx = {kind: received[f"s{s}.{kind}"] for kind in _shipped(opts, s)}
+            mf1 = None
+            if "dp" in rx:
+                w_rx = rx["w"]
+                if opts.codec != "identity":
+                    w_rx = np.clip(w_rx, _W_CLIP, 1.0 - _W_CLIP)
+                mf1 = MotionField(dp=rx["dp"], w=w_rx)
+            mf2 = _motion(run, s, agent_id, run.t - run.tau, run.t, rx["inter"],
+                          rx.get("latest"))
+            aligned, xi = ptam_stage2(rx["inter"], mf1, mf2, run.delay_frames, xi_spec,
                                       opts.stage2_variant)
             aligned_scales.append(aligned)
             xi_report.append(xi)
@@ -606,8 +627,8 @@ def _align_collaborator(run: _Run, agent_id, shipped: Future, counter):
         # unaligned, the large scale compared above is the received one
         cos_pre = cos_post
     return ms_aligned, _Collaborator(xi=xi_report, mse=list(errors.values()),
-                                     cosine_pre=cos_pre, cosine_post=cos_post,
-                                     temporal_loss=tl.loss)
+                                     bytes_tx=nbytes, cosine_pre=cos_pre,
+                                     cosine_post=cos_post, temporal_loss=tl.loss)
 
 
 def _project_collaborator(run: _Run, j, agent, ms_aligned):
@@ -755,6 +776,7 @@ def run_pipeline(scenario: Scenario, t: float, tau: float,
         domain_loss=float(np.mean([c.domain_loss for c in collabs])) if collabs else 0.0,
         foreground_loss_value=fg_loss,
         codec_mse=float(np.mean(mse_all)) if mse_all else 0.0,
+        bytes_tx=sum(c.bytes_tx for c in collabs),
         op_counts=counter.counts.as_dict(),
         ops_match_closed_form=counter.counts.as_dict() == expected.as_dict(),
         wall_time_s=time.perf_counter() - start,

@@ -62,6 +62,30 @@ class Scenario:
         ids = [a.agent_id for a in self.agents]
         if len(set(ids)) != len(ids):
             raise ShapeError("agent ids must be unique")
+        # a track that overflows stays non-finite: the last frame finds every
+        # one, and only then are the frames scanned for the first
+        if self._overflowed(self.n_frames - 1):
+            k = next(k for k in range(self.n_frames) if self._overflowed(k))
+            raise ShapeError(f"{self._overflowed(k)} pose is not finite at frame {k} "
+                             f"(t = {k * self.frame_interval:g} s)")
+
+    def _overflowed(self, k: int) -> str | None:
+        """Key path of the first agent or object whose pose at frame k is not
+        finite, or None."""
+        t = k * self.frame_interval
+        for i, agent in enumerate(self.agents):
+            try:
+                agent_pose_at(self, agent, t)
+            except ShapeError:  # Pose2 refuses a non-finite component
+                return f"agents[{i}]"
+        for i, track in enumerate(self.objects):
+            try:
+                box = object_box_at(self, track, t)
+            except ValueError:  # normalize_angle refuses a yaw that overflowed
+                return f"objects[{i}]"
+            if not (math.isfinite(box.cx) and math.isfinite(box.cy)):
+                return f"objects[{i}]"
+        return None
 
     @property
     def n_frames(self):

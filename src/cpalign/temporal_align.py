@@ -294,7 +294,7 @@ def ptam_stage1(previous: np.ndarray, field: MotionField) -> np.ndarray:
     return warp_features(previous, field.dp, 1.0, field.w)
 
 
-def ptam_stage2(inter: np.ndarray, stage1_field: MotionField, field: MotionField,
+def ptam_stage2(inter: np.ndarray, stage1_field: MotionField | None, field: MotionField,
                 delay_frames: float, xi_spec: XiPredictorSpec | None = None,
                 variant: str = "scaled") -> tuple[np.ndarray, float]:
     """Advance the stage-1 result across the remaining delay; returns
@@ -304,10 +304,13 @@ def ptam_stage2(inter: np.ndarray, stage1_field: MotionField, field: MotionField
     "literal" reuses the stage-1 displacement unscaled. Both sample with
     ``field``'s confidence. ``delay_frames`` is the delay in frame
     intervals; ``xi_spec`` predicts xi from it, and without one xi is oracle
-    (:func:`predict_xi`).
+    (:func:`predict_xi`). Only the literal variant and learned xi read
+    ``stage1_field``; otherwise it may be None.
     """
     if variant not in ("scaled", "literal"):
         raise ShapeError(f"unknown stage-2 variant {variant!r}")
+    if stage1_field is None and (variant == "literal" or xi_spec is not None):
+        raise ShapeError("the literal variant and learned xi read the stage-1 field")
     if variant == "scaled":
         xi = predict_xi(stage1_field, field, delay_frames, xi_spec)
         return warp_features(inter, field.dp, xi, field.w), xi

@@ -1,5 +1,6 @@
 """Scenario rendering, transmission, detection, and pipeline behavior."""
 
+import importlib.util
 import json
 import math
 import os
@@ -10,7 +11,9 @@ import threading
 import time
 import tracemalloc
 import weakref
+from collections.abc import Mapping
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +67,23 @@ from cpalign.instance_fusion import (
 )
 from cpalign.numerics import ConvSpec, ShapeError, conv2d, freeze_weights, save_weights
 from cpalign.pointcloud import OrientedBox
+
+
+def _load_tracer():
+    """``perfbench/tracer.py``, loaded without writing under ``perfbench/``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+tracer = _load_tracer()
 
 
 def _simple_scenario(**kw):
@@ -839,8 +859,103 @@ def test_received_tensors_die_with_their_receiver(monkeypatch):
     _, outcome = _call_with_timeout(
         lambda: run_pipeline(scn, 0.8, 0.2, opts, bev=_BEV_SMALL))
     assert "error" not in outcome, outcome.get("error")
-    assert all(len(refs) == 12 for refs in received.values())
+    # learned motion, oracle xi: each scale's stage-1 result and latest frame
+    assert all(len(refs) == 6 for refs in received.values())
     assert alive == {1: 0, 2: 0}
+
+
+class _ReadLog(Mapping):
+    """A received bundle that records which names its reader looks up."""
+
+    def __init__(self, tensors, read):
+        self._tensors, self._read = tensors, read
+
+    def __getitem__(self, name):
+        value = self._tensors[name]
+        self._read.add(name)
+        return value
+
+    def __iter__(self):
+        return iter(self._tensors)
+
+    def __len__(self):
+        return len(self._tensors)
+
+
+def _log_channel(monkeypatch):
+    """Route every ``transmit_tensors`` call of a run through a log: the
+    names shipped, the names the receivers read, the tensors shipped, and
+    their bytes by ``tracer.wire_bytes``."""
+    log = {"shipped": set(), "read": set(), "tensors": [], "bytes": 0}
+    send = pipeline.transmit_tensors
+
+    def logged(tensors, cfg):
+        log["shipped"] |= set(tensors)
+        log["tensors"] += list(tensors.values())
+        log["bytes"] += tracer.wire_bytes(tensors, cfg.mode)
+        received, errors = send(tensors, cfg)
+        return _ReadLog(received, log["read"]), errors
+
+    monkeypatch.setattr(pipeline, "transmit_tensors", logged)
+    return log
+
+
+def _payload_table(opts) -> set:
+    """What the receiver reads under ``opts``, as documented in the README."""
+    if not opts.ptam:
+        return {"s0.latest", "s1.latest", "s2.latest"}
+    names = {"s0.inter", "s1.inter", "s2.inter", "s0.latest"}
+    if opts.motion_mode == "learned":
+        names |= {"s1.latest", "s2.latest"}
+    if opts.xi_mode == "learned" or opts.stage2_variant == "literal":
+        names |= {f"s{s}.{kind}" for s in range(3) for kind in ("dp", "w")}
+    return names
+
+
+@pytest.mark.parametrize("variant", ["scaled", "literal"])
+@pytest.mark.parametrize("xi_mode", ["oracle", "learned"])
+@pytest.mark.parametrize("motion_mode", ["ideal", "learned"])
+@pytest.mark.parametrize("ptam", [True, False])
+def test_every_shipped_tensor_is_read(monkeypatch, ptam, motion_mode, xi_mode, variant):
+    # the sender once shipped 12 tensors whatever the options, and under
+    # the oracle defaults the receiver read 4 of them
+    opts = PipelineOptions(ptam=ptam, motion_mode=motion_mode, xi_mode=xi_mode,
+                           stage2_variant=variant, phd=False)
+    log = _log_channel(monkeypatch)
+    run_pipeline(_fast_scene(), 0.8, 0.2, opts, bev=_BEV_SMALL)
+    assert log["shipped"] == log["read"] == _payload_table(opts)
+
+
+@pytest.mark.parametrize("motion_mode", ["ideal", "learned"])
+@pytest.mark.parametrize("ptam", [True, False])
+@pytest.mark.parametrize("codec", ["identity", "fp16", "int8"])
+def test_bytes_tx_counts_what_the_channel_carries(monkeypatch, codec, ptam, motion_mode):
+    # the tracer's wire count, summed over the run's channel calls; two
+    # collaborators, so the report sums over both
+    opts = PipelineOptions(ptam=ptam, motion_mode=motion_mode, codec=codec, phd=False)
+    log = _log_channel(monkeypatch)
+    report = run_pipeline(_three_agent_scene(), 0.8, 0.2, opts, bev=_BEV_SMALL)
+    assert report.bytes_tx == log["bytes"] > 0
+    assert report.as_dict()["bytes_tx"] == report.bytes_tx
+
+
+def test_bytes_tx_at_the_default_grid_and_options():
+    # one collaborator, 48x48 cells: the three stage-1 results and the large
+    # latest frame, (64 + 128 / 4 + 256 / 16) * 2304 + 64 * 2304 floats of 4 B
+    report = run_pipeline(generate_scenario("straight"), 1.2, 0.3)
+    assert report.bytes_tx == 1_622_016
+
+
+def test_codec_mse_is_the_mean_over_the_shipped_tensors(monkeypatch):
+    # int8 under ideal motion and oracle xi ships 4 tensors, no longer 12,
+    # so the mean runs over those 4 (over all 12 it read 1.765e-05 here)
+    opts = PipelineOptions(codec="int8", phd=False)
+    log = _log_channel(monkeypatch)
+    report = run_pipeline(_fast_scene(), 0.8, 0.2, opts, bev=_BEV_SMALL)
+    assert len(log["tensors"]) == 4
+    errors = [encode_decode(a, "int8")[1] for a in log["tensors"]]
+    assert report.codec_mse == float(np.mean(errors))
+    assert report.codec_mse == pytest.approx(3.4418594958412094e-05, rel=1e-9)
 
 
 def test_receivers_balance_over_both_lanes(monkeypatch):
@@ -1563,24 +1678,55 @@ def _overflowing_document() -> dict:
 
 
 @pytest.mark.parametrize("phd", [False, True])
-def test_featurize_rejects_a_non_finite_agent_cloud(phd):
+def test_featurize_rejects_a_non_finite_agent_cloud(monkeypatch, phd):
     # the error once came from deep in the stage that first read the cloud,
-    # naming neither the agent nor the frame
-    scn = scenario_from_dict(_overflowing_document())
-    assert np.isfinite(render_pointcloud(scn, "collab", 0.7)).all()
+    # naming neither the agent nor the frame; a scenario cannot make such a
+    # cloud any more, so a stub renderer does
+    scn = _fast_scene()
+    render = pipeline.render_pointcloud
+
+    def nan_at_frame_8(scenario, agent_id, t, cfg):
+        cloud = render(scenario, agent_id, t, cfg)
+        if scenario.frame_index(t) == 8:
+            cloud[0, 1] = np.nan
+        return cloud
+
+    monkeypatch.setattr(pipeline, "render_pointcloud", nan_at_frame_8)
     ctx = RunContext(scn, build_pipeline_weights(0), _BEV_SMALL, RenderConfig())
+    ctx.featurize("collab", 0.7, phd)
     with pytest.raises(ShapeError, match=re.escape(
             "agent 'collab' has a non-finite point cloud at frame 8 (t = 0.8 s)")):
         ctx.featurize("collab", 0.8, phd)
 
 
 def test_cli_non_finite_agent_cloud_exits_2(tmp_path, capsys):
+    # the overflowing track is refused when the document loads, before any
+    # render computes with it
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(_overflowing_document()))
     assert _exit_code(["run", "--scenario", str(path)]) == 2
     err = capsys.readouterr().err
-    assert re.search(r"agent '(ego|collab)' has a non-finite point cloud at frame \d+ ", err)
+    assert "objects[0] pose is not finite at frame 8 (t = 0.8 s)" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("values,named,at", [
+    ({"objects[0].box.cx": 1e308, "objects[0].vx": 1e308}, "objects[0]", "frame 8 (t = 0.8 s)"),
+    ({"objects[1].vx": -1.7e308}, "objects[1]", "frame 11 (t = 1.1 s)"),
+    ({"agents[1].y": -1e308, "agents[1].vy": -1e308}, "agents[1]", "frame 8 (t = 0.8 s)"),
+    # a turning track is integrated frame by frame; once inf it stays inf
+    ({"objects[0].vx": 1e308, "objects[0].vy": 1.7e308, "objects[0].yaw_rate": 0.3},
+     "objects[0]", "frame 5 (t = 0.5 s)"),
+    # a yaw step that overflows once ended in a bare ValueError from the renderer
+    ({"objects[0].yaw_rate": 1e308, "frame_interval": 10.0, "duration": 20.0},
+     "objects[0]", "frame 1 (t = 10 s)"),
+], ids=["object", "second-object", "agent", "turning", "yaw"])
+def test_scenario_refuses_a_track_that_overflows(values, named, at):
+    doc = scenario_to_dict(generate_scenario("straight"))
+    for path, value in values.items():
+        _set_key_path(doc, path, value)
+    with pytest.raises(ShapeError, match=re.escape(f"{named} pose is not finite at {at}")):
+        scenario_from_dict(doc)
 
 
 def _exit_code(argv):

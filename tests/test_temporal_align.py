@@ -276,6 +276,24 @@ def test_stage2_literal_variant_reuses_stage1_displacement():
     assert aligned[0, 4, 3] == pytest.approx(1.0, rel=1e-9)
 
 
+def test_stage2_without_a_stage1_field_unless_it_is_read():
+    # the pipeline ships the stage-1 field only under learned xi or the
+    # literal variant; without it the scaled variant under oracle xi runs
+    # unchanged, and the two readers refuse to run blind
+    rng = np.random.default_rng(6)
+    h = w = 8
+    inter = rng.normal(size=(2, h, w))
+    ov1 = unit_field(h, w, 0.25, -0.5)
+    ov2 = unit_field(h, w, 0.75, 0.3)
+    aligned, xi = ptam_stage2(inter, None, ov2, 2.0)
+    want, want_xi = ptam_stage2(inter, ov1, ov2, 2.0)
+    assert xi == want_xi and np.array_equal(aligned, want)
+    spec = XiPredictorSpec.from_weights(default_xi_weights(4), "")
+    for kwargs in ({"variant": "literal"}, {"xi_spec": spec}):
+        with pytest.raises(ShapeError, match="read the stage-1 field"):
+            ptam_stage2(inter, None, ov2, 2.0, **kwargs)
+
+
 def test_window_partition_counts_and_anchors():
     w1, w2 = window_partition(256, 128, 16)
     assert len(w1) == 128 and len(w2) == 105
