@@ -71,8 +71,6 @@ _OPTION_FLAGS = (
                                help="transmit stale frames without temporal alignment")),
     ("--xi-mode", "xi_mode", dict(choices=("oracle", "learned"))),
     ("--motion-mode", "motion_mode", dict(choices=("ideal", "learned"))),
-    ("--variant", "stage2_variant", dict(choices=("scaled", "literal"),
-                                         help="second-stage displacement handling")),
     ("--codec", "codec", dict(choices=("identity", "fp16", "int8"))),
     ("--no-phd", "phd", dict(action="store_false",
                              help="skip near-range point downsampling on the ego cloud")),

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import math
+import numbers
 
 from ..featurizer import BevSpec
 from .pipeline import PipelineOptions
@@ -29,6 +31,12 @@ def _check_keys(section: dict, allowed: set, path: str) -> None:
         if key not in allowed:
             raise ConfigError(f"{path}.{key}: unknown key "
                               f"(allowed: {', '.join(sorted(allowed))})")
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite JSON number; true and false are not."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _build(factory, kwargs: dict, path: str):
@@ -90,14 +98,22 @@ def load_config(path) -> dict:
     _check_keys(sweep_cfg, _SWEEP_KEYS, "$.sweep")
     taus = sweep_cfg.get("taus_ms", [0, 100, 200, 300, 400, 500])
     if not isinstance(taus, list) or not taus or \
-            not all(isinstance(v, (int, float)) and v >= 0 for v in taus):
-        raise ConfigError("$.sweep.taus_ms: expected a non-empty list of "
+            not all(_finite(v) and v >= 0 for v in taus):
+        raise ConfigError("$.sweep.taus_ms: expected a non-empty list of finite "
                           "non-negative delays in milliseconds")
     sigmas = sweep_cfg.get("sigmas", [[0.0, 0.0]])
     if not isinstance(sigmas, list) or not all(
             isinstance(p, (list, tuple)) and len(p) == 2 for p in sigmas):
         raise ConfigError("$.sweep.sigmas: expected a list of "
                           "[sigma_local_m, sigma_head_deg] pairs")
+    for i, pair in enumerate(sigmas):
+        for j, sigma in enumerate(pair):
+            if not (_finite(sigma) and sigma >= 0):
+                raise ConfigError(f"$.sweep.sigmas[{i}][{j}]: expected a finite "
+                                  f"non-negative number, got {sigma!r}")
+    t = sweep_cfg.get("t")
+    if t is not None and not _finite(t):
+        raise ConfigError(f"$.sweep.t: expected a finite number of seconds, got {t!r}")
 
     return {
         "scenario": scenario,
@@ -107,5 +123,5 @@ def load_config(path) -> dict:
         "option_keys": sorted(opt_cfg),
         "sweep": {"taus_ms": list(taus),
                   "sigmas": [tuple(p) for p in sigmas],
-                  "t": sweep_cfg.get("t")},
+                  "t": t},
     }

@@ -69,6 +69,7 @@ from ..temporal_align import (
     default_motion_weights,
     default_xi_weights,
     estimate_motion,
+    predict_xi,
     ptam_stage1,
     ptam_stage2,
     temporal_loss,
@@ -104,7 +105,6 @@ class PipelineOptions:
     ptam: bool = True
     xi_mode: str = "oracle"          # oracle | learned
     motion_mode: str = "ideal"       # ideal | learned
-    stage2_variant: str = "scaled"   # scaled | literal
     codec: str = "identity"
     phd: bool = True
     phd_collaborators: bool = False
@@ -122,9 +122,6 @@ class PipelineOptions:
             raise ShapeError(f"unknown xi mode {self.xi_mode!r}")
         if self.motion_mode not in ("ideal", "learned"):
             raise ShapeError(f"unknown motion mode {self.motion_mode!r}")
-        if self.stage2_variant not in ("scaled", "literal"):
-            raise ShapeError(f"stage2_variant must be 'scaled' or 'literal', "
-                             f"got {self.stage2_variant!r}")
         if self.combine not in ("sum", "concat"):
             raise ShapeError(f"unknown combine mode {self.combine!r}")
         for name in ("sigma_local", "sigma_head_deg"):
@@ -142,24 +139,15 @@ class PipelineOptions:
         CodecConfig(self.codec)  # validates the mode
 
 
-_WEIGHT_CACHE = {}
-_WEIGHT_LOCK = threading.Lock()
-
-
 def build_pipeline_weights(seed: int = 0, combine: str = "sum") -> Mapping[str, np.ndarray]:
     """One flat name -> array mapping covering every stage of the pipeline.
 
     The mapping and its arrays are read-only (:func:`freeze_weights`), so
     every caller can share the cached mapping, and every :class:`RunContext`
     under it the values derived from it. Threads share the cache: the first
-    to ask for a key builds it under a lock, so every thread gets the same
-    mapping object.
+    to ask for a key builds it, so every thread gets the same mapping object.
     """
-    key = (seed, combine)
-    with _WEIGHT_LOCK:
-        if key not in _WEIGHT_CACHE:
-            _WEIGHT_CACHE[key] = _build_weights(seed, combine)
-        return _WEIGHT_CACHE[key]
+    return _WEIGHTS.memo((seed, combine), lambda: _build_weights(seed, combine))
 
 
 def _build_weights(seed: int, combine: str) -> Mapping[str, np.ndarray]:
@@ -285,6 +273,10 @@ class _Memo:
                 self.fail((key,), (slot,), exc)
                 raise
         return slot.result()
+
+
+#: (seed, combine) -> the frozen weights :func:`build_pipeline_weights` built
+_WEIGHTS = _Memo()
 
 
 #: the 4 frozen weight sets last used -> (a copy of the mapping, the memo
@@ -521,6 +513,19 @@ def _motion(run: _Run, s, agent_id, src_t, dst_t, newer, older) -> MotionField:
     return estimate_motion(newer, older, ctx.motion_spec(s))
 
 
+def _xi(run: _Run, rx, field: MotionField) -> float:
+    """The one choice of the factor stage 2 scales ``field`` by: the delay in
+    frame intervals under oracle xi, else the prediction from the received
+    stage-1 field (its confidence kept inside (0, 1) past a lossy codec)."""
+    opts = run.opts
+    if opts.xi_mode == "oracle":
+        return run.delay_frames
+    w = rx["w"]
+    if opts.codec != "identity":
+        w = np.clip(w, _W_CLIP, 1.0 - _W_CLIP)
+    return predict_xi(MotionField(rx["dp"], w), field, run.delay_frames, run.ctx.xi_spec)
+
+
 def _shipped(opts: PipelineOptions, s: int) -> tuple:
     """The one rule of what a collaborator ships of scale ``s``, in channel
     order: exactly the tensors its receiver reads under ``opts``.
@@ -528,13 +533,13 @@ def _shipped(opts: PipelineOptions, s: int) -> tuple:
     Without PTAM the latest frame is fused as received. With it the
     receiver reads the stage-1 result; the large scale's latest frame for
     ``cosine_pre``, and every scale's under learned motion, which estimates
-    stage 2's field from it; and the stage-1 field only under learned xi or
-    the literal variant, its only readers.
+    stage 2's field from it; and the stage-1 field only under learned xi,
+    its only reader.
     """
     if not opts.ptam:
         return ("latest",)
     kinds = ("latest", "inter") if s == 0 or opts.motion_mode == "learned" else ("inter",)
-    if opts.xi_mode == "learned" or opts.stage2_variant == "literal":
+    if opts.xi_mode == "learned":
         kinds += ("dp", "w")
     return kinds
 
@@ -594,22 +599,13 @@ def _align_collaborator(run: _Run, agent_id, shipped: Future, counter):
     received, errors, nbytes = shipped.result().pop()
     xi_report = []
     if opts.ptam:
-        # without a xi spec, xi is the oracle delay_frames
-        xi_spec = ctx.xi_spec if opts.xi_mode == "learned" else None
         aligned_scales = []
         for s in range(len(SCALE_CHANNELS)):
             rx = {kind: received[f"s{s}.{kind}"] for kind in _shipped(opts, s)}
-            mf1 = None
-            if "dp" in rx:
-                w_rx = rx["w"]
-                if opts.codec != "identity":
-                    w_rx = np.clip(w_rx, _W_CLIP, 1.0 - _W_CLIP)
-                mf1 = MotionField(dp=rx["dp"], w=w_rx)
             mf2 = _motion(run, s, agent_id, run.t - run.tau, run.t, rx["inter"],
                           rx.get("latest"))
-            aligned, xi = ptam_stage2(rx["inter"], mf1, mf2, run.delay_frames, xi_spec,
-                                      opts.stage2_variant)
-            aligned_scales.append(aligned)
+            xi = _xi(run, rx, mf2)
+            aligned_scales.append(ptam_stage2(rx["inter"], mf2, xi))
             xi_report.append(xi)
         ms_aligned = MultiScaleFeatures(*aligned_scales)
     else:

@@ -59,6 +59,9 @@ class Scenario:
             raise ShapeError(f"frame_interval must be positive and finite, got {self.frame_interval}")
         if not (math.isfinite(self.duration) and self.duration >= 0.0):
             raise ShapeError(f"duration must be non-negative and finite, got {self.duration}")
+        if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool)
+                and self.seed >= 0):
+            raise ShapeError(f"seed must be a non-negative integer, got {self.seed!r}")
         ids = [a.agent_id for a in self.agents]
         if len(set(ids)) != len(ids):
             raise ShapeError("agent ids must be unique")
@@ -423,12 +426,12 @@ def scenario_from_dict(data: dict) -> Scenario:
             for i, tr in enumerate(data["objects"])
         ]
         seed = data.get("seed", 0)
-        _number(seed, "seed")
+        _number(seed, "seed")  # names a non-finite seed; Scenario the rest
         return Scenario(agents=agents, objects=objects,
                         duration=_number(data.get("duration", 1.2), "duration"),
                         frame_interval=_number(data.get("frame_interval", 0.1),
                                                "frame_interval"),
-                        seed=int(seed))
+                        seed=seed)
     except (KeyError, TypeError) as exc:
         raise ShapeError(f"malformed scenario document: {exc}") from exc
 

@@ -6,8 +6,9 @@ exactly one interval of a per-cell motion field between the two frames.
 Stage 2 advances the result by a second field, between it and the latest
 frame, times a temporal scaling factor xi (ideally tau / dt, predicted from
 the two fields and an embedding of the measured delay), landing the
-features on the ego's current timestamp. Each stage takes the field it
-warps by; :func:`estimate_motion` is the learned source of one.
+features on the ego's current timestamp. Both stages are warps that take
+the field they warp by, and stage 2 its xi; :func:`estimate_motion` and
+:func:`predict_xi` are the learned sources of these.
 
 Warping is destination-indexed: out(y) = w(y) * F(y - xi * dp(y)) with
 bilinear interpolation and zero reads outside the grid, so integer
@@ -261,16 +262,13 @@ def delay_embedding(delay_frames: float, dim: int = XI_EMBED_DIM) -> np.ndarray:
 
 
 def predict_xi(stage1: MotionField, stage2: MotionField, delay_frames: float,
-               spec: XiPredictorSpec | None = None) -> float:
-    """Temporal scaling factor, >= 0 via a final relu.
+               spec: XiPredictorSpec) -> float:
+    """Learned temporal scaling factor, >= 0 via a final relu.
 
-    Without a spec this is oracle xi: the delay in frame intervals, exactly.
-    With one, xi is learned: the confidence-weighted motion difference
-    between the two stages is encoded, global-average-pooled, added to a
-    sinusoidal embedding of the measured delay, and regressed by a small MLP.
+    The confidence-weighted motion difference between the two stages is
+    encoded, global-average-pooled, added to a sinusoidal embedding of the
+    measured delay (in frame intervals), and regressed by a small MLP.
     """
-    if spec is None:
-        return delay_frames
     if stage1.dp.shape != stage2.dp.shape:
         raise ShapeError(
             f"stage motion shapes differ: {stage1.dp.shape} vs {stage2.dp.shape}"
@@ -294,27 +292,10 @@ def ptam_stage1(previous: np.ndarray, field: MotionField) -> np.ndarray:
     return warp_features(previous, field.dp, 1.0, field.w)
 
 
-def ptam_stage2(inter: np.ndarray, stage1_field: MotionField | None, field: MotionField,
-                delay_frames: float, xi_spec: XiPredictorSpec | None = None,
-                variant: str = "scaled") -> tuple[np.ndarray, float]:
-    """Advance the stage-1 result across the remaining delay; returns
-    ``(aligned, xi)``.
-
-    variant "scaled" warps by xi times ``field``'s displacement; variant
-    "literal" reuses the stage-1 displacement unscaled. Both sample with
-    ``field``'s confidence. ``delay_frames`` is the delay in frame
-    intervals; ``xi_spec`` predicts xi from it, and without one xi is oracle
-    (:func:`predict_xi`). Only the literal variant and learned xi read
-    ``stage1_field``; otherwise it may be None.
-    """
-    if variant not in ("scaled", "literal"):
-        raise ShapeError(f"unknown stage-2 variant {variant!r}")
-    if stage1_field is None and (variant == "literal" or xi_spec is not None):
-        raise ShapeError("the literal variant and learned xi read the stage-1 field")
-    if variant == "scaled":
-        xi = predict_xi(stage1_field, field, delay_frames, xi_spec)
-        return warp_features(inter, field.dp, xi, field.w), xi
-    return warp_features(inter, stage1_field.dp, 1.0, field.w), 1.0
+def ptam_stage2(inter: np.ndarray, field: MotionField, xi: float) -> np.ndarray:
+    """Advance the stage-1 result by ``xi`` intervals of ``field``: the
+    delay in frame intervals under oracle xi, or :func:`predict_xi`."""
+    return warp_features(inter, field.dp, xi, field.w)
 
 
 # ---------------------------------------------------------------------------

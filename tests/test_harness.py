@@ -300,6 +300,18 @@ def test_scenario_from_dict_names_non_finite_number(path, bad):
         scenario_from_dict(doc)
 
 
+@pytest.mark.parametrize("bad", [-1, 1.5, True, "3", None])
+def test_scenario_seed_must_be_a_non_negative_integer(bad):
+    with pytest.raises(ShapeError, match=re.escape(
+            f"seed must be a non-negative integer, got {bad!r}")):
+        generate_scenario("straight", seed=bad)
+    doc = scenario_to_dict(generate_scenario("straight"))
+    doc["seed"] = bad
+    with pytest.raises(ShapeError, match="seed must be a"):
+        scenario_from_dict(doc)
+    assert generate_scenario("straight", seed=np.int64(2)).seed == 2
+
+
 def test_scenario_rejects_non_finite_timing_and_speed():
     for key, value in (("duration", math.nan), ("frame_interval", math.inf),
                        ("speed", math.nan)):
@@ -907,20 +919,19 @@ def _payload_table(opts) -> set:
     names = {"s0.inter", "s1.inter", "s2.inter", "s0.latest"}
     if opts.motion_mode == "learned":
         names |= {"s1.latest", "s2.latest"}
-    if opts.xi_mode == "learned" or opts.stage2_variant == "literal":
+    if opts.xi_mode == "learned":
         names |= {f"s{s}.{kind}" for s in range(3) for kind in ("dp", "w")}
     return names
 
 
-@pytest.mark.parametrize("variant", ["scaled", "literal"])
 @pytest.mark.parametrize("xi_mode", ["oracle", "learned"])
 @pytest.mark.parametrize("motion_mode", ["ideal", "learned"])
 @pytest.mark.parametrize("ptam", [True, False])
-def test_every_shipped_tensor_is_read(monkeypatch, ptam, motion_mode, xi_mode, variant):
+def test_every_shipped_tensor_is_read(monkeypatch, ptam, motion_mode, xi_mode):
     # the sender once shipped 12 tensors whatever the options, and under
     # the oracle defaults the receiver read 4 of them
     opts = PipelineOptions(ptam=ptam, motion_mode=motion_mode, xi_mode=xi_mode,
-                           stage2_variant=variant, phd=False)
+                           phd=False)
     log = _log_channel(monkeypatch)
     run_pipeline(_fast_scene(), 0.8, 0.2, opts, bev=_BEV_SMALL)
     assert log["shipped"] == log["read"] == _payload_table(opts)
@@ -1125,7 +1136,7 @@ def test_run_pipeline_reads_the_combine_mode_from_the_weights():
 
 def test_sweep_passes_every_option_to_both_runs():
     scn = _fast_scene()
-    opts = PipelineOptions(phd=False, stage2_variant="literal", detector_threshold=0.4)
+    opts = PipelineOptions(phd=False, xi_mode="learned", detector_threshold=0.4)
     rows = sweep(scn, [200], opts, sigmas=((0.1, 1.0),), t=0.8, bev=_BEV_SMALL)
     got = {r["metric"]: r["value"] for r in rows}
     on, off = (run_pipeline(scn, 0.8, 0.2, replace(opts, ptam=ptam, sigma_local=0.1,
@@ -1136,7 +1147,7 @@ def test_sweep_passes_every_option_to_both_runs():
     assert got["domain_loss"] == on.domain_loss
     assert got["mean_iou_ptam"] == on.mean_matched_iou
     assert got["mean_iou_baseline"] == off.mean_matched_iou
-    # the non-default stage-2 variant did reach the runs
+    # the non-default xi mode did reach the runs
     plain = run_pipeline(scn, 0.8, 0.2, PipelineOptions(phd=False, sigma_local=0.1,
                                                         sigma_head_deg=1.0),
                          bev=_BEV_SMALL)
@@ -1353,11 +1364,12 @@ def test_sweep_stage_failure_propagates(monkeypatch):
     want = sweep(scn, [0, 200], opts, bev=_BEV_SMALL)
     stage2 = pipeline.ptam_stage2
 
-    def faulty(inter, mf1, mf2, delay_frames, *args, **kwargs):
-        # fails in one grid point only: the aligned run at 200 ms
-        if delay_frames == 0.2 / scn.frame_interval:
+    def faulty(inter, field, xi):
+        # fails in one grid point only: the aligned run at 200 ms, where
+        # oracle xi is the delay in frame intervals
+        if xi == 0.2 / scn.frame_interval:
             raise _LaneFault("ptam_stage2")
-        return stage2(inter, mf1, mf2, delay_frames, *args, **kwargs)
+        return stage2(inter, field, xi)
 
     monkeypatch.setattr(pipeline, "ptam_stage2", faulty)
     runner = pipeline.run_pipeline
@@ -1390,7 +1402,7 @@ def test_sweep_stage_failure_propagates(monkeypatch):
 
 def test_build_pipeline_weights_one_object_across_threads(monkeypatch):
     # a cold cache asked from many threads at once builds one dict
-    monkeypatch.setattr(pipeline, "_WEIGHT_CACHE", {})
+    monkeypatch.setattr(pipeline, "_WEIGHTS", pipeline._Memo())
     build = pipeline._build_weights
     builds = []
 
@@ -1497,9 +1509,6 @@ def test_pipeline_options_validation():
                 f"detector_threshold must be in (0, 1], got {bad}")):
             PipelineOptions(detector_threshold=bad)
     assert PipelineOptions(detector_threshold=1.0).detector_threshold == 1.0
-    with pytest.raises(ShapeError, match=re.escape(
-            "stage2_variant must be 'scaled' or 'literal', got 'bogus'")):
-        PipelineOptions(stage2_variant="bogus", ptam=False)
     for name in ("ptam", "phd", "phd_collaborators"):
         for bad in ("no", 1, None):
             with pytest.raises(ShapeError, match=re.escape(
@@ -1510,8 +1519,8 @@ def test_pipeline_options_validation():
                 f"weight_seed must be a non-negative integer, got {bad!r}")):
             PipelineOptions(weight_seed=bad)
     assert PipelineOptions(weight_seed=np.int64(3)).weight_seed == 3
-    # the fixed settings are no options
-    for name in ("window", "noise_seed"):
+    # the fixed settings, and the retired stage-2 variant, are no options
+    for name in ("window", "noise_seed", "stage2_variant"):
         with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
             PipelineOptions(**{name: 8})
 
@@ -1528,11 +1537,23 @@ def test_config_unknown_key_names_path(tmp_path):
 
 
 def test_config_bad_sweep_grid(tmp_path):
+    # a bad sigma or t once reached the runs and ended in a TypeError
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"sweep": {"taus_ms": []}}))
-    with pytest.raises(ConfigError) as err:
-        load_config(path)
-    assert "$.sweep.taus_ms" in str(err.value)
+    for grid, key in (
+        ({"taus_ms": []}, "$.sweep.taus_ms"),
+        ({"taus_ms": [0, math.inf]}, "$.sweep.taus_ms"),
+        ({"taus_ms": [True]}, "$.sweep.taus_ms"),
+        ({"sigmas": [["a", 0]]}, "$.sweep.sigmas[0][0]"),
+        ({"sigmas": [[0.1, 0.0], [0.2, -1.0]]}, "$.sweep.sigmas[1][1]"),
+        ({"sigmas": [[True, 0]]}, "$.sweep.sigmas[0][0]"),
+        ({"sigmas": [[math.inf, 0]]}, "$.sweep.sigmas[0][0]"),
+        ({"t": "x"}, "$.sweep.t"),
+        ({"t": False}, "$.sweep.t"),
+        ({"t": math.nan}, "$.sweep.t"),
+    ):
+        path.write_text(json.dumps({"sweep": grid}))
+        with pytest.raises(ConfigError, match=re.escape(key + ":")):
+            load_config(path)
 
 
 def test_config_defaults_and_inline_scenario(tmp_path):
@@ -1629,6 +1650,48 @@ def test_cli_non_finite_scenario_exits_2_naming_the_key(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "objects[0].box.length must be finite" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_cli_bad_scenario_seed_exits_2_naming_it(tmp_path, capsys, seed):
+    # -1 once ended in a ValueError traceback at the first render and 1.5 in
+    # a TypeError one; a document's 1.5 or true was read as seed 1
+    from cpalign.cli import main
+    doc = scenario_to_dict(_fast_scene())
+    doc["seed"] = seed
+    files = {"scn.json": doc, "inline.json": {"scenario": doc},
+             "template.json": {"scenario": {"template": "straight", "seed": seed}}}
+    for name, content in files.items():
+        (tmp_path / name).write_text(json.dumps(content))
+    argvs = [["run", "--scenario", str(tmp_path / "scn.json")],
+             ["run", "--config", str(tmp_path / "inline.json")],
+             ["run", "--config", str(tmp_path / "template.json")]]
+    out = tmp_path / "gen.json"
+    if seed == -1:
+        argvs += [["run", "--seed", "-1"], ["gen", "--seed", "-1", "--out", str(out)]]
+    for argv in argvs:
+        assert main(argv + (["--tau-ms", "200", "--t", "0.8"] if argv[0] == "run"
+                            else [])) == 2
+        err = capsys.readouterr().err
+        assert f"seed must be a non-negative integer, got {seed!r}" in err
+        assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid,key", [
+    ({"sigmas": [["a", 0]]}, "$.sweep.sigmas[0][0]"),
+    ({"t": "x"}, "$.sweep.t"),
+])
+def test_cli_bad_sweep_grid_exits_2_naming_the_key(tmp_path, capsys, grid, key):
+    # each once ended in a TypeError traceback with status 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sweep": grid}))
+    out = tmp_path / "out.csv"
+    assert _exit_code(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{key}: expected a finite" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def _object_free_scene():
@@ -1760,6 +1823,8 @@ def _exit_code(argv):
      "argument --repeats: must be a positive integer, got '0'"),
     (["bench", "--window", "100", "--height", "48", "--width", "48"],
      "--window 100 exceeds the 48x48 grid of --height and --width"),
+    pytest.param(["run", "--variant", "literal"], "unrecognized arguments: --variant literal",
+                 id="variant-flag-removed"),
 ])
 def test_cli_bad_flag_value_exits_2_naming_it(tmp_path, capsys, argv, named):
     out = tmp_path / "out"
@@ -1786,7 +1851,7 @@ def _bad_section(section, values, named, i):
     _bad_section("options", {"detector_threshold": 1.5}, "detector_threshold", 1),
     _bad_section("options", {"window": 8}, "window", 2),
     _bad_section("options", {"noise_seed": -3, "sigma_local": 0.2}, "noise_seed", 3),
-    _bad_section("options", {"stage2_variant": "bogus", "ptam": False}, "stage2_variant", 4),
+    _bad_section("options", {"stage2_variant": "literal", "ptam": False}, "stage2_variant", 4),
     _bad_section("options", {"ptam": "no"}, "ptam", 5),
     _bad_section("options", {"phd": 1}, "phd", 6),
     _bad_section("options", {"phd_collaborators": "yes"}, "phd_collaborators", 7),
@@ -1798,8 +1863,8 @@ def test_cli_bad_render_config_exits_2(tmp_path, capsys, section, values, named)
     cfg.write_text(json.dumps({section: values}))
     assert _exit_code(["run", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    if named in _FIXED_RENDER + ("window", "noise_seed"):
-        # a fixed setting is no key of its section
+    if named in _FIXED_RENDER + ("window", "noise_seed", "stage2_variant"):
+        # a fixed or retired setting is no key of its section
         assert f"$.{section}.{named}: unknown key" in err
     else:
         assert f"$.{section}: {named} must be" in err
@@ -1808,7 +1873,7 @@ def test_cli_bad_render_config_exits_2(tmp_path, capsys, section, values, named)
 
 _CONFIG_CLASHES = [
     ("codec", ["--codec", "fp16"], "$.options.codec"),
-    ("variant", ["--variant", "literal"], "$.options.stage2_variant"),
+    ("variant", ["--variant", "literal"], None),  # retired: no flag at all
     ("weight-seed", ["--weight-seed", "1"], "$.options.weight_seed"),
     ("no-ptam", ["--no-ptam"], "$.options.ptam"),
     ("threshold", ["--threshold", "0.5"], "$.options.detector_threshold"),
@@ -1839,7 +1904,10 @@ def test_cli_flag_with_config_exits_2_naming_the_key(tmp_path, capsys, command, 
     out = tmp_path / "out"
     assert _exit_code([command, "--config", str(cfg), *flags, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert f"{flags[0]} cannot be combined with --config: set {key} in the config" in err
+    if key is None:
+        assert f"unrecognized arguments: {' '.join(flags)}" in err
+    else:
+        assert f"{flags[0]} cannot be combined with --config: set {key} in the config" in err
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -1,12 +1,14 @@
-"""The README documents only flags that ``cpalign`` accepts.
+"""The README documents only flags and options that ``cpalign`` accepts.
 
 Every ``cpalign`` command shown in the README's Tests and CLI sections must
 parse, and every ``--flag`` named in those sections must belong to some
-``cpalign`` command. Nothing runs: only the argument parser is asked. A flag
-deleted in code therefore cannot stay documented.
+``cpalign`` command. Nothing runs: only the argument parser is asked. The
+CLI section's list of ``$.options`` keys must be the ``PipelineOptions``
+fields. A flag or option deleted in code therefore cannot stay documented.
 """
 
 import argparse
+import dataclasses
 import re
 import shlex
 from pathlib import Path
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from cpalign.cli import build_parser
+from cpalign.harness.pipeline import PipelineOptions
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SECTIONS = ("Tests", "CLI")
@@ -62,6 +65,15 @@ def test_documented_flags_exist():
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", _documented()))
     assert named, "the sections name no flag"
     assert sorted(named - _known_flags(build_parser()) - FOREIGN_FLAGS) == []
+
+
+def test_documented_option_keys_are_the_pipeline_options():
+    text = _section(README.read_text(encoding="utf-8"), "CLI")
+    match = re.search(r"The `\$\.options` keys\s+are the `PipelineOptions`\s+fields:(.*?)\.\s",
+                      text, re.S)
+    assert match, "the CLI section lists no $.options keys"
+    keys = re.findall(r"`(\w+)`", match.group(1))
+    assert keys == [f.name for f in dataclasses.fields(PipelineOptions)]
 
 
 def test_a_deleted_flag_would_be_caught():

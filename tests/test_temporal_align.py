@@ -181,15 +181,6 @@ def test_delay_embedding_structure():
     assert emb[2] == pytest.approx(math.sin(3.0 / 10000 ** (2 / 16)))
 
 
-def test_predict_xi_oracle_mode():
-    # without a spec xi is the oracle: the delay in frame intervals, exactly
-    f = constant_field(4, 4, 0.0, 0.0)
-    assert predict_xi(f, f, 0.5 / 0.1) == 0.5 / 0.1
-    assert predict_xi(f, f, 0.0) == 0.0
-    # and the fields are not read: their shapes need not even agree
-    assert predict_xi(f, constant_field(3, 5, 1.0, 0.0), 2.5) == 2.5
-
-
 def test_predict_xi_learned_deterministic_and_nonnegative():
     rng = np.random.default_rng(3)
     h = w = 6
@@ -243,8 +234,7 @@ def test_two_stage_alignment_matches_derived_transport():
     prev[0, 6, 2] = 1.0
     ov = unit_field(h, w, 1.0, 0.0)
     inter = ptam_stage1(prev, ov)
-    aligned, xi = ptam_stage2(inter, ov, ov, 0.2 / 0.1)
-    assert xi == pytest.approx(2.0)
+    aligned = ptam_stage2(inter, ov, 0.2 / 0.1)
     # stage 1 output sits where the latest frame sits
     assert inter[0, 6, 3] == pytest.approx(1.0, rel=1e-9)
     # stage 2 lands 3 cells ahead of the oldest frame
@@ -259,39 +249,24 @@ def test_zero_delay_reduces_to_confidence_scaled_inter():
     ov1 = unit_field(h, w, 0.25, -0.5)
     ov2 = unit_field(h, w, 0.75, 0.3)
     inter = ptam_stage1(prev, ov1)
-    aligned, _ = ptam_stage2(inter, ov1, ov2, 0.0)
+    aligned = ptam_stage2(inter, ov2, 0.0)
     np.testing.assert_allclose(aligned, inter * ov2.w, rtol=1e-12)
 
 
-def test_stage2_literal_variant_reuses_stage1_displacement():
-    h = w = 8
-    prev = np.zeros((1, h, w))
-    prev[0, 4, 1] = 1.0
-    ov1 = unit_field(h, w, 1.0, 0.0)
-    ov2 = unit_field(h, w, 3.0, 0.0)  # would move 3 * xi cells if scaled
-    aligned, xi = ptam_stage2(warp_features(prev, ov1.dp, 1.0, ov1.w), ov1, ov2,
-                              0.5 / 0.1, variant="literal")
-    assert xi == 1.0
-    # literal variant moved by stage-1 displacement (1 cell), not xi * 3
-    assert aligned[0, 4, 3] == pytest.approx(1.0, rel=1e-9)
-
-
 def test_stage2_without_a_stage1_field_unless_it_is_read():
-    # the pipeline ships the stage-1 field only under learned xi or the
-    # literal variant; without it the scaled variant under oracle xi runs
-    # unchanged, and the two readers refuse to run blind
+    # the pipeline ships the stage-1 field only under learned xi: stage 2
+    # is a warp by its own field and a given xi, and the learned xi is the
+    # one reader of the stage-1 field
     rng = np.random.default_rng(6)
     h = w = 8
     inter = rng.normal(size=(2, h, w))
     ov1 = unit_field(h, w, 0.25, -0.5)
     ov2 = unit_field(h, w, 0.75, 0.3)
-    aligned, xi = ptam_stage2(inter, None, ov2, 2.0)
-    want, want_xi = ptam_stage2(inter, ov1, ov2, 2.0)
-    assert xi == want_xi and np.array_equal(aligned, want)
     spec = XiPredictorSpec.from_weights(default_xi_weights(4), "")
-    for kwargs in ({"variant": "literal"}, {"xi_spec": spec}):
-        with pytest.raises(ShapeError, match="read the stage-1 field"):
-            ptam_stage2(inter, None, ov2, 2.0, **kwargs)
+    xi = predict_xi(ov1, ov2, 2.0, spec)
+    assert np.array_equal(ptam_stage2(inter, ov2, xi),
+                          warp_features(inter, ov2.dp, xi, ov2.w))
+    assert predict_xi(unit_field(h, w, 0.0, 0.0), ov2, 2.0, spec) != xi
 
 
 def test_window_partition_counts_and_anchors():
