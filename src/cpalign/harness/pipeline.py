@@ -75,7 +75,7 @@ from ..temporal_align import (
     temporal_loss,
     window_cosines,
 )
-from .codec import CodecConfig, transmit_tensors, wire_bytes
+from .codec import CodecConfig, encode_decode, transmit_tensors, wire_bytes
 from .detect import ENERGY_CHANNELS, detection_map, evaluate_detection
 from .scenario import (
     RenderConfig,
@@ -531,14 +531,13 @@ def _shipped(opts: PipelineOptions, s: int) -> tuple:
     order: exactly the tensors its receiver reads under ``opts``.
 
     Without PTAM the latest frame is fused as received. With it the
-    receiver reads the stage-1 result; the large scale's latest frame for
-    ``cosine_pre``, and every scale's under learned motion, which estimates
-    stage 2's field from it; and the stage-1 field only under learned xi,
-    its only reader.
+    receiver reads the stage-1 result; the latest frame only under learned
+    motion, which estimates stage 2's field from it; and the stage-1 field
+    only under learned xi, its only reader.
     """
     if not opts.ptam:
         return ("latest",)
-    kinds = ("latest", "inter") if s == 0 or opts.motion_mode == "learned" else ("inter",)
+    kinds = ("latest", "inter") if opts.motion_mode == "learned" else ("inter",)
     if opts.xi_mode == "learned":
         kinds += ("dp", "w")
     return kinds
@@ -546,8 +545,9 @@ def _shipped(opts: PipelineOptions, s: int) -> tuple:
 
 def _ship_stage1(run: _Run, agent_id, ms_latest):
     """The collaborator's side: PTAM stage 1 and the channel. Returns the
-    received tensors, their errors and the bytes they took on the channel;
-    the payload dies here."""
+    received tensors, their errors, the bytes they took on the channel and
+    the large latest frame, handed over beside the channel for
+    ``cosine_pre``; the payload dies here."""
     opts, ctx = run.opts, run.ctx
     t_prev = run.t - run.tau - ctx.scenario.frame_interval
     if opts.ptam:
@@ -561,7 +561,7 @@ def _ship_stage1(run: _Run, agent_id, ms_latest):
             tensors.update(inter=ptam_stage1(ms_prev.scales[s], mf1), dp=mf1.dp, w=mf1.w)
         payload.update((f"s{s}.{kind}", tensors[kind]) for kind in _shipped(opts, s))
     return (*transmit_tensors(payload, CodecConfig(opts.codec)),
-            wire_bytes(payload, opts.codec))
+            wire_bytes(payload, opts.codec), ms_latest.large)
 
 
 def _fill(slot: Future, result=None, exc=None) -> None:
@@ -578,9 +578,10 @@ def _fill(slot: Future, result=None, exc=None) -> None:
 
 def _sender(run: _Run, agent_id, shipped: Future) -> None:
     """A collaborator's job before the channel: its frame at t - tau, then
-    stage 1 and the codec. ``shipped`` gets ``[(received, errors, bytes)]``,
-    a one-item list the receiver pops, so the received tensors die with the
-    receiver's use of them; or the error, if this job raises."""
+    stage 1 and the codec. ``shipped`` gets
+    ``[(received, errors, bytes, frame)]``, a one-item list the receiver
+    pops, so the received tensors die with the receiver's use of them; or
+    the error, if this job raises."""
     try:
         ms_latest = run.ctx.featurize(agent_id, run.t - run.tau,
                                       run.opts.phd_collaborators)
@@ -596,7 +597,7 @@ def _align_collaborator(run: _Run, agent_id, shipped: Future, counter):
     sender shipped. Returns its aligned features and a record of the
     metrics; the received tensors die here."""
     opts, ctx = run.opts, run.ctx
-    received, errors, nbytes = shipped.result().pop()
+    received, errors, nbytes, frame = shipped.result().pop()
     xi_report = []
     if opts.ptam:
         aligned_scales = []
@@ -617,8 +618,10 @@ def _align_collaborator(run: _Run, agent_id, shipped: Future, counter):
     tl = temporal_loss(ms_aligned.large, ms_gt.large, WINDOW, counter)
     cos_post = float(np.mean(tl.window_cosines))
     if opts.ptam:
-        cos_pre = float(np.mean(window_cosines(
-            received["s0.latest"], ms_gt.large, WINDOW)[0]))
+        # the frame stale fusion would receive, whether or not it is shipped:
+        # bit for bit the s0.latest the channel delivers
+        stale = encode_decode(frame, opts.codec)[0]
+        cos_pre = float(np.mean(window_cosines(stale, ms_gt.large, WINDOW)[0]))
     else:
         # unaligned, the large scale compared above is the received one
         cos_pre = cos_post

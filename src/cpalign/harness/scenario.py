@@ -26,6 +26,11 @@ _GROUND_TAG = 0x6E0D
 _FRAME_TOL = 1e-6
 
 
+def _real(value) -> bool:
+    """Whether ``value`` is a finite number; true and false are not."""
+    return not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass
 class ObjectTrack:
     """Rigid box trajectory: pose at t=0 plus planar velocity and yaw rate."""
@@ -55,9 +60,9 @@ class Scenario:
     def __post_init__(self):
         if not self.agents:
             raise ShapeError("scenario needs at least one agent")
-        if not (math.isfinite(self.frame_interval) and self.frame_interval > 0.0):
+        if not (_real(self.frame_interval) and self.frame_interval > 0.0):
             raise ShapeError(f"frame_interval must be positive and finite, got {self.frame_interval}")
-        if not (math.isfinite(self.duration) and self.duration >= 0.0):
+        if not (_real(self.duration) and self.duration >= 0.0):
             raise ShapeError(f"duration must be non-negative and finite, got {self.duration}")
         if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool)
                 and self.seed >= 0):
@@ -346,8 +351,8 @@ def _car(cx, cy, yaw=0.0):
 def generate_scenario(template: str, seed: int = 0, speed: float = 4.0,
                       duration: float = 1.2, frame_interval: float = 0.1) -> Scenario:
     """Build one of the canned two-agent scenes."""
-    if not math.isfinite(speed):
-        raise ShapeError(f"speed must be finite, got {speed}")
+    if not _real(speed):
+        raise ShapeError(f"speed must be a finite number, got {speed!r}")
     agents = [
         AgentSpec("ego", Pose2(0.0, 0.0, 0.0)),
         AgentSpec("collab", Pose2(1.6, 0.8, 0.0)),
@@ -394,8 +399,11 @@ def scenario_to_dict(scn: Scenario) -> dict:
 
 
 def _number(value, path: str) -> float:
-    """``value`` as a finite float, else a ShapeError naming its key path."""
+    """``value`` as a finite float, else a ShapeError naming its key path;
+    true and false are not numbers."""
     try:
+        if isinstance(value, bool):
+            raise TypeError(value)
         v = float(value)
     except (TypeError, ValueError):
         raise ShapeError(f"{path} must be a number, got {value!r}") from None
@@ -426,7 +434,8 @@ def scenario_from_dict(data: dict) -> Scenario:
             for i, tr in enumerate(data["objects"])
         ]
         seed = data.get("seed", 0)
-        _number(seed, "seed")  # names a non-finite seed; Scenario the rest
+        if isinstance(seed, float):
+            _number(seed, "seed")  # names a non-finite seed; Scenario the rest
         return Scenario(agents=agents, objects=objects,
                         duration=_number(data.get("duration", 1.2), "duration"),
                         frame_interval=_number(data.get("frame_interval", 0.1),

@@ -319,6 +319,23 @@ def test_scenario_rejects_non_finite_timing_and_speed():
             generate_scenario("straight", **{key: value})
 
 
+@pytest.mark.parametrize("bad", [True, False])
+@pytest.mark.parametrize("key", ["speed", "duration", "frame_interval"])
+def test_scenario_timing_and_speed_refuse_bools(key, bad):
+    # true once ran as speed 1 m/s or duration 1 s
+    with pytest.raises(ShapeError, match=f"{key} must be .*, got {bad!r}"):
+        generate_scenario("straight", **{key: bad})
+
+
+@pytest.mark.parametrize("path", [p for p in SCENARIO_NUMBER_PATHS if p != "seed"])
+def test_scenario_from_dict_names_a_bool_number(path):
+    # a document's true once loaded as 1.0
+    doc = scenario_to_dict(generate_scenario("straight"))
+    _set_key_path(doc, path, True)
+    with pytest.raises(ShapeError, match=re.escape(f"{path} must be a number, got True")):
+        scenario_from_dict(doc)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_time_or_delay_names_it(bad):
     scn = _fast_scene()
@@ -656,14 +673,17 @@ def test_run_pipeline_cache_refuses_other_geometry():
         run_pipeline(_fast_scene(), 0.8, 0.2, opts, bev=_BEV_SMALL, context=context)
 
 
-def test_run_pipeline_stale_cosine_pre_equals_post():
+@pytest.mark.parametrize("motion_mode", ["ideal", "learned"])
+@pytest.mark.parametrize("codec", ["identity", "fp16", "int8"])
+def test_run_pipeline_stale_cosine_pre_equals_post(codec, motion_mode):
     # unaligned, pre and post compare the same received scale; the aligned
-    # run computes its pre value separately from the same inputs
+    # run scores the same frame through the same codec, whether or not its
+    # payload carries that frame
     scn = _fast_scene()
-    stale = run_pipeline(scn, 0.8, 0.2, PipelineOptions(phd=False, ptam=False),
-                         bev=_BEV_SMALL)
-    aligned = run_pipeline(scn, 0.8, 0.2, PipelineOptions(phd=False),
-                           bev=_BEV_SMALL)
+    stale = run_pipeline(scn, 0.8, 0.2, PipelineOptions(
+        phd=False, ptam=False, codec=codec, motion_mode=motion_mode), bev=_BEV_SMALL)
+    aligned = run_pipeline(scn, 0.8, 0.2, PipelineOptions(
+        phd=False, codec=codec, motion_mode=motion_mode), bev=_BEV_SMALL)
     assert stale.cosine_pre == stale.cosine_post == aligned.cosine_pre
     assert stale.ops_match_closed_form
 
@@ -916,9 +936,9 @@ def _payload_table(opts) -> set:
     """What the receiver reads under ``opts``, as documented in the README."""
     if not opts.ptam:
         return {"s0.latest", "s1.latest", "s2.latest"}
-    names = {"s0.inter", "s1.inter", "s2.inter", "s0.latest"}
+    names = {"s0.inter", "s1.inter", "s2.inter"}
     if opts.motion_mode == "learned":
-        names |= {"s1.latest", "s2.latest"}
+        names |= {"s0.latest", "s1.latest", "s2.latest"}
     if opts.xi_mode == "learned":
         names |= {f"s{s}.{kind}" for s in range(3) for kind in ("dp", "w")}
     return names
@@ -951,22 +971,22 @@ def test_bytes_tx_counts_what_the_channel_carries(monkeypatch, codec, ptam, moti
 
 
 def test_bytes_tx_at_the_default_grid_and_options():
-    # one collaborator, 48x48 cells: the three stage-1 results and the large
-    # latest frame, (64 + 128 / 4 + 256 / 16) * 2304 + 64 * 2304 floats of 4 B
+    # one collaborator, 48x48 cells: the three stage-1 results,
+    # (64 + 128 / 4 + 256 / 16) * 2304 floats of 4 B
     report = run_pipeline(generate_scenario("straight"), 1.2, 0.3)
-    assert report.bytes_tx == 1_622_016
+    assert report.bytes_tx == 1_032_192
 
 
 def test_codec_mse_is_the_mean_over_the_shipped_tensors(monkeypatch):
-    # int8 under ideal motion and oracle xi ships 4 tensors, no longer 12,
-    # so the mean runs over those 4 (over all 12 it read 1.765e-05 here)
+    # int8 under ideal motion and oracle xi ships the 3 stage-1 results, so
+    # the mean runs over those 3
     opts = PipelineOptions(codec="int8", phd=False)
     log = _log_channel(monkeypatch)
     report = run_pipeline(_fast_scene(), 0.8, 0.2, opts, bev=_BEV_SMALL)
-    assert len(log["tensors"]) == 4
+    assert len(log["tensors"]) == 3
     errors = [encode_decode(a, "int8")[1] for a in log["tensors"]]
     assert report.codec_mse == float(np.mean(errors))
-    assert report.codec_mse == pytest.approx(3.4418594958412094e-05, rel=1e-9)
+    assert report.codec_mse == pytest.approx(3.448551126989655e-05, rel=1e-9)
 
 
 def test_receivers_balance_over_both_lanes(monkeypatch):
@@ -1676,6 +1696,24 @@ def test_cli_bad_scenario_seed_exits_2_naming_it(tmp_path, capsys, seed):
         assert f"seed must be a non-negative integer, got {seed!r}" in err
         assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_cli_bool_scenario_number_exits_2_naming_the_key(tmp_path, capsys):
+    # each once ran with true read as 1
+    doc = scenario_to_dict(_fast_scene())
+    doc["agents"][0]["x"] = True
+    files = {"scn.json": doc, "inline.json": {"scenario": doc},
+             "template.json": {"scenario": {"template": "straight", "speed": True}}}
+    for name, content in files.items():
+        (tmp_path / name).write_text(json.dumps(content))
+    for flag, name, named in (("--scenario", "scn.json", "agents[0].x must be a number"),
+                              ("--config", "inline.json", "agents[0].x must be a number"),
+                              ("--config", "template.json", "speed must be a finite number")):
+        assert _exit_code(["run", flag, str(tmp_path / name),
+                           "--tau-ms", "200", "--t", "0.8"]) == 2
+        err = capsys.readouterr().err
+        assert f"{named}, got True" in err
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("grid,key", [

@@ -4,7 +4,9 @@ Every ``cpalign`` command shown in the README's Tests and CLI sections must
 parse, and every ``--flag`` named in those sections must belong to some
 ``cpalign`` command. Nothing runs: only the argument parser is asked. The
 CLI section's list of ``$.options`` keys must be the ``PipelineOptions``
-fields. A flag or option deleted in code therefore cannot stay documented.
+fields, and the bytes-per-collaborator table must be what the sender's
+rule ships. A flag or option deleted in code therefore cannot stay
+documented, nor a payload the rule no longer ships.
 """
 
 import argparse
@@ -13,10 +15,13 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cpalign.cli import build_parser
-from cpalign.harness.pipeline import PipelineOptions
+from cpalign.featurizer import BevSpec
+from cpalign.harness.codec import wire_bytes
+from cpalign.harness.pipeline import SCALE_CHANNELS, PipelineOptions, _shipped
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SECTIONS = ("Tests", "CLI")
@@ -84,3 +89,41 @@ def test_a_deleted_flag_would_be_caught():
         build_parser().parse_args(shlex.split(_commands(text)[0])[1:])
     assert "--ideal-mode" not in _known_flags(build_parser())
     assert "--tau-ms" in _known_flags(build_parser())
+
+
+#: the options of each row of the Pipeline schedule's bytes table
+PAYLOAD_ROWS = {
+    "PTAM off": PipelineOptions(ptam=False),
+    "PTAM on, ideal motion, oracle ξ (default)": PipelineOptions(),
+    "PTAM on, learned motion": PipelineOptions(motion_mode="learned"),
+    "PTAM on, learned ξ": PipelineOptions(xi_mode="learned"),
+    "PTAM on, learned motion and learned ξ": PipelineOptions(motion_mode="learned",
+                                                             xi_mode="learned"),
+}
+
+
+def _payload(opts: PipelineOptions) -> dict:
+    """What one collaborator ships under ``opts`` at the default grid, as
+    zeros of the shipped shapes."""
+    n = BevSpec.centered(19.2, 19.2).height
+    return {f"s{s}.{kind}": np.zeros(({"dp": 2, "w": 1}.get(kind, c), n >> s, n >> s))
+            for s, c in enumerate(SCALE_CHANNELS) for kind in _shipped(opts, s)}
+
+
+def _payload_table() -> dict:
+    text = _section(README.read_text(encoding="utf-8"), "Pipeline schedule")
+    rows = re.findall(r"^\| ([^|]+?) \| (\d+) \| ([\d,]+) \| ([\d,]+) \| ([\d,]+) \|$",
+                      text, re.M)
+    assert rows, "the Pipeline schedule section has no bytes table"
+    return {label: [int(v.replace(",", "")) for v in values]
+            for label, *values in rows}
+
+
+def test_payload_table_is_what_the_sender_ships():
+    table = _payload_table()
+    assert sorted(table) == sorted(PAYLOAD_ROWS)
+    for label, opts in PAYLOAD_ROWS.items():
+        payload = _payload(opts)
+        want = [len(payload)] + [wire_bytes(payload, mode)
+                                 for mode in ("identity", "fp16", "int8")]
+        assert table[label] == want, label
