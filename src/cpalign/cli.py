@@ -10,16 +10,9 @@ import numpy as np
 from . import __version__, backend
 from .checks import ALL_CHECKS, run_all
 from .domain_align import save_pgm
-from .featurizer import BevSpec
-from .harness.config import ConfigError, load_config
-from .harness.pipeline import (
-    PipelineOptions,
-    build_pipeline_weights,
-    run_pipeline,
-    sweep,
-    write_sweep_csv,
-)
-from .harness.scenario import RenderConfig, generate_scenario, load_scenario, save_scenario
+from .harness.config import ConfigError, config_from_dict, load_config, read_json
+from .harness.pipeline import build_pipeline_weights, run_pipeline, sweep, write_sweep_csv
+from .harness.scenario import save_scenario
 from .numerics import ShapeError, load_weights, save_weights
 from .opcount import count_similarity_ops
 
@@ -54,104 +47,113 @@ def _sigmas(text: str) -> list:
     return pairs
 
 
-#: Scenario flags, each with the key of a --config file that sets the same.
+#: Scenario flags of run and sweep, each with the key of the config document
+#: that it sets; --scenario supplies the whole $.scenario section.
 _SCENARIO_FLAGS = (
     ("--scenario", "scenario", dict(help="scenario JSON produced by 'gen'")),
     ("--template", "scenario.template",
      dict(choices=("straight", "crossing", "turning"),
-          help="built-in scene when no --scenario file is given (default crossing)")),
+          help="built-in scene (default crossing)")),
     ("--seed", "scenario.seed", dict(type=int)),
 )
 
-#: Option flags, each with the PipelineOptions field it sets, which is also
-#: its key under "options" in a --config file. No flag has a default of its
-#: own: one left unset keeps the field's default.
-_OPTION_FLAGS = (
-    ("--no-ptam", "ptam", dict(action="store_false",
-                               help="transmit stale frames without temporal alignment")),
-    ("--xi-mode", "xi_mode", dict(choices=("oracle", "learned"))),
-    ("--motion-mode", "motion_mode", dict(choices=("ideal", "learned"))),
-    ("--codec", "codec", dict(choices=("identity", "fp16", "int8"))),
-    ("--no-phd", "phd", dict(action="store_false",
-                             help="skip near-range point downsampling on the ego cloud")),
-    ("--sigma-local", "sigma_local", dict(type=float,
-                                          help="collaborator position noise, metres")),
-    ("--sigma-head-deg", "sigma_head_deg", dict(type=float,
-                                                help="collaborator heading noise, degrees")),
-    ("--threshold", "detector_threshold",
-     dict(type=float, help="detector threshold on the normalized energy map")),
-    ("--weight-seed", "weight_seed", dict(type=int)),
+#: Scenario flags of gen: the template scene's keys.
+_GEN_FLAGS = _SCENARIO_FLAGS[1:] + (
+    ("--speed", "scenario.speed", dict(type=float)),
+    ("--duration", "scenario.duration", dict(type=float)),
+    ("--frame-interval", "scenario.frame_interval", dict(type=float)),
 )
 
-#: Sweep grid flags, each with its key under "sweep" in a --config file.
-_SWEEP_FLAGS = (("--taus-ms", "taus_ms"), ("--sigmas", "sigmas"), ("--t", "t"))
+#: Option flags, each with the PipelineOptions field it sets under
+#: "options". A flag left unset keeps the field's default.
+_OPTION_FLAGS = (
+    ("--no-ptam", "options.ptam",
+     dict(action="store_false", help="transmit stale frames without temporal alignment")),
+    ("--xi-mode", "options.xi_mode", dict(choices=("oracle", "learned"))),
+    ("--motion-mode", "options.motion_mode", dict(choices=("ideal", "learned"))),
+    ("--codec", "options.codec", dict(choices=("identity", "fp16", "int8"))),
+    ("--no-phd", "options.phd",
+     dict(action="store_false", help="skip near-range point downsampling on the ego cloud")),
+    ("--sigma-local", "options.sigma_local",
+     dict(type=float, help="collaborator position noise, metres")),
+    ("--sigma-head-deg", "options.sigma_head_deg",
+     dict(type=float, help="collaborator heading noise, degrees")),
+    ("--threshold", "options.detector_threshold",
+     dict(type=float, help="detector threshold on the normalized energy map")),
+    ("--weight-seed", "options.weight_seed", dict(type=int)),
+)
+
+#: Sweep grid flags, each with its key under "sweep".
+_SWEEP_FLAGS = (
+    ("--taus-ms", "sweep.taus_ms", dict(type=_taus_ms, help="comma list, e.g. 0,100,300")),
+    ("--sigmas", "sweep.sigmas",
+     dict(type=_sigmas, help="comma list of loc:head pairs, e.g. 0:0,0.5:2")),
+    ("--t", "sweep.t", dict(type=float)),
+)
 
 #: Options that pick the built weights; an archive from --weights sets them all.
 _WEIGHT_OPTIONS = ("weight_seed", "combine")
 
 
-def _add_scenario_args(p: argparse.ArgumentParser) -> None:
-    for flag, _, kwargs in _SCENARIO_FLAGS:
-        p.add_argument(flag, default=None, **kwargs)
+def _add_run_args(p: argparse.ArgumentParser, table: tuple) -> None:
+    _add_flags(p, table)
     p.add_argument("--config", help="full run configuration JSON")
-
-
-def _add_option_args(p: argparse.ArgumentParser) -> None:
-    for flag, field, kwargs in _OPTION_FLAGS:
-        p.add_argument(flag, dest=field, default=None, **kwargs)
     p.add_argument("--weights", help="load pipeline weights from an archive")
     p.add_argument("--save-weights", help="write the pipeline weights used")
 
 
+def _add_flags(p: argparse.ArgumentParser, table: tuple) -> None:
+    """Add each flag of ``table``; its value lands at the last part of its
+    key, and ``args.flags`` holds the table."""
+    for flag, key, kwargs in table:
+        p.add_argument(flag, dest=key.rpartition(".")[2], default=None, **kwargs)
+    p.set_defaults(flags=table)
+
+
 def _flags_set(args) -> list:
-    """``(flag, config key)`` of each scenario, option or sweep grid flag
-    that was given."""
-    sweep_flags = _SWEEP_FLAGS if args.command == "sweep" else ()
-    return ([(flag, key) for flag, key, _ in _SCENARIO_FLAGS
-             if getattr(args, flag[2:]) is not None]
-            + [(flag, f"options.{field}") for flag, field, _ in _OPTION_FLAGS
-               if getattr(args, field) is not None]
-            + [(flag, f"sweep.{field}") for flag, field in sweep_flags
-               if getattr(args, field) is not None])
+    """``(flag, config key, value)`` of each table flag that was given."""
+    given = [(flag, key, getattr(args, key.rpartition(".")[2]))
+             for flag, key, _ in args.flags]
+    return [entry for entry in given if entry[2] is not None]
+
+
+def _flag_document(args) -> dict:
+    """The config document that the given flags state, key by key."""
+    doc = {}
+    for _, key, value in _flags_set(args):
+        section, _, name = key.partition(".")
+        if not name:
+            doc[section] = read_json(value)
+        elif isinstance(doc.setdefault(section, {}), dict):
+            doc[section][name] = value  # a --scenario file that is no object is refused
+    return doc
 
 
 def _load_setup(args):
-    """(scenario, bev, render, options, sweep grid) from config or flags.
+    """(scenario, bev, render, options, sweep grid) of the run that the
+    config file or the flags state.
 
     A config file states the whole run, so a scenario, option or sweep grid
     flag given with it is refused, naming the key that sets the same. A
     weights archive sets every weight, so an option that picks the built
-    weights is refused beside ``--weights``.
+    weights is refused beside ``--weights``, naming the flag or key.
     """
+    given = _flags_set(args)
     if args.config:
-        clashes = _flags_set(args)
-        if clashes:
+        if given:
             raise ConfigError("; ".join(
                 f"{flag} cannot be combined with --config: set $.{key} in the "
-                f"config file instead" for flag, key in clashes))
+                f"config file instead" for flag, key, _ in given))
         cfg = load_config(args.config)
-        named = [f"$.options.{k}" for k in _WEIGHT_OPTIONS if k in cfg["option_keys"]]
-        if args.weights and named:
-            raise ConfigError(f"--weights cannot be combined with {', '.join(named)} "
-                              "in the config file: the archive sets every weight")
-        return (cfg["scenario"], cfg["bev"], cfg["render"], cfg["options"],
-                cfg["sweep"])
-    if args.weights and args.weight_seed is not None:
-        raise ConfigError("--weights cannot be combined with --weight-seed: "
-                          "the archive sets every weight")
-    if args.scenario:
-        try:
-            scenario = load_scenario(args.scenario)
-        except ShapeError as exc:
-            raise ConfigError(f"{args.scenario}: {exc}") from exc
     else:
-        seed = {} if args.seed is None else {"seed": args.seed}
-        scenario = generate_scenario(args.template or "crossing", **seed)
-    grid = {"taus_ms": [0, 100, 200, 300, 400, 500],
-            "sigmas": [(0.0, 0.0)], "t": None}
-    given = {field: getattr(args, field) for _, field, _ in _OPTION_FLAGS}
-    options = PipelineOptions(**{k: v for k, v in given.items() if v is not None})
-    return scenario, BevSpec.centered(19.2, 19.2), RenderConfig(), options, grid
+        cfg = config_from_dict(_flag_document(args))
+    flag_of = {key: flag for flag, key, _ in given}
+    named = [flag_of.get(f"options.{k}", f"$.options.{k} in the config file")
+             for k in _WEIGHT_OPTIONS if k in cfg["option_keys"]]
+    if args.weights and named:
+        raise ConfigError(f"--weights cannot be combined with {', '.join(named)}: "
+                          "the archive sets every weight")
+    return cfg["scenario"], cfg["bev"], cfg["render"], cfg["options"], cfg["sweep"]
 
 
 def _resolve_weights(args, opts):
@@ -161,9 +163,7 @@ def _resolve_weights(args, opts):
 
 
 def _cmd_gen(args) -> int:
-    scn = generate_scenario(args.template, seed=args.seed, speed=args.speed,
-                            duration=args.duration,
-                            frame_interval=args.frame_interval)
+    scn = config_from_dict(_flag_document(args))["scenario"]
     save_scenario(scn, args.out)
     print(f"wrote {args.out}: {len(scn.agents)} agents, "
           f"{len(scn.objects)} objects, {scn.n_frames} frames")
@@ -196,13 +196,11 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     scenario, bev, render, opts, grid = _load_setup(args)
     weights = _resolve_weights(args, opts)
-    taus = args.taus_ms or grid["taus_ms"]
-    sigmas = args.sigmas or grid["sigmas"]
-    t = args.t if args.t is not None else grid["t"]
-    rows = sweep(scenario, taus, opts, sigmas, t, weights, bev, render)
+    rows = sweep(scenario, grid["taus_ms"], opts, grid["sigmas"], grid["t"], weights,
+                 bev, render)
     write_sweep_csv(rows, args.out)
-    print(f"wrote {args.out}: {len(rows)} rows over {len(taus)} delays x "
-          f"{len(sigmas)} noise points")
+    print(f"wrote {args.out}: {len(rows)} rows over {len(grid['taus_ms'])} delays x "
+          f"{len(grid['sigmas'])} noise points")
     return 0
 
 
@@ -290,18 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="write a scenario file")
-    p_gen.add_argument("--template", default="crossing",
-                       choices=("straight", "crossing", "turning"))
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--speed", type=float, default=4.0)
-    p_gen.add_argument("--duration", type=float, default=1.2)
-    p_gen.add_argument("--frame-interval", type=float, default=0.1)
+    _add_flags(p_gen, _GEN_FLAGS)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(fn=_cmd_gen)
 
     p_run = sub.add_parser("run", help="single fused detection pass")
-    _add_scenario_args(p_run)
-    _add_option_args(p_run)
+    _add_run_args(p_run, _SCENARIO_FLAGS + _OPTION_FLAGS)
     p_run.add_argument("--t", type=float, default=None,
                        help="evaluation time, defaults to the last frame")
     p_run.add_argument("--tau-ms", type=float, default=300.0)
@@ -311,12 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(fn=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="delay/noise grid to CSV")
-    _add_scenario_args(p_sweep)
-    _add_option_args(p_sweep)
-    p_sweep.add_argument("--taus-ms", type=_taus_ms, help="comma list, e.g. 0,100,300")
-    p_sweep.add_argument("--sigmas", type=_sigmas,
-                         help="comma list of loc:head pairs, e.g. 0:0,0.5:2")
-    p_sweep.add_argument("--t", type=float, default=None)
+    _add_run_args(p_sweep, _SCENARIO_FLAGS + _OPTION_FLAGS + _SWEEP_FLAGS)
     p_sweep.add_argument("--out", required=True)
     p_sweep.set_defaults(fn=_cmd_sweep)
 

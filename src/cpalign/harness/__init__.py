@@ -7,7 +7,6 @@ from .scenario import (
     Scenario,
     generate_scenario,
     ideal_motion_field,
-    load_scenario,
     render_pointcloud,
     save_scenario,
 )
@@ -25,7 +24,7 @@ from .pipeline import (
 
 __all__ = [
     "AgentSpec", "ObjectTrack", "RenderConfig", "Scenario",
-    "generate_scenario", "ideal_motion_field", "load_scenario",
+    "generate_scenario", "ideal_motion_field",
     "render_pointcloud", "save_scenario",
     "CodecConfig", "encode_decode", "transmit_tensors",
     "DetectionReport", "detection_map", "evaluate_detection",

@@ -2,12 +2,11 @@
 
 import dataclasses
 import json
-import math
-import numbers
 
 from ..featurizer import BevSpec
+from ..numerics import finite_number
 from .pipeline import PipelineOptions
-from .scenario import RenderConfig, Scenario, generate_scenario, scenario_from_dict
+from .scenario import RenderConfig, generate_scenario, scenario_from_dict
 
 
 class ConfigError(ValueError):
@@ -33,12 +32,6 @@ def _check_keys(section: dict, allowed: set, path: str) -> None:
                               f"(allowed: {', '.join(sorted(allowed))})")
 
 
-def _finite(value) -> bool:
-    """Whether ``value`` is a finite JSON number; true and false are not."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
 def _build(factory, kwargs: dict, path: str):
     try:
         return factory(**kwargs)
@@ -46,19 +39,29 @@ def _build(factory, kwargs: dict, path: str):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def load_config(path) -> dict:
-    """Parse and validate a run configuration file.
-
-    Returns a dict with constructed objects under "scenario", "bev",
-    "render", "options", the raw "sweep" grid, and the keys the file sets
-    under "options" as "option_keys".  Every section is optional; omitted
-    ones fall back to defaults.
-    """
+def read_json(path):
+    """The JSON document in the file at ``path``; invalid JSON is a
+    :class:`ConfigError` naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def load_config(path) -> dict:
+    """Parse and validate a run configuration file (see :func:`config_from_dict`)."""
+    return config_from_dict(read_json(path))
+
+
+def config_from_dict(data) -> dict:
+    """Validate a run configuration document and build the run it states.
+
+    Returns a dict with constructed objects under "scenario", "bev",
+    "render", "options", the raw "sweep" grid, and the keys the document
+    sets under "options" as "option_keys".  Every section is optional;
+    omitted ones fall back to defaults.
+    """
     if not isinstance(data, dict):
         raise ConfigError("$: top level must be an object")
     for key in data:
@@ -69,6 +72,10 @@ def load_config(path) -> dict:
     scn_cfg = data.get("scenario", {"template": "crossing"})
     _check_keys(scn_cfg, _SCENARIO_KEYS, "$.scenario")
     if "agents" in scn_cfg or "objects" in scn_cfg:
+        for key in ("template", "speed"):  # a template scene's keys
+            if key in scn_cfg:
+                raise ConfigError(f"$.scenario.{key}: a scenario with agents or "
+                                  "objects takes no template or speed")
         try:
             scenario = scenario_from_dict(scn_cfg)
         except Exception as exc:
@@ -98,7 +105,7 @@ def load_config(path) -> dict:
     _check_keys(sweep_cfg, _SWEEP_KEYS, "$.sweep")
     taus = sweep_cfg.get("taus_ms", [0, 100, 200, 300, 400, 500])
     if not isinstance(taus, list) or not taus or \
-            not all(_finite(v) and v >= 0 for v in taus):
+            not all(finite_number(v) and v >= 0 for v in taus):
         raise ConfigError("$.sweep.taus_ms: expected a non-empty list of finite "
                           "non-negative delays in milliseconds")
     sigmas = sweep_cfg.get("sigmas", [[0.0, 0.0]])
@@ -108,11 +115,11 @@ def load_config(path) -> dict:
                           "[sigma_local_m, sigma_head_deg] pairs")
     for i, pair in enumerate(sigmas):
         for j, sigma in enumerate(pair):
-            if not (_finite(sigma) and sigma >= 0):
+            if not (finite_number(sigma) and sigma >= 0):
                 raise ConfigError(f"$.sweep.sigmas[{i}][{j}]: expected a finite "
                                   f"non-negative number, got {sigma!r}")
     t = sweep_cfg.get("t")
-    if t is not None and not _finite(t):
+    if t is not None and not finite_number(t):
         raise ConfigError(f"$.sweep.t: expected a finite number of seconds, got {t!r}")
 
     return {

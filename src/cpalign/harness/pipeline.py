@@ -58,7 +58,7 @@ from ..instance_fusion import (
     fusion_term,
     refine_instance,
 )
-from ..numerics import ShapeError, freeze_weights, he_normal
+from ..numerics import ShapeError, finite_number, freeze_weights, he_normal
 from ..opcount import OpCounter, count_similarity_ops
 from ..pointcloud import phd_apply
 from ..temporal_align import (
@@ -126,15 +126,14 @@ class PipelineOptions:
             raise ShapeError(f"unknown combine mode {self.combine!r}")
         for name in ("sigma_local", "sigma_head_deg"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ShapeError(f"{name} must be non-negative and finite, got {value}")
-        # the detector cuts a map normalised to a peak of 1; NaN fails both sides
-        if not 0.0 < self.detector_threshold <= 1.0:
-            raise ShapeError(
-                f"detector_threshold must be in (0, 1], got {self.detector_threshold}")
+            if not (finite_number(value) and value >= 0.0):
+                raise ShapeError(f"{name} must be non-negative and finite, got {value!r}")
+        # the detector cuts a map normalised to a peak of 1
+        threshold = self.detector_threshold
+        if not (finite_number(threshold) and 0.0 < threshold <= 1.0):
+            raise ShapeError(f"detector_threshold must be in (0, 1], got {threshold!r}")
         seed = self.weight_seed
-        if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool)
-                and seed >= 0):
+        if not (finite_number(seed, numbers.Integral) and seed >= 0):
             raise ShapeError(f"weight_seed must be a non-negative integer, got {seed!r}")
         CodecConfig(self.codec)  # validates the mode
 

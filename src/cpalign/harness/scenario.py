@@ -17,18 +17,13 @@ from dataclasses import dataclass, asdict
 
 from ..domain_align import Pose2
 from ..featurizer import BevSpec, box_footprint_mask
-from ..numerics import ShapeError
+from ..numerics import ShapeError, finite_number
 from ..pointcloud import OrientedBox, normalize_angle
 from ..temporal_align import MotionField
 
 _RENDER_TAG = 0x5E0D
 _GROUND_TAG = 0x6E0D
 _FRAME_TOL = 1e-6
-
-
-def _real(value) -> bool:
-    """Whether ``value`` is a finite number; true and false are not."""
-    return not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass
@@ -60,12 +55,12 @@ class Scenario:
     def __post_init__(self):
         if not self.agents:
             raise ShapeError("scenario needs at least one agent")
-        if not (_real(self.frame_interval) and self.frame_interval > 0.0):
-            raise ShapeError(f"frame_interval must be positive and finite, got {self.frame_interval}")
-        if not (_real(self.duration) and self.duration >= 0.0):
-            raise ShapeError(f"duration must be non-negative and finite, got {self.duration}")
-        if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool)
-                and self.seed >= 0):
+        if not (finite_number(self.frame_interval) and self.frame_interval > 0.0):
+            raise ShapeError(
+                f"frame_interval must be positive and finite, got {self.frame_interval!r}")
+        if not (finite_number(self.duration) and self.duration >= 0.0):
+            raise ShapeError(f"duration must be non-negative and finite, got {self.duration!r}")
+        if not (finite_number(self.seed, numbers.Integral) and self.seed >= 0):
             raise ShapeError(f"seed must be a non-negative integer, got {self.seed!r}")
         ids = [a.agent_id for a in self.agents]
         if len(set(ids)) != len(ids):
@@ -184,14 +179,11 @@ class RenderConfig:
             if not ok:
                 raise ShapeError(f"{name} must be {want}, got {getattr(self, name)!r}")
 
-        def number(name, kind=numbers.Real):
-            value = getattr(self, name)
-            return (isinstance(value, kind) and not isinstance(value, bool)
-                    and math.isfinite(value))
-
-        need(number("max_points", numbers.Integral) and self.max_points >= MIN_POINTS,
+        need(finite_number(self.max_points, numbers.Integral)
+             and self.max_points >= MIN_POINTS,
              "max_points", f"an integer of at least {MIN_POINTS}")
-        need(number("density") and self.density > 0.0, "density", "positive and finite")
+        need(finite_number(self.density) and self.density > 0.0,
+             "density", "positive and finite")
         need(isinstance(self.include_ground, bool), "include_ground", "true or false")
 
 
@@ -351,7 +343,7 @@ def _car(cx, cy, yaw=0.0):
 def generate_scenario(template: str, seed: int = 0, speed: float = 4.0,
                       duration: float = 1.2, frame_interval: float = 0.1) -> Scenario:
     """Build one of the canned two-agent scenes."""
-    if not _real(speed):
+    if not finite_number(speed):
         raise ShapeError(f"speed must be a finite number, got {speed!r}")
     agents = [
         AgentSpec("ego", Pose2(0.0, 0.0, 0.0)),
@@ -400,16 +392,22 @@ def scenario_to_dict(scn: Scenario) -> dict:
 
 def _number(value, path: str) -> float:
     """``value`` as a finite float, else a ShapeError naming its key path;
-    true and false are not numbers."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError(value)
-        v = float(value)
-    except (TypeError, ValueError):
-        raise ShapeError(f"{path} must be a number, got {value!r}") from None
-    if not math.isfinite(v):
-        raise ShapeError(f"{path} must be finite, got {v}")
-    return v
+    true, false and strings are not numbers."""
+    if finite_number(value):
+        return float(value)
+    if isinstance(value, float):  # NaN or +-inf
+        raise ShapeError(f"{path} must be finite, got {value}")
+    raise ShapeError(f"{path} must be a number, got {value!r}")
+
+
+def _box(data: dict, path: str) -> OrientedBox:
+    """The box of a document's ``box`` entry; each number, and a size that
+    is not positive, is named by its key path."""
+    box = {k: _number(v, f"{path}.{k}") for k, v in data.items()}
+    for k in ("length", "width", "height"):
+        if box.get(k, 1.0) <= 0.0:
+            raise ShapeError(f"{path}.{k} must be positive, got {box[k]}")
+    return OrientedBox(**box)
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -427,8 +425,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             for i, a in enumerate(data["agents"])
         ]
         objects = [
-            ObjectTrack(OrientedBox(**{k: _number(v, f"objects[{i}].box.{k}")
-                                       for k, v in tr["box"].items()}),
+            ObjectTrack(_box(tr["box"], f"objects[{i}].box"),
                         **{k: _number(tr.get(k, 0.0), f"objects[{i}].{k}")
                            for k in ("vx", "vy", "yaw_rate")})
             for i, tr in enumerate(data["objects"])
@@ -449,12 +446,3 @@ def save_scenario(scn: Scenario, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(scenario_to_dict(scn), fh, indent=2)
         fh.write("\n")
-
-
-def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ShapeError(f"not valid JSON: {exc}") from exc
-    return scenario_from_dict(data)

@@ -7,6 +7,8 @@ padding (no kernel flip).
 
 from __future__ import annotations
 
+import math
+import numbers
 import struct
 import types
 from dataclasses import dataclass, field
@@ -26,6 +28,17 @@ class ArchiveError(ValueError):
 
 
 ACTIVATIONS = ("none", "relu", "sigmoid")
+
+
+def finite_number(value, kind=numbers.Real) -> bool:
+    """Whether ``value`` is a finite number of ``kind``.
+
+    True, false and strings are not numbers. An integer is always finite,
+    however large: ``math.isfinite`` would overflow converting it to float.
+    """
+    if isinstance(value, bool) or not isinstance(value, kind):
+        return False
+    return isinstance(value, numbers.Integral) or math.isfinite(value)
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -49,7 +49,6 @@ from cpalign.harness.scenario import (
     agent_pose_at,
     generate_scenario,
     ideal_motion_field,
-    load_scenario,
     object_box_at,
     render_pointcloud,
     save_scenario,
@@ -253,11 +252,17 @@ def test_agent_frame_rotation():
     assert np.array_equal(a[:, 2:], b[:, 2:])
 
 
+def _scenario_of(argv):
+    """The scenario that ``cpalign run`` builds from ``argv``."""
+    from cpalign import cli
+    return cli._load_setup(cli.build_parser().parse_args(["run", *argv]))[0]
+
+
 def test_scenario_json_roundtrip(tmp_path):
     scn = generate_scenario("turning", seed=9)
     path = tmp_path / "scn.json"
     save_scenario(scn, path)
-    back = load_scenario(path)
+    back = _scenario_of(["--scenario", str(path)])
     assert len(back.agents) == len(scn.agents)
     assert back.seed == scn.seed
     a = render_pointcloud(scn, "ego", 0.4)
@@ -268,11 +273,11 @@ def test_scenario_json_roundtrip(tmp_path):
 def test_malformed_scenario_document(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"agents": [{"id": "x"}], "objects": []}))
-    with pytest.raises(ShapeError):
-        load_scenario(path)
+    with pytest.raises(ConfigError, match=re.escape("$.scenario: malformed scenario document")):
+        _scenario_of(["--scenario", str(path)])
     path.write_text("{nope")
-    with pytest.raises(ShapeError, match="not valid JSON"):
-        load_scenario(path)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: not valid JSON")):
+        _scenario_of(["--scenario", str(path)])
 
 
 SCENARIO_NUMBER_PATHS = (
@@ -322,18 +327,21 @@ def test_scenario_rejects_non_finite_timing_and_speed():
 @pytest.mark.parametrize("bad", [True, False])
 @pytest.mark.parametrize("key", ["speed", "duration", "frame_interval"])
 def test_scenario_timing_and_speed_refuse_bools(key, bad):
-    # true once ran as speed 1 m/s or duration 1 s
-    with pytest.raises(ShapeError, match=f"{key} must be .*, got {bad!r}"):
-        generate_scenario("straight", **{key: bad})
+    # true once ran as speed 1 m/s or duration 1 s, and a string ended in a
+    # bare TypeError
+    for value in (bad, str(int(bad)), " 0.8 "):
+        with pytest.raises(ShapeError, match=f"{key} must be .*, got {re.escape(repr(value))}"):
+            generate_scenario("straight", **{key: value})
 
 
 @pytest.mark.parametrize("path", [p for p in SCENARIO_NUMBER_PATHS if p != "seed"])
 def test_scenario_from_dict_names_a_bool_number(path):
-    # a document's true once loaded as 1.0
+    # a document's true once loaded as 1.0, its "3" as 3.0 and " 0.8 " as 0.8
     doc = scenario_to_dict(generate_scenario("straight"))
-    _set_key_path(doc, path, True)
-    with pytest.raises(ShapeError, match=re.escape(f"{path} must be a number, got True")):
-        scenario_from_dict(doc)
+    for bad in (True, "3", " 0.8 "):
+        _set_key_path(doc, path, bad)
+        with pytest.raises(ShapeError, match=re.escape(f"{path} must be a number, got {bad!r}")):
+            scenario_from_dict(doc)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -1539,6 +1547,16 @@ def test_pipeline_options_validation():
                 f"weight_seed must be a non-negative integer, got {bad!r}")):
             PipelineOptions(weight_seed=bad)
     assert PipelineOptions(weight_seed=np.int64(3)).weight_seed == 3
+    # true once ran as sigma 1 or threshold 1.0, and "1" ended in a TypeError
+    for name, want in (("sigma_local", "non-negative and finite"),
+                       ("sigma_head_deg", "non-negative and finite"),
+                       ("detector_threshold", "in (0, 1]")):
+        for bad in (True, False, "1", None):
+            with pytest.raises(ShapeError, match=re.escape(
+                    f"{name} must be {want}, got {bad!r}")):
+                PipelineOptions(**{name: bad})
+    # an integer is finite however large; math.isfinite would overflow on it
+    assert PipelineOptions(weight_seed=10**400).weight_seed == 10**400
     # the fixed settings, and the retired stage-2 variant, are no options
     for name in ("window", "noise_seed", "stage2_variant"):
         with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
@@ -1699,21 +1717,24 @@ def test_cli_bad_scenario_seed_exits_2_naming_it(tmp_path, capsys, seed):
 
 
 def test_cli_bool_scenario_number_exits_2_naming_the_key(tmp_path, capsys):
-    # each once ran with true read as 1
-    doc = scenario_to_dict(_fast_scene())
-    doc["agents"][0]["x"] = True
-    files = {"scn.json": doc, "inline.json": {"scenario": doc},
-             "template.json": {"scenario": {"template": "straight", "speed": True}}}
-    for name, content in files.items():
-        (tmp_path / name).write_text(json.dumps(content))
-    for flag, name, named in (("--scenario", "scn.json", "agents[0].x must be a number"),
-                              ("--config", "inline.json", "agents[0].x must be a number"),
-                              ("--config", "template.json", "speed must be a finite number")):
-        assert _exit_code(["run", flag, str(tmp_path / name),
-                           "--tau-ms", "200", "--t", "0.8"]) == 2
-        err = capsys.readouterr().err
-        assert f"{named}, got True" in err
-        assert "Traceback" not in err
+    # each once ran with true read as 1, and with "4" read as 4.0 (a
+    # template's "4" was refused without its key)
+    for bad in (True, "4"):
+        doc = scenario_to_dict(_fast_scene())
+        doc["agents"][0]["x"] = bad
+        files = {"scn.json": doc, "inline.json": {"scenario": doc},
+                 "template.json": {"scenario": {"template": "straight", "speed": bad}}}
+        for name, content in files.items():
+            (tmp_path / name).write_text(json.dumps(content))
+        for flag, name, named in (("--scenario", "scn.json", "agents[0].x must be a number"),
+                                  ("--config", "inline.json", "agents[0].x must be a number"),
+                                  ("--config", "template.json",
+                                   "speed must be a finite number")):
+            assert _exit_code(["run", flag, str(tmp_path / name),
+                               "--tau-ms", "200", "--t", "0.8"]) == 2
+            err = capsys.readouterr().err
+            assert f"{named}, got {bad!r}" in err
+            assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("grid,key", [
@@ -1895,6 +1916,10 @@ def _bad_section(section, values, named, i):
     _bad_section("options", {"phd_collaborators": "yes"}, "phd_collaborators", 7),
     _bad_section("options", {"weight_seed": -1}, "weight_seed", 8),
     _bad_section("render", {"max_points": 2}, "max_points", 5),
+    _bad_section("options", {"sigma_local": True}, "sigma_local", 9),
+    _bad_section("options", {"sigma_head_deg": "1"}, "sigma_head_deg", 10),
+    _bad_section("options", {"detector_threshold": True}, "detector_threshold", 11),
+    _bad_section("options", {"sigma_local": None}, "sigma_local", 12),
 ])
 def test_cli_bad_render_config_exits_2(tmp_path, capsys, section, values, named):
     cfg = tmp_path / "cfg.json"
@@ -2006,6 +2031,116 @@ def test_cli_unset_option_flags_keep_the_option_defaults():
     scenario, _, _, opts, _ = cli._load_setup(args)
     assert opts == PipelineOptions(phd=False, codec="int8")
     assert scenario == generate_scenario("crossing", seed=2)
+
+
+def test_cli_seed_beside_scenario_sets_the_documents_seed(tmp_path):
+    # the flag was once dropped without a word: the report was byte-identical
+    path = tmp_path / "scn.json"
+    save_scenario(_fast_scene(), path)
+    assert _scenario_of(["--scenario", str(path)]) == _fast_scene()
+    assert _scenario_of(["--scenario", str(path), "--seed", "3"]) == replace(_fast_scene(),
+                                                                             seed=3)
+
+
+def test_scenario_with_agents_refuses_template_and_speed(tmp_path, capsys):
+    # both were once ignored: template turning and speed 9 gave the bare
+    # document's report
+    doc = scenario_to_dict(_fast_scene())
+    cfg = tmp_path / "cfg.json"
+    for key, value in (("template", "turning"), ("speed", 9)):
+        cfg.write_text(json.dumps({"scenario": doc | {key: value}}))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"$.scenario.{key}: a scenario with agents or objects takes no")):
+            load_config(cfg)
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps(doc))
+    assert _exit_code(["run", "--scenario", str(scn), "--template", "turning"]) == 2
+    err = capsys.readouterr().err
+    assert "$.scenario.template: a scenario with agents or objects takes no" in err
+    assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def cfg_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "cfg.json"
+
+
+def _sweep_doc():
+    return {"sweep": {"taus_ms": [0], "sigmas": [[0.0, 0.0]]}}
+
+
+#: (base document, key path, what the error names, bounded below by zero) of
+#: each number a config document holds
+CONFIG_NUMBERS = (
+    [(lambda: {"scenario": scenario_to_dict(_fast_scene())}, f"scenario.{p}", p,
+      p in ("duration", "frame_interval", "seed") or p.endswith(("length", "width", "height")))
+     for p in SCENARIO_NUMBER_PATHS]
+    + [(lambda: {"scenario": {"template": "straight"}}, f"scenario.{k}", k, k != "speed")
+       for k in ("speed", "duration", "frame_interval", "seed")]
+    + [(lambda s=section: {s: {}}, f"{section}.{k}", k, True) for section, k in (
+        ("options", "sigma_local"), ("options", "sigma_head_deg"),
+        ("options", "detector_threshold"), ("options", "weight_seed"),
+        ("render", "density"), ("render", "max_points"))]
+    + [(_sweep_doc, "sweep.taus_ms[0]", "$.sweep.taus_ms", True),
+       (_sweep_doc, "sweep.sigmas[0][0]", "$.sweep.sigmas[0][0]", True),
+       (_sweep_doc, "sweep.sigmas[0][1]", "$.sweep.sigmas[0][1]", True),
+       (_sweep_doc, "sweep.t", "$.sweep.t", False)])
+
+_NOT_NUMBERS = st.sampled_from([True, False, "3", " 0.8 ", math.nan, math.inf, -math.inf])
+_NEGATIVE = st.one_of(st.integers(max_value=-1),
+                      st.floats(max_value=-1e-9, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(entry=st.sampled_from(CONFIG_NUMBERS), data=st.data())
+def test_config_names_every_bad_number(cfg_path, entry, data):
+    base, path, named, non_negative = entry
+    bad = data.draw(st.one_of(_NOT_NUMBERS, _NEGATIVE) if non_negative else _NOT_NUMBERS)
+    doc = base()
+    _set_key_path(doc, path, bad)
+    cfg_path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as err:
+        load_config(cfg_path)
+    assert str(err.value).startswith("$." + path.split(".")[0])
+    assert named in str(err.value)
+
+
+@settings(max_examples=30, deadline=None)
+@given(path=st.sampled_from(["scenario.seed", "options.weight_seed", "render.max_points"]),
+       explicit=st.booleans(), big=st.integers(min_value=2 ** 1024, max_value=10 ** 400))
+def test_config_accepts_an_integer_beyond_float_range(cfg_path, path, explicit, big):
+    # math.isfinite overflows on such an integer: it once ended in an OverflowError
+    doc = {"scenario": scenario_to_dict(_fast_scene()) if explicit else {"template": "straight"},
+           "options": {}, "render": {}}
+    _set_key_path(doc, path, big)
+    cfg_path.write_text(json.dumps(doc))
+    cfg = load_config(cfg_path)
+    section, key = path.split(".")
+    assert getattr(cfg[section], key) == big
+
+
+def _unknown_key(key: str, path) -> str | None:
+    """The error of load_config on a document that sets ``key`` to null,
+    when it is refused as no key or section of the document."""
+    section, _, name = key.partition(".")
+    path.write_text(json.dumps({section: {name: None} if name else {}}))
+    try:
+        load_config(path)
+    except ConfigError as exc:
+        if "unknown key" in str(exc) or "unknown section" in str(exc):
+            return str(exc)
+    return None
+
+
+def test_every_cli_flag_sets_a_config_key(cfg_path):
+    # a flag that bypassed the document would need a second set of defaults
+    from cpalign import cli
+    tables = cli._SCENARIO_FLAGS + cli._GEN_FLAGS + cli._OPTION_FLAGS + cli._SWEEP_FLAGS
+    refused = {flag: _unknown_key(key, cfg_path) for flag, key, _ in tables}
+    assert {flag: err for flag, err in refused.items() if err} == {}
+    # the check itself, on keys that the document lacks
+    assert _unknown_key("options.window", cfg_path).startswith("$.options.window: unknown key")
+    assert _unknown_key("fleet.layouts", cfg_path).startswith("$.fleet: unknown section")
 
 
 def test_cli_unknown_config_path_errors(capsys):
