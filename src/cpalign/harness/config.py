@@ -89,6 +89,10 @@ def config_from_dict(data) -> dict:
 
     bev_cfg = dict(data.get("bev", {}))
     _check_keys(bev_cfg, _BEV_KEYS, "$.bev")
+    for key, value in bev_cfg.items():
+        if not (finite_number(value) and value > 0):
+            raise ConfigError(f"$.bev.{key}: expected a finite positive number of "
+                              f"metres, got {value!r}")
     bev_cfg.setdefault("x_extent", 19.2)
     bev_cfg.setdefault("y_extent", 19.2)
     bev = _build(BevSpec.centered, bev_cfg, "$.bev")

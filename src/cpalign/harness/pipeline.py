@@ -75,7 +75,8 @@ from ..temporal_align import (
     temporal_loss,
     window_cosines,
 )
-from .codec import CodecConfig, encode_decode, transmit_tensors, wire_bytes
+from .codec import (CodecConfig, encode_decode, pack_nonzeros, transmit_tensors,
+                    unpack_nonzeros, wire_bytes)
 from .detect import ENERGY_CHANNELS, detection_map, evaluate_detection
 from .scenario import (
     RenderConfig,
@@ -546,7 +547,11 @@ def _ship_stage1(run: _Run, agent_id, ms_latest):
     """The collaborator's side: PTAM stage 1 and the channel. Returns the
     received tensors, their errors, the bytes they took on the channel and
     the large latest frame, handed over beside the channel for
-    ``cosine_pre``; the payload dies here."""
+    ``cosine_pre``; the payload dies here.
+
+    Each tensor goes on the channel as its nonzeros plus a bitmap; its
+    error is taken over the dense tensor, as the dense codec reported it.
+    """
     opts, ctx = run.opts, run.ctx
     t_prev = run.t - run.tau - ctx.scenario.frame_interval
     if opts.ptam:
@@ -559,8 +564,12 @@ def _ship_stage1(run: _Run, agent_id, ms_latest):
                           ms_latest.scales[s], ms_prev.scales[s])
             tensors.update(inter=ptam_stage1(ms_prev.scales[s], mf1), dp=mf1.dp, w=mf1.w)
         payload.update((f"s{s}.{kind}", tensors[kind]) for kind in _shipped(opts, s))
-    return (*transmit_tensors(payload, CodecConfig(opts.codec)),
-            wire_bytes(payload, opts.codec), ms_latest.large)
+    packed = pack_nonzeros(payload, opts.codec)
+    received = unpack_nonzeros(transmit_tensors(packed, CodecConfig(opts.codec))[0],
+                               {name: a.shape for name, a in payload.items()})
+    errors = {name: float(np.mean((received[name] - a) ** 2))
+              for name, a in payload.items()}
+    return received, errors, wire_bytes(packed, opts.codec), ms_latest.large
 
 
 def _fill(slot: Future, result=None, exc=None) -> None:

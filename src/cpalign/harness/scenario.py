@@ -397,6 +397,8 @@ def _number(value, path: str) -> float:
         return float(value)
     if isinstance(value, float):  # NaN or +-inf
         raise ShapeError(f"{path} must be finite, got {value}")
+    if isinstance(value, int) and not isinstance(value, bool):
+        raise ShapeError(f"{path} must fit a float, got {value}")
     raise ShapeError(f"{path} must be a number, got {value!r}")
 
 

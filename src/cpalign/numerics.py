@@ -33,12 +33,18 @@ ACTIVATIONS = ("none", "relu", "sigmoid")
 def finite_number(value, kind=numbers.Real) -> bool:
     """Whether ``value`` is a finite number of ``kind``.
 
-    True, false and strings are not numbers. An integer is always finite,
-    however large: ``math.isfinite`` would overflow converting it to float.
+    True, false and strings are not numbers. Of ``kind=numbers.Integral``
+    any integer is finite, however large; as a real number an integer must
+    fit a float, which is how it will be used.
     """
     if isinstance(value, bool) or not isinstance(value, kind):
         return False
-    return isinstance(value, numbers.Integral) or math.isfinite(value)
+    if kind is numbers.Integral:
+        return True
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond float range
+        return False
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -19,12 +19,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import cpalign
 from cpalign.domain_align import Pose2
 from cpalign.harness import detect, pipeline
 from cpalign.featurizer import BevSpec, bev_project
-from cpalign.harness.codec import CodecConfig, encode_decode, transmit_tensors
+from cpalign.harness.codec import (
+    CodecConfig,
+    encode_decode,
+    pack_nonzeros,
+    transmit_tensors,
+    unpack_nonzeros,
+)
 from cpalign.harness.config import ConfigError, load_config
 from cpalign.harness.detect import (
     box_to_aabb,
@@ -437,6 +444,14 @@ def test_int8_zero_tensor():
     assert np.array_equal(dec, np.zeros((2, 2))) and mse == 0.0
 
 
+def test_int8_subnormal_peak():
+    # max|x| / 127 underflowed to a zero scale, and x / scale divided by it
+    x = np.array([5e-324, -1e-320, 0.0])
+    dec, mse = encode_decode(x, "int8")
+    assert np.isfinite(dec).all() and mse == 0.0
+    assert abs(dec[1] - x[1]) <= 1e-320 / 127
+
+
 def test_transmit_tensors_reports_per_name():
     rng = np.random.default_rng(2)
     bundle = {"a": rng.normal(size=(2, 3)), "b": np.zeros((2, 2))}
@@ -460,6 +475,48 @@ def test_transmit_tensors_rejects_non_finite(mode, n, pos, bad, seed):
     del bundle["broken"]
     dec, errs = transmit_tensors(bundle, CodecConfig(mode))
     assert np.isfinite(dec["fine"]).all() and math.isfinite(errs["fine"])
+
+
+#: bytes per bitmap word: the codec's own width
+_WORD_BYTES = {"identity": 4, "fp16": 2, "int8": 1}
+
+#: entries of a tensor to pack: exact zeros of both signs, subnormals, and
+#: values small enough that no codec's error overflows
+_PACK_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+_PACK_SHAPES = hnp.array_shapes(min_dims=1, max_dims=3, max_side=9).filter(
+    lambda shape: math.prod(shape) % 32)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mode=st.sampled_from(("identity", "fp16", "int8")), data=st.data())
+def test_packed_round_trip_is_the_dense_codec(mode, data):
+    # the channel carries each tensor as its nonzero values plus a bitmap;
+    # zero is the +0.0 bit pattern alone, so -0.0 ships as a value
+    a = data.draw(hnp.arrays(np.float64, _PACK_SHAPES, elements=_PACK_VALUES))
+    packed = pack_nonzeros({"t": a}, mode)
+    bitmap = packed["t.bitmap"]
+    assert bitmap.dtype.kind == "u" and bitmap.itemsize == _WORD_BYTES[mode]
+    assert bitmap.size == math.ceil(a.size / (8 * _WORD_BYTES[mode]))
+    received, errors = transmit_tensors(packed, CodecConfig(mode))
+    assert set(errors) == {"t"}  # the bitmap is carried bit for bit
+    assert np.array_equal(received["t.bitmap"], bitmap)
+    got = unpack_nonzeros(received, {"t": a.shape})["t"]
+    want = a if mode == "identity" else encode_decode(a, mode)[0]
+    assert got.shape == a.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # a NaN is a value too, so the channel still refuses it by its tensor
+    a.flat[data.draw(st.integers(0, a.size - 1))] = math.nan
+    with pytest.raises(ShapeError, match=re.escape("'s0.inter'")):
+        transmit_tensors(pack_nonzeros({"s0.inter": a}, mode), CodecConfig(mode))
+
+
+def test_unpack_refuses_values_that_miss_the_bitmap():
+    packed = pack_nonzeros({"t": np.array([0.0, 1.0, 2.0, 0.0])}, "identity")
+    packed["t"] = packed["t"][:1]
+    with pytest.raises(ShapeError, match="'t': 1 values for 2 bitmap entries"):
+        unpack_nonzeros(packed, {"t": (4,)})
 
 
 def test_unknown_codec_rejected():
@@ -957,12 +1014,15 @@ def _payload_table(opts) -> set:
 @pytest.mark.parametrize("ptam", [True, False])
 def test_every_shipped_tensor_is_read(monkeypatch, ptam, motion_mode, xi_mode):
     # the sender once shipped 12 tensors whatever the options, and under
-    # the oracle defaults the receiver read 4 of them
+    # the oracle defaults the receiver read 4 of them; each tensor goes on
+    # the channel as its nonzero values and their bitmap, and the receiver
+    # reads both
     opts = PipelineOptions(ptam=ptam, motion_mode=motion_mode, xi_mode=xi_mode,
                            phd=False)
     log = _log_channel(monkeypatch)
     run_pipeline(_fast_scene(), 0.8, 0.2, opts, bev=_BEV_SMALL)
-    assert log["shipped"] == log["read"] == _payload_table(opts)
+    pairs = {name + part for name in _payload_table(opts) for part in ("", ".bitmap")}
+    assert log["shipped"] == log["read"] == pairs
 
 
 @pytest.mark.parametrize("motion_mode", ["ideal", "learned"])
@@ -979,20 +1039,29 @@ def test_bytes_tx_counts_what_the_channel_carries(monkeypatch, codec, ptam, moti
 
 
 def test_bytes_tx_at_the_default_grid_and_options():
-    # one collaborator, 48x48 cells: the three stage-1 results,
-    # (64 + 128 / 4 + 256 / 16) * 2304 floats of 4 B
+    # one collaborator, 48x48 cells: the three stage-1 results. Dense they
+    # took (64 + 128 / 4 + 256 / 16) * 2304 floats of 4 B = 1,032,192 B;
+    # packed, their nonzero floats of 4 B plus a bitmap of 4 B words
     report = run_pipeline(generate_scenario("straight"), 1.2, 0.3)
-    assert report.bytes_tx == 1_032_192
+    assert report.bytes_tx == 526_068 < 1_032_192
 
 
 def test_codec_mse_is_the_mean_over_the_shipped_tensors(monkeypatch):
     # int8 under ideal motion and oracle xi ships the 3 stage-1 results, so
-    # the mean runs over those 3
+    # the mean runs over those 3, each one's error taken over the dense
+    # tensor although the channel carries its nonzeros and a bitmap
     opts = PipelineOptions(codec="int8", phd=False)
+    dense, pack = [], pipeline.pack_nonzeros
+
+    def logged_pack(tensors, mode):
+        dense.extend(tensors.values())
+        return pack(tensors, mode)
+
+    monkeypatch.setattr(pipeline, "pack_nonzeros", logged_pack)
     log = _log_channel(monkeypatch)
     report = run_pipeline(_fast_scene(), 0.8, 0.2, opts, bev=_BEV_SMALL)
-    assert len(log["tensors"]) == 3
-    errors = [encode_decode(a, "int8")[1] for a in log["tensors"]]
+    assert len(dense) == 3 and len(log["tensors"]) == 6
+    errors = [encode_decode(a, "int8")[1] for a in dense]
     assert report.codec_mse == float(np.mean(errors))
     assert report.codec_mse == pytest.approx(3.448551126989655e-05, rel=1e-9)
 
@@ -2080,7 +2149,8 @@ CONFIG_NUMBERS = (
     + [(lambda s=section: {s: {}}, f"{section}.{k}", k, True) for section, k in (
         ("options", "sigma_local"), ("options", "sigma_head_deg"),
         ("options", "detector_threshold"), ("options", "weight_seed"),
-        ("render", "density"), ("render", "max_points"))]
+        ("render", "density"), ("render", "max_points"),
+        ("bev", "x_extent"), ("bev", "y_extent"), ("bev", "cell"))]
     + [(_sweep_doc, "sweep.taus_ms[0]", "$.sweep.taus_ms", True),
        (_sweep_doc, "sweep.sigmas[0][0]", "$.sweep.sigmas[0][0]", True),
        (_sweep_doc, "sweep.sigmas[0][1]", "$.sweep.sigmas[0][1]", True),
@@ -2117,6 +2187,39 @@ def test_config_accepts_an_integer_beyond_float_range(cfg_path, path, explicit, 
     cfg = load_config(cfg_path)
     section, key = path.split(".")
     assert getattr(cfg[section], key) == big
+
+
+#: the entries of CONFIG_NUMBERS whose key is a real number, not an integer
+_REAL_NUMBERS = [entry for entry in CONFIG_NUMBERS
+                 if entry[2] not in ("seed", "weight_seed", "max_points")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(entry=st.sampled_from(_REAL_NUMBERS),
+       big=st.integers(min_value=2 ** 1024, max_value=10 ** 400)
+       | st.integers(min_value=-10 ** 400, max_value=-2 ** 1024))
+def test_config_refuses_an_integer_beyond_float_range_for_a_real_key(cfg_path, entry, big):
+    # $.scenario.speed or $.options.sigma_local at 10**400 once loaded and
+    # ended in an OverflowError where the value was first used
+    base, path, named, _ = entry
+    doc = base()
+    _set_key_path(doc, path, big)
+    cfg_path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as err:
+        load_config(cfg_path)
+    assert str(err.value).startswith("$." + path.split(".")[0])
+    assert named in str(err.value)
+
+
+@pytest.mark.parametrize("section,key", [("scenario", "speed"), ("options", "sigma_local")])
+def test_cli_refuses_an_integer_beyond_float_range(tmp_path, capsys, section, key):
+    doc = {"scenario": {"template": "straight"}}
+    doc.setdefault(section, {})[key] = 10 ** 400
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert _exit_code(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"$.{section}: {key} must be" in err and "Traceback" not in err
 
 
 def _unknown_key(key: str, path) -> str | None:
