@@ -64,7 +64,13 @@ def encode_decode(arr: np.ndarray, mode: str = "identity"):
 
 
 def wire_bytes(tensors: dict, mode: str) -> int:
-    """Payload size of one named bundle under codec ``mode``, in bytes."""
+    """Payload size of one named bundle under codec ``mode``, in bytes.
+
+    Every entry counts its elements at the codec's width, and under int8 a
+    4 B scale. A :func:`pack_nonzeros` bitmap carries no scale, so under
+    int8 this is 4 B per bitmap over the bytes on the link; it stays so
+    while ``perfbench/tracer.py`` keeps its own copy of this count.
+    """
     n = sum(int(np.size(a)) for a in tensors.values())
     scales = _INT8_SCALE_BYTES * len(tensors) if mode == "int8" else 0
     return n * _ELEM_BYTES[mode] + scales
@@ -115,7 +121,8 @@ def transmit_tensors(tensors: dict, cfg: CodecConfig):
     """Send a named bundle through the channel.
 
     Returns (decoded dict, per-tensor mse dict).  Iteration order follows the
-    input dict so remote reassembly is reproducible.  An unsigned-integer
+    input dict so remote reassembly is reproducible.  For a packed bundle
+    each mse is over the values an entry carried, not over the dense tensor.  An unsigned-integer
     array (a bitmap) is carried bit for bit, with no codec and no mse entry.
     A tensor holding a NaN or an infinity raises :class:`ShapeError` naming
     it: int8 would spread it over the whole decoded tensor and the identity

@@ -550,7 +550,8 @@ def _ship_stage1(run: _Run, agent_id, ms_latest):
     ``cosine_pre``; the payload dies here.
 
     Each tensor goes on the channel as its nonzeros plus a bitmap; its
-    error is taken over the dense tensor, as the dense codec reported it.
+    error is taken over the dense tensor, as the dense codec reported it,
+    and is 0.0 under identity, whose round trip is bit-exact.
     """
     opts, ctx = run.opts, run.ctx
     t_prev = run.t - run.tau - ctx.scenario.frame_interval
@@ -567,7 +568,8 @@ def _ship_stage1(run: _Run, agent_id, ms_latest):
     packed = pack_nonzeros(payload, opts.codec)
     received = unpack_nonzeros(transmit_tensors(packed, CodecConfig(opts.codec))[0],
                                {name: a.shape for name, a in payload.items()})
-    errors = {name: float(np.mean((received[name] - a) ** 2))
+    errors = {name: 0.0 if opts.codec == "identity"
+              else float(np.mean((received[name] - a) ** 2))
               for name, a in payload.items()}
     return received, errors, wire_bytes(packed, opts.codec), ms_latest.large
 

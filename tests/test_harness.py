@@ -981,19 +981,26 @@ class _ReadLog(Mapping):
 
 def _log_channel(monkeypatch):
     """Route every ``transmit_tensors`` call of a run through a log: the
-    names shipped, the names the receivers read, the tensors shipped, and
-    their bytes by ``tracer.wire_bytes``."""
-    log = {"shipped": set(), "read": set(), "tensors": [], "bytes": 0}
-    send = pipeline.transmit_tensors
+    names shipped, the names unpacking reads of what the channel delivers,
+    the names the receivers read of the dense tensors their senders hand
+    over, the entries shipped, and their bytes by ``tracer.wire_bytes``."""
+    log = {"shipped": set(), "unpacked": set(), "read": set(), "tensors": [],
+           "bytes": 0}
+    send, ship = pipeline.transmit_tensors, pipeline._ship_stage1
 
     def logged(tensors, cfg):
         log["shipped"] |= set(tensors)
         log["tensors"] += list(tensors.values())
         log["bytes"] += tracer.wire_bytes(tensors, cfg.mode)
         received, errors = send(tensors, cfg)
-        return _ReadLog(received, log["read"]), errors
+        return _ReadLog(received, log["unpacked"]), errors
+
+    def logged_ship(*args):
+        received, *rest = ship(*args)
+        return (_ReadLog(received, log["read"]), *rest)
 
     monkeypatch.setattr(pipeline, "transmit_tensors", logged)
+    monkeypatch.setattr(pipeline, "_ship_stage1", logged_ship)
     return log
 
 
@@ -1014,15 +1021,17 @@ def _payload_table(opts) -> set:
 @pytest.mark.parametrize("ptam", [True, False])
 def test_every_shipped_tensor_is_read(monkeypatch, ptam, motion_mode, xi_mode):
     # the sender once shipped 12 tensors whatever the options, and under
-    # the oracle defaults the receiver read 4 of them; each tensor goes on
-    # the channel as its nonzero values and their bitmap, and the receiver
-    # reads both
+    # the oracle defaults the receiver read 4 of them. Each tensor goes on
+    # the channel as its nonzero values and their bitmap: unpacking reads
+    # both, and stage 2 reads every tensor unpacking gives back
     opts = PipelineOptions(ptam=ptam, motion_mode=motion_mode, xi_mode=xi_mode,
                            phd=False)
     log = _log_channel(monkeypatch)
     run_pipeline(_fast_scene(), 0.8, 0.2, opts, bev=_BEV_SMALL)
-    pairs = {name + part for name in _payload_table(opts) for part in ("", ".bitmap")}
-    assert log["shipped"] == log["read"] == pairs
+    table = _payload_table(opts)
+    pairs = {name + part for name in table for part in ("", ".bitmap")}
+    assert log["shipped"] == log["unpacked"] == pairs
+    assert log["read"] == table
 
 
 @pytest.mark.parametrize("motion_mode", ["ideal", "learned"])
