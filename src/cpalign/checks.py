@@ -52,6 +52,7 @@ from .instance_fusion import (
     fuse_agents,
     fusion_fold,
     fusion_term,
+    instance_terms,
     refine_instance,
     struct_conv,
     verification_weights,
@@ -411,8 +412,9 @@ def check_struct_conv() -> CheckResult:
 
 def check_fusion_algebra() -> CheckResult:
     """Neutral gates, epsilon background linearity, fold identities, and the
-    folded verification gate, folded foreground head, split motion encoder
-    and per-agent fusion terms against their literal builds."""
+    folded verification gate, folded foreground head, split motion encoder,
+    per-agent fusion terms and folded IFAM terms against their literal
+    builds."""
     c, h, w = 8, 10, 10
     rng = np.random.default_rng(11)
     fore = rng.normal(size=(c, h, w))
@@ -424,19 +426,20 @@ def check_fusion_algebra() -> CheckResult:
     gates = verification_weights(fore, enh, VerificationSpec.from_weights(zeroed))
     neutral = bool(np.all(gates == 0.5))
 
-    # the whole branch under the neutral gates: eps * (h - h * m) is linear
+    # the whole branch under the neutral gates, ended in collaborator 1's
+    # term of a two-agent fusion: eps * A_1 (h - h * m) is linear
     branch_rng = np.random.default_rng([11, 1])
     m_map = branch_rng.uniform(size=(1, h, w))
     struct = StructKernels(base=branch_rng.normal(size=(c, 3, 3)))
-    wts = default_aggregate_weights(c, 0)
-    wts0 = dict(wts)
-    wts0["ifam.eps"] = np.array([0.0])
-    with_eps, without = (refine_instance(h_map, m_map, struct,
-                                         VerificationSpec.from_weights(zeroed), weights)
-                         for weights in (wts, wts0))
-    eps_dev = float(np.abs((with_eps - without) - 0.1 * (h_map - h_map * m_map)).max())
-
     fuse = default_fuse_weights(c, 0)
+    wts = default_aggregate_weights(c, 0) | fuse
+    with_eps, without = (refine_instance(h_map, m_map, struct,
+                                         VerificationSpec.from_weights(zeroed),
+                                         instance_terms(weights, 2)[1])
+                         for weights in (wts, wts | {"ifam.eps": np.array([0.0])}))
+    back = fusion_term(0.1 * (h_map - h_map * m_map), fusion_fold(fuse, 2), 1)
+    eps_dev = float(np.abs((with_eps - without) - back).max())
+
     single = fuse_agents([fore], fuse)
     fold_single = np.array_equal(single, fore)
     parts = [rng.normal(size=(c, h, w)) for _ in range(3)]
@@ -458,15 +461,16 @@ def check_fusion_algebra() -> CheckResult:
     fg_dev = _folded_foreground_dev(rng)
     motion_dev = _split_motion_dev(rng)
     terms_dev = _fusion_terms_dev(rng)
+    ifam_dev = _folded_ifam_dev(rng)
     ok = (neutral and eps_dev <= 1e-9 and fold_single and fold_assoc
-          and max(gate_dev, fg_dev, motion_dev, terms_dev) <= 1e-12)
+          and max(gate_dev, fg_dev, motion_dev, terms_dev, ifam_dev) <= 1e-12)
     return _result("fusion-algebra", ok,
                    f"neutral gates={neutral}, eps linearity dev={eps_dev:.2e} "
                    f"(tol 1e-9), fold single={fold_single}, fold "
                    f"chain={fold_assoc}, folded gate dev={gate_dev:.2e}, folded "
                    f"foreground dev={fg_dev:.2e}, split motion dev="
-                   f"{motion_dev:.2e}, per-agent fusion terms dev={terms_dev:.2e} "
-                   f"(tol 1e-12)")
+                   f"{motion_dev:.2e}, per-agent fusion terms dev={terms_dev:.2e}, "
+                   f"folded IFAM term dev={ifam_dev:.2e} (tol 1e-12)")
 
 
 def _fusion_terms_dev(rng) -> float:
@@ -481,6 +485,49 @@ def _fusion_terms_dev(rng) -> float:
         fold = fusion_fold(weights, n)
         terms = sum(fusion_term(x, fold, k) for k, x in enumerate(maps))
         dev = max(dev, float(np.abs(terms - fuse_agents(maps, weights)).max()))
+    return dev
+
+
+def _literal_refined(h, m, struct, spec, weights) -> np.ndarray:
+    """The IFAM branch's refined map, written out: the verified blend, the
+    sum (or concat), the 1x1 aggregation and eps * (h - h * m)."""
+    fore = h * m
+    enh = struct_conv(fore, struct)
+    gate = verification_weights(fore, enh, spec)
+    blend = gate * fore + (1.0 - gate) * enh
+    c = h.shape[0]
+    wa = weights["ifam.agg.weight"]
+    pre = blend + fore + enh if wa.size == c * c else np.concatenate([blend, fore, enh])
+    refined = conv2d(pre, ConvSpec(c, pre.shape[0], 1, 1, wa,
+                                   bias=weights["ifam.agg.bias"]))
+    return refined + float(weights["ifam.eps"][0]) * (h - fore)
+
+
+def _folded_ifam_dev(rng) -> float:
+    """Each agent's folded IFAM term vs its literal refined map through
+    fusion_fold's term, over 1, 2 and 3 agents, sum and concat, with
+    non-zero aggregation, fusion and bank biases."""
+    c, rows = 8, 5
+    struct = StructKernels(base=rng.normal(size=(c, 3, 3)),
+                           biases=rng.normal(size=(5, c)))
+    verif = default_verification_weights(c, 4)
+    verif = {name: rng.normal(scale=0.5, size=v.shape) if name.endswith(".bias") else v
+             for name, v in verif.items()}
+    spec = VerificationSpec.from_weights(verif)
+    dev = 0.0
+    for combine in ("sum", "concat"):
+        weights = default_aggregate_weights(c, 4, combine) | default_fuse_weights(c, 4)
+        weights["ifam.agg.bias"] = rng.normal(size=c)
+        weights["ifam.fuse.bias"] = rng.normal(size=c)
+        weights["ifam.eps"] = np.array([0.37])
+        for n in (1, 2, 3):
+            fold, terms = fusion_fold(weights, n, rows), instance_terms(weights, n, rows)
+            for k in range(n):
+                h = rng.normal(size=(c, 5, 6))
+                m = rng.uniform(size=(1, 5, 6))
+                want = fusion_term(_literal_refined(h, m, struct, spec, weights), fold, k)
+                got = refine_instance(h, m, struct, spec, terms[k])
+                dev = max(dev, float(np.abs(got - want).max()))
     return dev
 
 

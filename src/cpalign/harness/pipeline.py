@@ -54,8 +54,7 @@ from ..instance_fusion import (
     default_fuse_weights,
     default_verification_weights,
     foreground_loss,
-    fusion_fold,
-    fusion_term,
+    instance_terms,
     refine_instance,
 )
 from ..numerics import ShapeError, finite_number, freeze_weights, he_normal
@@ -72,8 +71,8 @@ from ..temporal_align import (
     predict_xi,
     ptam_stage1,
     ptam_stage2,
-    temporal_loss,
     window_cosines,
+    window_loss,
 )
 from .codec import (CodecConfig, encode_decode, pack_nonzeros, transmit_tensors,
                     unpack_nonzeros, wire_bytes)
@@ -312,8 +311,8 @@ class RunContext(_Memo):
     with what is built from them once.
 
     Everything derived from the weights is built here on first use (the
-    foreground head, the IFAM and PTAM specs, the fusion terms over the
-    scenario's agents), shared by all contexts under the same frozen
+    foreground head, the IFAM and PTAM specs, the folded IFAM fusion terms
+    over the scenario's agents), shared by all contexts under the same frozen
     weights (:func:`_derived_memo`). With ``memo`` the context also keeps
     what its runs build: featurizations, the ego's view and its fusion
     term. Every entry depends on the four inputs, so a run under any other
@@ -351,10 +350,10 @@ class RunContext(_Memo):
         return self._derive("xi", XiPredictorSpec.from_weights, "ptam.")
 
     @property
-    def fold(self):
+    def terms(self) -> tuple:
         # the detector reads only the fused map's leading channels
         n = len(self.scenario.agents)
-        return self._derive(("fold", n), fusion_fold, n, ENERGY_CHANNELS)
+        return self._derive(("terms", n), instance_terms, n, ENERGY_CHANNELS)
 
     def motion_spec(self, s: int) -> MotionEstimatorSpec:
         return self._derive(("motion", s), MotionEstimatorSpec.from_weights,
@@ -491,7 +490,7 @@ def _ego_lane(run: _Run, view: Future, term: Future) -> None:
 
     ``view`` gets (features, foreground, logits) as soon as they exist, for
     the collaborators' void completion; ``term`` then gets the ego's fusion
-    term, which replaces its refined map.
+    term, the end of its IFAM branch.
     """
     ctx = run.ctx
     ms = ctx.featurize(ctx.scenario.agents[0].agent_id, run.t, run.opts.phd)
@@ -500,8 +499,7 @@ def _ego_lane(run: _Run, view: Future, term: Future) -> None:
     del ms
     logits = discriminator_forward(h, ctx.weights)
     view.set_result((h, m, logits))
-    refined = refine_instance(h, m, ctx.struct, ctx.verification, ctx.weights)
-    term.set_result(fusion_term(refined, ctx.fold, 0))
+    term.set_result(refine_instance(h, m, ctx.struct, ctx.verification, ctx.terms[0]))
 
 
 def _motion(run: _Run, s, agent_id, src_t, dst_t, newer, older) -> MotionField:
@@ -625,8 +623,8 @@ def _align_collaborator(run: _Run, agent_id, shipped: Future, counter):
                                         received["s2.latest"])
 
     ms_gt = ctx.featurize(agent_id, run.t, opts.phd_collaborators)
-    tl = temporal_loss(ms_aligned.large, ms_gt.large, WINDOW, counter)
-    cos_post = float(np.mean(tl.window_cosines))
+    cosines = window_cosines(ms_aligned.large, ms_gt.large, WINDOW, counter)[0]
+    cos_post = float(np.mean(cosines))
     if opts.ptam:
         # the frame stale fusion would receive, whether or not it is shipped:
         # bit for bit the s0.latest the channel delivers
@@ -637,7 +635,8 @@ def _align_collaborator(run: _Run, agent_id, shipped: Future, counter):
         cos_pre = cos_post
     return ms_aligned, _Collaborator(xi=xi_report, mse=list(errors.values()),
                                      bytes_tx=nbytes, cosine_pre=cos_pre,
-                                     cosine_post=cos_post, temporal_loss=tl.loss)
+                                     cosine_post=cos_post,
+                                     temporal_loss=window_loss(cosines))
 
 
 def _project_collaborator(run: _Run, j, agent, ms_aligned):
@@ -669,11 +668,8 @@ def _collaborator(run: _Run, j, agent, shipped: Future, ego_view: Future,
         discriminator_forward(h_comp, run.ctx.weights), 1.0, w_obs)
     loss_e, _, _ = domain_loss_and_grads(logits_ego, 0.0, w_obs)
     out.domain_loss = 0.5 * (loss_c + loss_e)
-    # h_comp is this task's and dead after the IFAM branch: its background
-    # overwrites it (the ego's features are shared, so the ego lane cannot)
-    refined = refine_instance(h_comp, m_comp, run.ctx.struct, run.ctx.verification,
-                              run.ctx.weights, reuse_h=True)
-    out.term = fusion_term(refined, run.ctx.fold, j)
+    out.term = refine_instance(h_comp, m_comp, run.ctx.struct, run.ctx.verification,
+                               run.ctx.terms[j])
     if run.collect:
         out.maps = {f"collab{j}_foreground": m_comp,
                     f"collab{j}_observability": w_obs}
@@ -705,10 +701,10 @@ def run_pipeline(scenario: Scenario, t: float, tau: float,
     a receiver (stage 2 onwards); all senders are queued before all
     receivers, on one worker thread that the calling thread helps once the
     ego's chain is done. The receivers meet the ego at void completion. Each
-    agent's refined map enters fusion as its own term of the folded
-    :func:`fuse_agents`. The memo builds each entry once, also across
-    threads, and holds the ego's view and fusion term. The result does not
-    depend on which thread ran what.
+    agent's IFAM branch ends in its own term of the folded
+    :func:`fuse_agents`, with the aggregation folded in. The memo builds
+    each entry once, also across threads, and holds the ego's view and
+    fusion term. The result does not depend on which thread ran what.
     """
     start = time.perf_counter()
     opts = opts or PipelineOptions()

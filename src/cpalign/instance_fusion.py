@@ -5,7 +5,8 @@ the foreground passes through a structure-sensitive depthwise convolution
 (five 3x3 kernel banks derived from one learned bank), gets re-weighted by
 learned verification weights, and is recombined with a small epsilon of
 background before agents are folded together with a shared 1x1 fusion.
-:func:`refine_instance` runs that whole branch for one agent.
+:func:`refine_instance` runs that whole branch for one agent and ends it in
+the agent's term of the fused map, with the aggregation folded in.
 """
 
 from __future__ import annotations
@@ -331,7 +332,8 @@ FUSE_WEIGHT_NAMES = ("ifam.fuse.weight", "ifam.fuse.bias")
 def default_aggregate_weights(channels: int, seed: int = 0,
                               combine: str = "sum") -> dict:
     """The aggregation conv's weights: C input channels for ``combine="sum"``,
-    3C for ``"concat"``; :func:`refine_instance` reads the mode from them."""
+    3C for ``"concat"``; :func:`refine_instance` reads the mode from their
+    folded product (:func:`instance_terms`)."""
     if combine not in ("sum", "concat"):
         raise ShapeError(f"unknown combine mode {combine!r}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA66]))
@@ -344,36 +346,28 @@ def default_aggregate_weights(channels: int, seed: int = 0,
 
 
 def refine_instance(h: np.ndarray, m: np.ndarray, struct: StructKernels,
-                    verification: VerificationSpec, weights: dict,
-                    reuse_h: bool = False) -> np.ndarray:
-    """The instance branch of features h under the foreground map m.
+                    verification: VerificationSpec, term: InstanceTerm) -> np.ndarray:
+    """The instance branch of features h under the foreground map m, ended
+    in the agent's fusion term (:class:`InstanceTerm`).
 
     The foreground ``fore = h * m`` passes through the struct conv into
     ``enhanced``; the verification gate W blends them into ``W * fore +
-    (1 - W) * enhanced``, which is combined with fore and enhanced, projected
-    by the 1x1 aggregation conv and given back ``eps * (h - fore)``. The
-    combination is read from the input width of ``ifam.agg.weight``: C
-    channels mean the elementwise sum, 3C the channel concat (blend, fore,
-    enhanced).
+    (1 - W) * enhanced``, which is combined with fore and enhanced and
+    projected by the folded aggregation ``A_k Wa``; the background adds
+    ``((eps A_k) h) * (1 - m)``. The combination is read from the width of
+    the folded product: C channels mean the elementwise sum, 3C the channel
+    concat (blend, fore, enhanced), run as three C-channel products.
 
     The gate and the blend run one group of output channels at a time, so
     no full gate map is ever made. With the sum each group's sum is written
     over its rows of fore; with the concat each group's blend goes into one
-    C-channel map before the single concat. With ``reuse_h`` the caller owns
-    h and needs it no more, so the background ``h - fore`` is written over
-    it; otherwise h and m are left untouched.
+    C-channel map. h and m are only read.
     """
     fore = foreground_features(h, m)
     c = fore.shape[0]
-    wa, ba = require_weights(weights, AGGREGATE_WEIGHT_NAMES, "aggregation weights")
-    (eps,) = require_weights(weights, ("ifam.eps",), "aggregation weights")
-    if wa.size not in (c * c, 3 * c * c):
-        raise ShapeError(
-            f"ifam.agg.weight of size {wa.size} fits neither the sum ({c} input "
-            f"channels) nor the concat ({3 * c}) of {c}-channel maps")
-    concat = wa.size == 3 * c * c
+    n_out, width = term.product.shape
+    concat = _reads_concat(width, c)
     enhanced = struct_conv(fore, struct)
-    back = np.subtract(h, fore, out=h) if reuse_h else h - fore
     pre, enhanced, groups = _gate_groups(fore, enhanced, verification)
     del fore
     blend = np.empty_like(pre) if concat else pre
@@ -386,13 +380,27 @@ def refine_instance(h: np.ndarray, m: np.ndarray, struct: StructKernels,
             f += e
     # the views die with the loop's last names
     del groups, gate, f, e
-    if concat:
-        pre = np.concatenate([blend, pre, enhanced])
-    del blend, enhanced
-    refined = conv2d(pre, ConvSpec(c, pre.shape[0], 1, 1, wa, bias=ba))
-    del pre
-    refined += np.multiply(back, float(eps.ravel()[0]), out=back)
-    return refined
+    maps = (blend, pre, enhanced) if concat else (pre,)
+    del blend, pre, enhanced
+    products = np.split(term.product, len(maps), axis=1)
+    out = conv2d(maps[0], ConvSpec(n_out, c, 1, 1, products[0], bias=term.bias))
+    for i in range(1, len(maps)):
+        out += conv2d(maps[i], ConvSpec(n_out, c, 1, 1, products[i]))
+    del maps
+    back = conv2d(h, ConvSpec(n_out, c, 1, 1, term.back))
+    back *= 1.0 - m
+    out += back
+    return out
+
+
+def _reads_concat(width, c: int) -> bool:
+    """Whether an aggregation of ``width`` input channels over ``c``-channel
+    maps reads their concat (3c) rather than their sum (c)."""
+    if width not in (c, 3 * c):
+        raise ShapeError(
+            f"ifam.agg.weight of width {width:g} fits neither the sum ({c} input "
+            f"channels) nor the concat ({3 * c}) of {c}-channel maps")
+    return width == 3 * c
 
 
 def default_fuse_weights(channels: int, seed: int = 0) -> dict:
@@ -475,6 +483,48 @@ def fusion_fold(weights: dict, n_agents: int, rows: int | None = None) -> Fusion
 def fusion_term(features: np.ndarray, fold: FusionFold, k: int) -> np.ndarray:
     """Agent k's term ``A_k x_k`` of the fused map (the ego's adds ``c``)."""
     return conv2d(features, fold.terms[k])
+
+
+@dataclass(frozen=True)
+class InstanceTerm:
+    """Agent k's fusion term, folded into the tail of its instance branch.
+
+    The branch would end in ``refined = Wa pre + ba + eps (h - h m)``, of
+    which fusion reads only ``A_k refined`` (plus ``c`` for the ego; see
+    :class:`FusionFold`). Both are linear and m has one channel, so the term
+    is ``(A_k Wa) pre + ((eps A_k) h) * (1 - m) + A_k ba (+ c)``, and no map
+    of the aggregation's width is made.
+    """
+
+    product: np.ndarray  # A_k Wa: (rows, C) under the sum, (rows, 3C) under the concat
+    back: np.ndarray     # eps A_k: (rows, C)
+    bias: np.ndarray     # A_k ba, plus c for the ego: (rows,)
+
+
+def instance_terms(weights: dict, n_agents: int, rows: int | None = None) -> tuple:
+    """Every agent's :class:`InstanceTerm` over ``n_agents`` agents: the
+    aggregation weights folded into the terms of :func:`fusion_fold`, whose
+    ``rows`` they keep."""
+    fold = fusion_fold(weights, n_agents, rows)
+    wa, ba = require_weights(weights, AGGREGATE_WEIGHT_NAMES, "aggregation weights")
+    (eps,) = require_weights(weights, ("ifam.eps",), "aggregation weights")
+    c = fold.terms[0].in_channels
+    _reads_concat(wa.size / c, c)
+    if ba.size != c:
+        raise ShapeError(f"ifam.agg.bias has {ba.size} values, needs {c}")
+    wa = wa.reshape(c, -1)
+    eps = float(eps.ravel()[0])
+    terms = []
+    for spec in fold.terms:
+        a = spec.weights.reshape(spec.out_channels, c)
+        bias = a @ ba.ravel()
+        if spec.bias is not None:
+            bias += spec.bias
+        arrays = (a @ wa, eps * a, bias)
+        for arr in arrays:  # shared by every context under the weights
+            arr.flags.writeable = False
+        terms.append(InstanceTerm(*arrays))
+    return tuple(terms)
 
 
 # ---------------------------------------------------------------------------

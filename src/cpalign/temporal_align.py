@@ -375,6 +375,16 @@ def window_cosines(pred: np.ndarray, target: np.ndarray, window: int,
     return cosines, pred_norms, target_norms
 
 
+def window_loss(cosines: np.ndarray) -> float:
+    """The mean of ``(1 - cos)^2`` over the windows' cosines, summed in
+    window order; a degenerate window (cosine 0) adds exactly 1."""
+    total = 0.0
+    for cos in cosines:
+        dev = 1.0 - float(cos)
+        total += dev * dev
+    return total / len(cosines)
+
+
 def temporal_loss(pred: np.ndarray, target: np.ndarray, window: int,
                   counter: OpCounter | None = None) -> TemporalLossResult:
     """Mean squared cosine deviation over both window tilings.
@@ -384,7 +394,8 @@ def temporal_loss(pred: np.ndarray, target: np.ndarray, window: int,
     loss is the mean over all windows. The analytic gradient w.r.t. pred is
     returned alongside. A window with a zero-norm side scores cosine 0 and
     contributes no gradient; such windows are reported in ``degenerate``.
-    The cosines are those of :func:`window_cosines`.
+    The cosines are those of :func:`window_cosines`, the loss that of
+    :func:`window_loss`.
     """
     pred = ensure_tensor3(pred, "prediction")
     target = ensure_tensor3(target, "target")
@@ -393,21 +404,19 @@ def temporal_loss(pred: np.ndarray, target: np.ndarray, window: int,
     n = len(anchors)
     grad = np.zeros_like(pred)
     degenerate = []
-    total = 0.0
     l = window
     for k, (r0, c0, side) in enumerate(anchors):
         np_ = float(pred_norms[k])
         ng = float(target_norms[k])
         if np_ == 0.0 or ng == 0.0:
-            total += 1.0  # (1 - 0)^2, constant: no gradient
+            # cosine 0 adds a constant (1 - 0)^2: no gradient
             degenerate.append((int(r0), int(c0), side))
             continue
         cos = float(cosines[k])
         dev = 1.0 - cos
-        total += dev * dev
         p = pred[:, r0:r0 + l, c0:c0 + l]
         g = target[:, r0:r0 + l, c0:c0 + l]
         dcos = g / (np_ * ng) - (cos / (np_ * np_)) * p
         grad[:, r0:r0 + l, c0:c0 + l] += -2.0 * dev * dcos
-    return TemporalLossResult(loss=total / n, grad=grad / n,
+    return TemporalLossResult(loss=window_loss(cosines), grad=grad / n,
                               window_cosines=cosines, degenerate=degenerate)

@@ -67,6 +67,9 @@ from cpalign.instance_fusion import (
     StructKernels,
     VerificationSpec,
     foreground_features,
+    fusion_fold,
+    fusion_term,
+    instance_terms,
     refine_instance,
     struct_conv,
     verification_weights,
@@ -937,7 +940,9 @@ def test_received_tensors_die_with_their_receiver(monkeypatch):
     # the fusion sum
     scn = _three_agent_scene()
     opts = PipelineOptions(phd=False, codec="int8", motion_mode="learned")
-    ship, term = pipeline._ship_stage1, pipeline.fusion_term
+    ship, term = pipeline._ship_stage1, pipeline.refine_instance
+    # the run derives the same terms: its weights are the frozen defaults
+    terms = RunContext(scn, build_pipeline_weights(0), _BEV_SMALL, RenderConfig()).terms
     received, alive = {}, {}
 
     def recorded_ship(run, agent_id, ms_latest):
@@ -945,14 +950,15 @@ def test_received_tensors_die_with_their_receiver(monkeypatch):
         received[agent_id] = [weakref.ref(arr) for arr in shipped[0].values()]
         return shipped
 
-    def checked_term(refined, fold, j):
+    def checked_term(h, m, struct, verification, agent_term):
+        j = next(k for k, t in enumerate(terms) if t is agent_term)
         if j:
             refs = received[scn.agents[j].agent_id]
             alive[j] = sum(ref() is not None for ref in refs)
-        return term(refined, fold, j)
+        return term(h, m, struct, verification, agent_term)
 
     monkeypatch.setattr(pipeline, "_ship_stage1", recorded_ship)
-    monkeypatch.setattr(pipeline, "fusion_term", checked_term)
+    monkeypatch.setattr(pipeline, "refine_instance", checked_term)
     _, outcome = _call_with_timeout(
         lambda: run_pipeline(scn, 0.8, 0.2, opts, bev=_BEV_SMALL))
     assert "error" not in outcome, outcome.get("error")
@@ -1194,35 +1200,144 @@ def test_run_pipeline_collect_maps_bitwise_repeatable():
     assert a.ops_match_closed_form
 
 
-@pytest.mark.parametrize("reuse_h", [False, True])
-def test_refine_instance_matches_literal_chain(reuse_h):
-    # the IFAM branch under the pipeline's weights, sum and concat, against
-    # foreground_features and the aggregation written out, bit for bit; the
-    # inputs stay untouched unless the caller hands over h
+def _literal_branch(h, m, weights):
+    """foreground_features, the struct conv, the gate and blend, the sum (or
+    concat) under the pipeline's weights, written out: ``(fore, enhanced,
+    blend, pre)``."""
+    fore = foreground_features(h, m)
+    struct = StructKernels(base=weights["ifam.struct.weight"],
+                           biases=weights["ifam.struct.bias"])
+    enh = struct_conv(fore, struct)
+    verif = verification_weights(fore, enh, VerificationSpec.from_weights(weights))
+    blend = verif * fore + (1.0 - verif) * enh
+    pre = (blend + fore + enh if weights["ifam.agg.weight"].size == 384 * 384
+           else np.concatenate([blend, fore, enh]))
+    return fore, enh, blend, pre
+
+
+@pytest.mark.parametrize("ego", [False, True])
+def test_refine_instance_matches_literal_chain(ego):
+    # the IFAM branch under the pipeline's weights, sum and concat, ended in
+    # the ego's term (which carries c) or the last collaborator's of a
+    # three-agent run, against the folded arithmetic written out, bit for
+    # bit; h and m are only read
     rng = np.random.default_rng(21)
     h = rng.normal(size=(384, 12, 9))
     m = rng.uniform(size=(1, 12, 9))
     h0, m0 = h.copy(), m.copy()
+    k, rows = (0 if ego else 2), detect.ENERGY_CHANNELS
     for combine in ("sum", "concat"):
         weights = build_pipeline_weights(0, combine)
-        ctx = RunContext(_fast_scene(), weights, _BEV_SMALL, RenderConfig())
-        got = refine_instance(h.copy() if reuse_h else h, m, ctx.struct,
-                              ctx.verification, weights, reuse_h=reuse_h)
-        fore = foreground_features(h, m)
-        back = h - fore
-        struct = StructKernels(base=weights["ifam.struct.weight"],
-                               biases=weights["ifam.struct.bias"])
-        enh = struct_conv(fore, struct)
-        verif = verification_weights(fore, enh, VerificationSpec.from_weights(weights))
-        blend = verif * fore + (1.0 - verif) * enh
-        pre = (blend + fore + enh if combine == "sum"
-               else np.concatenate([blend, fore, enh]))
-        spec = ConvSpec(384, pre.shape[0], 1, 1, weights["ifam.agg.weight"],
-                        bias=weights["ifam.agg.bias"])
-        want = conv2d(pre, spec) + float(weights["ifam.eps"][0]) * back
+        ctx = RunContext(_three_agent_scene(), weights, _BEV_SMALL, RenderConfig())
+        got = refine_instance(h, m, ctx.struct, ctx.verification, ctx.terms[k])
+        fold = fusion_fold(weights, 3, rows)
+        a = fold.terms[k].weights.reshape(rows, 384)
+        product = a @ weights["ifam.agg.weight"].reshape(384, -1)
+        bias = a @ weights["ifam.agg.bias"]
+        if ego:
+            bias += fold.terms[0].bias
+        fore, enh, blend, pre = _literal_branch(h, m, weights)
+        if combine == "sum":
+            want = conv2d(pre, ConvSpec(rows, 384, 1, 1, product, bias=bias))
+        else:
+            want = conv2d(blend, ConvSpec(rows, 384, 1, 1, product[:, :384], bias=bias))
+            want += conv2d(fore, ConvSpec(rows, 384, 1, 1, product[:, 384:768]))
+            want += conv2d(enh, ConvSpec(rows, 384, 1, 1, product[:, 768:]))
+        eps = float(weights["ifam.eps"][0])
+        want = want + conv2d(h, ConvSpec(rows, 384, 1, 1, eps * a)) * (1.0 - m)
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
         np.testing.assert_array_equal(h, h0)
         np.testing.assert_array_equal(m, m0)
+
+
+def test_refine_instance_matches_unfolded_chain():
+    # every agent's folded term under the pipeline's weights, sum and concat,
+    # against fusion_term of the unfolded branch's 384-channel refined map,
+    # over 1 to 3 agents, with non-zero aggregation and fusion biases
+    rng = np.random.default_rng(22)
+    h = rng.normal(size=(384, 12, 9))
+    m = rng.uniform(size=(1, 12, 9))
+    rows = detect.ENERGY_CHANNELS
+    for combine in ("sum", "concat"):
+        weights = dict(build_pipeline_weights(0, combine))
+        weights["ifam.agg.bias"] = rng.normal(size=384)
+        weights["ifam.fuse.bias"] = rng.normal(size=384)
+        ctx = RunContext(_fast_scene(), weights, _BEV_SMALL, RenderConfig())
+        fore, _, _, pre = _literal_branch(h, m, weights)
+        refined = conv2d(pre, ConvSpec(384, pre.shape[0], 1, 1, weights["ifam.agg.weight"],
+                                       bias=weights["ifam.agg.bias"]))
+        refined += float(weights["ifam.eps"][0]) * (h - fore)
+        for n in (1, 2, 3):
+            fold, terms = fusion_fold(weights, n, rows), instance_terms(weights, n, rows)
+            for k in range(n):
+                want = fusion_term(refined, fold, k)
+                got = refine_instance(h, m, ctx.struct, ctx.verification, terms[k])
+                dev = np.abs(got - want).max() / np.abs(want).max()
+                assert dev <= 1e-12, (combine, n, k, dev)
+
+
+def _tap_span_sum(stride):
+    """Low-res cells a pad-1 3-tap window reads, summed over the ``stride``
+    output phases of a stride = kernel transposed conv."""
+    return sum(len({(p + d) // stride for d in (-1, 0, 1)}) for p in range(stride))
+
+
+def test_default_run_conv_macs_match_the_closed_form(monkeypatch):
+    # every conv MAC of a default two-agent run at the 48x48 grid, by stage,
+    # against its closed form from the layer shapes: a stage that grows
+    # (the 384x384 aggregation coming back, say) shows here
+    scn = generate_scenario("straight", seed=0)
+    assert len(scn.agents) == 2
+    hw = 48 * 48
+    stage, macs = threading.local(), {}
+    core = cpalign.kernels.conv2d_core
+
+    def counted_core(xpad, w, stride, groups):
+        cout, cing, kh, kw = w.shape
+        n = cout * cing * kh * kw * ((xpad.shape[1] - kh) // stride + 1) * (
+            (xpad.shape[2] - kw) // stride + 1)
+        macs[stage.name] = macs.get(stage.name, 0) + n  # one stage per lane
+        return core(xpad, w, stride, groups)
+
+    def staged(name, fn):
+        def wrapped(*args):
+            stage.name = name
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(cpalign.kernels, "conv2d_core", counted_core)
+    for name in ("backbone_forward", "bev_project", "foreground_estimate",
+                 "discriminator_forward", "refine_instance"):
+        monkeypatch.setattr(pipeline, name, staged(name, getattr(pipeline, name)))
+    run_pipeline(scn, (scn.n_frames - 1) * scn.frame_interval, 0.3)
+
+    mid = 192  # the foreground head's hidden channels
+    per_frame = {
+        # 8 -> 64 -> 128 -> 256, 3x3, strides 1, 2, 2
+        "backbone_forward": 64 * 8 * 9 * hw + 128 * 64 * 9 * hw // 4
+        + 256 * 128 * 9 * hw // 16,
+    }
+    per_agent = {
+        # the large block's transposed conv as a pad-2 conv over 50 x 50
+        "bev_project": 128 * 64 * 9 * 50 * 50,
+        # 3x3 over the large block, the folded middle and small blocks
+        # phase by phase on their own grids, then the 1x1 to one channel
+        "foreground_estimate": mid * 128 * 9 * hw
+        + mid * 128 * hw // 4 * _tap_span_sum(2) ** 2
+        + mid * 256 * hw // 16 * _tap_span_sum(4) ** 2 + mid * hw,
+        "discriminator_forward": 256 * 384 * hw + 256 * hw,
+        # struct conv, the gate's spatial conv, its channel bottleneck and
+        # its two grouped blocks, then the term: A_k Wa and eps A_k, each
+        # 128 x 384
+        "refine_instance": 384 * 9 * hw + 2 * 9 * hw + 2 * 192 * 768
+        + 2 * 4 * 96 * 96 * hw + 2 * 128 * 384 * hw,
+    }
+    # the ego at t; the collaborator at t - tau - dt, t - tau, and t for the
+    # temporal metrics
+    want = {name: 4 * n for name, n in per_frame.items()}
+    want |= {name: 2 * n for name, n in per_agent.items()}
+    assert macs == want
+    assert sum(macs.values()) == 3_997_025_280
 
 
 def test_run_pipeline_reads_the_combine_mode_from_the_weights():
@@ -1281,12 +1396,13 @@ def _count_builds(monkeypatch) -> dict:
                         ("motion", pipeline.MotionEstimatorSpec)):
         monkeypatch.setattr(owner, "from_weights",
                             staticmethod(counted(name, owner.from_weights)))
-    monkeypatch.setattr(pipeline, "fusion_fold", counted("fold", pipeline.fusion_fold))
+    monkeypatch.setattr(pipeline, "instance_terms",
+                        counted("terms", pipeline.instance_terms))
     return builds
 
 
 #: oracle xi reads no xi spec, so none is built; learned xi builds one
-_ORACLE_BUILDS = {"head": 1, "struct": 1, "verification": 1, "fold": 1}
+_ORACLE_BUILDS = {"head": 1, "struct": 1, "verification": 1, "terms": 1}
 
 
 def test_sweep_builds_each_spec_once(monkeypatch):

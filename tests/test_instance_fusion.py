@@ -12,9 +12,11 @@ from cpalign.instance_fusion import (
     default_verification_weights,
     foreground_loss,
     foreground_features,
+    InstanceTerm,
     fuse_agents,
     fusion_fold,
     fusion_term,
+    instance_terms,
     refine_instance,
     struct_conv,
     verification_weights,
@@ -256,20 +258,50 @@ def test_verified_blend_endpoints():
     np.testing.assert_allclose(half, 0.5 * (fore + enh), rtol=1e-15)
 
 
-def aggregate_oracle(fore, enh, back, verif, weights, combine):
-    """The aggregation written out: the literal verified blend, the sum (or
-    concat), the 1x1 conv and eps * back."""
+def refined_oracle(h, m, struct, spec, weights):
+    """The unfolded branch written out: the literal gate and verified blend,
+    the sum (or concat), the 1x1 aggregation and eps * (h - h * m)."""
+    fore = h * m
+    enh = struct_conv(fore, struct)
+    verif = verification_oracle(fore, enh, spec)
     blend = verif * fore + (1.0 - verif) * enh
-    pre = blend + fore + enh if combine == "sum" else np.concatenate([blend, fore, enh])
     c = fore.shape[0]
-    spec = ConvSpec(c, pre.shape[0], 1, 1, weights["ifam.agg.weight"],
-                    bias=weights["ifam.agg.bias"])
-    return conv2d(pre, spec) + float(weights["ifam.eps"][0]) * back
+    wa = weights["ifam.agg.weight"]
+    pre = blend + fore + enh if wa.size == c * c else np.concatenate([blend, fore, enh])
+    spec = ConvSpec(c, pre.shape[0], 1, 1, wa, bias=weights["ifam.agg.bias"])
+    return conv2d(pre, spec) + float(weights["ifam.eps"][0]) * (h - fore)
+
+
+def folded_term_oracle(h, m, struct, spec, weights, n, k, rows):
+    """Agent k's folded term written out in refine_instance's order: the
+    library gate, the blend and sum (or concat), ``A_k Wa`` on it (three
+    C-column blocks under the concat) with bias ``A_k ba (+ c)``, then
+    ``((eps A_k) h) * (1 - m)``, with A_k and c from :func:`fusion_fold`."""
+    c = h.shape[0]
+    fold = fusion_fold(weights, n, rows)
+    a = fold.terms[k].weights.reshape(rows, c)
+    product = a @ weights["ifam.agg.weight"].reshape(c, -1)
+    bias = a @ weights["ifam.agg.bias"]
+    if k == 0:
+        bias += fold.terms[0].bias
+    fore = h * m
+    enh = struct_conv(fore, struct)
+    verif = verification_weights(fore, enh, spec)
+    blend = verif * fore + (1.0 - verif) * enh
+    if product.shape[1] == c:
+        out = conv2d(blend + fore + enh, ConvSpec(rows, c, 1, 1, product, bias=bias))
+    else:
+        out = conv2d(blend, ConvSpec(rows, c, 1, 1, product[:, :c], bias=bias))
+        out += conv2d(fore, ConvSpec(rows, c, 1, 1, product[:, c:2 * c]))
+        out += conv2d(enh, ConvSpec(rows, c, 1, 1, product[:, 2 * c:]))
+    eps = float(weights["ifam.eps"][0])
+    return out + conv2d(h, ConvSpec(rows, c, 1, 1, eps * a)) * (1.0 - m)
 
 
 def _ifam_case(c, h, w, combine, seed=5):
-    """(h, m, struct, spec, weights) with random biases and epsilon, so that
-    every term of the branch shows in its output."""
+    """(h, m, struct, spec, weights) with random biases (aggregation and
+    fusion too) and epsilon, so that every term of the branch shows in its
+    output."""
     rng = np.random.default_rng([c, h, seed])
     hmap = rng.normal(size=(c, h, w))
     m = rng.uniform(size=(1, h, w))
@@ -278,63 +310,90 @@ def _ifam_case(c, h, w, combine, seed=5):
     weights = default_aggregate_weights(c, seed=seed, combine=combine)
     weights["ifam.agg.bias"] = rng.normal(size=c)
     weights["ifam.eps"] = np.array([0.37])
+    weights.update(_random_fuse_weights(c, seed))
     return hmap, m, struct, spec, weights
 
 
+def _rel_dev(got, want) -> float:
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
 @pytest.mark.parametrize("combine", ["sum", "concat"])
-@pytest.mark.parametrize("reuse_h", [False, True])
+@pytest.mark.parametrize("ego", [False, True])
 @pytest.mark.parametrize("c,h,w", [(4, 5, 5), (8, 7, 5), (16, 48, 48), (384, 12, 9)])
-def test_refine_instance_matches_literal_oracle(c, h, w, reuse_h, combine):
-    # the group-by-group gate, blend and sum (or concat) give the bits of the
-    # library gate followed by the literal aggregation; with the literal gate
-    # too they agree to rounding
+def test_refine_instance_matches_literal_oracle(c, h, w, ego, combine):
+    # agent k's term of a three-agent fold (the ego's carries c) gives the
+    # bits of the folded arithmetic written out; h and m are only read
     hmap, m, struct, spec, weights = _ifam_case(c, h, w, combine)
     h0, m0 = hmap.copy(), m.copy()
-    got = refine_instance(hmap, m, struct, spec, weights, reuse_h=reuse_h)
-    fore = h0 * m0
-    back = h0 - fore
-    enh = struct_conv(fore, struct)
-    want = aggregate_oracle(fore, enh, back, verification_weights(fore, enh, spec),
-                            weights, combine)
+    k, rows = (0 if ego else 1), max(c // 2, 1)
+    got = refine_instance(hmap, m, struct, spec, instance_terms(weights, 3, rows)[k])
+    want = folded_term_oracle(h0, m0, struct, spec, weights, 3, k, rows)
+    assert got.shape == (rows, h, w)
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-    literal = aggregate_oracle(fore, enh, back, verification_oracle(fore, enh, spec),
-                               weights, combine)
-    np.testing.assert_allclose(got, literal, rtol=1e-12, atol=1e-12)
-    # m is only read, and h too unless it is handed over
-    if not reuse_h:
-        np.testing.assert_array_equal(hmap, h0)
+    np.testing.assert_array_equal(hmap, h0)
     np.testing.assert_array_equal(m, m0)
+
+
+@pytest.mark.parametrize("combine", ["sum", "concat"])
+@pytest.mark.parametrize("c,h,w", [(8, 7, 5), (384, 12, 9)])
+def test_refine_instance_matches_unfolded_branch(c, h, w, combine):
+    # every agent's folded term against fusion_term of the literal refined
+    # map, over 1 to 3 agents, with non-zero aggregation and fusion biases
+    hmap, m, struct, spec, weights = _ifam_case(c, h, w, combine, seed=8)
+    rows = max(c // 3, 1)
+    for n in (1, 2, 3):
+        fold, terms = fusion_fold(weights, n, rows), instance_terms(weights, n, rows)
+        assert len(terms) == n
+        for k in range(n):
+            x, fg = hmap * (k + 1), m ** (k + 1)  # another map per agent
+            want = fusion_term(refined_oracle(x, fg, struct, spec, weights), fold, k)
+            got = refine_instance(x, fg, struct, spec, terms[k])
+            assert _rel_dev(got, want) <= 1e-12, (n, k)
 
 
 def test_refine_instance_epsilon_background():
     hmap, m, struct, spec, weights = _ifam_case(8, 5, 6, "sum", seed=3)
     back = hmap - hmap * m
+    fold = fusion_fold(weights, 2)
 
-    def refined(eps):
-        return refine_instance(hmap, m, struct, spec, {**weights, "ifam.eps": np.array([eps])})
+    def term(eps):
+        terms = instance_terms({**weights, "ifam.eps": np.array([eps])}, 2)
+        return refine_instance(hmap, m, struct, spec, terms[1])
 
-    # epsilon comes from the stored weight entry and only scales the background
+    # epsilon comes from the stored weight entry and only scales the
+    # background, through the collaborator's fusion matrix: eps * A_1 back
     assert default_aggregate_weights(8)["ifam.eps"][0] == 0.1
-    without = refined(0.0)
+    without = term(0.0)
     for eps in (0.1, 0.5):
-        np.testing.assert_allclose(refined(eps) - without, eps * back,
+        np.testing.assert_allclose(term(eps) - without, fusion_term(eps * back, fold, 1),
                                    rtol=1e-10, atol=1e-12)
 
 
 def test_refine_instance_reads_the_combine_mode_from_the_agg_weight():
     c = 4
     hmap, m, struct, spec, summed = _ifam_case(c, 4, 4, "sum")
-    concat = default_aggregate_weights(c, seed=4, combine="concat")
+    concat = summed | default_aggregate_weights(c, seed=4, combine="concat")
     assert concat["ifam.agg.weight"].shape == (c, 3 * c, 1, 1)
+    (term,) = instance_terms(concat, 1)
+    assert term.product.shape == (c, 3 * c)
     # a flat weight of the same size reads the same
     flat = {**concat, "ifam.agg.weight": concat["ifam.agg.weight"].ravel()}
-    out = refine_instance(hmap, m, struct, spec, concat)
+    out = refine_instance(hmap, m, struct, spec, term)
     assert out.shape == (c, 4, 4)
-    np.testing.assert_array_equal(refine_instance(hmap, m, struct, spec, flat), out)
-    assert not np.allclose(out, refine_instance(hmap, m, struct, spec, summed))
+    np.testing.assert_array_equal(
+        refine_instance(hmap, m, struct, spec, instance_terms(flat, 1)[0]), out)
+    assert not np.allclose(
+        out, refine_instance(hmap, m, struct, spec, instance_terms(summed, 1)[0]))
     wide = {**summed, "ifam.agg.weight": np.zeros((c, 2 * c, 1, 1))}
-    with pytest.raises(ShapeError, match="ifam.agg.weight"):
-        refine_instance(hmap, m, struct, spec, wide)
+    with pytest.raises(ShapeError, match="ifam.agg.weight of width 8"):
+        instance_terms(wide, 1)
+    with pytest.raises(ShapeError, match="ifam.agg.bias has 3 values, needs 4"):
+        instance_terms({**summed, "ifam.agg.bias": np.zeros(3)}, 1)
+    # a folded product of any other width is refused by the branch too
+    with pytest.raises(ShapeError, match="ifam.agg.weight of width 8"):
+        refine_instance(hmap, m, struct, spec,
+                        InstanceTerm(np.zeros((c, 2 * c)), term.back, term.bias))
     with pytest.raises(ShapeError, match="unknown combine mode"):
         default_aggregate_weights(c, combine="stack")
 

@@ -20,6 +20,7 @@ from cpalign.temporal_align import (
     temporal_loss,
     warp_features,
     window_cosines,
+    window_loss,
     window_partition,
 )
 
@@ -335,6 +336,26 @@ def test_window_cosines_match_temporal_loss_bitwise():
     np.testing.assert_array_equal(cos, res.window_cosines)
     assert cos[0] == 0.0 and pred_norms[0] == 0.0 and target_norms[0] > 0.0
     assert res.degenerate == [(0, 0, "full")]
+
+
+def test_window_loss_matches_temporal_loss_bitwise():
+    # the receiver takes the loss from the cosines alone: the same bits as
+    # temporal_loss and as the sum written out, degenerate windows (which
+    # add exactly 1) included
+    rng = np.random.default_rng(11)
+    for i in range(40):
+        x, y = rng.normal(size=(2, 2, 12, 8))
+        if i % 2:
+            x[:, rng.integers(0, 8):, :4] = 0.0
+        if i % 3 == 0:
+            y[:, :, rng.integers(0, 8):] = 0.0
+        cos, pred_norms, target_norms = window_cosines(x, y, 4)
+        total = 0.0
+        for c, p, g in zip(cos, pred_norms, target_norms):
+            total += 1.0 if p == 0.0 or g == 0.0 else (1.0 - c) * (1.0 - c)
+        want = total / cos.size
+        assert window_loss(cos) == want
+        assert temporal_loss(x, y, 4).loss == want
 
 
 def test_temporal_loss_gradient_matches_fd():
