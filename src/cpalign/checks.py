@@ -1,10 +1,11 @@
 """Self-contained release gate: one callable per pinned behavior.
 
 Every check returns (name, passed, detail) and is independent of the
-others.  Reference values are recomputed in place with straightforward
+others.  Reference values are recomputed with straightforward
 implementations rather than imported from the modules under test wherever
 that is feasible, so a regression in the library cannot silently move the
-goalposts.
+goalposts. The literal forms the tests share live in :mod:`cpalign.reference`;
+the rest are written out beside the check that reads them.
 """
 
 import math
@@ -49,13 +50,10 @@ from .instance_fusion import (
     default_fuse_weights,
     default_verification_weights,
     foreground_loss,
-    fuse_agents,
     fusion_fold,
-    fusion_term,
     instance_terms,
     refine_instance,
     struct_conv,
-    verification_weights,
 )
 from .numerics import ConvSpec, conv2d
 from .opcount import OpCounter, count_similarity_ops, window_grid_counts
@@ -67,6 +65,7 @@ from .pointcloud import (
     fps,
     phd_apply,
 )
+from . import reference
 from .temporal_align import (
     WINDOW,
     MotionEstimatorSpec,
@@ -74,8 +73,8 @@ from .temporal_align import (
     estimate_motion,
     ptam_stage1,
     ptam_stage2,
-    temporal_loss,
     warp_features,
+    window_cosines,
     window_partition,
 )
 
@@ -114,7 +113,7 @@ def check_similarity_op_budget() -> CheckResult:
     pred = rng.normal(size=(64, 256, 128))
     target = rng.normal(size=(64, 256, 128))
     counter = OpCounter()
-    temporal_loss(pred, target, 16, counter)
+    window_cosines(pred, target, 16, counter)
     ok = (g.mul == 6_356_992 and b.mul == 11_571_712
           and 1.80 <= ratio <= 1.83
           and counter.counts.as_dict() == b.as_dict())
@@ -198,10 +197,10 @@ def check_delay_compensation() -> CheckResult:
             aligned = ptam_stage2(inter, mf2, tau / 0.1)
             worst = max(worst, float(np.abs(aligned - ms_gt.scales[s]).max()))
             if s == 0:
-                pre = float(np.mean(temporal_loss(
-                    ms_latest.scales[0], ms_gt.scales[0], WINDOW).window_cosines))
-                post = float(np.mean(temporal_loss(
-                    aligned, ms_gt.scales[0], WINDOW).window_cosines))
+                pre = float(np.mean(window_cosines(
+                    ms_latest.scales[0], ms_gt.scales[0], WINDOW)[0]))
+                post = float(np.mean(window_cosines(
+                    aligned, ms_gt.scales[0], WINDOW)[0]))
                 improvements.append(post > pre)
     ok = worst <= 1e-6 and all(improvements)
     return _result("delay-compensation", ok,
@@ -239,9 +238,9 @@ def check_loss_gradients() -> CheckResult:
 
         pred = rng.normal(size=(3, 16, 16))
         target = rng.normal(size=(3, 16, 16))
-        res = temporal_loss(pred, target, 5)
+        res = reference.temporal_loss(pred, target, 5)
         worst["temporal"] = max(worst["temporal"], _fd_max_rel_err(
-            lambda x: temporal_loss(x, target, 5).loss, pred, res.grad, rng))
+            lambda x: reference.temporal_loss(x, target, 5).loss, pred, res.grad, rng))
 
         logits = rng.normal(size=(1, 8, 8))
         w = rng.uniform(0.1, 1.0, size=(1, 8, 8))
@@ -423,7 +422,8 @@ def check_fusion_algebra() -> CheckResult:
 
     zeroed = {name: np.zeros_like(v) for name, v in
               default_verification_weights(c, 0).items()}
-    gates = verification_weights(fore, enh, VerificationSpec.from_weights(zeroed))
+    gates = reference.verification_weights(fore, enh,
+                                           VerificationSpec.from_weights(zeroed))
     neutral = bool(np.all(gates == 0.5))
 
     # the whole branch under the neutral gates, ended in collaborator 1's
@@ -437,27 +437,19 @@ def check_fusion_algebra() -> CheckResult:
                                          VerificationSpec.from_weights(zeroed),
                                          instance_terms(weights, 2)[1])
                          for weights in (wts, wts | {"ifam.eps": np.array([0.0])}))
-    back = fusion_term(0.1 * (h_map - h_map * m_map), fusion_fold(fuse, 2), 1)
+    back = conv2d(0.1 * (h_map - h_map * m_map), fusion_fold(fuse, 2)[1])
     eps_dev = float(np.abs((with_eps - without) - back).max())
 
-    single = fuse_agents([fore], fuse)
-    fold_single = np.array_equal(single, fore)
+    fuse_agents = reference.fuse_agents
+    fold_single = np.array_equal(fuse_agents([fore], fuse), fore)
     parts = [rng.normal(size=(c, h, w)) for _ in range(3)]
     folded = fuse_agents(parts, fuse)
     manual = fuse_agents([fuse_agents(parts[:2], fuse), parts[2]], fuse)
     fold_assoc = np.array_equal(folded, manual)
 
-    # the gate as the paper builds it: concat, broadcast w_init, shuffle the
-    # four blocks channel by channel, grouped 1x1 conv
     spec = VerificationSpec.from_weights(default_verification_weights(c, 3))
-    cat = np.concatenate([fore, enh])
-    w_spatial = conv2d(np.stack([cat.max(axis=0), cat.mean(axis=0)]), spec.spatial)
-    w_channel = conv2d(conv2d(cat.mean(axis=(1, 2)).reshape(-1, 1, 1), spec.ca1),
-                       spec.ca2)
-    z = np.concatenate([cat, np.broadcast_to(w_spatial + w_channel, cat.shape)])
-    z = z.reshape(4, c, h, w).swapaxes(0, 1).reshape(4 * c, h, w)
-    literal = conv2d(z, spec.gconv)
-    gate_dev = float(np.abs(verification_weights(fore, enh, spec) - literal).max())
+    gate_dev = float(np.abs(reference.verification_weights(fore, enh, spec)
+                            - reference.literal_gate(fore, enh, spec)).max())
     fg_dev = _folded_foreground_dev(rng)
     motion_dev = _split_motion_dev(rng)
     terms_dev = _fusion_terms_dev(rng)
@@ -483,24 +475,9 @@ def _fusion_terms_dev(rng) -> float:
     for n in (1, 2, 3):
         maps = [rng.normal(size=(c, 5, 6)) for _ in range(n)]
         fold = fusion_fold(weights, n)
-        terms = sum(fusion_term(x, fold, k) for k, x in enumerate(maps))
-        dev = max(dev, float(np.abs(terms - fuse_agents(maps, weights)).max()))
+        terms = sum(conv2d(x, fold[k]) for k, x in enumerate(maps))
+        dev = max(dev, float(np.abs(terms - reference.fuse_agents(maps, weights)).max()))
     return dev
-
-
-def _literal_refined(h, m, struct, spec, weights) -> np.ndarray:
-    """The IFAM branch's refined map, written out: the verified blend, the
-    sum (or concat), the 1x1 aggregation and eps * (h - h * m)."""
-    fore = h * m
-    enh = struct_conv(fore, struct)
-    gate = verification_weights(fore, enh, spec)
-    blend = gate * fore + (1.0 - gate) * enh
-    c = h.shape[0]
-    wa = weights["ifam.agg.weight"]
-    pre = blend + fore + enh if wa.size == c * c else np.concatenate([blend, fore, enh])
-    refined = conv2d(pre, ConvSpec(c, pre.shape[0], 1, 1, wa,
-                                   bias=weights["ifam.agg.bias"]))
-    return refined + float(weights["ifam.eps"][0]) * (h - fore)
 
 
 def _folded_ifam_dev(rng) -> float:
@@ -525,7 +502,8 @@ def _folded_ifam_dev(rng) -> float:
             for k in range(n):
                 h = rng.normal(size=(c, 5, 6))
                 m = rng.uniform(size=(1, 5, 6))
-                want = fusion_term(_literal_refined(h, m, struct, spec, weights), fold, k)
+                want = conv2d(reference.literal_refined(h, m, struct, spec, weights),
+                              fold[k])
                 got = refine_instance(h, m, struct, spec, terms[k])
                 dev = max(dev, float(np.abs(got - want).max()))
     return dev
@@ -543,13 +521,7 @@ def _folded_foreground_dev(rng) -> float:
     ms = MultiScaleFeatures(rng.normal(size=(64, 8, 8)), rng.normal(size=(128, 4, 4)),
                             rng.normal(size=(256, 2, 2)))
     projected = bev_project(ms, weights)
-    mid = weights["fg.conv1.bias"].size
-    h = conv2d(projected, ConvSpec(mid, 384, 3, 3, weights["fg.conv1.weight"],
-                                   bias=weights["fg.conv1.bias"], padding=1))
-    h = np.maximum(h * weights["fg.affine.scale"][:, None, None]
-                   + weights["fg.affine.shift"][:, None, None], 0.0)
-    literal = conv2d(h, ConvSpec(1, mid, 1, 1, weights["fg.conv2.weight"],
-                                 bias=weights["fg.conv2.bias"], activation="sigmoid"))
+    literal = reference.literal_foreground(projected, weights)
     head = ForegroundHead.from_weights(weights)
     return float(np.abs(foreground_estimate(projected, ms, head) - literal).max())
 
@@ -564,16 +536,9 @@ def _split_motion_dev(rng) -> float:
     w["dp.bias"] = rng.normal(size=2)
     w["w.weight"] = rng.normal(scale=0.1, size=(1, c, 3, 3))
     latest, previous = rng.normal(size=(2, c, 6, 6))
-    mk = lambda cout, cin, name, act="none": ConvSpec(
-        cout, cin, 3, 3, w[name + ".weight"], bias=w[name + ".bias"], padding=1,
-        activation=act)
-    enc, trunk = mk(c, 2 * c, "enc", "relu"), mk(c, 2 * c, "trunk", "relu")
-    diff = latest - previous
-    h = conv2d(np.concatenate([conv2d(np.concatenate([latest, diff]), enc),
-                               conv2d(np.concatenate([previous, diff]), enc)]), trunk)
+    dp, conf = reference.literal_motion(latest, previous, w)
     mf = estimate_motion(latest, previous, MotionEstimatorSpec.from_weights(w, ""))
-    return max(float(np.abs(mf.dp - conv2d(h, mk(2, c, "dp"))).max()),
-               float(np.abs(mf.w - conv2d(h, mk(1, c, "w", "sigmoid"))).max()))
+    return max(float(np.abs(mf.dp - dp).max()), float(np.abs(mf.w - conf).max()))
 
 
 # -- 12 ---------------------------------------------------------------------

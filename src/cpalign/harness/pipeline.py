@@ -701,8 +701,8 @@ def run_pipeline(scenario: Scenario, t: float, tau: float,
     a receiver (stage 2 onwards); all senders are queued before all
     receivers, on one worker thread that the calling thread helps once the
     ego's chain is done. The receivers meet the ego at void completion. Each
-    agent's IFAM branch ends in its own term of the folded
-    :func:`fuse_agents`, with the aggregation folded in. The memo builds
+    agent's IFAM branch ends in its own term of the fused map, with the
+    aggregation folded in (:func:`instance_terms`). The memo builds
     each entry once, also across threads, and holds the ego's view and
     fusion term. The result does not depend on which thread ran what.
     """

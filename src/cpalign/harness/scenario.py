@@ -306,8 +306,6 @@ def ideal_motion_field(scenario: Scenario, agent_id: str, src_t: float,
     feature bleed from small convolutions); everywhere else the displacement
     is zero, which keeps static structure pinned.
     """
-    if not scenario.objects:
-        raise ShapeError("scenario has no objects to derive motion from")
     agent = scenario.agent(agent_id)
     pose = agent_pose_at(scenario, agent, dst_t)
     dt = scenario.frame_interval

@@ -221,9 +221,8 @@ def default_verification_weights(channels: int, seed: int = 0) -> dict:
     }
 
 
-def verification_weights(fore: np.ndarray, enhanced: np.ndarray,
-                         spec: VerificationSpec) -> np.ndarray:
-    """Per-channel gates in (0, 1), shape (C, H, W).
+def gate_groups(fore: np.ndarray, enhanced: np.ndarray, spec: VerificationSpec) -> tuple:
+    """Per-channel gates in (0, 1), one group of output channels at a time.
 
     Spatial attention (channel max and mean through a 3x3 conv) and channel
     attention (global average pool through a bottleneck) are broadcast-added
@@ -238,20 +237,12 @@ def verification_weights(fore: np.ndarray, enhanced: np.ndarray,
     broadcast over channels plus a per-channel ``w_channel``, so together
     they add the rank-1 map ``colsum(W) * w_spatial`` and the per-channel
     constant ``W @ w_channel``, where W is their slice of the gconv weights.
-    """
-    fore, _, groups = _gate_groups(fore, enhanced, spec)
-    out = np.empty_like(fore)
-    for rows, gate in groups:
-        out[rows] = gate
-    return out
 
-
-def _gate_groups(fore, enhanced, spec):
-    """``(fore, enhanced, groups)``: the inputs as validated, and a generator
-    of ``(rows, gate)``, the gate of each group of output channels as a
-    fresh map. The statistics over all channels are taken here; group g
-    then reads only ``rows`` of fore and enhanced, so a caller may write
-    over those rows once their gate is out.
+    Returns ``(fore, enhanced, groups)``: the inputs as validated, and a
+    generator of ``(rows, gate)``, the gate of each group of output channels
+    as a fresh (C/4, H, W) map. The statistics over all channels are taken
+    here; group g then reads only ``rows`` of fore and enhanced, so a caller
+    may write over those rows once their gate is out.
     """
     fore = ensure_tensor3(fore, "foreground features")
     enhanced = ensure_tensor3(enhanced, "enhanced features")
@@ -368,7 +359,7 @@ def refine_instance(h: np.ndarray, m: np.ndarray, struct: StructKernels,
     n_out, width = term.product.shape
     concat = _reads_concat(width, c)
     enhanced = struct_conv(fore, struct)
-    pre, enhanced, groups = _gate_groups(fore, enhanced, verification)
+    pre, enhanced, groups = gate_groups(fore, enhanced, verification)
     del fore
     blend = np.empty_like(pre) if concat else pre
     for rows, gate in groups:
@@ -411,48 +402,17 @@ def default_fuse_weights(channels: int, seed: int = 0) -> dict:
     }
 
 
-def fuse_agents(features: list, weights: dict) -> np.ndarray:
-    """Left fold over agents with one shared 2C -> C 1x1 conv.
+def fusion_fold(weights: dict, n_agents: int, rows: int | None = None) -> tuple:
+    """The fusion of ``n_agents`` maps as one term per agent: a
+    :class:`ConvSpec` each, the ego's first.
 
-    features[0] is the ego view; collaborators follow in id order. A single
-    agent passes through unchanged; an empty list is an error.
-    """
-    if not features:
-        raise ShapeError("fuse_agents needs at least one agent's features")
-    feats = [ensure_tensor3(f, f"agent {i} features") for i, f in enumerate(features)]
-    shape = feats[0].shape
-    for i, f in enumerate(feats[1:], start=1):
-        if f.shape != shape:
-            raise ShapeError(
-                f"agent {i} features {f.shape} do not match ego {shape}"
-            )
-    if len(feats) == 1:
-        return feats[0].copy()
-    c = shape[0]
-    wf, bf = require_weights(weights, FUSE_WEIGHT_NAMES, "fusion weights")
-    spec = ConvSpec(c, 2 * c, 1, 1, wf, bias=bf)
-    state = feats[0]
-    for nxt in feats[1:]:
-        state = conv2d(np.concatenate([state, nxt]), spec)
-    return state
-
-
-@dataclass(frozen=True)
-class FusionFold:
-    """:func:`fuse_agents` over a fixed number of agents, one term per agent.
-
-    The fold ``s_k = W1 s_(k-1) + W2 x_k + b`` over n agents unrolls to
-    ``sum_k A_k x_k + c`` with ``A_0 = W1^(n-1)``, ``A_k = W1^(n-1-k) W2``
-    and ``c = sum_(j < n-1) W1^j b``. Each agent's term is a C -> rows 1x1
-    conv of its own map, so no 2C-channel concat is ever built, and the
-    fused map is the sum of the terms.
-    """
-
-    terms: tuple  # ConvSpec per agent; the ego's carries c as its bias
-
-
-def fusion_fold(weights: dict, n_agents: int, rows: int | None = None) -> FusionFold:
-    """The per-agent terms of :func:`fuse_agents` over ``n_agents`` maps.
+    Fusion is a left fold over agents with one shared 2C -> C 1x1 conv,
+    ``s_k = W1 s_(k-1) + W2 x_k + b``, the ego first. Over n agents it
+    unrolls to ``sum_k A_k x_k + c`` with ``A_0 = W1^(n-1)``,
+    ``A_k = W1^(n-1-k) W2`` and ``c = sum_(j < n-1) W1^j b``. Each agent's
+    term is a C -> rows 1x1 conv of its own map, the ego's with c as its
+    bias, so no 2C-channel concat is ever built, and the fused map is the
+    sum of the terms.
 
     ``rows`` keeps only the leading output channels, for a reader that uses
     no others.
@@ -475,14 +435,8 @@ def fusion_fold(weights: dict, n_agents: int, rows: int | None = None) -> Fusion
     for p in powers[:-1]:
         offset += p @ bf.ravel()
     mats = [powers[-1]] + [powers[n_agents - 1 - k] @ w2 for k in range(1, n_agents)]
-    return FusionFold(terms=tuple(
-        ConvSpec(rows, c, 1, 1, a, bias=offset if k == 0 else None)
-        for k, a in enumerate(mats)))
-
-
-def fusion_term(features: np.ndarray, fold: FusionFold, k: int) -> np.ndarray:
-    """Agent k's term ``A_k x_k`` of the fused map (the ego's adds ``c``)."""
-    return conv2d(features, fold.terms[k])
+    return tuple(ConvSpec(rows, c, 1, 1, a, bias=offset if k == 0 else None)
+                 for k, a in enumerate(mats))
 
 
 @dataclass(frozen=True)
@@ -491,7 +445,7 @@ class InstanceTerm:
 
     The branch would end in ``refined = Wa pre + ba + eps (h - h m)``, of
     which fusion reads only ``A_k refined`` (plus ``c`` for the ego; see
-    :class:`FusionFold`). Both are linear and m has one channel, so the term
+    :func:`fusion_fold`). Both are linear and m has one channel, so the term
     is ``(A_k Wa) pre + ((eps A_k) h) * (1 - m) + A_k ba (+ c)``, and no map
     of the aggregation's width is made.
     """
@@ -508,14 +462,14 @@ def instance_terms(weights: dict, n_agents: int, rows: int | None = None) -> tup
     fold = fusion_fold(weights, n_agents, rows)
     wa, ba = require_weights(weights, AGGREGATE_WEIGHT_NAMES, "aggregation weights")
     (eps,) = require_weights(weights, ("ifam.eps",), "aggregation weights")
-    c = fold.terms[0].in_channels
+    c = fold[0].in_channels
     _reads_concat(wa.size / c, c)
     if ba.size != c:
         raise ShapeError(f"ifam.agg.bias has {ba.size} values, needs {c}")
     wa = wa.reshape(c, -1)
     eps = float(eps.ravel()[0])
     terms = []
-    for spec in fold.terms:
+    for spec in fold:
         a = spec.weights.reshape(spec.out_channels, c)
         bias = a @ ba.ravel()
         if spec.bias is not None:

@@ -327,14 +327,6 @@ def window_partition(height: int, width: int, window: int) -> tuple[np.ndarray, 
     return w1, w2
 
 
-@dataclass
-class TemporalLossResult:
-    loss: float
-    grad: np.ndarray
-    window_cosines: np.ndarray
-    degenerate: list   # (r0, c0, side) triples where a zero norm was hit
-
-
 def _window_anchors(height: int, width: int, window: int) -> list:
     w1, w2 = window_partition(height, width, window)
     return [(r, col, "full") for r, col in w1] + [(r, col, "offset") for r, col in w2]
@@ -383,40 +375,3 @@ def window_loss(cosines: np.ndarray) -> float:
         dev = 1.0 - float(cos)
         total += dev * dev
     return total / len(cosines)
-
-
-def temporal_loss(pred: np.ndarray, target: np.ndarray, window: int,
-                  counter: OpCounter | None = None) -> TemporalLossResult:
-    """Mean squared cosine deviation over both window tilings.
-
-    Every l x l window of both tilings contributes (1 - cos(pred_w,
-    target_w))^2 with the window contents flattened across channels; the
-    loss is the mean over all windows. The analytic gradient w.r.t. pred is
-    returned alongside. A window with a zero-norm side scores cosine 0 and
-    contributes no gradient; such windows are reported in ``degenerate``.
-    The cosines are those of :func:`window_cosines`, the loss that of
-    :func:`window_loss`.
-    """
-    pred = ensure_tensor3(pred, "prediction")
-    target = ensure_tensor3(target, "target")
-    cosines, pred_norms, target_norms = window_cosines(pred, target, window, counter)
-    anchors = _window_anchors(pred.shape[1], pred.shape[2], window)
-    n = len(anchors)
-    grad = np.zeros_like(pred)
-    degenerate = []
-    l = window
-    for k, (r0, c0, side) in enumerate(anchors):
-        np_ = float(pred_norms[k])
-        ng = float(target_norms[k])
-        if np_ == 0.0 or ng == 0.0:
-            # cosine 0 adds a constant (1 - 0)^2: no gradient
-            degenerate.append((int(r0), int(c0), side))
-            continue
-        cos = float(cosines[k])
-        dev = 1.0 - cos
-        p = pred[:, r0:r0 + l, c0:c0 + l]
-        g = target[:, r0:r0 + l, c0:c0 + l]
-        dcos = g / (np_ * ng) - (cos / (np_ * np_)) * p
-        grad[:, r0:r0 + l, c0:c0 + l] += -2.0 * dev * dcos
-    return TemporalLossResult(loss=window_loss(cosines), grad=grad / n,
-                              window_cosines=cosines, degenerate=degenerate)

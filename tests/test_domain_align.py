@@ -23,7 +23,8 @@ from cpalign.featurizer import (
     bev_project,
     default_bevproj_weights,
 )
-from cpalign.numerics import ConvSpec, ShapeError, conv2d, sigmoid
+from cpalign.numerics import ShapeError, sigmoid
+from cpalign.reference import literal_foreground
 
 
 def fd_gradient(fn, x, h=1e-6):
@@ -60,17 +61,6 @@ def _fg_inputs(rng, h, w, seed):
                             rng.normal(size=(128, h // 2, w // 2)),
                             rng.normal(size=(256, h // 4, w // 4)))
     return ms, weights
-
-
-def literal_foreground(projected, weights):
-    """The 3x3 conv over all 384 projected channels, as the head is written."""
-    w = weights
-    h = conv2d(projected, ConvSpec(192, 384, 3, 3, w["fg.conv1.weight"],
-                                   bias=w["fg.conv1.bias"], padding=1))
-    h = np.maximum(h * w["fg.affine.scale"][:, None, None]
-                   + w["fg.affine.shift"][:, None, None], 0.0)
-    return conv2d(h, ConvSpec(1, 192, 1, 1, w["fg.conv2.weight"],
-                              bias=w["fg.conv2.bias"], activation="sigmoid"))
 
 
 def test_foreground_estimate_range_and_shapes():

@@ -66,16 +66,13 @@ from cpalign.harness.scenario import (
 from cpalign.instance_fusion import (
     StructKernels,
     VerificationSpec,
-    foreground_features,
     fusion_fold,
-    fusion_term,
     instance_terms,
     refine_instance,
-    struct_conv,
-    verification_weights,
 )
 from cpalign.numerics import ConvSpec, ShapeError, conv2d, freeze_weights, save_weights
 from cpalign.pointcloud import OrientedBox
+from cpalign.reference import folded_term, literal_refined
 
 
 def _load_tracer():
@@ -418,6 +415,22 @@ def test_ideal_motion_footprint_stamps_only_track_cells():
         np.testing.assert_allclose(mf.dp[0][stamped], 0.5 ** scale, rtol=0, atol=1e-12)
         assert np.all(mf.dp[1] == 0.0)
         assert np.all((mf.w > 0.0) & (mf.w < 1.0))
+
+
+def test_scene_without_objects_runs_under_ideal_motion():
+    # a static scene's ideal field is exactly zero, so the default options
+    # (PTAM on, ideal motion, oracle xi) run it like any other scene
+    scn = _simple_scenario(objects=[], duration=1.2)
+    bev = BevSpec.centered(19.2, 19.2)
+    for scale in range(3):
+        mf = ideal_motion_field(scn, "collab", 0.7, 0.8, bev, scale)
+        n = 48 >> scale
+        np.testing.assert_array_equal(mf.dp, np.zeros((2, n, n)))
+        assert np.all((mf.w > 0.0) & (mf.w < 1.0))
+    report = run_pipeline(scn, 1.1, 0.3, PipelineOptions(), bev=_BEV_SMALL)
+    assert report.n_truth == 0
+    assert report.xi == [pytest.approx(3.0)] * 3
+    assert report.cosine_pre == report.cosine_post == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -1200,21 +1213,6 @@ def test_run_pipeline_collect_maps_bitwise_repeatable():
     assert a.ops_match_closed_form
 
 
-def _literal_branch(h, m, weights):
-    """foreground_features, the struct conv, the gate and blend, the sum (or
-    concat) under the pipeline's weights, written out: ``(fore, enhanced,
-    blend, pre)``."""
-    fore = foreground_features(h, m)
-    struct = StructKernels(base=weights["ifam.struct.weight"],
-                           biases=weights["ifam.struct.bias"])
-    enh = struct_conv(fore, struct)
-    verif = verification_weights(fore, enh, VerificationSpec.from_weights(weights))
-    blend = verif * fore + (1.0 - verif) * enh
-    pre = (blend + fore + enh if weights["ifam.agg.weight"].size == 384 * 384
-           else np.concatenate([blend, fore, enh]))
-    return fore, enh, blend, pre
-
-
 @pytest.mark.parametrize("ego", [False, True])
 def test_refine_instance_matches_literal_chain(ego):
     # the IFAM branch under the pipeline's weights, sum and concat, ended in
@@ -1230,21 +1228,7 @@ def test_refine_instance_matches_literal_chain(ego):
         weights = build_pipeline_weights(0, combine)
         ctx = RunContext(_three_agent_scene(), weights, _BEV_SMALL, RenderConfig())
         got = refine_instance(h, m, ctx.struct, ctx.verification, ctx.terms[k])
-        fold = fusion_fold(weights, 3, rows)
-        a = fold.terms[k].weights.reshape(rows, 384)
-        product = a @ weights["ifam.agg.weight"].reshape(384, -1)
-        bias = a @ weights["ifam.agg.bias"]
-        if ego:
-            bias += fold.terms[0].bias
-        fore, enh, blend, pre = _literal_branch(h, m, weights)
-        if combine == "sum":
-            want = conv2d(pre, ConvSpec(rows, 384, 1, 1, product, bias=bias))
-        else:
-            want = conv2d(blend, ConvSpec(rows, 384, 1, 1, product[:, :384], bias=bias))
-            want += conv2d(fore, ConvSpec(rows, 384, 1, 1, product[:, 384:768]))
-            want += conv2d(enh, ConvSpec(rows, 384, 1, 1, product[:, 768:]))
-        eps = float(weights["ifam.eps"][0])
-        want = want + conv2d(h, ConvSpec(rows, 384, 1, 1, eps * a)) * (1.0 - m)
+        want = folded_term(h, m, ctx.struct, ctx.verification, weights, 3, k, rows)
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
         np.testing.assert_array_equal(h, h0)
         np.testing.assert_array_equal(m, m0)
@@ -1252,8 +1236,8 @@ def test_refine_instance_matches_literal_chain(ego):
 
 def test_refine_instance_matches_unfolded_chain():
     # every agent's folded term under the pipeline's weights, sum and concat,
-    # against fusion_term of the unfolded branch's 384-channel refined map,
-    # over 1 to 3 agents, with non-zero aggregation and fusion biases
+    # against the fusion term of the unfolded branch's 384-channel refined
+    # map, over 1 to 3 agents, with non-zero aggregation and fusion biases
     rng = np.random.default_rng(22)
     h = rng.normal(size=(384, 12, 9))
     m = rng.uniform(size=(1, 12, 9))
@@ -1263,14 +1247,11 @@ def test_refine_instance_matches_unfolded_chain():
         weights["ifam.agg.bias"] = rng.normal(size=384)
         weights["ifam.fuse.bias"] = rng.normal(size=384)
         ctx = RunContext(_fast_scene(), weights, _BEV_SMALL, RenderConfig())
-        fore, _, _, pre = _literal_branch(h, m, weights)
-        refined = conv2d(pre, ConvSpec(384, pre.shape[0], 1, 1, weights["ifam.agg.weight"],
-                                       bias=weights["ifam.agg.bias"]))
-        refined += float(weights["ifam.eps"][0]) * (h - fore)
+        refined = literal_refined(h, m, ctx.struct, ctx.verification, weights)
         for n in (1, 2, 3):
             fold, terms = fusion_fold(weights, n, rows), instance_terms(weights, n, rows)
             for k in range(n):
-                want = fusion_term(refined, fold, k)
+                want = conv2d(refined, fold[k])
                 got = refine_instance(h, m, ctx.struct, ctx.verification, terms[k])
                 dev = np.abs(got - want).max() / np.abs(want).max()
                 assert dev <= 1e-12, (combine, n, k, dev)

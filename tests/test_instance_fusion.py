@@ -13,17 +13,21 @@ from cpalign.instance_fusion import (
     foreground_loss,
     foreground_features,
     InstanceTerm,
-    fuse_agents,
     fusion_fold,
-    fusion_term,
     instance_terms,
     refine_instance,
     struct_conv,
-    verification_weights,
     verified_blend,
 )
-from cpalign.numerics import ConvSpec, ShapeError, conv2d, ensure_tensor3
+from cpalign.numerics import ConvSpec, ShapeError, conv2d
 from cpalign.pointcloud import OrientedBox
+from cpalign.reference import (
+    folded_term,
+    fuse_agents,
+    literal_gate,
+    literal_refined,
+    verification_weights,
+)
 
 
 def test_foreground_features_scale_by_map_and_reject_out_of_range():
@@ -107,29 +111,6 @@ def test_struct_conv_constant_input_reduces_to_vanilla_response():
                                rtol=1e-10, atol=1e-12)
 
 
-def channel_shuffle(x, groups):
-    """Interleave channel groups: (g, c//g) -> transpose -> flatten."""
-    x = ensure_tensor3(x, "shuffle input")
-    c = x.shape[0]
-    if groups < 1 or c % groups:
-        raise ShapeError(f"groups={groups} must divide {c} channels")
-    k = c // groups
-    return np.ascontiguousarray(
-        x.reshape(groups, k, *x.shape[1:]).swapaxes(0, 1).reshape(c, *x.shape[1:])
-    )
-
-
-def verification_oracle(fore, enhanced, spec):
-    """The gate built literally: concat, broadcast w_init, shuffle, gconv."""
-    cat = np.concatenate([fore, enhanced])
-    stats = np.stack([cat.max(axis=0), cat.mean(axis=0)])
-    w_spatial = conv2d(stats, spec.spatial)
-    gap = cat.mean(axis=(1, 2)).reshape(-1, 1, 1)
-    w_channel = conv2d(conv2d(gap, spec.ca1), spec.ca2)
-    z = np.concatenate([cat, np.broadcast_to(w_spatial + w_channel, cat.shape)])
-    return conv2d(channel_shuffle(z, 4), spec.gconv)
-
-
 def _random_verification_spec(c, seed, rng):
     # He-scaled weights keep the gates off saturation, where a comparison
     # would only see 0 and 1; biases are random too
@@ -140,17 +121,6 @@ def _random_verification_spec(c, seed, rng):
     return VerificationSpec.from_weights(weights)
 
 
-def test_channel_shuffle_roundtrip_and_order():
-    x = np.arange(8, dtype=np.float64).reshape(8, 1, 1) * np.ones((8, 2, 2))
-    s = channel_shuffle(x, 2)
-    # groups (0..3), (4..7) interleave to 0,4,1,5,2,6,3,7
-    assert [int(s[i, 0, 0]) for i in range(8)] == [0, 4, 1, 5, 2, 6, 3, 7]
-    back = channel_shuffle(s, 4)
-    np.testing.assert_array_equal(back, x)
-    with pytest.raises(ShapeError):
-        channel_shuffle(x, 3)
-
-
 @pytest.mark.parametrize("c,h,w,seeds", [(8, 7, 5, range(5)), (384, 12, 9, (0, 1))])
 def test_verification_weights_match_literal_oracle(c, h, w, seeds):
     for seed in seeds:
@@ -159,7 +129,7 @@ def test_verification_weights_match_literal_oracle(c, h, w, seeds):
         fore = rng.normal(size=(c, h, w))
         enh = rng.normal(size=(c, h, w))
         got = verification_weights(fore, enh, spec)
-        np.testing.assert_allclose(got, verification_oracle(fore, enh, spec),
+        np.testing.assert_allclose(got, literal_gate(fore, enh, spec),
                                    rtol=1e-12, atol=1e-12)
         # the gate must read each source block in its own position
         swapped = verification_weights(enh, fore, spec)
@@ -206,13 +176,13 @@ def test_verification_weights_range_and_zero_case():
     w = verification_weights(fore, enh, spec)
     assert w.shape == (c, 6, 6)
     assert (w > 0).all() and (w < 1).all()
-    np.testing.assert_allclose(w, verification_oracle(fore, enh, spec),
+    np.testing.assert_allclose(w, literal_gate(fore, enh, spec),
                                rtol=1e-12, atol=1e-12)
     zero = {k: np.zeros_like(v) for k, v in default_verification_weights(c).items()}
     zero_spec = VerificationSpec.from_weights(zero)
     wz = verification_weights(fore, enh, zero_spec)
     np.testing.assert_array_equal(wz, np.full((c, 6, 6), 0.5))
-    np.testing.assert_array_equal(verification_oracle(fore, enh, zero_spec), wz)
+    np.testing.assert_array_equal(literal_gate(fore, enh, zero_spec), wz)
 
 
 def test_verification_group_independence_before_shuffle():
@@ -258,46 +228,6 @@ def test_verified_blend_endpoints():
     np.testing.assert_allclose(half, 0.5 * (fore + enh), rtol=1e-15)
 
 
-def refined_oracle(h, m, struct, spec, weights):
-    """The unfolded branch written out: the literal gate and verified blend,
-    the sum (or concat), the 1x1 aggregation and eps * (h - h * m)."""
-    fore = h * m
-    enh = struct_conv(fore, struct)
-    verif = verification_oracle(fore, enh, spec)
-    blend = verif * fore + (1.0 - verif) * enh
-    c = fore.shape[0]
-    wa = weights["ifam.agg.weight"]
-    pre = blend + fore + enh if wa.size == c * c else np.concatenate([blend, fore, enh])
-    spec = ConvSpec(c, pre.shape[0], 1, 1, wa, bias=weights["ifam.agg.bias"])
-    return conv2d(pre, spec) + float(weights["ifam.eps"][0]) * (h - fore)
-
-
-def folded_term_oracle(h, m, struct, spec, weights, n, k, rows):
-    """Agent k's folded term written out in refine_instance's order: the
-    library gate, the blend and sum (or concat), ``A_k Wa`` on it (three
-    C-column blocks under the concat) with bias ``A_k ba (+ c)``, then
-    ``((eps A_k) h) * (1 - m)``, with A_k and c from :func:`fusion_fold`."""
-    c = h.shape[0]
-    fold = fusion_fold(weights, n, rows)
-    a = fold.terms[k].weights.reshape(rows, c)
-    product = a @ weights["ifam.agg.weight"].reshape(c, -1)
-    bias = a @ weights["ifam.agg.bias"]
-    if k == 0:
-        bias += fold.terms[0].bias
-    fore = h * m
-    enh = struct_conv(fore, struct)
-    verif = verification_weights(fore, enh, spec)
-    blend = verif * fore + (1.0 - verif) * enh
-    if product.shape[1] == c:
-        out = conv2d(blend + fore + enh, ConvSpec(rows, c, 1, 1, product, bias=bias))
-    else:
-        out = conv2d(blend, ConvSpec(rows, c, 1, 1, product[:, :c], bias=bias))
-        out += conv2d(fore, ConvSpec(rows, c, 1, 1, product[:, c:2 * c]))
-        out += conv2d(enh, ConvSpec(rows, c, 1, 1, product[:, 2 * c:]))
-    eps = float(weights["ifam.eps"][0])
-    return out + conv2d(h, ConvSpec(rows, c, 1, 1, eps * a)) * (1.0 - m)
-
-
 def _ifam_case(c, h, w, combine, seed=5):
     """(h, m, struct, spec, weights) with random biases (aggregation and
     fusion too) and epsilon, so that every term of the branch shows in its
@@ -328,7 +258,7 @@ def test_refine_instance_matches_literal_oracle(c, h, w, ego, combine):
     h0, m0 = hmap.copy(), m.copy()
     k, rows = (0 if ego else 1), max(c // 2, 1)
     got = refine_instance(hmap, m, struct, spec, instance_terms(weights, 3, rows)[k])
-    want = folded_term_oracle(h0, m0, struct, spec, weights, 3, k, rows)
+    want = folded_term(h0, m0, struct, spec, weights, 3, k, rows)
     assert got.shape == (rows, h, w)
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
     np.testing.assert_array_equal(hmap, h0)
@@ -338,8 +268,9 @@ def test_refine_instance_matches_literal_oracle(c, h, w, ego, combine):
 @pytest.mark.parametrize("combine", ["sum", "concat"])
 @pytest.mark.parametrize("c,h,w", [(8, 7, 5), (384, 12, 9)])
 def test_refine_instance_matches_unfolded_branch(c, h, w, combine):
-    # every agent's folded term against fusion_term of the literal refined
-    # map, over 1 to 3 agents, with non-zero aggregation and fusion biases
+    # every agent's folded term against the fusion term of the literal
+    # refined map, over 1 to 3 agents, with non-zero aggregation and fusion
+    # biases
     hmap, m, struct, spec, weights = _ifam_case(c, h, w, combine, seed=8)
     rows = max(c // 3, 1)
     for n in (1, 2, 3):
@@ -347,7 +278,7 @@ def test_refine_instance_matches_unfolded_branch(c, h, w, combine):
         assert len(terms) == n
         for k in range(n):
             x, fg = hmap * (k + 1), m ** (k + 1)  # another map per agent
-            want = fusion_term(refined_oracle(x, fg, struct, spec, weights), fold, k)
+            want = conv2d(literal_refined(x, fg, struct, spec, weights), fold[k])
             got = refine_instance(x, fg, struct, spec, terms[k])
             assert _rel_dev(got, want) <= 1e-12, (n, k)
 
@@ -366,7 +297,7 @@ def test_refine_instance_epsilon_background():
     assert default_aggregate_weights(8)["ifam.eps"][0] == 0.1
     without = term(0.0)
     for eps in (0.1, 0.5):
-        np.testing.assert_allclose(term(eps) - without, fusion_term(eps * back, fold, 1),
+        np.testing.assert_allclose(term(eps) - without, conv2d(eps * back, fold[1]),
                                    rtol=1e-10, atol=1e-12)
 
 
@@ -437,13 +368,13 @@ def test_fusion_fold_matches_literal_fuse_agents(n):
     want = fuse_agents(maps, weights=weights)
     for rows in (None, 5):
         fold = fusion_fold(weights, n, rows)
-        assert len(fold.terms) == n
-        got = sum(fusion_term(x, fold, k) for k, x in enumerate(maps))
+        assert len(fold) == n
+        got = sum(conv2d(x, fold[k]) for k, x in enumerate(maps))
         np.testing.assert_allclose(got, want[:rows], rtol=1e-12, atol=1e-12)
     # the ego's term carries the constant: all-zero maps give exactly c
     zeros = [np.zeros((c, 2, 2))] * n
     fold = fusion_fold(weights, n)
-    terms = [fusion_term(x, fold, k) for k, x in enumerate(zeros)]
+    terms = [conv2d(x, fold[k]) for k, x in enumerate(zeros)]
     np.testing.assert_allclose(terms[0], fuse_agents(zeros, weights=weights),
                                rtol=1e-12, atol=1e-12)
     for t in terms[1:]:

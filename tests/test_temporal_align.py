@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from cpalign.harness.pipeline import SCALE_CHANNELS, build_pipeline_weights
-from cpalign.numerics import ConvSpec, ShapeError, conv2d, sigmoid
+from cpalign.numerics import ShapeError, sigmoid
 from cpalign.opcount import OpCounter, count_similarity_ops, window_grid_counts
+from cpalign.reference import literal_motion, temporal_loss
 from cpalign.temporal_align import (
     MotionEstimatorSpec,
     MotionField,
@@ -17,7 +18,6 @@ from cpalign.temporal_align import (
     predict_xi,
     ptam_stage1,
     ptam_stage2,
-    temporal_loss,
     warp_features,
     window_cosines,
     window_loss,
@@ -118,22 +118,6 @@ def test_estimate_motion_zero_heads_identity_defaults():
         np.testing.assert_array_equal(mf.w, np.full((1, 4, 6), sigmoid(np.array([4.0]))[0]))
 
 
-def _literal_motion(latest, previous, w):
-    """The estimator as written: one 2C -> C encoder over (frame, diff) pairs."""
-    c = latest.shape[0]
-    enc = ConvSpec(c, 2 * c, 3, 3, w["enc.weight"], bias=w["enc.bias"], padding=1,
-                   activation="relu")
-    trunk = ConvSpec(c, 2 * c, 3, 3, w["trunk.weight"], bias=w["trunk.bias"],
-                     padding=1, activation="relu")
-    dp = ConvSpec(2, c, 3, 3, w["dp.weight"], bias=w["dp.bias"], padding=1)
-    wh = ConvSpec(1, c, 3, 3, w["w.weight"], bias=w["w.bias"], padding=1,
-                  activation="sigmoid")
-    diff = latest - previous
-    h = conv2d(np.concatenate([conv2d(np.concatenate([latest, diff]), enc),
-                               conv2d(np.concatenate([previous, diff]), enc)]), trunk)
-    return conv2d(h, dp), conv2d(h, wh)
-
-
 @pytest.mark.parametrize("c", [64, 128, 256])
 def test_split_motion_estimator_matches_literal_concat(c):
     rng = np.random.default_rng(c)
@@ -146,7 +130,7 @@ def test_split_motion_estimator_matches_literal_concat(c):
     latest = rng.normal(size=(c, 6, 8))
     previous = rng.normal(size=(c, 6, 8))
     mf = estimate_motion(latest, previous, MotionEstimatorSpec.from_weights(w, ""))
-    dp, conf = _literal_motion(latest, previous, w)
+    dp, conf = literal_motion(latest, previous, w)
     assert np.abs(dp).max() > 0.1
     np.testing.assert_allclose(mf.dp, dp, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(mf.w, conf, rtol=1e-12, atol=1e-12)
