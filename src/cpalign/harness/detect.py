@@ -9,7 +9,7 @@ measurably tighter boxes, which is all the delay sweeps need.
 import numpy as np
 from dataclasses import dataclass
 
-from ..featurizer import BevSpec
+from ..featurizer import BevSpec, box_footprint_mask
 from ..numerics import ShapeError, ensure_tensor3
 from ..pointcloud import OrientedBox
 
@@ -97,6 +97,16 @@ def _label4(mask: np.ndarray) -> tuple:
     number = np.zeros(size + 1, dtype=np.int32)
     number[roots] = np.arange(1, roots.size + 1)
     return number[flat].reshape(h, w), int(roots.size)
+
+
+def boxes_in_grid(boxes: list, spec: BevSpec) -> list:
+    """The boxes whose footprint covers at least one cell centre of the
+    grid, in order: the truth a run is evaluated against, limited to the
+    grid its detector reads, by the rule the foreground target is drawn by
+    (:func:`box_footprint_mask`)."""
+    return [box for box in boxes
+            if box_footprint_mask([box], spec.origin_x, spec.origin_y, spec.cell,
+                                  spec.height, spec.width).any()]
 
 
 def box_to_aabb(box: OrientedBox) -> np.ndarray:

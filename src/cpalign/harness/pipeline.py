@@ -19,14 +19,16 @@ import math
 import numbers
 import threading
 import time
+from collections.abc import Mapping
 from concurrent import futures
 from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Mapping
 
 import numpy as np
 
 from ..domain_align import (
+    DISCRIMINATOR_WEIGHT_NAMES,
+    FOREGROUND_WEIGHT_NAMES,
     ForegroundHead,
     Pose2,
     default_discriminator_weights,
@@ -39,6 +41,8 @@ from ..domain_align import (
     transform_to_ego,
 )
 from ..featurizer import (
+    BACKBONE_WEIGHT_NAMES,
+    BEVPROJ_WEIGHT_NAMES,
     BevSpec,
     MultiScaleFeatures,
     backbone_forward,
@@ -48,20 +52,26 @@ from ..featurizer import (
     pillar_encode,
 )
 from ..instance_fusion import (
+    AGGREGATE_WEIGHT_NAMES,
+    FUSE_WEIGHT_NAMES,
+    STRUCT_WEIGHT_NAMES,
+    VERIFICATION_WEIGHT_NAMES,
     StructKernels,
     VerificationSpec,
     default_aggregate_weights,
     default_fuse_weights,
+    default_struct_weights,
     default_verification_weights,
     foreground_loss,
     instance_terms,
     refine_instance,
 )
-from ..numerics import ShapeError, finite_number, freeze_weights, he_normal
+from ..numerics import ShapeError, finite_number, freeze_weights
 from ..opcount import OpCounter, count_similarity_ops
 from ..pointcloud import phd_apply
 from ..temporal_align import (
     WINDOW,
+    XI_WEIGHT_NAMES,
     MotionEstimatorSpec,
     MotionField,
     XiPredictorSpec,
@@ -76,7 +86,7 @@ from ..temporal_align import (
 )
 from .codec import (CodecConfig, encode_decode, pack_nonzeros, transmit_tensors,
                     unpack_nonzeros, wire_bytes)
-from .detect import ENERGY_CHANNELS, detection_map, evaluate_detection
+from .detect import ENERGY_CHANNELS, boxes_in_grid, detection_map, evaluate_detection
 from .scenario import (
     RenderConfig,
     Scenario,
@@ -90,7 +100,6 @@ SCALE_CHANNELS = (64, 128, 256)
 PROJECTED_CHANNELS = 384
 _NOISE_TAG = 0x906E
 _NOISE_SEED = 1  # the pose-noise stream: fixed, in its own slot of the seed sequence
-_STRUCT_TAG = 0x57C
 _W_CLIP = 1e-6
 
 
@@ -145,29 +154,14 @@ def build_pipeline_weights(seed: int = 0, combine: str = "sum") -> Mapping[str, 
     every caller can share the cached mapping, and every :class:`RunContext`
     under it the values derived from it. Threads share the cache: the first
     to ask for a key builds it, so every thread gets the same mapping object.
+
+    Each stage's block of arrays is drawn on the first read of any of its
+    names, once across threads; listing, counting or testing names draws
+    nothing, and ``dict(weights)`` draws them all. Every block seeds its own
+    draw, so the arrays do not depend on the order blocks are read in. A
+    run under ideal motion and oracle xi never draws the PTAM estimators.
     """
-    return _WEIGHTS.memo((seed, combine), lambda: _build_weights(seed, combine))
-
-
-def _build_weights(seed: int, combine: str) -> Mapping[str, np.ndarray]:
-    weights = {}
-    weights.update(default_backbone_weights(seed))
-    weights.update(default_bevproj_weights(seed))
-    weights.update(default_foreground_weights(PROJECTED_CHANNELS, seed))
-    weights.update(default_discriminator_weights(PROJECTED_CHANNELS, seed))
-    for i, ch in enumerate(SCALE_CHANNELS):
-        weights.update(default_motion_weights(ch, seed, prefix=f"ptam.motion.s{i}."))
-    weights.update(default_xi_weights(seed, prefix="ptam."))
-    rng = np.random.default_rng(np.random.SeedSequence([seed, _STRUCT_TAG]))
-    weights["ifam.struct.weight"] = he_normal(
-        rng, PROJECTED_CHANNELS, 1, 3, 3).reshape(PROJECTED_CHANNELS, 3, 3)
-    weights["ifam.struct.bias"] = np.zeros((5, PROJECTED_CHANNELS))
-    weights.update(default_verification_weights(PROJECTED_CHANNELS, seed))
-    weights.update(default_aggregate_weights(PROJECTED_CHANNELS, seed, combine))
-    weights.update(default_fuse_weights(PROJECTED_CHANNELS, seed))
-    for arr in weights.values():  # ours alone: freeze_weights keeps them uncopied
-        arr.flags.writeable = False
-    return freeze_weights(weights)
+    return _WEIGHTS.memo((seed, combine), lambda: _LazyWeights(_weight_blocks(seed, combine)))
 
 
 @dataclass
@@ -278,8 +272,75 @@ class _Memo:
 _WEIGHTS = _Memo()
 
 
-#: the 4 frozen weight sets last used -> (a copy of the mapping, the memo
-#: of what contexts derive from it), least recently used first
+def _weight_blocks(seed: int, combine: str) -> tuple:
+    """``(names, draw)`` per stage, in the mapping's order; each ``draw()``
+    returns its block with exactly those names, in that order."""
+    c = PROJECTED_CHANNELS
+    blocks = [
+        (BACKBONE_WEIGHT_NAMES, lambda: default_backbone_weights(seed)),
+        (BEVPROJ_WEIGHT_NAMES, lambda: default_bevproj_weights(seed)),
+        (FOREGROUND_WEIGHT_NAMES, lambda: default_foreground_weights(c, seed)),
+        (DISCRIMINATOR_WEIGHT_NAMES, lambda: default_discriminator_weights(c, seed)),
+    ]
+    for s, ch in enumerate(SCALE_CHANNELS):
+        prefix = f"ptam.motion.s{s}."
+        blocks.append((tuple(prefix + n for n in MotionEstimatorSpec.NAMES),
+                       lambda ch=ch, prefix=prefix:
+                       default_motion_weights(ch, seed, prefix=prefix)))
+    blocks += [
+        (tuple("ptam." + n for n in XI_WEIGHT_NAMES),
+         lambda: default_xi_weights(seed, prefix="ptam.")),
+        (STRUCT_WEIGHT_NAMES, lambda: default_struct_weights(c, seed)),
+        (VERIFICATION_WEIGHT_NAMES, lambda: default_verification_weights(c, seed)),
+        (AGGREGATE_WEIGHT_NAMES, lambda: default_aggregate_weights(c, seed, combine)),
+        (FUSE_WEIGHT_NAMES, lambda: default_fuse_weights(c, seed)),
+    ]
+    return tuple(blocks)
+
+
+class _LazyWeights(Mapping):
+    """A read-only weight mapping whose blocks are drawn on first read.
+
+    The names, their order and membership come from the block table alone.
+    A block is drawn once across threads (a draw that raises is not kept),
+    frozen as :func:`freeze_weights` freezes it, and from then on a read is
+    one dict lookup.
+    """
+
+    def __init__(self, blocks: tuple):
+        self._blocks = blocks
+        self._block_of = {name: i for i, (names, _) in enumerate(blocks) for name in names}
+        self._drawn = {}
+        self._draws = _Memo()
+
+    def __getitem__(self, name):
+        arr = self._drawn.get(name)
+        if arr is None:
+            i = self._block_of[name]
+            arr = self._draws.memo(i, lambda: self._draw(i))[name]
+        return arr
+
+    def _draw(self, i: int) -> Mapping[str, np.ndarray]:
+        block = self._blocks[i][1]()
+        for arr in block.values():  # ours alone: freeze_weights keeps them uncopied
+            arr.flags.writeable = False
+        block = freeze_weights(block)
+        self._drawn.update(block)
+        return block
+
+    def __contains__(self, name) -> bool:
+        return name in self._block_of
+
+    def __iter__(self):
+        return iter(self._block_of)
+
+    def __len__(self) -> int:
+        return len(self._block_of)
+
+
+#: the 4 frozen weight sets last used -> (the library's mapping or a copy of
+#: any other, the memo of what contexts derive from it), least recently used
+#: first
 _DERIVED = {}
 _DERIVED_LOCK = threading.Lock()
 
@@ -288,18 +349,24 @@ def _derived_memo(weights) -> tuple:
     """``(source, memo)``: what contexts derive ``weights``' values from, and
     the memo that keeps them.
 
-    A set whose arrays are all read-only and own their data cannot change:
-    it is keyed by its names and the ids of its arrays, which its entry
-    keeps alive, and every context under it shares one memo. Any other set
-    gets a fresh memo, so each context derives it afresh.
+    A set that cannot change shares one memo across every context under it.
+    The library's own mapping (:func:`build_pipeline_weights`) is keyed by
+    its identity, so no block is drawn here; any other set qualifies when
+    its arrays are all read-only and own their data, and is keyed by its
+    names and the ids of its arrays. Each entry keeps its set alive, so no
+    id in a live key is reused. Any other set gets a fresh memo, so each
+    context derives it afresh.
     """
-    items = tuple(weights.items())
-    if not all(isinstance(a, np.ndarray) and not a.flags.writeable and a.flags.owndata
-               for _, a in items):
-        return weights, _Memo()
-    key = tuple((name, id(a)) for name, a in items)
+    if isinstance(weights, _LazyWeights):
+        key, source = id(weights), weights
+    else:
+        items = tuple(weights.items())
+        if not all(isinstance(a, np.ndarray) and not a.flags.writeable and a.flags.owndata
+                   for _, a in items):
+            return weights, _Memo()
+        key, source = tuple((name, id(a)) for name, a in items), dict(items)
     with _DERIVED_LOCK:
-        entry = _DERIVED.pop(key, None) or (dict(items), _Memo())
+        entry = _DERIVED.pop(key, None) or (source, _Memo())
         _DERIVED[key] = entry
         while len(_DERIVED) > 4:
             del _DERIVED[next(iter(_DERIVED))]
@@ -754,7 +821,7 @@ def run_pipeline(scenario: Scenario, t: float, tau: float,
     fused = sum((c.term for c in collabs), term.result())
     m_ego = view.result()[1]
     dmap = detection_map(fused)
-    gt_local = scenario_boxes_local(scenario, ego.agent_id, t)
+    gt_local = boxes_in_grid(scenario_boxes_local(scenario, ego.agent_id, t), bev)
     det = evaluate_detection(dmap, gt_local, bev, opts.detector_threshold)
     fg_loss, _ = foreground_loss(m_ego, gt_local, bev)
     maps = None

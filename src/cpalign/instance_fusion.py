@@ -127,6 +127,15 @@ class StructKernels:
         return self.biases.sum(axis=0)
 
 
+def default_struct_weights(channels: int, seed: int = 0) -> dict:
+    """A He-seeded base bank (C, 3, 3) and zero bank biases (5, C)."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x57C]))
+    return {
+        "ifam.struct.weight": he_normal(rng, channels, 1, 3, 3).reshape(channels, 3, 3),
+        "ifam.struct.bias": np.zeros((5, channels)),
+    }
+
+
 def _depthwise(x: np.ndarray, bank: np.ndarray, bias: np.ndarray) -> np.ndarray:
     # one block of channels at a time, so only a block is ever zero-padded
     c = x.shape[0]
@@ -316,7 +325,7 @@ def verified_blend(weights: np.ndarray, fore: np.ndarray,
     return out
 
 
-AGGREGATE_WEIGHT_NAMES = ("ifam.agg.weight", "ifam.agg.bias")
+AGGREGATE_WEIGHT_NAMES = ("ifam.agg.weight", "ifam.agg.bias", "ifam.eps")
 FUSE_WEIGHT_NAMES = ("ifam.fuse.weight", "ifam.fuse.bias")
 
 
@@ -460,8 +469,7 @@ def instance_terms(weights: dict, n_agents: int, rows: int | None = None) -> tup
     aggregation weights folded into the terms of :func:`fusion_fold`, whose
     ``rows`` they keep."""
     fold = fusion_fold(weights, n_agents, rows)
-    wa, ba = require_weights(weights, AGGREGATE_WEIGHT_NAMES, "aggregation weights")
-    (eps,) = require_weights(weights, ("ifam.eps",), "aggregation weights")
+    wa, ba, eps = require_weights(weights, AGGREGATE_WEIGHT_NAMES, "aggregation weights")
     c = fold[0].in_channels
     _reads_concat(wa.size / c, c)
     if ba.size != c:

@@ -194,14 +194,15 @@ def warp_features(features: np.ndarray, dp: np.ndarray, xi: float,
 # temporal scaling factor
 # ---------------------------------------------------------------------------
 
+#: in the order :func:`default_xi_weights` draws them
 XI_WEIGHT_NAMES = (
     "xi.conv0.weight", "xi.conv0.bias",
+    "xi.mlp0.weight", "xi.mlp0.bias",
+    "xi.mlp1.weight", "xi.mlp1.bias",
     "xi.res1a.weight", "xi.res1a.bias",
     "xi.res1b.weight", "xi.res1b.bias",
     "xi.res2a.weight", "xi.res2a.bias",
     "xi.res2b.weight", "xi.res2b.bias",
-    "xi.mlp0.weight", "xi.mlp0.bias",
-    "xi.mlp1.weight", "xi.mlp1.bias",
 )
 
 
@@ -214,8 +215,8 @@ class XiPredictorSpec:
     @classmethod
     def from_weights(cls, weights: dict, prefix: str = "ptam.") -> "XiPredictorSpec":
         names = [prefix + n for n in XI_WEIGHT_NAMES]
-        (c0w, c0b, r1aw, r1ab, r1bw, r1bb, r2aw, r2ab, r2bw, r2bb,
-         m0w, m0b, m1w, m1b) = require_weights(
+        (c0w, c0b, m0w, m0b, m1w, m1b,
+         r1aw, r1ab, r1bw, r1bb, r2aw, r2ab, r2bw, r2bb) = require_weights(
             weights, names, f"temporal scale predictor weights {prefix!r}")
         d = XI_TRUNK_CHANNELS
         mk = lambda w, b, cin, act: ConvSpec(d, cin, 3, 3, w, bias=b, padding=1,

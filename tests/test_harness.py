@@ -1,6 +1,8 @@
 """Scenario rendering, transmission, detection, and pipeline behavior."""
 
+import collections
 import importlib.util
+import io
 import json
 import math
 import os
@@ -22,9 +24,18 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import cpalign
-from cpalign.domain_align import Pose2
+from cpalign.domain_align import (
+    Pose2,
+    default_discriminator_weights,
+    default_foreground_weights,
+)
 from cpalign.harness import detect, pipeline
-from cpalign.featurizer import BevSpec, bev_project
+from cpalign.featurizer import (
+    BevSpec,
+    bev_project,
+    default_backbone_weights,
+    default_bevproj_weights,
+)
 from cpalign.harness.codec import (
     CodecConfig,
     encode_decode,
@@ -66,6 +77,10 @@ from cpalign.harness.scenario import (
 from cpalign.instance_fusion import (
     StructKernels,
     VerificationSpec,
+    default_aggregate_weights,
+    default_fuse_weights,
+    default_struct_weights,
+    default_verification_weights,
     fusion_fold,
     instance_terms,
     refine_instance,
@@ -73,6 +88,7 @@ from cpalign.instance_fusion import (
 from cpalign.numerics import ConvSpec, ShapeError, conv2d, freeze_weights, save_weights
 from cpalign.pointcloud import OrientedBox
 from cpalign.reference import folded_term, literal_refined
+from cpalign.temporal_align import default_motion_weights, default_xi_weights
 
 
 def _load_tracer():
@@ -800,6 +816,26 @@ def test_run_pipeline_oracle_xi_reported():
     assert r.xi == pytest.approx([3.0, 3.0, 3.0])
     assert r.ops_match_closed_form
     assert r.n_truth == 1
+
+
+def test_truth_outside_the_grid_is_not_a_miss():
+    # a car 900 m away once counted as a truth box no detection could match
+    near = ObjectTrack(OrientedBox(-4.0, 1.0, 0.8, 4.2, 1.8, 1.6), vx=4.0)
+    far = ObjectTrack(OrientedBox(900.0, 1.0, 0.8, 4.2, 1.8, 1.6), vx=4.0)
+    scn = _simple_scenario(objects=[near, far], duration=0.8)
+    boxes = scenario_boxes_local(scn, "ego", 0.8)
+    assert len(boxes) == 2 and detect.boxes_in_grid(boxes, _BEV_SMALL) == boxes[:1]
+    r = run_pipeline(scn, 0.8, 0.3, PipelineOptions(phd=False), bev=_BEV_SMALL)
+    assert r.n_truth == 1
+
+
+def test_boxes_in_grid_keeps_a_box_that_covers_a_cell_centre():
+    bev = BevSpec.centered(4.0, 4.0, 1.0)  # cell centres at +-0.5 and +-1.5 m
+    edge = OrientedBox(1.9, 0.0, 0.0, 1.0, 1.0, 1.0)     # x in [1.4, 2.4]
+    grazing = OrientedBox(2.1, 0.0, 0.0, 1.0, 1.0, 1.0)  # [1.6, 2.6]: no centre
+    inside = OrientedBox(0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
+    assert detect.boxes_in_grid([grazing, edge, inside], bev) == [edge, inside]
+    assert detect.boxes_in_grid([], bev) == []
 
 
 def test_run_pipeline_rejects_missing_history():
@@ -1603,33 +1639,162 @@ def test_sweep_stage_failure_propagates(monkeypatch):
     assert outcome["value"] == want
 
 
-def test_build_pipeline_weights_one_object_across_threads(monkeypatch):
-    # a cold cache asked from many threads at once builds one dict
+#: the blocks the weight mapping draws, each on the first read of a name
+WEIGHT_BLOCKS = ("backbone", "bevproj", "fg", "disc", "ptam.motion.s0",
+                 "ptam.motion.s1", "ptam.motion.s2", "ptam.xi", "ifam.struct",
+                 "ifam.verif", "ifam.agg", "ifam.fuse")
+WEIGHT_BUILDERS = ("default_backbone_weights", "default_bevproj_weights",
+                   "default_foreground_weights", "default_discriminator_weights",
+                   "default_motion_weights", "default_xi_weights",
+                   "default_struct_weights", "default_verification_weights",
+                   "default_aggregate_weights", "default_fuse_weights")
+
+
+def _eager_weights(seed, combine="sum"):
+    """Every stage's weights drawn at once, straight from the builders, in
+    the order the pipeline lists them."""
+    c = pipeline.PROJECTED_CHANNELS
+    weights = {}
+    weights.update(default_backbone_weights(seed))
+    weights.update(default_bevproj_weights(seed))
+    weights.update(default_foreground_weights(c, seed))
+    weights.update(default_discriminator_weights(c, seed))
+    for i, ch in enumerate(pipeline.SCALE_CHANNELS):
+        weights.update(default_motion_weights(ch, seed, prefix=f"ptam.motion.s{i}."))
+    weights.update(default_xi_weights(seed, prefix="ptam."))
+    weights.update(default_struct_weights(c, seed))
+    weights.update(default_verification_weights(c, seed))
+    weights.update(default_aggregate_weights(c, seed, combine))
+    weights.update(default_fuse_weights(c, seed))
+    return weights
+
+
+@pytest.fixture
+def cold_weights(monkeypatch):
+    """``build_pipeline_weights`` on an empty cache: a fresh mapping."""
     monkeypatch.setattr(pipeline, "_WEIGHTS", pipeline._Memo())
-    build = pipeline._build_weights
-    builds = []
 
-    def slow(*args):
-        builds.append(1)
-        time.sleep(0.05)
-        return build(*args)
 
-    monkeypatch.setattr(pipeline, "_build_weights", slow)
+def _count_draws(monkeypatch, delay=0.0):
+    """A Counter of block draws by block, kept by wrapping every builder the
+    weight mapping calls; each draw first sleeps ``delay`` seconds."""
+    draws = collections.Counter()
+    lock = threading.Lock()
+
+    def wrap(build):
+        def counted(*args, **kwargs):
+            time.sleep(delay)
+            block = build(*args, **kwargs)
+            first = next(iter(block))
+            (name,) = [b for b in WEIGHT_BLOCKS if first.startswith(b + ".")]
+            with lock:
+                draws[name] += 1
+            return block
+        return counted
+
+    for builder in WEIGHT_BUILDERS:
+        monkeypatch.setattr(pipeline, builder, wrap(getattr(pipeline, builder)))
+    return draws
+
+
+def test_build_pipeline_weights_one_object_across_threads(monkeypatch, cold_weights):
+    # a cold cache asked from many threads at once builds one mapping, and
+    # threads reading it all at once draw each block once
+    draws = _count_draws(monkeypatch, delay=0.05)
     n = 8
     barrier = threading.Barrier(n)
     got = []
 
     def ask():
         barrier.wait(60)
-        got.append(build_pipeline_weights(3))
+        w = build_pipeline_weights(3)
+        got.append((w, dict(w)))
 
     threads = [threading.Thread(target=ask) for _ in range(n)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join(120)
-    assert len(got) == n and all(w is got[0] for w in got)
-    assert len(builds) == 1
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(got) == n and all(w is got[0][0] for w, _ in got)
+    assert all(arrays[name] is got[0][1][name] for _, arrays in got for name in arrays)
+    assert draws == dict.fromkeys(WEIGHT_BLOCKS, 1)
+
+
+def test_weight_mapping_lists_names_without_drawing(monkeypatch, cold_weights):
+    draws = _count_draws(monkeypatch)
+    w = build_pipeline_weights(0)
+    names = list(_eager_weights(0))
+    assert list(w) == names and list(w.keys()) == names and len(w) == 75
+    assert "ptam.xi.conv0.weight" in w and "ptam.xi.nothing" not in w
+    assert not draws
+    # one read draws its block alone, and a second read draws nothing
+    xi = w["ptam.xi.mlp1.weight"]
+    assert w["ptam.xi.mlp1.weight"] is xi and "ptam.xi.conv0.bias" in w
+    assert draws == {"ptam.xi": 1}
+    with pytest.raises(KeyError, match="ptam.xi.nothing"):
+        w["ptam.xi.nothing"]
+    assert w.get("ptam.xi.nothing") is None
+    dict(w)
+    assert draws == dict.fromkeys(WEIGHT_BLOCKS, 1)
+
+
+@pytest.mark.parametrize("seed, combine", [(0, "sum"), (5, "concat")])
+def test_weight_mapping_matches_the_eager_draw(cold_weights, seed, combine):
+    # every block seeds its own draw: read last block first, the arrays and
+    # the archive are those of all stages drawn at once in order
+    w = build_pipeline_weights(seed, combine)
+    for name in reversed(list(w)):
+        w[name]
+    eager = _eager_weights(seed, combine)
+    assert list(w) == list(eager)
+    for name, arr in eager.items():
+        np.testing.assert_array_equal(w[name], arr, strict=True)
+    lazy_bytes, eager_bytes = io.BytesIO(), io.BytesIO()
+    save_weights(w, lazy_bytes)
+    save_weights(eager, eager_bytes)
+    assert lazy_bytes.getvalue() == eager_bytes.getvalue()
+
+
+def test_weight_draw_that_raises_is_retried(monkeypatch, cold_weights):
+    build = pipeline.default_fuse_weights
+    calls = []
+
+    def flaky(*args):
+        calls.append(1)
+        if len(calls) == 1:
+            raise _LaneFault("fuse weights")
+        return build(*args)
+
+    monkeypatch.setattr(pipeline, "default_fuse_weights", flaky)
+    w = build_pipeline_weights(0)
+    with pytest.raises(_LaneFault):
+        w["ifam.fuse.bias"]
+    weight = w["ifam.fuse.weight"]
+    assert len(calls) == 2 and w["ifam.fuse.weight"] is weight
+    np.testing.assert_array_equal(
+        weight, build(pipeline.PROJECTED_CHANNELS, 0)["ifam.fuse.weight"])
+    assert not weight.flags.writeable and weight.flags.owndata
+
+
+@pytest.mark.parametrize("options, ptam_draws", [
+    ({}, {}),
+    ({"motion_mode": "learned"},
+     {"ptam.motion.s0": 1, "ptam.motion.s1": 1, "ptam.motion.s2": 1}),
+    ({"xi_mode": "learned"}, {"ptam.xi": 1}),
+], ids=["default", "learned-motion", "learned-xi"])
+def test_run_draws_only_the_weights_it_reads(monkeypatch, cold_weights, options, ptam_draws):
+    # two collaborators put both lanes to work; a run under the default
+    # options never reads a PTAM estimator, so it never draws one
+    draws = _count_draws(monkeypatch)
+    run_pipeline(_three_agent_scene(), 0.8, 0.2, PipelineOptions(**options), bev=_BEV_SMALL)
+    stages = {b: 1 for b in WEIGHT_BLOCKS if not b.startswith("ptam.")}
+    assert draws == {**stages, **ptam_draws}
 
 
 def test_sweep_rows_and_csv(tmp_path):
@@ -1675,15 +1840,17 @@ def test_build_weights_cover_all_stages_and_roundtrip(tmp_path):
             loaded["ifam.eps"] = np.array([5.0])
 
 
-def test_building_weights_copies_no_tensor():
-    # the weight set is built once: a copy on freezing would hold it twice
+def test_building_weights_copies_no_tensor(cold_weights):
+    # the weight set is drawn once: a copy on freezing would hold it twice
     tracemalloc.start()
     try:
-        w = pipeline._build_weights(7, "sum")
+        w = build_pipeline_weights(7)
+        arrays = [w[name] for name in w]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * sum(a.nbytes for a in w.values())
+    assert len(arrays) == 75
+    assert peak < 1.25 * sum(a.nbytes for a in arrays)
 
 
 def test_shared_weights_mapping_rejects_item_assignment():
@@ -1695,7 +1862,8 @@ def test_shared_weights_mapping_rejects_item_assignment():
     with pytest.raises(TypeError):
         del w["ifam.eps"]
     assert build_pipeline_weights(0)["ifam.eps"] is eps
-    np.testing.assert_array_equal(eps, pipeline._build_weights(0, "sum")["ifam.eps"])
+    np.testing.assert_array_equal(
+        eps, default_aggregate_weights(pipeline.PROJECTED_CHANNELS, 0, "sum")["ifam.eps"])
 
 
 def test_pipeline_options_validation():
