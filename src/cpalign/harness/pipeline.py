@@ -151,9 +151,11 @@ def build_pipeline_weights(seed: int = 0, combine: str = "sum") -> Mapping[str, 
     """One flat name -> array mapping covering every stage of the pipeline.
 
     The mapping and its arrays are read-only (:func:`freeze_weights`), so
-    every caller can share the cached mapping, and every :class:`RunContext`
-    under it the values derived from it. Threads share the cache: the first
-    to ask for a key builds it, so every thread gets the same mapping object.
+    every caller can share the cached mapping. The mapping also keeps the
+    values every :class:`RunContext` under it derives, so each is built once
+    per process and lives as long as the mapping: the cache drops none.
+    Threads share the cache: the first to ask for a key builds it, so every
+    thread gets the same mapping object.
 
     Each stage's block of arrays is drawn on the first read of any of its
     names, once across threads; listing, counting or testing names draws
@@ -304,7 +306,8 @@ class _LazyWeights(Mapping):
     The names, their order and membership come from the block table alone.
     A block is drawn once across threads (a draw that raises is not kept),
     frozen as :func:`freeze_weights` freezes it, and from then on a read is
-    one dict lookup.
+    one dict lookup. ``derived`` keeps what every :class:`RunContext` under
+    this mapping builds from it, for as long as the mapping lives.
     """
 
     def __init__(self, blocks: tuple):
@@ -312,6 +315,7 @@ class _LazyWeights(Mapping):
         self._block_of = {name: i for i, (names, _) in enumerate(blocks) for name in names}
         self._drawn = {}
         self._draws = _Memo()
+        self.derived = _Memo()
 
     def __getitem__(self, name):
         arr = self._drawn.get(name)
@@ -338,53 +342,20 @@ class _LazyWeights(Mapping):
         return len(self._block_of)
 
 
-#: the 4 frozen weight sets last used -> (the library's mapping or a copy of
-#: any other, the memo of what contexts derive from it), least recently used
-#: first
-_DERIVED = {}
-_DERIVED_LOCK = threading.Lock()
-
-
-def _derived_memo(weights) -> tuple:
-    """``(source, memo)``: what contexts derive ``weights``' values from, and
-    the memo that keeps them.
-
-    A set that cannot change shares one memo across every context under it.
-    The library's own mapping (:func:`build_pipeline_weights`) is keyed by
-    its identity, so no block is drawn here; any other set qualifies when
-    its arrays are all read-only and own their data, and is keyed by its
-    names and the ids of its arrays. Each entry keeps its set alive, so no
-    id in a live key is reused. Any other set gets a fresh memo, so each
-    context derives it afresh.
-    """
-    if isinstance(weights, _LazyWeights):
-        key, source = id(weights), weights
-    else:
-        items = tuple(weights.items())
-        if not all(isinstance(a, np.ndarray) and not a.flags.writeable and a.flags.owndata
-                   for _, a in items):
-            return weights, _Memo()
-        key, source = tuple((name, id(a)) for name, a in items), dict(items)
-    with _DERIVED_LOCK:
-        entry = _DERIVED.pop(key, None) or (source, _Memo())
-        _DERIVED[key] = entry
-        while len(_DERIVED) > 4:
-            del _DERIVED[next(iter(_DERIVED))]
-    return entry
-
-
 class RunContext(_Memo):
     """The scene, weights, BEV grid and renderer that a set of runs share,
     with what is built from them once.
 
-    Everything derived from the weights is built here on first use (the
-    foreground head, the IFAM and PTAM specs, the folded IFAM fusion terms
-    over the scenario's agents), shared by all contexts under the same frozen
-    weights (:func:`_derived_memo`). With ``memo`` the context also keeps
-    what its runs build: featurizations, the ego's view and its fusion
-    term. Every entry depends on the four inputs, so a run under any other
-    one is refused (:meth:`check`); scenario and weights are compared by
-    identity, the specs by value. Without ``memo`` every claim is fresh,
+    Everything derived from the weights is built here on first use: the
+    foreground head, the IFAM and PTAM specs and the folded IFAM fusion
+    terms over the scenario's agents. Under the mapping of
+    :func:`build_pipeline_weights`, which cannot change, these values live
+    in the mapping and every context under it shares them; under any other
+    mapping each context derives its own. With ``memo`` the context also
+    keeps what its runs build: featurizations, the ego's view and its
+    fusion term. Every entry depends on the four inputs, so a run under any
+    other one is refused (:meth:`check`); scenario and weights are compared
+    by identity, the specs by value. Without ``memo`` every claim is fresh,
     so a lone run's builds die with it.
     """
 
@@ -395,10 +366,10 @@ class RunContext(_Memo):
         self.weights = weights
         self.bev = bev
         self.render_cfg = render_cfg
-        self._source, self._derived = _derived_memo(weights)
+        self._derived = weights.derived if isinstance(weights, _LazyWeights) else _Memo()
 
     def _derive(self, key, build, *args):
-        return self._derived.memo(key, lambda: build(self._source, *args))
+        return self._derived.memo(key, lambda: build(self.weights, *args))
 
     @property
     def head(self) -> ForegroundHead:
@@ -778,6 +749,9 @@ def run_pipeline(scenario: Scenario, t: float, tau: float,
     weights, bev, render_cfg = _resolve_inputs(opts, weights, bev, render_cfg)
     if tau < 0:
         raise ShapeError(f"delay must be non-negative, got {tau} s")
+    if min(bev.height, bev.width) < WINDOW:
+        raise ShapeError(f"BEV grid {bev.height}x{bev.width} is narrower than the "
+                         f"dual-window cosine's window, temporal_align.WINDOW = {WINDOW} cells")
     k_eval = scenario.frame_index(t)
     scenario.frame_index(t - tau - scenario.frame_interval)  # validates the stale frames exist
     if context is None:

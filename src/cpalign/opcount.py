@@ -38,6 +38,16 @@ class OpCounts:
         return {"mul": self.mul, "add": self.add, "sqrt": self.sqrt, "div": self.div}
 
 
+def _window_cost(channels: int, cells: int) -> OpCounts:
+    """Cost of cosine-similarity windows covering `cells` lattice sites in all."""
+    return OpCounts(
+        mul=(3 * channels + 2) * cells,
+        add=(3 * channels - 1) * cells,
+        sqrt=2 * cells,
+        div=cells,
+    )
+
+
 class OpCounter:
     """Mutable accumulator threaded through instrumented loss code."""
 
@@ -46,12 +56,7 @@ class OpCounter:
 
     def charge_window(self, channels: int, cells: int) -> None:
         """Cost of one cosine-similarity window over `cells` lattice sites."""
-        self.counts += OpCounts(
-            mul=(3 * channels + 2) * cells,
-            add=(3 * channels - 1) * cells,
-            sqrt=2 * cells,
-            div=cells,
-        )
+        self.counts += _window_cost(channels, cells)
 
 
 def window_grid_counts(height: int, width: int, window: int) -> tuple[int, int]:
@@ -82,23 +87,10 @@ def count_similarity_ops(channels: int, height: int, width: int,
     tiling) of l x l windows, each costed like a small grid.
     """
     if mode == "global":
-        cells = height * width
-        return OpCounts(
-            mul=(3 * channels + 2) * cells,
-            add=(3 * channels - 1) * cells,
-            sqrt=2 * cells,
-            div=cells,
-        )
+        return _window_cost(channels, height * width)
     if mode == "blockwise":
         if window is None:
             raise ValueError("blockwise mode requires a window size")
         n1, n2 = window_grid_counts(height, width, window)
-        n = n1 + n2
-        cells = window * window
-        return OpCounts(
-            mul=n * (3 * channels + 2) * cells,
-            add=n * (3 * channels - 1) * cells,
-            sqrt=n * 2 * cells,
-            div=n * cells,
-        )
+        return _window_cost(channels, (n1 + n2) * window * window)
     raise ValueError(f"unknown mode {mode!r}; expected 'global' or 'blockwise'")

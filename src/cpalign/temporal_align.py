@@ -328,11 +328,6 @@ def window_partition(height: int, width: int, window: int) -> tuple[np.ndarray, 
     return w1, w2
 
 
-def _window_anchors(height: int, width: int, window: int) -> list:
-    w1, w2 = window_partition(height, width, window)
-    return [(r, col, "full") for r, col in w1] + [(r, col, "offset") for r, col in w2]
-
-
 def window_cosines(pred: np.ndarray, target: np.ndarray, window: int,
                    counter: OpCounter | None = None) -> tuple:
     """Cosine between pred and target over every window of both tilings.
@@ -347,13 +342,13 @@ def window_cosines(pred: np.ndarray, target: np.ndarray, window: int,
     if pred.shape != target.shape:
         raise ShapeError(f"shape mismatch: {pred.shape} vs {target.shape}")
     c, h, w = pred.shape
-    anchors = _window_anchors(h, w, window)
+    anchors = np.concatenate(window_partition(h, w, window))
     n = len(anchors)
     cosines = np.zeros(n)
     pred_norms = np.empty(n)
     target_norms = np.empty(n)
     l = window
-    for k, (r0, c0, _) in enumerate(anchors):
+    for k, (r0, c0) in enumerate(anchors):
         p = pred[:, r0:r0 + l, c0:c0 + l]
         g = target[:, r0:r0 + l, c0:c0 + l]
         dot = float(np.vdot(p, g))

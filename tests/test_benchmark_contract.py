@@ -39,3 +39,25 @@ def test_first_cell_matches_reference(name):
     cell = wl.cells[0]
     out = wl.outputs(wl.call(wl.scene(cell), cell)())
     assert bench.check_outputs(out, REFERENCE[name][cell]) is None
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_first_cell_runs_under_the_library_weights(monkeypatch, name):
+    # the values derived from the weights are shared across ops only under
+    # the library's own mapping; a workload that passed any other weights
+    # would rebuild them in every op
+    from cpalign.harness import RunContext, build_pipeline_weights
+
+    seen = []
+    init = RunContext.__init__
+
+    def spy(self, scenario, weights, *args, **kwargs):
+        seen.append(weights)
+        init(self, scenario, weights, *args, **kwargs)
+
+    monkeypatch.setattr(RunContext, "__init__", spy)
+    wl = workloads.WORKLOADS[name]
+    cell = wl.cells[0]
+    wl.call(wl.scene(cell), cell)()
+    library = build_pipeline_weights(0)
+    assert seen and all(weights is library for weights in seen)

@@ -85,7 +85,8 @@ from cpalign.instance_fusion import (
     instance_terms,
     refine_instance,
 )
-from cpalign.numerics import ConvSpec, ShapeError, conv2d, freeze_weights, save_weights
+from cpalign.numerics import (ConvSpec, ShapeError, conv2d, freeze_weights, load_weights,
+                              save_weights)
 from cpalign.pointcloud import OrientedBox
 from cpalign.reference import folded_term, literal_refined
 from cpalign.temporal_align import default_motion_weights, default_xi_weights
@@ -1393,7 +1394,7 @@ def test_sweep_passes_every_option_to_both_runs():
 
 
 def _fresh_weights(seed=0):
-    """Frozen weights no context has seen: copies of the built ones."""
+    """Frozen copies of the built weights: a set each context derives afresh."""
     return freeze_weights({n: a.copy() for n, a in build_pipeline_weights(seed).items()})
 
 
@@ -1422,13 +1423,13 @@ def _count_builds(monkeypatch) -> dict:
 _ORACLE_BUILDS = {"head": 1, "struct": 1, "verification": 1, "terms": 1}
 
 
-def test_sweep_builds_each_spec_once(monkeypatch):
-    # the values derived from the weights belong to the run contexts, not to
-    # each run or IFAM refinement: a lone run builds each once, a sweep under
-    # the same frozen weights builds none, and one under writable weights
+def test_sweep_builds_each_spec_once(monkeypatch, cold_weights):
+    # the values derived from the weights are built once per weight set, not
+    # per run or IFAM refinement: a lone run builds each once, a sweep under
+    # the library's mapping builds none, and one under writable weights
     # builds each once, in its one context
     builds = _count_builds(monkeypatch)
-    scn, weights = _fast_scene(), _fresh_weights()
+    scn, weights = _fast_scene(), build_pipeline_weights(0)
     run_pipeline(scn, 0.8, 0.2, PipelineOptions(phd=False), weights, _BEV_SMALL)
     assert builds == _ORACLE_BUILDS
     rows = sweep(scn, [0, 200], PipelineOptions(phd=False), weights=weights, bev=_BEV_SMALL)
@@ -1441,11 +1442,12 @@ def test_sweep_builds_each_spec_once(monkeypatch):
     assert builds == _ORACLE_BUILDS
 
 
-def test_lone_runs_build_each_derived_value_once_per_frozen_weights(monkeypatch):
-    # every single_pass and fleet_lossy op is a lone run with a fresh
-    # context: what is derived from the weights must outlive it
+def test_lone_runs_build_each_derived_value_once_per_frozen_weights(monkeypatch, cold_weights):
+    # every single_pass and fleet_lossy op is a lone run with a fresh context
+    # under the library's mapping: what is derived from it must outlive the
+    # context
     builds = _count_builds(monkeypatch)
-    scn, weights = _fast_scene(), _fresh_weights()
+    scn, weights = _fast_scene(), build_pipeline_weights(0)
     opts = PipelineOptions(phd=False, motion_mode="learned", xi_mode="learned")
     first, second = (run_pipeline(scn, 0.8, 0.2, opts, weights, _BEV_SMALL)
                      for _ in range(2))
@@ -1459,6 +1461,26 @@ def test_ideal_motion_builds_no_motion_spec(monkeypatch):
     run_pipeline(_fast_scene(), 0.8, 0.2, PipelineOptions(phd=False, xi_mode="learned"),
                  _fresh_weights(), _BEV_SMALL)
     assert builds == _ORACLE_BUILDS | {"xi": 1}
+
+
+def test_only_the_library_mapping_shares_derived_values_across_contexts(
+        monkeypatch, cold_weights, tmp_path):
+    # a loaded archive and a frozen copy are foreign sets: each context
+    # derives them afresh, so two lone runs build every value twice; two lone
+    # runs on the library's mapping build nothing the second time
+    builds = _count_builds(monkeypatch)
+    scn = _fast_scene()
+    opts = PipelineOptions(phd=False, motion_mode="learned", xi_mode="learned")
+    once = _ORACLE_BUILDS | {"xi": 1, "motion": 3}
+    library = build_pipeline_weights(0)
+    save_weights(library, tmp_path / "w.cpaw")
+    for weights, building_runs in ((load_weights(tmp_path / "w.cpaw"), 2),
+                                   (_fresh_weights(), 2), (library, 1)):
+        builds.clear()
+        first, second = (run_pipeline(scn, 0.8, 0.2, opts, weights, _BEV_SMALL)
+                         for _ in range(2))
+        assert _report_dict(first) == _report_dict(second)
+        assert builds == {k: n * building_runs for k, n in once.items()}
 
 
 def test_writable_weights_changed_in_place_give_the_fresh_result():
@@ -1491,8 +1513,8 @@ def test_writable_weights_changed_in_place_give_the_fresh_result():
     assert copied.maps["detection"].tobytes() == again.maps["detection"].tobytes()
 
 
-def test_contexts_on_cold_frozen_weights_build_the_head_once(monkeypatch):
-    weights, scn = _fresh_weights(), _fast_scene()
+def test_contexts_on_cold_frozen_weights_build_the_head_once(monkeypatch, cold_weights):
+    weights, scn = build_pipeline_weights(0), _fast_scene()
     build = pipeline.ForegroundHead.from_weights
     builds = []
 
@@ -2131,6 +2153,24 @@ def test_cli_empty_agent_cloud_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "has an empty point cloud at frame" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_grid_narrower_than_the_window_exits_2_before_rendering(
+        tmp_path, capsys, monkeypatch, command):
+    # a 4.8 m grid is 12x12 cells: a valid BevSpec, but narrower than the
+    # dual-window cosine's window
+    renders = []
+    monkeypatch.setattr(pipeline, "render_pointcloud",
+                        lambda *args: renders.append(args))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"bev": {"x_extent": 4.8, "y_extent": 4.8}}))
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert _exit_code(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "BEV grid 12x12 is narrower than the dual-window cosine's window, "
+        f"temporal_align.WINDOW = {pipeline.WINDOW} cells"]
+    assert renders == []
 
 
 def _overflowing_document() -> dict:
