@@ -5,8 +5,10 @@ Three codecs are modelled: a lossless identity channel, float16 truncation,
 and symmetric per-tensor int8 quantization.  Each returns the decoded tensor
 plus the mean squared error introduced, so runs can report the distortion the
 alignment stages had to absorb, and :func:`wire_bytes` gives the size a
-bundle takes on the link. :func:`pack_nonzeros` drops a bundle's exact zeros
-before the link and :func:`unpack_nonzeros` puts them back, losslessly.
+bundle takes on the link. :func:`pack_nonzeros` drops every value of a
+bundle that the codec would deliver as +0.0 before the link, and
+:func:`unpack_nonzeros` puts the +0.0s back: the round trip is the dense
+codec's, bit for bit.
 """
 
 import numpy as np
@@ -47,20 +49,25 @@ def encode_decode(arr: np.ndarray, mode: str = "identity"):
     if mode not in CODEC_MODES:
         raise ShapeError(f"unknown codec mode {mode!r}")
     x = np.asarray(arr, dtype=np.float64)
+    out = _decoded(x, mode)
+    if mode == "identity" or not x.size:
+        return out, 0.0
+    return out, float(np.mean((out - x) ** 2))
+
+
+def _decoded(x: np.ndarray, mode: str) -> np.ndarray:
+    """What the channel delivers for the float64 values ``x``, elementwise
+    but for int8's per-tensor scale, which only the peak sets: so the
+    nonzero values of a tensor decode as they do inside it."""
     if mode == "identity":
-        return x.copy(), 0.0
+        return x.copy()
     if mode == "fp16":
-        out = np.clip(x, -_F16_MAX, _F16_MAX).astype(np.float16).astype(np.float64)
-    else:
-        peak = float(np.max(np.abs(x))) if x.size else 0.0
-        if peak == 0.0:
-            out = np.zeros_like(x)
-        else:
-            scale = max(peak / 127.0, _SMALLEST_SCALE)
-            q = np.clip(np.round(x / scale), -127, 127)
-            out = q * scale
-    mse = float(np.mean((out - x) ** 2)) if x.size else 0.0
-    return out, mse
+        return np.clip(x, -_F16_MAX, _F16_MAX).astype(np.float16).astype(np.float64)
+    peak = float(np.max(np.abs(x))) if x.size else 0.0
+    if peak == 0.0:
+        return np.zeros_like(x)
+    scale = max(peak / 127.0, _SMALLEST_SCALE)
+    return np.clip(np.round(x / scale), -127, 127) * scale
 
 
 def wire_bytes(tensors: dict, mode: str) -> int:
@@ -79,23 +86,32 @@ def wire_bytes(tensors: dict, mode: str) -> int:
 def pack_nonzeros(tensors: dict, mode: str) -> dict:
     """Each tensor of a bundle as two entries for the channel.
 
-    ``name`` holds the tensor's nonzero values, 1-D in C order, and
-    ``name + ".bitmap"`` where they sit: ``np.packbits`` of the nonzero mask
-    in unsigned words of the codec's width (uint32 for identity, uint16 for
-    fp16, uint8 for int8), so :func:`wire_bytes` counts the bitmap's real
-    bytes. Zero is the +0.0 bit pattern alone: -0.0 ships as a value, which
-    keeps the identity round trip bit-exact, and so does a NaN, which
+    ``name`` holds the values the codec ``mode`` does not deliver as the
+    +0.0 bit pattern, 1-D in C order, and ``name + ".bitmap"`` where they
+    sit: ``np.packbits`` of that mask in unsigned words of the codec's
+    width (uint32 for identity, uint16 for fp16, uint8 for int8), so
+    :func:`wire_bytes` counts the bitmap's real bytes. Only the nonzero
+    values go through the codec's quantizer to find the mask. Under
+    identity the mask is the nonzero bit patterns; under fp16 and int8 it
+    also drops the values that round to +0.0. The int8 peak never rounds
+    to code 0, so the shipped values keep the tensor's scale. A value
+    decoded as -0.0 ships, and so does a NaN or an infinity, which
     :func:`transmit_tensors` then refuses by the tensor's name.
     """
     word = np.dtype(f"u{_ELEM_BYTES[mode]}")
     packed = {}
     for name, arr in tensors.items():
         flat = np.ascontiguousarray(arr, dtype=np.float64).reshape(-1)
-        nonzero = flat.view(np.uint64) != 0
-        bits = np.packbits(nonzero)
+        shipped = flat.view(np.uint64) != 0
+        where = np.flatnonzero(shipped)
+        values = flat[where]
+        with np.errstate(invalid="ignore"):  # int8 decodes an infinity as NaN
+            kept = _decoded(values, mode).view(np.uint64) != 0
+        shipped[where[~kept]] = False
+        bits = np.packbits(shipped)
         bitmap = np.zeros(-(-flat.size // (8 * word.itemsize)), word)
         bitmap.view(np.uint8)[:bits.size] = bits
-        packed[name] = np.compress(nonzero, flat)
+        packed[name] = values[kept]
         packed[name + _BITMAP] = bitmap
     return packed
 

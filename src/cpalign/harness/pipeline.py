@@ -585,9 +585,10 @@ def _ship_stage1(run: _Run, agent_id, ms_latest):
     the large latest frame, handed over beside the channel for
     ``cosine_pre``; the payload dies here.
 
-    Each tensor goes on the channel as its nonzeros plus a bitmap; its
-    error is taken over the dense tensor, as the dense codec reported it,
-    and is 0.0 under identity, whose round trip is bit-exact.
+    Each tensor goes on the channel as the values its codec does not
+    decode to +0.0 plus a bitmap; its error is taken over the dense tensor,
+    as the dense codec reported it, and is 0.0 under identity, whose round
+    trip is bit-exact.
     """
     opts, ctx = run.opts, run.ctx
     t_prev = run.t - run.tau - ctx.scenario.frame_interval

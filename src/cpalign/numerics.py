@@ -275,12 +275,13 @@ def freeze_weights(weights: Mapping[str, np.ndarray]) -> Mapping[str, np.ndarray
 # Layout (little-endian throughout):
 #   magic "CPAW" | version u16 | entry count u32
 #   per entry: name length u16 | name utf-8 | rank u8 | dims u32 each
-#              | values float32, C order
-# Payloads are float32; load promotes to float64 (exact), so a
-# save -> load -> save cycle is byte-identical.
+#              | values float64, C order
+# Payloads are the float64 weights themselves, so a loaded archive runs
+# exactly as the weights saved, and a save -> load -> save cycle is
+# byte-identical. Version 1 stored float32 and is refused.
 
 MAGIC = b"CPAW"
-VERSION = 1
+VERSION = 2
 
 
 def save_weights(tensors: Mapping[str, np.ndarray], dest) -> None:
@@ -309,7 +310,7 @@ def _write_archive(tensors: Mapping[str, np.ndarray], fh: BinaryIO) -> None:
         fh.write(struct.pack("<B", arr.ndim))
         for d in arr.shape:
             fh.write(struct.pack("<I", d))
-        fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def load_weights(src) -> Mapping[str, np.ndarray]:
@@ -356,14 +357,17 @@ def _read_archive(fh: BinaryIO) -> Mapping[str, np.ndarray]:
             if len(db) != 4:
                 raise ArchiveError(f"truncated archive reading dims of tensor {name!r}")
             dims.append(struct.unpack("<I", db)[0])
-        n_values = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        payload = fh.read(4 * n_values)
-        if len(payload) != 4 * n_values:
+        try:
+            arr = np.empty(dims, dtype="<f8")  # the payload is read into it
+        except (ValueError, MemoryError):
+            raise ArchiveError(f"tensor {name!r} declares dims {dims}, "
+                               "too large to load") from None
+        got = fh.readinto(arr.reshape(-1).view(np.uint8))
+        if got != arr.nbytes:
             raise ArchiveError(
-                f"tensor {name!r} declares {n_values} float32 values "
-                f"({4 * n_values} bytes) but only {len(payload)} bytes remain"
+                f"tensor {name!r} declares {arr.size} float64 values "
+                f"({arr.nbytes} bytes) but only {got} bytes remain"
             )
-        arr = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float64)
         if not np.all(np.isfinite(arr)):
             raise ArchiveError(f"tensor {name!r} contains non-finite values")
         arr.flags.writeable = False  # ours alone: freeze_weights keeps it uncopied

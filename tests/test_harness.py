@@ -513,10 +513,13 @@ def test_transmit_tensors_rejects_non_finite(mode, n, pos, bad, seed):
 #: bytes per bitmap word: the codec's own width
 _WORD_BYTES = {"identity": 4, "fp16": 2, "int8": 1}
 
-#: entries of a tensor to pack: exact zeros of both signs, subnormals, and
-#: values small enough that no codec's error overflows
+#: entries of a tensor to pack: exact zeros of both signs, subnormals,
+#: values fp16 flushes to a zero of their sign and int8 rounds to code 0
+#: beside a larger peak, and values small enough that no codec's error
+#: overflows
 _PACK_VALUES = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310]),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310,
+                     2e-8, -2e-8, 1e-3, -1e-3]),
     st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
 _PACK_SHAPES = hnp.array_shapes(min_dims=1, max_dims=3, max_side=9).filter(
     lambda shape: math.prod(shape) % 32)
@@ -525,24 +528,45 @@ _PACK_SHAPES = hnp.array_shapes(min_dims=1, max_dims=3, max_side=9).filter(
 @settings(max_examples=200, deadline=None)
 @given(mode=st.sampled_from(("identity", "fp16", "int8")), data=st.data())
 def test_packed_round_trip_is_the_dense_codec(mode, data):
-    # the channel carries each tensor as its nonzero values plus a bitmap;
-    # zero is the +0.0 bit pattern alone, so -0.0 ships as a value
+    # the channel carries each tensor as the values its codec does not
+    # decode to the +0.0 bit pattern plus a bitmap; a -0.0 ships as a value
     a = data.draw(hnp.arrays(np.float64, _PACK_SHAPES, elements=_PACK_VALUES))
     packed = pack_nonzeros({"t": a}, mode)
     bitmap = packed["t.bitmap"]
     assert bitmap.dtype.kind == "u" and bitmap.itemsize == _WORD_BYTES[mode]
     assert bitmap.size == math.ceil(a.size / (8 * _WORD_BYTES[mode]))
+    want = encode_decode(a, mode)[0]
+    shipped = want.reshape(-1).view(np.uint64) != 0
+    bits = np.unpackbits(bitmap.view(np.uint8), count=a.size).view(bool)
+    assert np.array_equal(bits, shipped)
+    assert packed["t"].size == np.count_nonzero(shipped)
     received, errors = transmit_tensors(packed, CodecConfig(mode))
     assert set(errors) == {"t"}  # the bitmap is carried bit for bit
     assert np.array_equal(received["t.bitmap"], bitmap)
     got = unpack_nonzeros(received, {"t": a.shape})["t"]
-    want = a if mode == "identity" else encode_decode(a, mode)[0]
     assert got.shape == a.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    # a NaN is a value too, so the channel still refuses it by its tensor
-    a.flat[data.draw(st.integers(0, a.size - 1))] = math.nan
+    # a NaN or an infinity is a value too, so the channel still refuses it
+    # by its tensor
+    a.flat[data.draw(st.integers(0, a.size - 1))] = data.draw(
+        st.sampled_from((math.nan, math.inf, -math.inf)))
     with pytest.raises(ShapeError, match=re.escape("'s0.inter'")):
         transmit_tensors(pack_nonzeros({"s0.inter": a}, mode), CodecConfig(mode))
+
+
+@pytest.mark.parametrize("mode, sent, values", [
+    # scale 1/127: -1e-3 and -0.0 round to code -0 and ship, 1e-3 to +0
+    ("int8", [1.0, -1e-3, 1e-3, 0.0, -0.0, -0.5], [1.0, -1e-3, -0.0, -0.5]),
+    # 2e-8 flushes to +0.0, -2e-8 to -0.0; 6e-8 is a float16 subnormal
+    ("fp16", [2e-8, -2e-8, 1.0, 0.0, -0.0, 6e-8], [-2e-8, 1.0, -0.0, 6e-8]),
+    ("identity", [2e-8, -2e-8, 1.0, 0.0, -0.0, 5e-324], [2e-8, -2e-8, 1.0, -0.0, 5e-324]),
+])
+def test_packing_ships_only_values_not_decoded_as_plus_zero(mode, sent, values):
+    packed = pack_nonzeros({"t": np.array(sent)}, mode)
+    assert packed["t"].tobytes() == np.array(values).tobytes()
+    got = unpack_nonzeros(transmit_tensors(packed, CodecConfig(mode))[0],
+                          {"t": (len(sent),)})["t"]
+    assert got.tobytes() == encode_decode(np.array(sent), mode)[0].tobytes()
 
 
 def test_unpack_refuses_values_that_miss_the_bitmap():
@@ -1131,6 +1155,29 @@ def test_codec_mse_is_the_mean_over_the_shipped_tensors(monkeypatch):
     assert report.codec_mse == pytest.approx(3.448551126989655e-05, rel=1e-9)
 
 
+def test_int8_ships_no_value_that_decodes_to_plus_zero(monkeypatch):
+    # int8 once shipped every nonzero value, though 6-11% of them in each
+    # stage-1 result round to code 0 and arrive as the +0.0 the receiver
+    # fills in anyway
+    dense, pack = [], pipeline.pack_nonzeros
+
+    def logged_pack(tensors, mode):
+        dense.extend(tensors.values())
+        return pack(tensors, mode)
+
+    monkeypatch.setattr(pipeline, "pack_nonzeros", logged_pack)
+    log = _log_channel(monkeypatch)
+    report = run_pipeline(generate_scenario("straight"), 1.2, 0.3,
+                          PipelineOptions(codec="int8"))
+    values = [a for a in log["tensors"] if a.dtype.kind == "f"]
+    assert len(dense) == len(values) == 3
+    for sent, carried in zip(dense, values):
+        decoded = encode_decode(sent, "int8")[0].view(np.uint64)
+        assert carried.size == np.count_nonzero(decoded) < np.count_nonzero(sent)
+        assert (encode_decode(carried, "int8")[0].view(np.uint64) != 0).all()
+    assert report.bytes_tx == 146_999 < 155_733
+
+
 def test_receivers_balance_over_both_lanes(monkeypatch):
     # the worker ships both collaborators while the calling thread runs the
     # ego; then the worker takes the first receiver and the calling thread,
@@ -1467,20 +1514,22 @@ def test_only_the_library_mapping_shares_derived_values_across_contexts(
         monkeypatch, cold_weights, tmp_path):
     # a loaded archive and a frozen copy are foreign sets: each context
     # derives them afresh, so two lone runs build every value twice; two lone
-    # runs on the library's mapping build nothing the second time
+    # runs on the library's mapping build nothing the second time. All three
+    # hold the same float64 weights, so all six runs report the same
     builds = _count_builds(monkeypatch)
     scn = _fast_scene()
     opts = PipelineOptions(phd=False, motion_mode="learned", xi_mode="learned")
     once = _ORACLE_BUILDS | {"xi": 1, "motion": 3}
     library = build_pipeline_weights(0)
     save_weights(library, tmp_path / "w.cpaw")
+    reports = []
     for weights, building_runs in ((load_weights(tmp_path / "w.cpaw"), 2),
                                    (_fresh_weights(), 2), (library, 1)):
         builds.clear()
-        first, second = (run_pipeline(scn, 0.8, 0.2, opts, weights, _BEV_SMALL)
-                         for _ in range(2))
-        assert _report_dict(first) == _report_dict(second)
+        reports += [_report_dict(run_pipeline(scn, 0.8, 0.2, opts, weights, _BEV_SMALL))
+                    for _ in range(2)]
         assert builds == {k: n * building_runs for k, n in once.items()}
+    assert all(r == reports[0] for r in reports)
 
 
 def test_writable_weights_changed_in_place_give_the_fresh_result():
@@ -1848,8 +1897,7 @@ def test_build_weights_cover_all_stages_and_roundtrip(tmp_path):
     back = load_weights(path)
     assert set(back) == names
     for k in names:
-        np.testing.assert_array_equal(
-            back[k], np.asarray(w[k], dtype=np.float32).astype(np.float64))
+        np.testing.assert_array_equal(back[k], w[k], strict=True)
     # shared weights are read-only and own their data, built or loaded
     for loaded in (w, back):
         for k, arr in loaded.items():
@@ -2024,20 +2072,29 @@ def test_cli_run_writes_report(tmp_path, capsys):
 
 
 def test_cli_run_save_weights_roundtrip(tmp_path, capsys):
+    # the archive once stored float32, so a run under the weights it saved
+    # moved in the tenth digit
     from cpalign.cli import main
     from cpalign.numerics import load_weights
     scn = tmp_path / "scn.json"
     save_scenario(_fast_scene(), scn)
     path = tmp_path / "w.cpaw"
-    assert main(["run", "--scenario", str(scn), "--tau-ms", "200", "--no-phd",
-                 "--t", "0.8", "--weight-seed", "2",
-                 "--save-weights", str(path)]) == 0
+    common = ["run", "--scenario", str(scn), "--tau-ms", "200", "--no-phd", "--t", "0.8"]
+    assert main([*common, "--weight-seed", "2", "--save-weights", str(path),
+                 "--out", str(tmp_path / "saved.json")]) == 0
     back = load_weights(path)
     want = build_pipeline_weights(2)
     assert list(back) == list(want)
     for k, arr in want.items():
-        np.testing.assert_array_equal(
-            back[k], np.asarray(arr, dtype=np.float32).astype(np.float64))
+        np.testing.assert_array_equal(back[k], arr, strict=True)
+    assert main([*common, "--weights", str(path), "--out", str(tmp_path / "loaded.json")]) == 0
+
+    def report(name):
+        d = json.loads((tmp_path / name).read_text())
+        del d["wall_time_s"]
+        return {k: v.hex() if isinstance(v, float) else v for k, v in d.items()}
+
+    assert report("loaded.json") == report("saved.json")
 
 
 def test_cli_non_finite_scenario_exits_2_naming_the_key(tmp_path, capsys):
