@@ -29,7 +29,8 @@ from .featurizer import (
     bev_project,
     pillar_encode,
 )
-from .harness.codec import encode_decode
+from .harness.codec import (CODEC_MODES, CodecConfig, encode_decode, pack_nonzeros,
+                            transmit_tensors, unpack_nonzeros)
 from .harness.pipeline import (
     PipelineOptions,
     build_pipeline_weights,
@@ -558,9 +559,34 @@ def check_codec_bounds() -> CheckResult:
             ok = False
     zeros, mse = encode_decode(np.zeros((2, 3, 3)), "int8")
     ok = ok and np.array_equal(zeros, np.zeros((2, 3, 3))) and mse == 0.0
-    return _result("codec-bounds", ok,
+    packed_ok = _packed_round_trip_exact()
+    return _result("codec-bounds", ok and packed_ok,
                    f"worst err-bound margin={worst_margin:.2e} over 100 "
-                   "tensors (tol 1e-12), zero tensor exact")
+                   "tensors (tol 1e-12), zero tensor exact; packed channel "
+                   f"{'bit-exact' if packed_ok else 'DIFFERS'} under "
+                   f"{'/'.join(CODEC_MODES)}")
+
+
+def _packed_round_trip_exact() -> bool:
+    """Whether a relu'd payload with -0.0s, a tensor with a subnormal int8
+    peak and an all-zero tensor cross the packed channel (pack, transmit,
+    unpack) as ``encode_decode`` delivers them, bit for bit, under every
+    codec."""
+    feat = np.maximum(np.random.default_rng(4100).normal(size=(16, 6, 6)), 0.0)
+    feat[:, 0, :2] = -0.0
+    payload = {"feat": feat,
+               "tiny": np.array([[[5e-324, -1e-320, 0.0], [-0.0, 2e-322, -5e-324]]]),
+               "zero": np.zeros((3, 4, 4))}
+    shapes = {name: a.shape for name, a in payload.items()}
+    for mode in CODEC_MODES:
+        packed = pack_nonzeros(payload, mode)
+        received = unpack_nonzeros(transmit_tensors(packed, CodecConfig(mode))[0],
+                                   shapes, mode)
+        for name, a in payload.items():
+            want = encode_decode(a, mode)[0]
+            if received[name].tobytes() != want.tobytes():
+                return False
+    return True
 
 
 # -- 13 ---------------------------------------------------------------------

@@ -5,11 +5,14 @@ Three codecs are modelled: a lossless identity channel, float16 truncation,
 and symmetric per-tensor int8 quantization.  Each returns the decoded tensor
 plus the mean squared error introduced, so runs can report the distortion the
 alignment stages had to absorb, and :func:`wire_bytes` gives the size a
-bundle takes on the link. :func:`pack_nonzeros` drops every value of a
-bundle that the codec would deliver as +0.0 before the link, and
-:func:`unpack_nonzeros` puts the +0.0s back: the round trip is the dense
-codec's, bit for bit.
+bundle takes on the link. :func:`pack_nonzeros` codes a bundle for the
+link: each tensor as a deflated bitmap of the values the codec does not
+deliver as +0.0, and those values, deflated as codes under fp16 and int8.
+:func:`unpack_nonzeros` inflates them and puts the +0.0s back: the round
+trip is the dense codec's, bit for bit.
 """
+
+import zlib
 
 import numpy as np
 from dataclasses import dataclass
@@ -27,6 +30,12 @@ _ELEM_BYTES = {"identity": 4, "fp16": 2, "int8": 1}
 _INT8_SCALE_BYTES = 4
 
 _BITMAP = ".bitmap"
+#: The one deflate level of every stream on the link.
+_LEVEL = 6
+#: An int8 values stream opens with its scale, a little-endian float64.
+_SCALE = np.dtype("<f8")
+#: The codes on the link, little-endian.
+_CODES = {"fp16": np.dtype("<f2"), "int8": np.dtype("i1")}
 
 
 @dataclass
@@ -55,27 +64,43 @@ def encode_decode(arr: np.ndarray, mode: str = "identity"):
     return out, float(np.mean((out - x) ** 2))
 
 
-def _decoded(x: np.ndarray, mode: str) -> np.ndarray:
-    """What the channel delivers for the float64 values ``x``, elementwise
-    but for int8's per-tensor scale, which only the peak sets: so the
-    nonzero values of a tensor decode as they do inside it."""
-    if mode == "identity":
-        return x.copy()
+def _quantized(x: np.ndarray, mode: str):
+    """The codes the lossy codec ``mode`` carries for the float64 values
+    ``x``, and the scale they decode with. fp16's codes are float16 (its
+    scale, 1.0, is unused); int8's are the rounded steps as float64, so a
+    negative that rounds to step 0 keeps its sign as -0.0. int8's per-tensor
+    scale is set by the peak alone, so the nonzero values of a tensor
+    quantize as they do inside it."""
     if mode == "fp16":
-        return np.clip(x, -_F16_MAX, _F16_MAX).astype(np.float16).astype(np.float64)
+        return np.clip(x, -_F16_MAX, _F16_MAX).astype(np.float16), 1.0
     peak = float(np.max(np.abs(x))) if x.size else 0.0
     if peak == 0.0:
-        return np.zeros_like(x)
+        return np.zeros_like(x), 0.0
     scale = max(peak / 127.0, _SMALLEST_SCALE)
-    return np.clip(np.round(x / scale), -127, 127) * scale
+    return np.clip(np.round(x / scale), -127, 127), scale
+
+
+def _dequantized(codes: np.ndarray, scale: float, mode: str) -> np.ndarray:
+    """The float64 values the codes of :func:`_quantized` decode to."""
+    if mode == "fp16":
+        return codes.astype(np.float64)
+    return codes * scale
+
+
+def _decoded(x: np.ndarray, mode: str) -> np.ndarray:
+    """What the channel delivers for the float64 values ``x``."""
+    if mode == "identity":
+        return x.copy()
+    return _dequantized(*_quantized(x, mode), mode)
 
 
 def wire_bytes(tensors: dict, mode: str) -> int:
     """Payload size of one named bundle under codec ``mode``, in bytes.
 
     Every entry counts its elements at the codec's width, and under int8 a
-    4 B scale. A :func:`pack_nonzeros` bitmap carries no scale, so under
-    int8 this is 4 B per bitmap over the bytes on the link; it stays so
+    4 B scale. A :func:`pack_nonzeros` entry is a byte stream in words of
+    the codec's width, so under int8 this is 4 B per entry over the bytes on
+    the link (the scale travels inside the values stream); it stays so
     while ``perfbench/tracer.py`` keeps its own copy of this count.
     """
     n = sum(int(np.size(a)) for a in tensors.values())
@@ -83,53 +108,127 @@ def wire_bytes(tensors: dict, mode: str) -> int:
     return n * _ELEM_BYTES[mode] + scales
 
 
+def _cell_major(x: np.ndarray) -> np.ndarray:
+    """``x`` flattened with the channels of each cell side by side: a 3-D
+    (C, H, W) tensor in (H, W, C) order, any other in C order."""
+    return (np.moveaxis(x, 0, -1) if x.ndim == 3 else x).reshape(-1)
+
+
+def _from_cell_major(flat: np.ndarray, shape) -> np.ndarray:
+    """The C-contiguous tensor of ``shape`` that :func:`_cell_major`
+    flattened to ``flat``."""
+    if len(shape) != 3:
+        return flat.reshape(shape)
+    c, h, w = shape
+    return np.ascontiguousarray(np.moveaxis(flat.reshape(h, w, c), -1, 0))
+
+
+def _deflated(data, word: np.dtype) -> np.ndarray:
+    """The bytes ``data`` deflated, zero-padded to whole words of ``word``."""
+    stream = zlib.compress(data, _LEVEL)
+    return np.frombuffer(stream + bytes(-len(stream) % word.itemsize), word)
+
+
+def _inflated(words: np.ndarray, size: int, name: str, what: str) -> bytes:
+    """The ``size`` bytes the deflate stream ``words`` holds, inflating at
+    most one byte past them. A stream that is corrupt, ends short, inflates
+    to another size or trails more than its padding raises
+    :class:`ShapeError` naming the tensor."""
+    words = np.ascontiguousarray(words)
+    inflate = zlib.decompressobj()
+    try:
+        data = inflate.decompress(words, size + 1)
+    except zlib.error as exc:
+        raise ShapeError(f"payload tensor {name!r}: corrupt {what} stream "
+                         f"({exc})") from None
+    if len(data) > size:
+        raise ShapeError(f"payload tensor {name!r}: {what} stream inflates "
+                         f"past its {size} B")
+    if not inflate.eof:
+        raise ShapeError(f"payload tensor {name!r}: {what} stream is truncated")
+    if len(data) < size:
+        raise ShapeError(f"payload tensor {name!r}: {what} stream inflates to "
+                         f"{len(data)} B, not {size} B")
+    if len(inflate.unused_data) >= words.itemsize or any(inflate.unused_data):
+        raise ShapeError(f"payload tensor {name!r}: {what} stream trails "
+                         f"{len(inflate.unused_data)} B")
+    return data
+
+
 def pack_nonzeros(tensors: dict, mode: str) -> dict:
     """Each tensor of a bundle as two entries for the channel.
 
-    ``name`` holds the values the codec ``mode`` does not deliver as the
-    +0.0 bit pattern, 1-D in C order, and ``name + ".bitmap"`` where they
-    sit: ``np.packbits`` of that mask in unsigned words of the codec's
-    width (uint32 for identity, uint16 for fp16, uint8 for int8), so
-    :func:`wire_bytes` counts the bitmap's real bytes. Only the nonzero
-    values go through the codec's quantizer to find the mask. Under
-    identity the mask is the nonzero bit patterns; under fp16 and int8 it
-    also drops the values that round to +0.0. The int8 peak never rounds
-    to code 0, so the shipped values keep the tensor's scale. A value
-    decoded as -0.0 ships, and so does a NaN or an infinity, which
-    :func:`transmit_tensors` then refuses by the tensor's name.
+    A 3-D tensor is flattened cell-major (the channels of each cell side by
+    side), any other in C order. ``name + ".bitmap"`` marks the values the
+    codec ``mode`` does not deliver as the +0.0 bit pattern: ``np.packbits``
+    of that mask, deflated. ``name`` holds those values: under identity as
+    the raw float entry; under fp16 and int8 the codec quantizes them once
+    and their codes (fp16's float16 bits, int8's steps as int8 after the
+    tensor's float64 scale) go deflated. Both deflated entries are unsigned
+    words of the codec's width (uint32 for identity, uint16 for fp16, uint8
+    for int8), so :func:`wire_bytes` counts their real bytes. The int8 peak
+    never rounds to step 0, so the shipped values keep the tensor's scale,
+    and a shipped step 0 is a value decoded as -0.0. A tensor holding a NaN
+    or an infinity raises :class:`ShapeError` naming it: int8 would spread
+    it over the whole decoded tensor and the identity codec would pass it
+    on.
     """
     word = np.dtype(f"u{_ELEM_BYTES[mode]}")
     packed = {}
     for name, arr in tensors.items():
-        flat = np.ascontiguousarray(arr, dtype=np.float64).reshape(-1)
+        flat = _cell_major(np.asarray(arr, dtype=np.float64))
         shipped = flat.view(np.uint64) != 0
         where = np.flatnonzero(shipped)
         values = flat[where]
-        with np.errstate(invalid="ignore"):  # int8 decodes an infinity as NaN
-            kept = _decoded(values, mode).view(np.uint64) != 0
-        shipped[where[~kept]] = False
-        bits = np.packbits(shipped)
-        bitmap = np.zeros(-(-flat.size // (8 * word.itemsize)), word)
-        bitmap.view(np.uint8)[:bits.size] = bits
-        packed[name] = values[kept]
-        packed[name + _BITMAP] = bitmap
+        if not np.isfinite(values).all():
+            raise ShapeError(f"payload tensor {name!r} contains non-finite values")
+        if mode == "identity":
+            packed[name] = values
+        else:
+            codes, scale = _quantized(values, mode)
+            kept = codes.view(f"u{codes.itemsize}") != 0
+            shipped[where[~kept]] = False
+            codes = codes[kept].astype(_CODES[mode])
+            head = np.array(scale, _SCALE).tobytes() if mode == "int8" else b""
+            packed[name] = _deflated(head + codes.tobytes(), word)
+        packed[name + _BITMAP] = _deflated(np.packbits(shipped), word)
     return packed
 
 
-def unpack_nonzeros(packed: dict, shapes: dict) -> dict:
+def _stream_codes(data: bytes, mode: str):
+    """The codes and the scale an inflated values stream carries."""
+    if mode == "fp16":
+        return np.frombuffer(data, _CODES[mode]), 1.0
+    steps = np.frombuffer(data, _CODES[mode], offset=_SCALE.itemsize).astype(np.float64)
+    steps[steps == 0] = -0.0  # a step 0 ships only as the decode -0.0
+    return steps, float(np.frombuffer(data, _SCALE, count=1)[0])
+
+
+def unpack_nonzeros(packed: dict, shapes: dict, mode: str) -> dict:
     """The dense tensors of ``shapes`` (name -> shape) from a received
-    :func:`pack_nonzeros` bundle: each one's values put back where its
-    bitmap says, into a map of +0.0."""
+    :func:`pack_nonzeros` bundle under codec ``mode``: each one's values
+    put back where its bitmap says, into a map of +0.0. Each stream may
+    inflate to exactly what its shape allows, ⌈n / 8⌉ B for a bitmap and
+    the bitmap's count of codes (after an 8 B scale under int8) for the
+    values, and raises :class:`ShapeError` naming its tensor otherwise."""
     dense = {}
     for name, shape in shapes.items():
-        out = np.zeros(shape)
-        bits = np.unpackbits(packed[name + _BITMAP].view(np.uint8), count=out.size)
-        where, values = np.flatnonzero(bits.view(bool)), packed[name]
-        if where.size != values.size:
-            raise ShapeError(f"payload tensor {name!r}: {values.size} values for "
-                             f"{where.size} bitmap entries")
-        out.reshape(-1)[where] = values
-        dense[name] = out
+        n = int(np.prod(shape))
+        bits = _inflated(packed[name + _BITMAP], -(-n // 8), name, "bitmap")
+        where = np.flatnonzero(np.unpackbits(np.frombuffer(bits, np.uint8), count=n))
+        if mode == "identity":
+            values = packed[name]
+            if where.size != values.size:
+                raise ShapeError(f"payload tensor {name!r}: {values.size} values for "
+                                 f"{where.size} bitmap entries")
+        else:
+            head = _SCALE.itemsize if mode == "int8" else 0
+            data = _inflated(packed[name], head + where.size * _CODES[mode].itemsize,
+                             name, "values")
+            values = _dequantized(*_stream_codes(data, mode), mode)
+        flat = np.zeros(n)
+        flat[where] = values
+        dense[name] = _from_cell_major(flat, shape)
     return dense
 
 
@@ -137,9 +236,10 @@ def transmit_tensors(tensors: dict, cfg: CodecConfig):
     """Send a named bundle through the channel.
 
     Returns (decoded dict, per-tensor mse dict).  Iteration order follows the
-    input dict so remote reassembly is reproducible.  For a packed bundle
-    each mse is over the values an entry carried, not over the dense tensor.  An unsigned-integer
-    array (a bitmap) is carried bit for bit, with no codec and no mse entry.
+    input dict so remote reassembly is reproducible.  An unsigned-integer
+    array (a :func:`pack_nonzeros` stream) is carried bit for bit, with no
+    codec and no mse entry, so a packed bundle has an mse entry only for the
+    raw values identity ships.
     A tensor holding a NaN or an infinity raises :class:`ShapeError` naming
     it: int8 would spread it over the whole decoded tensor and the identity
     codec would pass it on with an mse of 0.

@@ -585,10 +585,11 @@ def _ship_stage1(run: _Run, agent_id, ms_latest):
     the large latest frame, handed over beside the channel for
     ``cosine_pre``; the payload dies here.
 
-    Each tensor goes on the channel as the values its codec does not
-    decode to +0.0 plus a bitmap; its error is taken over the dense tensor,
-    as the dense codec reported it, and is 0.0 under identity, whose round
-    trip is bit-exact.
+    Each tensor goes on the channel as a deflated bitmap of the values its
+    codec does not decode to +0.0 plus those values, deflated as codes under
+    fp16 and int8; its error is taken over the dense tensor, as the dense
+    codec reported it, and is 0.0 under identity, whose round trip is
+    bit-exact.
     """
     opts, ctx = run.opts, run.ctx
     t_prev = run.t - run.tau - ctx.scenario.frame_interval
@@ -604,7 +605,8 @@ def _ship_stage1(run: _Run, agent_id, ms_latest):
         payload.update((f"s{s}.{kind}", tensors[kind]) for kind in _shipped(opts, s))
     packed = pack_nonzeros(payload, opts.codec)
     received = unpack_nonzeros(transmit_tensors(packed, CodecConfig(opts.codec))[0],
-                               {name: a.shape for name, a in payload.items()})
+                               {name: a.shape for name, a in payload.items()},
+                               opts.codec)
     errors = {name: 0.0 if opts.codec == "identity"
               else float(np.mean((received[name] - a) ** 2))
               for name, a in payload.items()}

@@ -13,6 +13,7 @@ import threading
 import time
 import tracemalloc
 import weakref
+import zlib
 from collections.abc import Mapping
 from dataclasses import replace
 from pathlib import Path
@@ -510,11 +511,11 @@ def test_transmit_tensors_rejects_non_finite(mode, n, pos, bad, seed):
     assert np.isfinite(dec["fine"]).all() and math.isfinite(errs["fine"])
 
 
-#: bytes per bitmap word: the codec's own width
+#: bytes per word of a packed stream: the codec's own width
 _WORD_BYTES = {"identity": 4, "fp16": 2, "int8": 1}
 
 #: entries of a tensor to pack: exact zeros of both signs, subnormals,
-#: values fp16 flushes to a zero of their sign and int8 rounds to code 0
+#: values fp16 flushes to a zero of their sign and int8 rounds to step 0
 #: beside a larger peak, and values small enough that no codec's error
 #: overflows
 _PACK_VALUES = st.one_of(
@@ -525,37 +526,65 @@ _PACK_SHAPES = hnp.array_shapes(min_dims=1, max_dims=3, max_side=9).filter(
     lambda shape: math.prod(shape) % 32)
 
 
+def _cell_major(a: np.ndarray) -> np.ndarray:
+    """``a`` in the order the channel ships it: a 3-D tensor with the
+    channels of each cell side by side, any other in C order."""
+    return (np.moveaxis(a, 0, -1) if a.ndim == 3 else a).reshape(-1)
+
+
+def _shipped_values(entry: np.ndarray, mode: str) -> np.ndarray:
+    """The decoded values a packed ``name`` entry carries, read with zlib
+    alone: identity's raw floats; fp16's float16 codes; int8's float64
+    scale, then its steps, where step 0 is the decode -0.0."""
+    if mode == "identity":
+        return entry
+    raw = zlib.decompress(entry.tobytes())
+    if mode == "fp16":
+        return np.frombuffer(raw, "<f2").astype(np.float64)
+    steps = np.frombuffer(raw[8:], np.int8).astype(np.float64)
+    return np.where(steps == 0, -0.0, steps) * np.frombuffer(raw[:8], "<f8")[0]
+
+
 @settings(max_examples=200, deadline=None)
 @given(mode=st.sampled_from(("identity", "fp16", "int8")), data=st.data())
 def test_packed_round_trip_is_the_dense_codec(mode, data):
-    # the channel carries each tensor as the values its codec does not
-    # decode to the +0.0 bit pattern plus a bitmap; a -0.0 ships as a value
+    # the channel carries each tensor as a deflated bitmap of the values
+    # its codec does not decode to the +0.0 bit pattern, cell-major, and
+    # those values; a -0.0 ships as a value, which int8 sends as step 0
     a = data.draw(hnp.arrays(np.float64, _PACK_SHAPES, elements=_PACK_VALUES))
     packed = pack_nonzeros({"t": a}, mode)
     bitmap = packed["t.bitmap"]
     assert bitmap.dtype.kind == "u" and bitmap.itemsize == _WORD_BYTES[mode]
-    assert bitmap.size == math.ceil(a.size / (8 * _WORD_BYTES[mode]))
+    raw = zlib.decompress(bitmap.tobytes())
+    assert len(raw) == math.ceil(a.size / 8)
     want = encode_decode(a, mode)[0]
-    shipped = want.reshape(-1).view(np.uint64) != 0
-    bits = np.unpackbits(bitmap.view(np.uint8), count=a.size).view(bool)
+    shipped = _cell_major(want).view(np.uint64) != 0
+    bits = np.unpackbits(np.frombuffer(raw, np.uint8), count=a.size).view(bool)
     assert np.array_equal(bits, shipped)
-    assert packed["t"].size == np.count_nonzero(shipped)
+    if mode != "identity":
+        assert packed["t"].dtype.kind == "u" and packed["t"].itemsize == _WORD_BYTES[mode]
+    carried = _shipped_values(packed["t"], mode)
+    assert np.array_equal(carried.view(np.uint64),
+                          _cell_major(want)[shipped].view(np.uint64))
     received, errors = transmit_tensors(packed, CodecConfig(mode))
-    assert set(errors) == {"t"}  # the bitmap is carried bit for bit
+    # the streams are carried bit for bit: only identity's raw values are
+    # a float entry
+    assert set(errors) == ({"t"} if mode == "identity" else set())
     assert np.array_equal(received["t.bitmap"], bitmap)
-    got = unpack_nonzeros(received, {"t": a.shape})["t"]
-    assert got.shape == a.shape
+    got = unpack_nonzeros(received, {"t": a.shape}, mode)["t"]
+    assert got.shape == a.shape and got.flags.c_contiguous
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    # a NaN or an infinity is a value too, so the channel still refuses it
-    # by its tensor
+    # a NaN or an infinity is a value too, so the encoder refuses it by its
+    # tensor
     a.flat[data.draw(st.integers(0, a.size - 1))] = data.draw(
         st.sampled_from((math.nan, math.inf, -math.inf)))
-    with pytest.raises(ShapeError, match=re.escape("'s0.inter'")):
-        transmit_tensors(pack_nonzeros({"s0.inter": a}, mode), CodecConfig(mode))
+    with pytest.raises(ShapeError, match=re.escape(
+            "payload tensor 's0.inter' contains non-finite values")):
+        pack_nonzeros({"s0.inter": a}, mode)
 
 
 @pytest.mark.parametrize("mode, sent, values", [
-    # scale 1/127: -1e-3 and -0.0 round to code -0 and ship, 1e-3 to +0
+    # scale 1/127: -1e-3 and -0.0 round to step -0 and ship, 1e-3 to +0
     ("int8", [1.0, -1e-3, 1e-3, 0.0, -0.0, -0.5], [1.0, -1e-3, -0.0, -0.5]),
     # 2e-8 flushes to +0.0, -2e-8 to -0.0; 6e-8 is a float16 subnormal
     ("fp16", [2e-8, -2e-8, 1.0, 0.0, -0.0, 6e-8], [-2e-8, 1.0, -0.0, 6e-8]),
@@ -563,17 +592,95 @@ def test_packed_round_trip_is_the_dense_codec(mode, data):
 ])
 def test_packing_ships_only_values_not_decoded_as_plus_zero(mode, sent, values):
     packed = pack_nonzeros({"t": np.array(sent)}, mode)
-    assert packed["t"].tobytes() == np.array(values).tobytes()
+    want = encode_decode(np.array(values), mode)[0]
+    assert _shipped_values(packed["t"], mode).tobytes() == want.tobytes()
     got = unpack_nonzeros(transmit_tensors(packed, CodecConfig(mode))[0],
-                          {"t": (len(sent),)})["t"]
+                          {"t": (len(sent),)}, mode)["t"]
     assert got.tobytes() == encode_decode(np.array(sent), mode)[0].tobytes()
+
+
+def test_int8_ships_its_scale_then_one_step_per_value():
+    # the steps are int8 after the float64 scale; -1e-3 and -0.0 go as step
+    # 0 and come back as -0.0, 1e-3 stays home and comes back as +0.0
+    sent = np.array([1.0, -1e-3, 1e-3, -0.0, -0.5])
+    raw = zlib.decompress(pack_nonzeros({"t": sent}, "int8")["t"].tobytes())
+    assert raw == np.array(1.0 / 127.0, "<f8").tobytes() + bytes([127, 0, 0, 256 - 64])
+    got = unpack_nonzeros(pack_nonzeros({"t": sent}, "int8"), {"t": (5,)}, "int8")["t"]
+    assert got.tobytes() == np.array([1.0, -0.0, 0.0, -0.0, -64 / 127]).tobytes()
 
 
 def test_unpack_refuses_values_that_miss_the_bitmap():
     packed = pack_nonzeros({"t": np.array([0.0, 1.0, 2.0, 0.0])}, "identity")
     packed["t"] = packed["t"][:1]
     with pytest.raises(ShapeError, match="'t': 1 values for 2 bitmap entries"):
-        unpack_nonzeros(packed, {"t": (4,)})
+        unpack_nonzeros(packed, {"t": (4,)}, "identity")
+
+
+def _words(raw: bytes, like: np.ndarray) -> np.ndarray:
+    """``raw`` zero-padded to whole words of ``like``'s dtype."""
+    return np.frombuffer(raw + bytes(-len(raw) % like.itemsize), like.dtype)
+
+
+def _bomb() -> bytes:
+    """A deflate stream of 64 MiB of zeros, built a MiB at a time."""
+    deflate, chunk = zlib.compressobj(), bytes(1 << 20)
+    return b"".join(deflate.compress(chunk) for _ in range(64)) + deflate.flush()
+
+
+#: each stream a packed tensor puts on the link; identity's values are raw
+_STREAMS = [("identity", ".bitmap"), ("fp16", ""), ("fp16", ".bitmap"),
+            ("int8", ""), ("int8", ".bitmap")]
+
+
+@pytest.mark.parametrize("mode, part", _STREAMS)
+def test_unpack_refuses_a_bad_stream_by_its_tensor(mode, part):
+    # a stream the receiver cannot trust raises ShapeError naming its
+    # tensor, never zlib.error, and inflates no more than its shape allows
+    rng = np.random.default_rng(11)
+    a = np.maximum(rng.normal(size=(4, 6, 6)), 0.0)
+    a[0, 0, :3] = -0.0
+    packed = pack_nonzeros({"t": a}, mode)
+    entry = packed["t" + part]
+    raw = zlib.decompress(entry.tobytes())
+    stream = f"payload tensor 't': {'bitmap' if part else 'values'} stream "
+    # a tensor with fewer values: its bitmap is sound, but t's values no
+    # longer fit it, and its values do not fit t's bitmap
+    other = pack_nonzeros({"t": np.where(a > 0.5, a, 0.0)}, mode)["t" + part]
+    bad = [
+        (entry[:-1], stream + "is truncated"),
+        (np.concatenate([entry, _words(b"\x01", entry)]), stream + "trails"),
+        (_words(zlib.compress(raw + b"\x00"), entry), stream + "inflates past"),
+        (_words(zlib.compress(raw[:-1]), entry), stream + "inflates to"),
+        (other, "payload tensor 't': 72 values for 48 bitmap entries" if mode == "identity"
+         else "payload tensor 't': values stream inflates"),
+    ]
+    for flip in range(2, entry.nbytes - 4, 3):  # deflate data and its checksum
+        corrupt = entry.copy()
+        corrupt.view(np.uint8)[flip] ^= 0x5A
+        bad.append((corrupt, "payload tensor 't': "))
+    for words, message in bad:
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            unpack_nonzeros({**packed, "t" + part: words}, {"t": a.shape}, mode)
+    assert np.array_equal(unpack_nonzeros(packed, {"t": a.shape}, mode)["t"].view(np.uint64),
+                          encode_decode(a, mode)[0].view(np.uint64))
+
+
+@pytest.mark.parametrize("mode, part", _STREAMS)
+def test_unpack_inflates_a_bomb_no_further_than_its_cap(mode, part):
+    # 64 MiB of zeros in a 64 KiB stream: the receiver stops one byte past
+    # what the tensor's shape allows
+    a = np.ones((4, 6, 6))
+    packed = pack_nonzeros({"t": a}, mode)
+    bomb = _words(_bomb(), packed["t" + part])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeError, match=re.escape("payload tensor 't': ")
+                           + r"(bitmap|values) stream inflates past its \d+ B"):
+            unpack_nonzeros({**packed, "t" + part: bomb}, {"t": a.shape}, mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_unknown_codec_rejected():
@@ -1130,9 +1237,19 @@ def test_bytes_tx_counts_what_the_channel_carries(monkeypatch, codec, ptam, moti
 def test_bytes_tx_at_the_default_grid_and_options():
     # one collaborator, 48x48 cells: the three stage-1 results. Dense they
     # took (64 + 128 / 4 + 256 / 16) * 2304 floats of 4 B = 1,032,192 B;
-    # packed, their nonzero floats of 4 B plus a bitmap of 4 B words
+    # packed, their nonzero floats of 4 B plus a deflated bitmap in 4 B
+    # words. Deflated at level 6 by zlib 1.2.13 (zlib.ZLIB_RUNTIME_VERSION);
+    # another zlib may deflate to other sizes
     report = run_pipeline(generate_scenario("straight"), 1.2, 0.3)
-    assert report.bytes_tx == 526_068 < 1_032_192
+    assert report.bytes_tx == 514_784 < 526_068 < 1_032_192
+
+
+def test_bytes_tx_under_int8_with_learned_motion_and_xi():
+    # the largest payload, 12 tensors: the dense bound is 525,216 B; packed
+    # before the streams were deflated, 281,221 B. zlib 1.2.13, as above
+    opts = PipelineOptions(codec="int8", motion_mode="learned", xi_mode="learned")
+    report = run_pipeline(generate_scenario("straight"), 1.2, 0.3, opts)
+    assert report.bytes_tx == 160_264 < 281_221 < 525_216
 
 
 def test_codec_mse_is_the_mean_over_the_shipped_tensors(monkeypatch):
@@ -1157,8 +1274,9 @@ def test_codec_mse_is_the_mean_over_the_shipped_tensors(monkeypatch):
 
 def test_int8_ships_no_value_that_decodes_to_plus_zero(monkeypatch):
     # int8 once shipped every nonzero value, though 6-11% of them in each
-    # stage-1 result round to code 0 and arrive as the +0.0 the receiver
-    # fills in anyway
+    # stage-1 result round to step 0 and arrive as the +0.0 the receiver
+    # fills in anyway. Each values stream holds exactly its tensor's decodes
+    # that are not +0.0, in cell-major order, and no entry is a float
     dense, pack = [], pipeline.pack_nonzeros
 
     def logged_pack(tensors, mode):
@@ -1169,13 +1287,15 @@ def test_int8_ships_no_value_that_decodes_to_plus_zero(monkeypatch):
     log = _log_channel(monkeypatch)
     report = run_pipeline(generate_scenario("straight"), 1.2, 0.3,
                           PipelineOptions(codec="int8"))
-    values = [a for a in log["tensors"] if a.dtype.kind == "f"]
-    assert len(dense) == len(values) == 3
-    for sent, carried in zip(dense, values):
-        decoded = encode_decode(sent, "int8")[0].view(np.uint64)
-        assert carried.size == np.count_nonzero(decoded) < np.count_nonzero(sent)
-        assert (encode_decode(carried, "int8")[0].view(np.uint64) != 0).all()
-    assert report.bytes_tx == 146_999 < 155_733
+    assert len(dense) == 3 and len(log["tensors"]) == 6
+    assert all(a.dtype == np.uint8 for a in log["tensors"])
+    for sent, carried in zip(dense, log["tensors"][::2]):
+        decoded = _cell_major(encode_decode(sent, "int8")[0])
+        kept = decoded.view(np.uint64) != 0
+        values = _shipped_values(carried, "int8")
+        assert values.size == np.count_nonzero(kept) < np.count_nonzero(sent)
+        assert np.array_equal(values.view(np.uint64), decoded[kept].view(np.uint64))
+    assert report.bytes_tx == 85_991 < 146_999 < 155_733
 
 
 def test_receivers_balance_over_both_lanes(monkeypatch):
